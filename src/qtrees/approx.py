@@ -6,8 +6,7 @@ closed balls of radius 2 r^k touch (d <= 4 r^k); radial edges join
 adjacent levels when the upper ball sits inside the lower one, certified
 on centers by d + 2 r^(k+1) <= 2 r^k.  The center rule is what the
 containment proofs actually produce, it is transitive, and it does not
-depend on how densely the space was sampled; a pointwise mode exists for
-experiments.
+depend on how densely the space was sampled.
 """
 from __future__ import annotations
 
@@ -107,8 +106,8 @@ class ApproxGraph:
         return by_level
 
 
-def build_approximation(space: FiniteMetricSpace, scale: ScaleParams,
-                        containment: str = "centers") -> ApproxGraph:
+def build_approximation(space: FiniteMetricSpace, scale: ScaleParams
+                        ) -> ApproxGraph:
     """Construct the graph with nets for levels k0..max_level."""
     if scale.max_level < scale.k0:
         raise ValueError("max_level below base level")
@@ -147,15 +146,10 @@ def build_approximation(space: FiniteMetricSpace, scale: ScaleParams,
         margin = 2 * scale.sep(k) - 2 * scale.sep(k + 1)
         for up in upper:
             for lo in centers:
-                if containment == "centers":
-                    d = space.d(up, lo)
-                    if d == margin:
-                        threshold_hits += 1
-                    ok = d <= margin
-                else:
-                    ok = _pointwise_contained(space, up, 2 * scale.sep(k + 1),
-                                              lo, 2 * scale.sep(k))
-                if ok:
+                d = space.d(up, lo)
+                if d == margin:
+                    threshold_hits += 1
+                if d <= margin:
                     add_edge(Vertex(k + 1, up), Vertex(k, lo), RADIAL)
 
     graph = ApproxGraph(
@@ -172,13 +166,6 @@ def build_approximation(space: FiniteMetricSpace, scale: ScaleParams,
     if len(reach) != len(vertices):
         raise AssertionError("approximation graph is not connected")
     return graph
-
-
-def _pointwise_contained(space, up, up_rad, lo, lo_rad) -> bool:
-    for z in space.points:
-        if space.d(z, up) < up_rad and not space.d(z, lo) < lo_rad:
-            return False
-    return True
 
 
 def central_ancestor(graph: ApproxGraph, v: Vertex) -> Vertex:

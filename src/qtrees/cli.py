@@ -1,7 +1,7 @@
 """Command line front end.
 
     embed run    --preset cantor --out results/
-    embed verify --preset circle --suite stage2
+    embed verify stage2 --preset circle
     embed export --space cantor --depth 3 --r 1/9 --out dump/
 
 Exit status is nonzero whenever a validator or invariant check fails.
@@ -12,8 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from qtrees.pipeline import StageError, export_artifacts, run_pipeline
-from qtrees.presets import PRESETS, config_for
+from qtrees.pipeline import StageError, run_pipeline
+from qtrees.presets import PRESETS, SPACES, config_for
 from qtrees.reporting import json_text
 from qtrees.verify import SUITES, run_suite
 
@@ -21,8 +21,7 @@ from qtrees.verify import SUITES, run_suite
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="pinned configuration known to validate")
-    p.add_argument("--space", dest="space_kind",
-                   choices=["cantor", "circle", "grid"],
+    p.add_argument("--space", dest="space_kind", choices=sorted(SPACES),
                    help="generated test space")
     p.add_argument("--space-file", help="distance matrix file (see README)")
     p.add_argument("--depth", "--n", dest="space_param", type=int,
@@ -36,8 +35,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--colors", dest="n_colors", type=int,
                    help="covering colors")
     p.add_argument("--seed", type=int, help="seed for sampled checks")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap for pairwise suites (1 = sequential)")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
     p.add_argument("--research-kappa", action="store_true",
                    help="allow page capacities below the proven bound")
@@ -47,13 +44,11 @@ def _config_from_args(args) -> "PipelineConfig":
     overrides = {
         k: getattr(args, k)
         for k in ("space_kind", "space_param", "space_file", "r", "max_level",
-                  "kappa", "n_colors", "seed", "jobs", "out_dir")
+                  "kappa", "n_colors", "seed", "out_dir")
         if getattr(args, k, None) is not None
     }
     if args.research_kappa:
         overrides["research_kappa"] = True
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
     return config_for(args.preset, **overrides)
 
 
@@ -70,26 +65,25 @@ def main(argv=None) -> int:
     p_verify.add_argument("suite", choices=SUITES)
     _add_config_flags(p_verify)
 
-    p_export = sub.add_parser("export", help="write artifacts without checks")
+    p_export = sub.add_parser(
+        "export", help="run the full pipeline and write its artifacts "
+                       "(default --out .)")
     _add_config_flags(p_export)
+    p_export.set_defaults(out_dir=".")
 
     args = parser.parse_args(argv)
     config = _config_from_args(args)
 
     try:
-        if args.command == "run":
-            result = run_pipeline(config)
-            print(json_text(result.report), end="")
-            return 0 if result.ok else 1
         if args.command == "verify":
             report = run_suite(config, args.suite)
             print(json_text(report), end="")
             return 0 if report["ok"] else 1
-        # export
-        result = run_pipeline(config, write_artifacts=False)
-        out = config.out_dir or "."
-        export_artifacts(result, out)
-        print(f"artifacts written to {out}")
+        result = run_pipeline(config)
+        if args.command == "run":
+            print(json_text(result.report), end="")
+        else:
+            print(f"artifacts written to {config.out_dir}")
         return 0 if result.ok else 1
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,8 @@ class CoveringSequence:
     colors: tuple[int, ...]
     # levels[j][color] -> tuple of elements
     levels: dict[int, dict[int, tuple[CoveringElement, ...]]]
+    # the validator's result, kept by generate_covering_sequence
+    contract: Optional[CheckResult] = None
 
     @property
     def max_level(self) -> int:
@@ -114,7 +116,7 @@ def _depth_inside(e: CoveringElement, z: int, space: FiniteMetricSpace,
     region = e.region
     if isinstance(region, WholeSpace):
         return cap
-    coord = space.coords[z] if space.coords else z
+    coord = space.coord(z)
     if not region.contains_point(coord):
         return None
     if isinstance(region, LineIntervals):
@@ -147,10 +149,6 @@ def _net_centers(seq: CoveringSequence, scale: ScaleParams, level: int,
     if graph is not None and level in graph.nets:
         return graph.nets[level]
     return maximal_separated_net(seq.space, scale.sep(level), level).centers
-
-
-def _coord(space: FiniteMetricSpace, p: int):
-    return space.coords[p] if space.coords else p
 
 
 def validate_covering_sequence(seq: CoveringSequence, graph=None,
@@ -190,7 +188,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
     for j in levels:
         fam = seq.family(j)
         for z in space.points:
-            if not any(e.region.contains_point(_coord(space, z)) for e in fam):
+            if not any(e.region.contains_point(space.coord(z)) for e in fam):
                 result.add_violation({"property": "cover", "level": j, "point": z})
         for c in seq.colors:
             colored = seq.levels[j].get(c, ())
@@ -208,7 +206,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
         radius = 2 * scale.sep(j + 1)
         fam = seq.family(j)
         for v in centers:
-            coord = _coord(space, v)
+            coord = space.coord(v)
             hits = [e for e in fam if e.region.contains_ball(coord, radius)]
             if not hits:
                 result.add_violation({"property": 2, "level": j, "net_point": v})
@@ -225,7 +223,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
     for j in levels:
         centers = _net_centers(seq, scale, j + 1, graph)
         radius = 2 * scale.sep(j + 1)
-        ball_cache[j] = [(v, _coord(space, v), radius) for v in centers]
+        ball_cache[j] = [(v, space.coord(v), radius) for v in centers]
     for c in seq.colors:
         elements = seq.color_elements(c)
         for U in elements:
@@ -263,7 +261,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
 
 def _element(space, color, level, region, index) -> Optional[CoveringElement]:
     members = tuple(
-        p for p in space.points if region.contains_point(_coord(space, p))
+        p for p in space.points if region.contains_point(space.coord(p))
     )
     if not members:
         return None
@@ -460,14 +458,15 @@ GENERATORS = {
 def generate_covering_sequence(kind: str, space: FiniteMetricSpace,
                                scale: ScaleParams, max_level: int,
                                graph=None, **params) -> CoveringSequence:
-    """Build and validate; generation fails when validation fails."""
+    """Build and validate; generation fails when validation fails, and a
+    sequence that passes keeps its validation result as ``contract``."""
     if kind not in GENERATORS:
         raise CoveringError(f"unknown covering generator {kind!r}")
     seq = GENERATORS[kind](space, scale, max_level, **params)
-    report = validate_covering_sequence(seq, graph=graph, scale=scale)
-    if report.status == FAIL:
-        raise CoveringError(
-            f"generated sequence fails validation: {report.violations[0]}")
+    seq.contract = validate_covering_sequence(seq, graph=graph, scale=scale)
+    if seq.contract.status == FAIL:
+        raise CoveringError("generated sequence fails validation: "
+                            f"{seq.contract.violations[0]}")
     return seq
 
 
@@ -543,7 +542,7 @@ def load_covering_json(path, space: FiniteMetricSpace) -> CoveringSequence:
                 region = _region_from_json(e, space)
                 members = tuple(
                     p for p in space.points
-                    if region.contains_point(_coord(space, p))
+                    if region.contains_point(space.coord(p))
                 )
                 built.append(CoveringElement(
                     uid=e.get("id", f"c{c}-j{j}-{i}"), color=c, level=j,

@@ -61,10 +61,6 @@ def words_and_stops(sentence: Sequence) -> tuple[list[tuple], list]:
     return words, stops
 
 
-def word_count(sentence: Sequence) -> int:
-    return sum(1 for tok in sentence if is_stop(tok))
-
-
 def letter_count(sentence: Sequence) -> int:
     """Sentence length: stop signs are ignored."""
     return sum(1 for tok in sentence if not is_stop(tok))
@@ -277,22 +273,6 @@ def extract_fillers(slotted: Slotted, sentence: Sequence) -> Optional[list[tuple
 
 def membership(slotted: Slotted, sentence: Sequence) -> bool:
     return extract_fillers(slotted, sentence) is not None
-
-
-def rest_of_member(slotted: Slotted, sentence: Sequence,
-                   stop_token=STOP) -> tuple:
-    """The member's slot fillers as a sentence; the bare stop sign when the
-    pattern is honest."""
-    fillers = extract_fillers(slotted, sentence)
-    if fillers is None:
-        raise ValueError("sentence is not a member of the slotted class")
-    if not fillers:
-        return (stop_token,)
-    out: list = []
-    for w in fillers:
-        out.extend(w)
-        out.append(stop_token)
-    return tuple(out)
 
 
 def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence

@@ -92,10 +92,6 @@ def check_net_coloring(graph: ApproxGraph, coloring: NetColoring) -> CheckResult
 # Edge words and sentences
 
 
-def _coord(space, p):
-    return space.coords[p] if space.coords else p
-
-
 @dataclass
 class Labelling:
     stage1: Stage1
@@ -143,7 +139,7 @@ class Labelling:
         hit = frozenset(
             self.coloring.color(k + 1, p)
             for p in centers
-            if element.region.meets_ball(_coord(graph.space, p), radius)
+            if element.region.meets_ball(graph.space.coord(p), radius)
         )
         if not hit:
             raise AssertionError(
@@ -314,7 +310,6 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     sig = sigma_lower(C)
     worst_upper = Fraction(0)
     worst_lower = 0
-    lam_fit = Fraction(0)
     for v, w in itertools.combinations(graph.vertices, 2):
         gd = graph.distance(v, w)
         per_color = {c: st2.page_distance(c, v, w) for c in st2.colors}
@@ -327,7 +322,6 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
             upper.add_violation({"pair": (v, w), "total": total, "dist": gd})
         if gd:
             worst_upper = max(worst_upper, Fraction(total, gd))
-            lam_fit = max(lam_fit, Fraction(total, gd))
         lower.checked += 1
         if gd > 2 * C * total + sig:
             lower.add_violation({"pair": (v, w), "dist": gd, "total": total})
@@ -339,8 +333,6 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
         "pairs": upper.checked,
         "upperWorst": worst_upper,
         "lowerWorst": worst_lower,
-        "lambdaFit": lam_fit,
-        "sigmaFit": worst_lower,
         "sigmaBound": sig,
         "violations": [v for c in (upper, lower) for v in c.violations],
     }
@@ -375,19 +367,6 @@ def check_critical_letters(st2: Stage2) -> CheckResult:
     emb = st2.stage1
     graph = emb.graph
     lab = st2.labelling
-    chains: dict[tuple[int, Vertex], list[str]] = {}
-
-    def chain(c: int, v: Vertex) -> list[str]:
-        key = (c, v)
-        if key not in chains:
-            coord = _coord(graph.space, v.center)
-            tree = emb.trees[c]
-            chains[key] = [
-                uid for uid in tree.tree.vertices()
-                if tree.elements[uid].region.contains_point(coord)
-            ]
-        return chains[key]
-
     for v, w in itertools.combinations(graph.vertices, 2):
         pc = classify_pair(graph, v, w)
         if pc.kind != DISTINCT:
@@ -397,10 +376,10 @@ def check_critical_letters(st2: Stage2) -> CheckResult:
             continue  # sentences carry no level-0 letter
         for c in st2.colors:
             tree = emb.trees[c]
-            for ua in chain(c, v):
+            for ua in emb.containing_chain(c, v):
                 if tree.elements[ua].level < l + 1:
                     continue
-                for ub in chain(c, w):
+                for ub in emb.containing_chain(c, w):
                     if tree.elements[ub].level < l + 1:
                         continue
                     if ua == ub:

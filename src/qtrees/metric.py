@@ -57,6 +57,11 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    def coord(self, p: int):
+        """Where certificates look for point p: its generator coordinate,
+        or the point id itself when the space has no coordinates."""
+        return self.coords[p] if self.coords else p
+
     @property
     def diam(self) -> Fraction:
         return max(max(row) for row in self.dist)

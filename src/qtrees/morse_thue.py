@@ -109,16 +109,6 @@ def decoration_is_valid(decorated: Sequence) -> bool:
     return decorate(plain) == tuple(decorated)
 
 
-def sentence_length(decorated: Sequence) -> int:
-    """Level of the last letter: stop signs do not count."""
-    return letter_count(decorated)
-
-
-def tail_from(sentence: Sequence, start: int) -> tuple:
-    """All tokens from position start on."""
-    return tuple(sentence[start:])
-
-
 def common_tail_letters(alpha: Sequence, beta: Sequence) -> int:
     """Letters (stop signs ignored) in the longest identical token suffix."""
     i, j = len(alpha), len(beta)
@@ -141,7 +131,7 @@ def synchronize_check(alpha: Sequence, beta: Sequence, l: int) -> str:
     "fail", or "inconclusive" when the hypotheses do not hold."""
     if not (decoration_is_valid(alpha) and decoration_is_valid(beta)):
         return INCONCLUSIVE
-    la, lb = sentence_length(alpha), sentence_length(beta)
+    la, lb = letter_count(alpha), letter_count(beta)
     if common_tail_letters(alpha, beta) < l or 2 * abs(la - lb) > l:
         return INCONCLUSIVE
     return PASS if la == lb else "fail"

@@ -1,5 +1,11 @@
-"""End-to-end orchestration: space, graph, covering, trees, embeddings,
-verification suites, artifact files.
+"""The staged runner shared by `run`, `verify` and `export`.
+
+A `Pipeline` holds one config's chain: space, ball graph, covering, color
+trees with the stage-1 map, labelling and stage 2.  Each artifact is built
+once, on first use, and a failure while building it is raised as a
+`StageError` naming its stage.  Each suite's checks also run once, for
+whichever command reads them; the report adds the numbers that only it
+carries.
 
 A run is deterministic for a fixed config: identical configs produce
 byte-identical reports (no timestamps, sorted keys, exact rationals).
@@ -7,22 +13,25 @@ byte-identical reports (no timestamps, sorted keys, exact rationals).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from functools import cached_property
 
-from qtrees import approx, coverings, labelling, metric, stage1 as stage1_mod
+from qtrees import approx, coverings, metric
 from qtrees.approx import ApproxGraph, approx_suite, estimate_delta, \
     export_edges, graph_summary, visual_metric_constants
 from qtrees.coverings import CoveringSequence, \
-    generate_covering_sequence, save_covering_json, validate_covering_sequence
-from qtrees.labelling import Stage2, build_labelling, build_stage2, \
-    check_binary_stage, check_net_coloring, check_sentences, embedding_dump, \
-    min_kappa, stage2_suite
+    generate_covering_sequence, save_covering_json
+from qtrees.labelling import Labelling, Stage2, build_labelling, \
+    build_stage2, check_binary_stage, check_net_coloring, check_sentences, \
+    embedding_dump, min_kappa, stage2_suite
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
 from qtrees.presets import PipelineConfig
-from qtrees.reporting import dump_json, jsonable, suite_dict
-from qtrees.stage1 import Stage1, embed_stage1, stage1_suite, write_pairs_csv
+from qtrees.reporting import CheckResult, dump_json, jsonable, suite_dict
+from qtrees.stage1 import PairRow, Stage1, embed_stage1, stage1_suite, \
+    write_pairs_csv
 from qtrees.trees import check_color_tree, export_tree
+
+PIPELINE_SUITES = ("approx", "covering", "stage1", "stage2")
 
 
 class StageError(RuntimeError):
@@ -32,100 +41,166 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class PipelineResult:
-    config: PipelineConfig
-    space: FiniteMetricSpace
-    graph: ApproxGraph
-    seq: CoveringSequence
-    stage1: Stage1
-    stage2: Stage2
-    report: dict
-    ok: bool
-    pair_rows: list = field(default_factory=list)
-
-
 def build_space(config: PipelineConfig) -> FiniteMetricSpace:
     if config.space_file:
         return load_space_csv(config.space_file)
     return generate_space(config.space_kind, config.space_param)
 
 
-def run_pipeline(config: PipelineConfig, write_artifacts: bool = True
-                 ) -> PipelineResult:
-    suites: dict[str, dict] = {}
+class Pipeline:
+    """The artifacts, checks and report of one config, each built once."""
 
-    def guard(stage, fn):
-        try:
-            return fn()
-        except Exception as exc:  # surfaced with the stage name
-            raise StageError(stage, exc) from exc
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self._built: dict[str, object] = {}
+        self._suites: dict[str, tuple[list[CheckResult], object]] = {}
 
-    space = guard("space", lambda: build_space(config))
-    scale = guard("space", lambda: ScaleParams.for_space(
-        space, config.r, config.max_level))
-    graph = guard("approximation", lambda: approx.build_approximation(
-        space, scale))
+    def _once(self, name: str, stage: str, build):
+        """The artifact ``name``, built on first use.  A failure becomes a
+        StageError naming ``stage``; later uses raise it again without
+        building again."""
+        if name not in self._built:
+            try:
+                self._built[name] = build()
+            except StageError:
+                raise  # an earlier stage failed and is already named
+            except Exception as exc:
+                self._built[name] = StageError(stage, exc)
+        out = self._built[name]
+        if isinstance(out, StageError):
+            raise out from out.cause
+        return out
 
-    approx_checks = approx_suite(graph)
-    delta, delta_mode = estimate_delta(graph, seed=config.seed)
-    suites["approx"] = suite_dict("approx", approx_checks)
-    suites["approx"]["delta"] = delta
-    suites["approx"]["deltaMode"] = delta_mode
+    # -- the chain ----------------------------------------------------------
 
-    seq = guard("covering", lambda: generate_covering_sequence(
-        config.covering_kind, space, scale, scale.max_level,
-        graph=graph, n_colors=config.n_colors, **config.params()))
-    cov_check = validate_covering_sequence(seq, graph=graph, scale=scale)
-    suites["covering"] = suite_dict("covering", [cov_check])
-    # reported, never asserted: how deep inside members the points sit
-    suites["covering"]["lebesgue"] = {
-        str(j): coverings.lebesgue_number(seq.family(j), space)
-        for j in sorted(seq.levels)
-    }
+    @property
+    def space(self) -> FiniteMetricSpace:
+        return self._once("space", "space", lambda: build_space(self.config))
 
-    tree_checks = [
-        check_color_tree(seq, tree, scale.k0)
-        for tree in (stage1_mod.build_color_tree(seq, c) for c in seq.colors)
-    ]
-    emb = guard("stage1", lambda: embed_stage1(graph, seq))
-    s1_checks, pair_rows = stage1_suite(emb)
-    suites["stage1"] = suite_dict("stage1", tree_checks + s1_checks)
+    @property
+    def scale(self) -> ScaleParams:
+        return self._once("scale", "space", lambda: ScaleParams.for_space(
+            self.space, self.config.r, self.config.max_level))
 
-    lab = guard("labelling", lambda: build_labelling(emb))
-    kappa = config.kappa if config.kappa is not None else min_kappa(
-        len(seq.colors))
-    st2 = guard("stage2", lambda: build_stage2(
-        lab, kappa, research_kappa=config.research_kappa))
-    s2_checks, fits = stage2_suite(st2)
-    s2_checks.append(check_net_coloring(graph, lab.coloring))
-    s2_checks.append(check_sentences(lab))
-    s2_checks.append(check_binary_stage(st2))
-    suites["stage2"] = suite_dict("stage2", s2_checks)
-    suites["stage2"]["fit"] = jsonable(fits)
+    @property
+    def graph(self) -> ApproxGraph:
+        return self._once("graph", "approximation",
+                          lambda: approx.build_approximation(self.space,
+                                                             self.scale))
 
-    band = None
-    if sum(1 for v in graph.vertices if v.level == scale.max_level) >= 2:
-        band = visual_metric_constants(graph)
+    @property
+    def seq(self) -> CoveringSequence:
+        cfg = self.config
+        return self._once("seq", "covering",
+                          lambda: generate_covering_sequence(
+                              cfg.covering_kind, self.space, self.scale,
+                              self.scale.max_level, graph=self.graph,
+                              n_colors=cfg.n_colors, **cfg.params()))
 
-    ok = all(s["ok"] for s in suites.values())
-    report = {
-        "config": _config_dict(config, kappa),
-        "graph": graph_summary(graph, delta=delta, band=band),
-        "doubling": metric.doubling_estimate(space),
-        "palette": lab.coloring.palette_size,
-        "treeValence": {str(c): emb.trees[c].max_valence()
-                        for c in seq.colors},
-        "suites": suites,
-        "ok": ok,
-    }
+    @property
+    def stage1(self) -> Stage1:
+        return self._once("stage1", "stage1",
+                          lambda: embed_stage1(self.graph, self.seq))
 
-    result = PipelineResult(config=config, space=space, graph=graph, seq=seq,
-                            stage1=emb, stage2=st2, report=report, ok=ok,
-                            pair_rows=pair_rows)
-    if write_artifacts and config.out_dir:
-        export_artifacts(result, config.out_dir)
-    return result
+    @property
+    def labelling(self) -> Labelling:
+        return self._once("labelling", "labelling",
+                          lambda: build_labelling(self.stage1))
+
+    @property
+    def kappa(self) -> int:
+        if self.config.kappa is not None:
+            return self.config.kappa
+        return min_kappa(len(self.seq.colors))
+
+    @property
+    def stage2(self) -> Stage2:
+        return self._once("stage2", "stage2", lambda: build_stage2(
+            self.labelling, self.kappa,
+            research_kappa=self.config.research_kappa))
+
+    # -- checks -------------------------------------------------------------
+
+    def checks(self, suite: str) -> list[CheckResult]:
+        """The checks of one of PIPELINE_SUITES."""
+        return self._suite(suite)[0]
+
+    @property
+    def pair_rows(self) -> list[PairRow]:
+        return self._suite("stage1")[1]
+
+    def _suite(self, suite: str) -> tuple[list[CheckResult], object]:
+        """(checks, what else the suite's checker returned), run once."""
+        if suite not in self._suites:
+            extra = None
+            if suite == "approx":
+                checks = approx_suite(self.graph)
+            elif suite == "covering":
+                checks = [self.seq.contract]
+            elif suite == "stage1":
+                emb = self.stage1
+                checks = [check_color_tree(self.seq, emb.trees[c],
+                                           self.scale.k0)
+                          for c in emb.colors]
+                pair_checks, extra = stage1_suite(emb)
+                checks += pair_checks
+            elif suite == "stage2":
+                checks, extra = stage2_suite(self.stage2)
+                checks.append(check_net_coloring(self.graph,
+                                                 self.labelling.coloring))
+                checks.append(check_sentences(self.labelling))
+                checks.append(check_binary_stage(self.stage2))
+            else:
+                raise ValueError(f"unknown pipeline suite {suite!r}")
+            self._suites[suite] = checks, extra
+        return self._suites[suite]
+
+    # -- report -------------------------------------------------------------
+
+    @cached_property
+    def report(self) -> dict:
+        """Every suite, plus the numbers only the report carries."""
+        graph, seq, scale = self.graph, self.seq, self.scale
+        suites = {name: suite_dict(name, self.checks(name))
+                  for name in PIPELINE_SUITES}
+        delta, delta_mode = estimate_delta(graph, seed=self.config.seed)
+        suites["approx"]["delta"] = delta
+        suites["approx"]["deltaMode"] = delta_mode
+        # reported, never asserted: how deep inside members the points sit
+        suites["covering"]["lebesgue"] = {
+            str(j): coverings.lebesgue_number(seq.family(j), self.space)
+            for j in sorted(seq.levels)
+        }
+        suites["stage2"]["fit"] = jsonable(self._suite("stage2")[1])
+
+        band = None
+        if sum(1 for v in graph.vertices if v.level == scale.max_level) >= 2:
+            band = visual_metric_constants(graph)
+
+        return {
+            "config": _config_dict(self.config, self.kappa),
+            "graph": graph_summary(graph, delta=delta, band=band),
+            "doubling": metric.doubling_estimate(self.space),
+            "palette": self.labelling.coloring.palette_size,
+            "treeValence": {str(c): self.stage1.trees[c].max_valence()
+                            for c in seq.colors},
+            "suites": suites,
+            "ok": all(s["ok"] for s in suites.values()),
+        }
+
+    @property
+    def ok(self) -> bool:
+        return self.report["ok"]
+
+
+def run_pipeline(config: PipelineConfig) -> Pipeline:
+    """The pipeline of a config, with its artifact files written when the
+    config names an output directory.  Whatever is not written is built
+    when first read."""
+    pipe = Pipeline(config)
+    if config.out_dir:
+        export_artifacts(pipe, config.out_dir)
+    return pipe
 
 
 def _config_dict(config: PipelineConfig, kappa: int) -> dict:
@@ -145,28 +220,15 @@ def _config_dict(config: PipelineConfig, kappa: int) -> dict:
     }
 
 
-def export_artifacts(result: PipelineResult, out_dir) -> None:
+def export_artifacts(pipe: Pipeline, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    dump_json(result.report, os.path.join(out_dir, "report.json"))
-    export_edges(result.graph, os.path.join(out_dir, "graph.edges"))
-    save_covering_json(result.seq, os.path.join(out_dir, "covering.json"))
+    dump_json(pipe.report, os.path.join(out_dir, "report.json"))
+    export_edges(pipe.graph, os.path.join(out_dir, "graph.edges"))
+    save_covering_json(pipe.seq, os.path.join(out_dir, "covering.json"))
     tree_dir = os.path.join(out_dir, "trees")
     os.makedirs(tree_dir, exist_ok=True)
-    for c, tree in result.stage1.trees.items():
+    for c, tree in pipe.stage1.trees.items():
         export_tree(tree, os.path.join(tree_dir, f"color{c}.txt"))
-    rows = result.pair_rows or stage1_suite(result.stage1)[1]
-    write_pairs_csv(rows, os.path.join(out_dir, "pairs.csv"))
-    dump_json(embedding_dump(result.stage2),
+    write_pairs_csv(pipe.pair_rows, os.path.join(out_dir, "pairs.csv"))
+    dump_json(embedding_dump(pipe.stage2),
               os.path.join(out_dir, "embedding.json"))
-
-
-# ---------------------------------------------------------------------------
-# Named verification suites for the CLI
-
-
-def run_suite(config: PipelineConfig, suite: str) -> dict:
-    """Run one named suite (or "all"); codec and sequence suites are
-    config-independent."""
-    from qtrees import verify as verify_mod
-
-    return verify_mod.run_suite(config, suite)

@@ -1,7 +1,10 @@
-"""Pinned pipeline configurations known to validate end to end.
+"""Per-space defaults and pinned pipeline configurations.
 
-Each preset fixes the space, the scale parameter, the truncation level,
-the covering generator with its shape parameters, and the page capacity.
+``SPACES`` holds, per generated space kind, the default size, scale
+parameter, covering generator and color count.  Each preset adds to its
+space's defaults the truncation level and the page capacity; presets are
+known to validate end to end.
+
 The scale parameter is space-dependent: covering members must contain
 open balls of diameter 4r^(j+1) while staying below mesh r^j with
 same-color members disjoint, and on a densely sampled circle that forces
@@ -27,7 +30,6 @@ class PipelineConfig:
     kappa: Optional[int] = None  # default: 15 * n_colors + 1
     research_kappa: bool = False
     seed: int = 0
-    jobs: int = 1
     out_dir: Optional[str] = None
     preset: str = ""
     covering_params: tuple = ()  # sorted (key, value) pairs
@@ -36,51 +38,37 @@ class PipelineConfig:
         return dict(self.covering_params)
 
 
+@dataclass(frozen=True)
+class SpaceSpec:
+    """What a generated space of one kind runs with unless told otherwise:
+    generator size, scale parameter, covering generator and its colors."""
+
+    size: int
+    r: Fraction
+    covering: str
+    colors: int
+
+
+SPACES: dict[str, SpaceSpec] = {
+    "cantor": SpaceSpec(4, Fraction(1, 9), "ultrametric", 1),
+    "circle": SpaceSpec(81, Fraction(1, 12), "shifted_arcs", 2),
+    "grid": SpaceSpec(9, Fraction(1, 64), "shifted_cubes", 3),
+}
+
+
+def _defaults(kind: str) -> PipelineConfig:
+    spec = SPACES.get(kind, SPACES["cantor"])
+    return PipelineConfig(space_kind=kind, space_param=spec.size, r=spec.r,
+                          max_level=None, covering_kind=spec.covering,
+                          n_colors=spec.colors)
+
+
 PRESETS: dict[str, PipelineConfig] = {
-    "cantor": PipelineConfig(
-        space_kind="cantor",
-        space_param=4,
-        r=Fraction(1, 9),
-        max_level=4,
-        covering_kind="ultrametric",
-        n_colors=1,
-        kappa=16,
-        preset="cantor",
-    ),
-    "circle": PipelineConfig(
-        space_kind="circle",
-        space_param=81,
-        r=Fraction(1, 12),
-        max_level=2,
-        covering_kind="shifted_arcs",
-        n_colors=2,
-        kappa=31,
-        preset="circle",
-    ),
-    "grid": PipelineConfig(
-        space_kind="grid",
-        space_param=9,
-        r=Fraction(1, 64),
-        max_level=1,
-        covering_kind="shifted_cubes",
-        n_colors=3,
-        kappa=46,
-        preset="grid",
-    ),
-}
-
-DEFAULT_R = {
-    "cantor": Fraction(1, 9),
-    "circle": Fraction(1, 12),
-    "grid": Fraction(1, 64),
-}
-
-DEFAULT_PARAM = {"cantor": 4, "circle": 81, "grid": 9}
-
-COVERING_FOR_SPACE = {
-    "cantor": "ultrametric",
-    "circle": "shifted_arcs",
-    "grid": "shifted_cubes",
+    "cantor": replace(_defaults("cantor"), max_level=4, kappa=16,
+                      preset="cantor"),
+    "circle": replace(_defaults("circle"), max_level=2, kappa=31,
+                      preset="circle"),
+    "grid": replace(_defaults("grid"), max_level=1, kappa=46, preset="grid"),
 }
 
 
@@ -91,14 +79,6 @@ def config_for(preset: Optional[str] = None, **overrides) -> PipelineConfig:
                            f"have {sorted(PRESETS)}")
         cfg = PRESETS[preset]
     else:
-        kind = overrides.get("space_kind", "cantor")
-        cfg = PipelineConfig(
-            space_kind=kind,
-            space_param=DEFAULT_PARAM.get(kind, 4),
-            r=DEFAULT_R.get(kind, Fraction(1, 9)),
-            max_level=None,
-            covering_kind=COVERING_FOR_SPACE.get(kind, "ultrametric"),
-            n_colors={"cantor": 1, "circle": 2, "grid": 3}.get(kind, 1),
-        )
+        cfg = _defaults(overrides.get("space_kind", "cantor"))
     overrides = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **overrides)

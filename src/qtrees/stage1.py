@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +36,8 @@ class Stage1:
     seq: CoveringSequence
     trees: dict[int, ColorTree]
     fc: dict[tuple[int, Vertex], str]  # (color, vertex) -> element uid
+    _chains: dict[tuple[int, Vertex], tuple[str, ...]] = field(
+        default_factory=dict)
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -51,9 +53,18 @@ class Stage1:
     def product_distance(self, v: Vertex, w: Vertex) -> int:
         return sum(self.tree_distance(c, v, w) for c in self.colors)
 
-
-def _coord(space, p):
-    return space.coords[p] if space.coords else p
+    def containing_chain(self, color: int, v: Vertex) -> tuple[str, ...]:
+        """Tree vertices of the color whose region contains the center point
+        of v, in tree vertex order."""
+        key = (color, v)
+        cached = self._chains.get(key)
+        if cached is None:
+            coord = self.graph.space.coord(v.center)
+            tree = self.trees[color]
+            cached = tuple(uid for uid in tree.tree.vertices()
+                           if tree.elements[uid].region.contains_point(coord))
+            self._chains[key] = cached
+        return cached
 
 
 def map_fc(seq: CoveringSequence, tree: ColorTree, graph: ApproxGraph,
@@ -66,7 +77,7 @@ def map_fc(seq: CoveringSequence, tree: ColorTree, graph: ApproxGraph,
     if v == graph.root:
         return tree.tree.root
     radius = graph.ball_radius(v)
-    coord = _coord(graph.space, v.center)
+    coord = graph.space.coord(v.center)
     top = min(v.level - 1, seq.max_level)
     for j in range(top, -1, -1):
         for uid in tree.level_vertices(j):
@@ -167,7 +178,7 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
             for c in emb.colors:
                 t = emb.trees[c].tree
                 a, b = emb.image(c, v), emb.image(c, w)
-                if t.lowest_segment_vertex(a, b) not in (a, b):
+                if t.lca(a, b) not in (a, b):
                     close_radial.add_violation({"pair": (v, w), "color": c})
             close_bound.checked += 1
             ok = False
@@ -206,7 +217,7 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
             for c in emb.colors:
                 t = emb.trees[c].tree
                 a, b = emb.image(c, hi), emb.image(c, lo_v)
-                wv = t.lowest_segment_vertex(a, b)
+                wv = t.lca(a, b)
                 dist_aw = t.generation_distance(a, wv)
                 lhs_levels = max(t.level[a], t.level[b]) - l + 1
                 if lhs_levels <= C * (dist_aw + 1) and \
@@ -258,12 +269,10 @@ def check_segment_dip(emb: Stage1) -> CheckResult:
             def eff(uid):
                 return k0 if uid == t.root else t.level[uid]
 
-            chain_v = _containing_chain(emb, c, v)
-            chain_w = _containing_chain(emb, c, w)
-            for a in chain_v:
-                for b in chain_w:
+            for a in emb.containing_chain(c, v):
+                for b in emb.containing_chain(c, w):
                     res.checked += 1
-                    meet = t.lowest_segment_vertex(a, b)
+                    meet = t.lca(a, b)
                     if eff(meet) >= l:
                         res.add_violation({"pair": (v, w), "color": c,
                                            "meet": meet, "critical": l})
@@ -303,14 +312,6 @@ def check_level_escape(emb: Stage1) -> CheckResult:
             if best is not None and Fraction(j - i + 1, C) > best + 1:
                 res.add_violation({"vertex": v, "i": i, "best": best})
     return res
-
-
-def _containing_chain(emb: Stage1, color: int, v: Vertex) -> list[str]:
-    """Tree vertices whose region contains the center point of v."""
-    coord = _coord(emb.graph.space, v.center)
-    tree = emb.trees[color]
-    return [uid for uid in tree.tree.vertices()
-            if tree.elements[uid].region.contains_point(coord)]
 
 
 def _segment(tree, meet: str, end: str) -> list[str]:

@@ -55,6 +55,8 @@ class LevelledTree:
         return len(self.root_path(u)) - 1
 
     def lca(self, u: str, v: str) -> str:
+        """Minimum-level vertex on the unique path: the youngest common
+        ancestor (one of the ends when u, v are comparable)."""
         pu, pv = self.root_path(u), self.root_path(v)
         last = pu[0]
         for a, b in zip(pu, pv):
@@ -68,13 +70,6 @@ class LevelledTree:
         w = self.lca(u, v)
         return self.depth(u) + self.depth(v) - 2 * self.depth(w)
 
-    def lowest_segment_vertex(self, u: str, v: str) -> str:
-        """Minimum-level vertex on the unique path: the youngest common
-        ancestor (one of the ends when u, v are comparable)."""
-        return self.lca(u, v)
-
-    def is_ancestor(self, anc: str, u: str) -> bool:
-        return anc in self.root_path(u)
 
 
 @dataclass
@@ -171,7 +166,7 @@ def check_color_tree(seq: CoveringSequence, ct: ColorTree, k0: int) -> CheckResu
                 res.add_violation({"pair": (u, v),
                                    "reason": "overlapping incomparable regions"})
             if not nested:
-                w = t.lowest_segment_vertex(u, v)
+                w = t.lca(u, v)
                 if w in (u, v):
                     continue
                 if t.level[w] >= min(t.level[u], t.level[v]):

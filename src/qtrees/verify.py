@@ -10,10 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from qtrees import approx as approx_mod
 from qtrees import morse_thue as mt
-from qtrees.coverings import CoveringError, generate_covering_sequence, \
-    validate_covering_sequence
+from qtrees.coverings import CoveringError
 from qtrees.diary import (
     STOP,
     decode,
@@ -25,73 +23,46 @@ from qtrees.diary import (
     membership,
     reconstruct,
 )
-from qtrees.labelling import build_labelling, build_stage2, \
-    check_binary_stage, check_net_coloring, check_sentences, min_kappa, \
-    stage2_suite
-from qtrees.metric import ScaleParams
-from qtrees.pipeline import build_space
+from qtrees.labelling import min_kappa
+from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PipelineConfig
 from qtrees.reporting import CheckResult, EXPECTED_FAIL, FAIL, PASS, \
     suite_dict
-from qtrees.stage1 import embed_stage1, stage1_suite
-from qtrees.trees import check_color_tree
 
 SUITES = ("approx", "covering", "stage1", "diary", "morse_thue", "stage2",
           "all")
 
 
 def run_suite(config: PipelineConfig, suite: str) -> dict:
+    """One named suite, or "all" of them on one shared pipeline."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    pipe = Pipeline(config)
     if suite == "all":
-        out = {}
-        for name in SUITES[:-1]:
-            out[name] = run_suite(config, name)
+        out = {name: _suite(config, name, pipe) for name in SUITES[:-1]}
         return {"suite": "all", "ok": all(s["ok"] for s in out.values()),
                 "suites": out}
+    return _suite(config, suite, pipe)
+
+
+def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
     if suite == "diary":
         return suite_dict("diary", diary_suite())
     if suite == "morse_thue":
         return suite_dict("morse_thue", morse_thue_suite(
             seed=config.seed, kappa=config.kappa,
             research=config.research_kappa))
-    return _pipeline_suite(config, suite)
-
-
-def _pipeline_suite(config: PipelineConfig, suite: str) -> dict:
-    space = build_space(config)
-    scale = ScaleParams.for_space(space, config.r, config.max_level)
-    graph = approx_mod.build_approximation(space, scale)
-    if suite == "approx":
-        return suite_dict("approx", approx_mod.approx_suite(graph))
     try:
-        seq = generate_covering_sequence(
-            config.covering_kind, space, scale, scale.max_level,
-            graph=graph, n_colors=config.n_colors, **config.params())
-    except CoveringError as exc:
-        res = CheckResult("covering-contract", FAIL, notes=str(exc))
-        return suite_dict(suite, [res])
-    if suite == "covering":
-        return suite_dict("covering", [
-            validate_covering_sequence(seq, graph=graph, scale=scale)])
-    emb = embed_stage1(graph, seq)
-    if suite == "stage1":
-        tree_checks = [check_color_tree(seq, emb.trees[c], scale.k0)
-                       for c in seq.colors]
-        checks, _ = stage1_suite(emb)
-        return suite_dict("stage1", tree_checks + checks)
-    # stage2
-    lab = build_labelling(emb)
-    kappa = config.kappa if config.kappa is not None else min_kappa(
-        len(seq.colors))
-    st2 = build_stage2(lab, kappa, research_kappa=config.research_kappa)
-    checks, _ = stage2_suite(st2)
-    checks.append(check_net_coloring(graph, lab.coloring))
-    checks.append(check_sentences(lab))
-    checks.append(check_binary_stage(st2))
-    if config.research_kappa and kappa < min_kappa(len(seq.colors)):
-        checks.append(check_small_kappa_collision(kappa))
-    return suite_dict("stage2", checks)
+        checks = list(pipe.checks(suite))
+    except StageError as exc:
+        if not isinstance(exc.cause, CoveringError):
+            raise
+        return suite_dict(suite, [
+            CheckResult("covering-contract", FAIL, notes=str(exc.cause))])
+    if suite == "stage2" and config.research_kappa and \
+            pipe.kappa < min_kappa(len(pipe.seq.colors)):
+        checks.append(check_small_kappa_collision(pipe.kappa))
+    return suite_dict(suite, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ def report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def cantor_run():
-    return run_pipeline(PRESETS["cantor"], write_artifacts=False)
+    return run_pipeline(PRESETS["cantor"])
 
 
 @pytest.fixture(scope="module")
 def circle_run():
-    return run_pipeline(PRESETS["circle"], write_artifacts=False)
+    return run_pipeline(PRESETS["circle"])
 
 
 # -- 1. codec oracle equivalence --------------------------------------------

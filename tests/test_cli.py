@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qtrees.cli import main
+from qtrees.pipeline import run_pipeline
 from qtrees.presets import PRESETS, config_for
 from qtrees.verify import run_suite
 
@@ -99,3 +100,29 @@ def test_graph_edges_format(tmp_path):
         for token in (a, b):
             level, center = token.split(":")
             int(level), int(center)
+
+
+def test_verify_bad_scale_is_a_stage_error(capsys):
+    code = main(["verify", "approx", "--r", "1/2"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [space] ")
+
+
+@pytest.mark.parametrize("preset", ["cantor", "grid"])
+def test_verify_all_matches_run_report(preset):
+    suites = run_suite(config_for(preset), "all")["suites"]
+    report = run_pipeline(config_for(preset)).report["suites"]
+    for name in ("approx", "covering", "stage1", "stage2"):
+        assert suites[name]["results"] == report[name]["results"], name
+
+
+def test_export_writes_what_run_writes(tmp_path, capsys):
+    a, b = tmp_path / "export", tmp_path / "run"
+    assert main(["export", "--preset", "cantor", "--out", str(a)]) == 0
+    assert main(["run", "--preset", "cantor", "--out", str(b)]) == 0
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*")
+                           if p.is_file())
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

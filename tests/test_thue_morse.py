@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrees.diary import STOP, encode
+from qtrees.diary import STOP, encode, letter_count
 from qtrees.morse_thue import (
     check_equal_diaries,
     check_synchronization,
@@ -13,7 +13,6 @@ from qtrees.morse_thue import (
     long_journey_pair,
     mt_bit,
     mt_prefix,
-    sentence_length,
     strip,
     synchronize_check,
 )
@@ -64,7 +63,7 @@ def test_strip_inverts_decorate():
 
 def test_sentence_length_ignores_stops():
     deco = decorate(("a", "b", STOP, STOP, "c", STOP))
-    assert sentence_length(deco) == 3
+    assert letter_count(deco) == 3
 
 
 def test_common_tail_letters():

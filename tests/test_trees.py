@@ -40,13 +40,13 @@ def test_generation_distance_basics():
         root="r", parent={"r": None, "a": "r", "b": "r"},
         level={"r": 0, "a": 1, "b": 2})
     assert siblings.generation_distance("a", "b") == 2
-    assert siblings.lowest_segment_vertex("a", "b") == "r"
+    assert siblings.lca("a", "b") == "r"
 
 
 def test_lowest_segment_vertex_comparable_is_ancestor_end():
     t = chain_tree()
-    assert t.lowest_segment_vertex("a", "c") == "a"
-    assert t.lowest_segment_vertex("c", "c") == "c"
+    assert t.lca("a", "c") == "a"
+    assert t.lca("c", "c") == "c"
 
 
 def test_color_tree_structure(cantor_tree):
