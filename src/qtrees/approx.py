@@ -34,6 +34,14 @@ EXHAUSTIVE_TRIPLE_LIMIT = 300
 
 @dataclass
 class ApproxGraph:
+    """The graph over one space and scale.
+
+    ``nets`` holds the net centers of every graph level k0..max_level.
+    ``net(level)`` reads them, and builds the net of any other level on
+    first use and keeps it there; the covering contract and the edge
+    letters read the level one past the truncation.
+    """
+
     space: FiniteMetricSpace
     scale: ScaleParams
     nets: dict[int, tuple[int, ...]]
@@ -46,6 +54,15 @@ class ApproxGraph:
     _raddesc_cache: dict[Vertex, dict[int, set]] = field(default_factory=dict)
 
     # -- basic queries ------------------------------------------------------
+
+    def net(self, level: int) -> tuple[int, ...]:
+        """Centers of the maximal r^level-separated net."""
+        centers = self.nets.get(level)
+        if centers is None:
+            centers = maximal_separated_net(
+                self.space, self.scale.sep(level), level).centers
+            self.nets[level] = centers
+        return centers
 
     def ball_radius(self, v: Vertex) -> Fraction:
         return 2 * self.scale.sep(v.level)

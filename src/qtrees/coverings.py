@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qtrees.geometry import Arc, BoxRegion, LineIntervals, Region, WholeSpace
-from qtrees.metric import FiniteMetricSpace, ScaleParams, maximal_separated_net
+from qtrees.geometry import Arc, BoxRegion, LineIntervals, Region, \
+    WholeSpace, region_from_json
+from qtrees.metric import FiniteMetricSpace, ScaleParams
 from qtrees.reporting import CheckResult, FAIL, PASS, frac_str, parse_frac
 
 
@@ -59,14 +60,6 @@ class CoveringSequence:
             out.extend(self.levels[j].get(color, ()))
         return out
 
-    def element(self, uid: str) -> CoveringElement:
-        for j in self.levels:
-            for fam in self.levels[j].values():
-                for e in fam:
-                    if e.uid == uid:
-                        return e
-        raise KeyError(uid)
-
 
 class CoveringError(ValueError):
     """Raised when a generated sequence fails its own validation."""
@@ -94,7 +87,7 @@ def lebesgue_number(family: Sequence[CoveringElement],
     for z in space.points:
         best: Optional[Fraction] = None
         for e in family:
-            depth = _depth_inside(e, z, space, cap=m)
+            depth = e.region.depth(space.coord(z), m)
             if depth is None:
                 continue
             if best is None or depth > best:
@@ -108,57 +101,15 @@ def lebesgue_number(family: Sequence[CoveringElement],
     return worst
 
 
-def _depth_inside(e: CoveringElement, z: int, space: FiniteMetricSpace,
-                  cap: Fraction) -> Optional[Fraction]:
-    """Distance from sample point z to the complement of the certificate,
-    measured exactly; None when z is outside.  WholeSpace has no complement,
-    so any value >= cap works."""
-    region = e.region
-    if isinstance(region, WholeSpace):
-        return cap
-    coord = space.coord(z)
-    if not region.contains_point(coord):
-        return None
-    if isinstance(region, LineIntervals):
-        return max(
-            min(coord - lo, hi - coord)
-            for lo, hi in region.intervals
-            if lo <= coord < hi
-        )
-    if isinstance(region, Arc):
-        if region.length == 1:
-            return cap
-        off = (coord - region.start) % 1
-        return min(off, region.length - off)
-    if isinstance(region, BoxRegion):
-        x, y = coord
-        return min(x - region.x0, region.x1 - x, y - region.y0, region.y1 - y)
-    # PointSubset: distance to the nearest sample outside the member set
-    outside = [p for p in space.points if p not in region.members]
-    if not outside:
-        return cap
-    return min(space.d(z, p) for p in outside)
-
-
 # ---------------------------------------------------------------------------
 # Validator
 
 
-def _net_centers(seq: CoveringSequence, scale: ScaleParams, level: int,
-                 graph=None) -> tuple[int, ...]:
-    if graph is not None and level in graph.nets:
-        return graph.nets[level]
-    return maximal_separated_net(seq.space, scale.sep(level), level).centers
-
-
-def validate_covering_sequence(seq: CoveringSequence, graph=None,
-                               scale: Optional[ScaleParams] = None) -> CheckResult:
-    """Run the full contract; returns a CheckResult whose first violation
-    names the offending element(s)."""
-    if scale is None:
-        if graph is None:
-            raise ValueError("need a graph or explicit scale parameters")
-        scale = graph.scale
+def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
+    """Run the full contract against the nets of ``graph`` (an
+    `ApproxGraph` over the same space); returns a CheckResult whose first
+    violation names the offending element(s)."""
+    scale = graph.scale
     if seq.r != scale.r:
         raise ValueError("covering scale differs from graph scale")
     space = seq.space
@@ -202,10 +153,9 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
 
     # (2) every level-(j+1) net ball fits in some level-j element
     for j in levels:
-        centers = _net_centers(seq, scale, j + 1, graph)
         radius = 2 * scale.sep(j + 1)
         fam = seq.family(j)
-        for v in centers:
+        for v in graph.net(j + 1):
             coord = space.coord(v)
             hits = [e for e in fam if e.region.contains_ball(coord, radius)]
             if not hits:
@@ -221,9 +171,8 @@ def validate_covering_sequence(seq: CoveringSequence, graph=None,
     # (3) separation on same-color cross-level pairs
     ball_cache: dict[int, list[tuple[int, object, Fraction]]] = {}
     for j in levels:
-        centers = _net_centers(seq, scale, j + 1, graph)
         radius = 2 * scale.sep(j + 1)
-        ball_cache[j] = [(v, space.coord(v), radius) for v in centers]
+        ball_cache[j] = [(v, space.coord(v), radius) for v in graph.net(j + 1)]
     for c in seq.colors:
         elements = seq.color_elements(c)
         for U in elements:
@@ -457,13 +406,14 @@ GENERATORS = {
 
 def generate_covering_sequence(kind: str, space: FiniteMetricSpace,
                                scale: ScaleParams, max_level: int,
-                               graph=None, **params) -> CoveringSequence:
-    """Build and validate; generation fails when validation fails, and a
-    sequence that passes keeps its validation result as ``contract``."""
+                               graph, **params) -> CoveringSequence:
+    """Build and validate against the nets of ``graph``; generation fails
+    when validation fails, and a sequence that passes keeps its validation
+    result as ``contract``."""
     if kind not in GENERATORS:
         raise CoveringError(f"unknown covering generator {kind!r}")
     seq = GENERATORS[kind](space, scale, max_level, **params)
-    seq.contract = validate_covering_sequence(seq, graph=graph, scale=scale)
+    seq.contract = validate_covering_sequence(seq, graph)
     if seq.contract.status == FAIL:
         raise CoveringError("generated sequence fails validation: "
                             f"{seq.contract.violations[0]}")
@@ -472,36 +422,6 @@ def generate_covering_sequence(kind: str, space: FiniteMetricSpace,
 
 # ---------------------------------------------------------------------------
 # Covering file format (JSON)
-
-
-def _region_to_json(region: Region):
-    if isinstance(region, WholeSpace):
-        return {"whole_space": True, "diam": frac_str(region.diam)}
-    if isinstance(region, LineIntervals):
-        return {"intervals": [[frac_str(lo), frac_str(hi)]
-                              for lo, hi in region.intervals]}
-    if isinstance(region, Arc):
-        return {"arc": [frac_str(region.start), frac_str(region.length)]}
-    if isinstance(region, BoxRegion):
-        return {"box": [frac_str(region.x0), frac_str(region.x1),
-                        frac_str(region.y0), frac_str(region.y1)]}
-    return {"points": sorted(region.members)}
-
-
-def _region_from_json(data, space):
-    from qtrees.geometry import PointSubset
-
-    if data.get("whole_space"):
-        return WholeSpace(parse_frac(data["diam"]))
-    if "intervals" in data:
-        return LineIntervals(tuple(
-            (parse_frac(lo), parse_frac(hi)) for lo, hi in data["intervals"]))
-    if "arc" in data:
-        return Arc(parse_frac(data["arc"][0]), parse_frac(data["arc"][1]))
-    if "box" in data:
-        x0, x1, y0, y1 = (parse_frac(v) for v in data["box"])
-        return BoxRegion(x0, x1, y0, y1)
-    return PointSubset(space, data["points"])
 
 
 def save_covering_json(seq: CoveringSequence, path) -> None:
@@ -513,7 +433,7 @@ def save_covering_json(seq: CoveringSequence, path) -> None:
                 "j": j,
                 "families": {
                     str(c): [
-                        {"id": e.uid, **_region_to_json(e.region)}
+                        {"id": e.uid, **e.region.to_json()}
                         for e in seq.levels[j].get(c, ())
                     ]
                     for c in seq.colors
@@ -539,7 +459,7 @@ def load_covering_json(path, space: FiniteMetricSpace) -> CoveringSequence:
             c = int(c_str)
             built = []
             for i, e in enumerate(elems):
-                region = _region_from_json(e, space)
+                region = region_from_json(e, space)
                 members = tuple(
                     p for p in space.points
                     if region.contains_point(space.coord(p))

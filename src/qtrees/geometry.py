@@ -5,11 +5,19 @@ independent of how densely the space was sampled: every test reduces to
 rational comparisons between interval endpoints.  Balls are always open;
 covering certificates are half-open, so two certificates may share a
 boundary point without intersecting.
+
+Certificates are stored as JSON objects tagged by their form, with
+rationals as "p/q" strings: {"whole_space": true, "diam"},
+{"intervals": [[lo, hi], ...]}, {"arc": [start, length]},
+{"box": [x0, x1, y0, y1]} or {"points": [id, ...]}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
+
+from qtrees.reporting import frac_str, parse_frac
 
 ONE = Fraction(1)
 
@@ -38,8 +46,13 @@ class Region:
     def meets_region(self, other: "Region") -> bool:
         raise NotImplementedError
 
-    def key(self):
-        """Deterministic sort key."""
+    def depth(self, coord, cap: Fraction) -> Optional[Fraction]:
+        """Exact distance from the point at ``coord`` to the complement of
+        the region; None when the point is outside, ``cap`` when there is
+        no complement."""
+        raise NotImplementedError
+
+    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -68,8 +81,11 @@ class WholeSpace(Region):
     def meets_region(self, other) -> bool:
         return True
 
-    def key(self):
-        return ("whole",)
+    def depth(self, coord, cap):
+        return cap
+
+    def to_json(self):
+        return {"whole_space": True, "diam": frac_str(self.diam)}
 
 
 @dataclass(frozen=True)
@@ -126,8 +142,14 @@ class LineIntervals(Region):
             for olo, ohi in other.intervals
         )
 
-    def key(self):
-        return ("line", self.intervals)
+    def depth(self, x, cap):
+        inside = [min(x - lo, hi - x)
+                  for lo, hi in self.intervals if lo <= x < hi]
+        return max(inside) if inside else None
+
+    def to_json(self):
+        return {"intervals": [[frac_str(lo), frac_str(hi)]
+                              for lo, hi in self.intervals]}
 
 
 @dataclass(frozen=True)
@@ -193,8 +215,14 @@ class Arc(Region):
         offset = (other.start - self.start) % 1
         return offset < self.length or offset + other.length > 1
 
-    def key(self):
-        return ("arc", self.start, self.length)
+    def depth(self, x, cap):
+        if self.length == 1:
+            return cap
+        off = (x - self.start) % 1
+        return min(off, self.length - off) if off < self.length else None
+
+    def to_json(self):
+        return {"arc": [frac_str(self.start), frac_str(self.length)]}
 
 
 @dataclass(frozen=True)
@@ -255,8 +283,15 @@ class BoxRegion(Region):
             and max(self.y0, other.y0) < min(self.y1, other.y1)
         )
 
-    def key(self):
-        return ("box", self.x0, self.y0, self.x1, self.y1)
+    def depth(self, p, cap):
+        if not self.contains_point(p):
+            return None
+        x, y = p
+        return min(x - self.x0, self.x1 - x, y - self.y0, self.y1 - y)
+
+    def to_json(self):
+        return {"box": [frac_str(self.x0), frac_str(self.x1),
+                        frac_str(self.y0), frac_str(self.y1)]}
 
 
 class PointSubset(Region):
@@ -302,11 +337,34 @@ class PointSubset(Region):
             return True
         return bool(self.members & other.members)
 
-    def key(self):
-        return ("points", tuple(sorted(self.members)))
+    def depth(self, p, cap):
+        """Distance to the nearest sample point outside the member set."""
+        if p not in self.members:
+            return None
+        return min((self.space.d(p, q) for q in self.space.points
+                    if q not in self.members), default=cap)
+
+    def to_json(self):
+        return {"points": sorted(self.members)}
 
     def __eq__(self, other):
         return isinstance(other, PointSubset) and self.members == other.members
 
     def __hash__(self):
         return hash(("points", self.members))
+
+
+def region_from_json(data: dict, space) -> Region:
+    """The certificate a `Region.to_json` object describes; ``space`` backs
+    point-subset certificates."""
+    if data.get("whole_space"):
+        return WholeSpace(parse_frac(data["diam"]))
+    if "intervals" in data:
+        return LineIntervals(tuple(
+            (parse_frac(lo), parse_frac(hi)) for lo, hi in data["intervals"]))
+    if "arc" in data:
+        return Arc(parse_frac(data["arc"][0]), parse_frac(data["arc"][1]))
+    if "box" in data:
+        x0, x1, y0, y1 = (parse_frac(v) for v in data["box"])
+        return BoxRegion(x0, x1, y0, y1)
+    return PointSubset(space, data["points"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -24,7 +25,6 @@ from qtrees.diary import (
     membership,
     reconstruct,
 )
-from qtrees.metric import maximal_separated_net
 from qtrees.morse_thue import mt_bit
 from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
 from qtrees.stage1 import DISTINCT, Stage1, classify_pair
@@ -43,18 +43,16 @@ class NetColoring:
         return self.mu[level][point]
 
 
-def color_nets(graph: ApproxGraph, extra_levels: int = 1) -> NetColoring:
-    """Color levels k0 .. max_level + extra_levels (edge letters look one
-    level past the truncation)."""
+def color_nets(graph: ApproxGraph) -> NetColoring:
+    """Color levels k0 .. max_level + 1 (edge letters look one level past
+    the truncation)."""
     space, scale = graph.space, graph.scale
     mu: dict[int, dict[int, int]] = {}
     palette = 0
-    for j in range(scale.k0, scale.max_level + extra_levels + 1):
-        centers = graph.nets.get(j) or maximal_separated_net(
-            space, scale.sep(j), j).centers
+    for j in range(scale.k0, scale.max_level + 2):
         bound = 2 * scale.sep(j - 2)
         assignment: dict[int, int] = {}
-        for p in centers:
+        for p in graph.net(j):
             used = {
                 assignment[q] for q in assignment
                 if space.d(p, q) < bound
@@ -98,22 +96,10 @@ class Labelling:
     coloring: NetColoring
     # per color: tree vertex uid -> sentence tokens / letter index
     _sentences: dict[tuple[int, str], tuple] = field(default_factory=dict)
-    _nets: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def graph(self) -> ApproxGraph:
         return self.stage1.graph
-
-    def _net(self, level: int) -> tuple[int, ...]:
-        centers = self.graph.nets.get(level)
-        if centers is not None:
-            return centers
-        cached = self._nets.get(level)
-        if cached is None:
-            cached = maximal_separated_net(
-                self.graph.space, self.graph.scale.sep(level), level).centers
-            self._nets[level] = cached
-        return cached
 
     def edge_word(self, color: int, child_uid: str) -> tuple:
         """Letters for the tree edge from child to its parent, one per level
@@ -133,12 +119,10 @@ class Labelling:
         """Palette colors of level-(k+1) net points whose balls touch the
         element, decorated with the level bit."""
         graph = self.graph
-        scale = graph.scale
-        centers = self._net(k + 1)
-        radius = 2 * scale.sep(k + 1)
+        radius = 2 * graph.scale.sep(k + 1)
         hit = frozenset(
             self.coloring.color(k + 1, p)
-            for p in centers
+            for p in graph.net(k + 1)
             if element.region.meets_ball(graph.space.coord(p), radius)
         )
         if not hit:
@@ -180,11 +164,8 @@ class Labelling:
         raise ValueError(f"no letter of level {level} in {uid}")
 
 
-def build_labelling(stage1: Stage1, coloring: Optional[NetColoring] = None
-                    ) -> Labelling:
-    if coloring is None:
-        coloring = color_nets(stage1.graph)
-    return Labelling(stage1=stage1, coloring=coloring)
+def build_labelling(stage1: Stage1) -> Labelling:
+    return Labelling(stage1=stage1, coloring=color_nets(stage1.graph))
 
 
 def check_sentences(lab: Labelling) -> CheckResult:
@@ -240,6 +221,17 @@ class Stage2:
             cached = encode(self.labelling.sentence_of(color, uid), self.kappa)
             self.pages[key] = cached
         return cached
+
+    @cached_property
+    def page_index(self) -> dict[tuple, int]:
+        """The page alphabet of the binary re-encoding: every page of every
+        vertex's diary in any color, numbered from 1 in ``repr`` order."""
+        pages = sorted(
+            {p for c in self.colors for v in self.stage1.graph.vertices
+             for p in self.diary_of(c, v)},
+            key=repr,
+        )
+        return {p: i + 1 for i, p in enumerate(pages)}
 
     def page_distance(self, color: int, v: Vertex, w: Vertex) -> int:
         return word_distance(self.diary_of(color, v), self.diary_of(color, w))
@@ -405,19 +397,12 @@ def check_binary_stage(st2: Stage2) -> CheckResult:
     """Re-encode occurring pages in binary and verify the homothety sandwich
     lam*(D-2)+2 <= D_bin <= lam*D on every occurring pair per color."""
     res = CheckResult("stage2-binary-sandwich", PASS)
-    emb = st2.stage1
-    graph = emb.graph
-    pages = sorted(
-        {p for d in st2.pages.values() for p in d} |
-        {p for c in st2.colors for v in graph.vertices
-         for p in st2.diary_of(c, v)},
-        key=repr,
-    )
-    if not pages:
+    graph = st2.stage1.graph
+    index = st2.page_index
+    if not index:
         res.status = INCONCLUSIVE
         return res
-    index = {p: i + 1 for i, p in enumerate(pages)}
-    n = len(pages)
+    n = len(index)
     lam = binary_width(n)
     res.notes = f"{n} distinct pages, width {lam}"
     for c in st2.colors:
@@ -439,16 +424,10 @@ def check_binary_stage(st2: Stage2) -> CheckResult:
 def embedding_dump(st2: Stage2) -> dict:
     from qtrees.diary import format_diary
 
-    emb = st2.stage1
-    graph = emb.graph
-    pages = sorted(
-        {p for c in st2.colors for v in graph.vertices
-         for p in st2.diary_of(c, v)},
-        key=repr,
-    )
-    index = {p: i + 1 for i, p in enumerate(pages)}
-    n = max(len(pages), 1)
-    out = {"kappa": st2.kappa, "pageAlphabet": len(pages), "vertices": {}}
+    graph = st2.stage1.graph
+    index = st2.page_index
+    n = max(len(index), 1)
+    out = {"kappa": st2.kappa, "pageAlphabet": len(index), "vertices": {}}
     for v in graph.vertices:
         key = f"{v.level}:{v.center}"
         entry = {}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qtrees.cli import main
-from qtrees.pipeline import run_pipeline
+from qtrees.pipeline import Pipeline, export_artifacts, run_pipeline
 from qtrees.presets import PRESETS, config_for
 from qtrees.verify import run_suite
 
@@ -126,3 +126,29 @@ def test_export_writes_what_run_writes(tmp_path, capsys):
                            if p.is_file())
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
+    # the report and the export read nets for levels k0 .. J+1 (the
+    # covering contract and the edge letters look one level past J)
+    import sys
+
+    from qtrees import metric
+
+    original = metric.maximal_separated_net
+    levels = []
+
+    def counted(*args, **kwargs):
+        net = original(*args, **kwargs)
+        levels.append(net.level)
+        return net
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qtrees") and \
+                getattr(module, "maximal_separated_net", None) is original:
+            monkeypatch.setattr(module, "maximal_separated_net", counted)
+    pipe = Pipeline(PRESETS["cantor"])
+    export_artifacts(pipe, tmp_path)
+    assert pipe.ok
+    assert sorted(levels) == list(range(pipe.scale.k0,
+                                        pipe.scale.max_level + 2))

@@ -6,6 +6,7 @@ from qtrees.approx import build_approximation
 from qtrees.coverings import (
     CoveringElement,
     CoveringError,
+    CoveringSequence,
     generate_covering_sequence,
     lebesgue_number,
     load_covering_json,
@@ -13,8 +14,9 @@ from qtrees.coverings import (
     save_covering_json,
     validate_covering_sequence,
 )
-from qtrees.geometry import Arc, LineIntervals, WholeSpace
-from qtrees.metric import ScaleParams, generate_space
+from qtrees.geometry import Arc, LineIntervals, PointSubset, WholeSpace
+from qtrees.metric import ScaleParams, generate_space, load_space_csv, \
+    save_space_csv
 
 
 def cantor_setup(depth=4, J=4):
@@ -32,7 +34,7 @@ def circle_setup(n=81, r=F(1, 12), J=2):
 def element(space, region, color=0, level=1, uid="t"):
     members = tuple(
         p for p in space.points
-        if region.contains_point(space.coords[p] if space.coords else p)
+        if region.contains_point(space.coord(p))
     )
     return CoveringElement(uid=uid, color=color, level=level, region=region,
                            members=members)
@@ -158,13 +160,44 @@ def test_witness_uniqueness_per_color():
     seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
     for j in range(0, 4):
         radius = 2 * sc.sep(j + 1)
-        from qtrees.metric import maximal_separated_net
-
-        centers = g.nets.get(j + 1) or maximal_separated_net(
-            s, sc.sep(j + 1), j + 1).centers
-        for v in centers:
+        for v in g.net(j + 1):
             hits = [e for e in seq.family(j)
                     if e.region.contains_ball(s.coords[v], radius)]
             assert len(hits) >= 1
             for c in seq.colors:
                 assert sum(1 for e in hits if e.color == c) <= 1
+
+
+def test_point_subset_covering_on_a_loaded_space(tmp_path):
+    # a coordinate-free space: cantor(3) saved and loaded back, covered at
+    # level j by the classes of d < r^j (pairs at level 1, then singletons)
+    space_file = tmp_path / "cantor3.csv"
+    save_space_csv(generate_space("cantor", 3), space_file)
+    s = load_space_csv(space_file)
+    assert not s.coords
+    sc = ScaleParams.for_space(s, F(1, 9), 3)
+    g = build_approximation(s, sc)
+    levels = {0: {0: (element(s, WholeSpace(s.diam), level=0,
+                              uid="c0-j0-0"),)}}
+    for j in range(1, 4):
+        blocks = sorted({frozenset(q for q in s.points
+                                   if s.d(p, q) < sc.sep(j))
+                         for p in s.points}, key=min)
+        levels[j] = {0: tuple(
+            element(s, PointSubset(s, b), level=j, uid=f"c0-j{j}-{i}")
+            for i, b in enumerate(blocks))}
+    seq = CoveringSequence(space=s, r=sc.r, colors=(0,), levels=levels)
+    assert validate_covering_sequence(seq, graph=g).status == "pass"
+    assert PointSubset(s, {0, 1}).depth(1, F(1)) == F(4, 27)
+
+    path = tmp_path / "covering.json"
+    save_covering_json(seq, path)
+    loaded = load_covering_json(path, s)
+    assert validate_covering_sequence(loaded, graph=g).status == "pass"
+    for j in seq.levels:
+        assert [e.region for e in loaded.family(j)] == \
+            [e.region for e in seq.family(j)]
+    before = [lebesgue_number(seq.family(j), s) for j in seq.levels]
+    after = [lebesgue_number(loaded.family(j), s) for j in loaded.levels]
+    assert before == after
+    assert before[1] == F(2, 27)

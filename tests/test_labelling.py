@@ -166,7 +166,7 @@ def test_conflict_coloring_basics():
     s = make_space(rows)
     sc = ScaleParams.for_space(s, F(1, 6), 1)
     g = build_approximation(s, sc)
-    coloring = color_nets(g, extra_levels=0)
+    coloring = color_nets(g)
     assert len(set(coloring.mu[sc.k0].values())) == 1
     level1 = coloring.mu[1]
     # d = 1/2 < 2 r^(-1) = 12: conflict
