@@ -11,7 +11,9 @@ filling the slots is exactly the preimage of the diary.
 
 Tokens are opaque hashables.  A stop sign is either the plain marker
 ``s`` or a pair ``(s, bit)`` carrying a decoration bit; everything else
-is a letter.
+is a letter.  That rule is written once for a single token (``is_stop``)
+and once for a whole sequence (``segments_and_stops``); every split, count
+and level walk here and in ``morse_thue`` goes through one of the two.
 """
 from __future__ import annotations
 
@@ -42,28 +44,37 @@ def is_stop(tok) -> bool:
                            and tok[0] == STOP)
 
 
+def segments_and_stops(tokens: Sequence) -> tuple[list[tuple], list]:
+    """Cut a token sequence at its stop signs: the segment before each stop
+    sign, then whatever follows the last one (empty for a sentence), and
+    the stop tokens themselves."""
+    tokens = tuple(tokens)
+    segments: list[tuple] = []
+    stops: list = []
+    start = 0
+    for i, tok in enumerate(tokens):
+        if tok == STOP or (isinstance(tok, tuple) and len(tok) == 2
+                           and tok[0] == STOP):
+            segments.append(tokens[start:i])
+            stops.append(tok)
+            start = i + 1
+    segments.append(tokens[start:])
+    return segments, stops
+
+
 def words_and_stops(sentence: Sequence) -> tuple[list[tuple], list]:
     """Split a well-formed sentence into its words and their stop tokens."""
-    words: list[tuple] = []
-    stops: list = []
-    cur: list = []
-    for tok in sentence:
-        if tok == STAR:
-            raise ValueError("terminal marker cannot appear in a sentence")
-        if is_stop(tok):
-            words.append(tuple(cur))
-            stops.append(tok)
-            cur = []
-        else:
-            cur.append(tok)
-    if cur:
+    if STAR in sentence:
+        raise ValueError("terminal marker cannot appear in a sentence")
+    words, stops = segments_and_stops(sentence)
+    if words.pop():
         raise ValueError("sentence must end with a stop sign")
     return words, stops
 
 
 def letter_count(sentence: Sequence) -> int:
     """Sentence length: stop signs are ignored."""
-    return sum(1 for tok in sentence if not is_stop(tok))
+    return len(sentence) - len(segments_and_stops(sentence)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +82,7 @@ def letter_count(sentence: Sequence) -> int:
 
 
 def encode_segments(words: Sequence, stops: Sequence, kappa: int):
-    """Core paging rule on pre-split words.
+    """Core paging rule on pre-split words, one stop token per word.
 
     Words, stops and the returned pages/rest all share the type of the
     inputs (tuples of tokens, or plain strings of single-character tokens
@@ -80,22 +91,26 @@ def encode_segments(words: Sequence, stops: Sequence, kappa: int):
     """
     if kappa < 1:
         raise ValueError("page capacity must be at least 1")
-    as_str = isinstance(stops, str) or (len(stops) > 0
-                                        and isinstance(stops[0], str)
-                                        and isinstance(words[0], str))
-    star = STAR if as_str else (STAR,)
-    rest = "" if as_str else ()
+    if len(words) != len(stops):
+        raise ValueError(
+            f"{len(words)} words but {len(stops)} stop signs")
+    if isinstance(stops, str) or (len(stops) > 0
+                                  and isinstance(stops[0], str)
+                                  and isinstance(words[0], str)):
+        star, rest, tails = STAR, "", stops
+    else:
+        # zip of one sequence yields each stop sign as a 1-tuple
+        star, rest, tails = (STAR,), (), zip(stops)
     pages = []
-    for word, stop in zip(words, stops):
+    for word, tail in zip(words, tails):
         base = rest + word
-        size = len(base)
-        if size >= kappa:
-            pages.append(base[size - kappa:][::-1])
-            rest = base[: size - kappa]
+        cut = len(base) - kappa
+        if cut >= 0:
+            pages.append(base[cut:][::-1])
+            rest = base[:cut] + tail
         else:
             pages.append(base[::-1] + star)
-            rest = "" if as_str else ()
-        rest = rest + (stop if as_str else (stop,))
+            rest = tail
     return tuple(pages), rest
 
 
@@ -106,8 +121,7 @@ def encode_with_rest(sentence: Sequence, kappa: int) -> tuple[Diary, tuple]:
         raise ValueError("page capacity must be at least 1")
     if len(sentence) == 0:
         return (), ()
-    words, stops = words_and_stops(sentence)
-    return encode_segments(words, tuple(stops), kappa)
+    return encode_segments(*words_and_stops(sentence), kappa)
 
 
 def encode(sentence: Sequence, kappa: int) -> Diary:
@@ -158,14 +172,9 @@ def decode(diary: Sequence, kappa: int) -> tuple[Slotted, tuple]:
         has_star = page[-1] == STAR
         body = page[:-1] if has_star else page
         pi = tuple(body[::-1])  # natural reading order
-        segs: list[list] = [[]]
-        for tok in pi:
-            if is_stop(tok):
-                segs.append([])
-            else:
-                segs[-1].append(tok)
-        new_word = tuple(segs[-1])
-        shown = segs[:-1]  # segments before each visible pending stop
+        # segments before each visible pending stop, then the new word
+        shown, _ = segments_and_stops(pi)
+        new_word = shown.pop()
         p = len(shown)
 
         if p == 0:
@@ -195,7 +204,7 @@ def decode(diary: Sequence, kappa: int) -> tuple[Slotted, tuple]:
                     raise InconsistentDiary(
                         idx, "text shown before a fully recorded word")
             else:
-                units[owner] = (False, tuple(seg) + units[owner][1])
+                units[owner] = (False, seg + units[owner][1])
         # the oldest visible segment is cut by the window: it extends its
         # owner, whose slot stays open unless the page was terminal
         first_owner = visible[0][1]
@@ -206,7 +215,7 @@ def decode(diary: Sequence, kappa: int) -> tuple[Slotted, tuple]:
             carried = None
         else:
             units[first_owner] = (not has_star,
-                                  tuple(shown[0]) + units[first_owner][1])
+                                  shown[0] + units[first_owner][1])
             carried = None if has_star else first_owner
         del pending[len(pending) - p:]
         units.append((False, new_word))
@@ -250,29 +259,31 @@ def fill_slots(slotted: Slotted, fillers: Sequence[Sequence],
     return tuple(out)
 
 
-def extract_fillers(slotted: Slotted, sentence: Sequence) -> Optional[list[tuple]]:
-    """Filler words witnessing membership; None when the sentence does not
-    match the slotted pattern."""
+def _match(slotted: Slotted, sentence: Sequence
+           ) -> Optional[tuple[dict[int, tuple], list]]:
+    """Split the sentence once and match it against the slotted pattern:
+    the filler of each slotted unit (by unit index) and the sentence's stop
+    tokens, or None when the sentence is not a member."""
     try:
-        words, _ = words_and_stops(sentence)
+        words, stops = words_and_stops(sentence)
     except ValueError:
         return None
     if len(words) != len(slotted):
         return None
-    fillers: list[tuple] = []
-    for word, (has_slot, shown) in zip(words, slotted):
+    fillers: dict[int, tuple] = {}
+    for i, (word, (has_slot, shown)) in enumerate(zip(words, slotted)):
         if has_slot:
             if len(word) < len(shown) or \
                     (len(shown) and word[-len(shown):] != shown):
                 return None
-            fillers.append(word[: len(word) - len(shown)])
+            fillers[i] = word[: len(word) - len(shown)]
         elif word != shown:
             return None
-    return fillers
+    return fillers, stops
 
 
 def membership(slotted: Slotted, sentence: Sequence) -> bool:
-    return extract_fillers(slotted, sentence) is not None
+    return _match(slotted, sentence) is not None
 
 
 def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence
@@ -280,20 +291,14 @@ def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence
     """Token-exact leftover of a member: for each pending stop sign, the
     member's unrecorded prefix of the owning word followed by the member's
     actual stop token.  Matches the encoder's rest on every member."""
-    fillers = extract_fillers(slotted, sentence)
-    if fillers is None:
+    match = _match(slotted, sentence)
+    if match is None:
         raise ValueError("sentence is not a member of the slotted class")
-    filler_by_unit: dict[int, tuple] = {}
-    fi = 0
-    for i, (has_slot, _) in enumerate(slotted):
-        if has_slot:
-            filler_by_unit[i] = fillers[fi]
-            fi += 1
-    _, stops = words_and_stops(sentence)
+    fillers, stops = match
     out: list = []
     for word_idx, owner in pending:
         if owner is not None:
-            out.extend(filler_by_unit[owner])
+            out.extend(fillers[owner])
         out.append(stops[word_idx])
     return tuple(out)
 

@@ -15,6 +15,7 @@ from qtrees.diary import (
     encode,
     is_stop,
     letter_count,
+    segments_and_stops,
 )
 from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
 
@@ -29,43 +30,34 @@ def mt_prefix(n: int) -> tuple[int, ...]:
     return tuple(bits[:n])
 
 
-class _Bits:
-    """Grow-on-demand view of the sequence."""
-
-    def __init__(self):
-        self._bits = list(mt_prefix(64))
-
-    def __getitem__(self, i: int) -> int:
-        while i >= len(self._bits):
-            self._bits = [b for x in self._bits for b in (x, 1 - x)]
-        return self._bits[i]
-
-
-_BITS = _Bits()
-
-
 def mt_bit(i: int) -> int:
+    """Bit i of the sequence: the parity of the binary digit sum of i."""
     if i < 0:
         raise ValueError("sequence index must be nonnegative")
-    return _BITS[i]
+    return i.bit_count() & 1
 
 
 def is_cube_free(bits: Sequence[int]) -> bool:
     """True iff no substring has the shape www with w nonempty.
 
     Exhaustive over (start, period): a cube with period p exists exactly
-    when bits[i] == bits[i+p] holds for 2p consecutive positions.
+    when bits[i] == bits[i+p] holds for 2p consecutive positions, that is,
+    when the XOR of the sequence with its p-shift has 2p zeros in a row.
+    Bits other than 0 and 1 raise ValueError.
     """
-    n = len(bits)
+    try:
+        data = bytes(iter(bits))  # bytes(n) of an int would be n zeros
+        valid = not data.translate(None, b"\x00\x01")
+    except (TypeError, ValueError):  # not integers in range(256)
+        valid = False
+    if not valid:
+        raise ValueError("cube scan needs a sequence of 0/1 bits")
+    n = len(data)
     for p in range(1, n // 3 + 1):
-        run = 0
-        for i in range(n - p):
-            if bits[i] == bits[i + p]:
-                run += 1
-                if run >= 2 * p:
-                    return False
-            else:
-                run = 0
+        shifted = int.from_bytes(data[:n - p], "big") ^ \
+            int.from_bytes(data[p:], "big")
+        if bytes(2 * p) in shifted.to_bytes(n - p, "big"):
+            return False
     return True
 
 
@@ -76,21 +68,28 @@ def is_cube_free(bits: Sequence[int]) -> bool:
 def letter_levels(sentence: Sequence) -> list[int]:
     """Level per token: the first letter has level 1 (0 for a leading stop
     sign); levels increment on letters and stay put on stop signs."""
+    segments, _ = segments_and_stops(sentence)
     levels = []
     lv = 0
-    for tok in sentence:
-        if not is_stop(tok):
-            lv += 1
-        levels.append(lv)
+    for seg in segments:
+        levels.extend(range(lv + 1, lv + len(seg) + 1))
+        lv += len(seg)
+        levels.append(lv)  # the stop sign after the segment
+    levels.pop()  # the last segment has no stop sign after it
     return levels
 
 
 def decorate(sentence: Sequence) -> tuple:
     """Replace each token by (token, bit-of-its-level)."""
+    segments, _ = segments_and_stops(sentence)
     out = []
-    for tok, lv in zip(sentence, letter_levels(sentence)):
-        base = STOP if is_stop(tok) else tok
-        out.append((base, mt_bit(lv)))
+    lv = 0
+    for seg in segments:
+        for tok in seg:
+            lv += 1
+            out.append((tok, mt_bit(lv)))
+        out.append((STOP, mt_bit(lv)))
+    out.pop()  # the last segment has no stop sign after it
     return tuple(out)
 
 
@@ -206,35 +205,37 @@ def check_equal_diaries(kappa: int, n: int, trials: int = 300,
     return res
 
 
-def _word_index_of(sentence: Sequence, pos: int) -> int:
-    """1-based index of the word containing the token at pos."""
-    return 1 + sum(1 for t in sentence[:pos] if is_stop(t))
+def _letter_table(sentence: Sequence) -> list[tuple[int, int, int, int]]:
+    """Per letter, in level order: its position, the 1-based index of its
+    word, the stop signs behind it and the letters from it to the end."""
+    segments, stops = segments_and_stops(sentence)
+    letters = len(sentence) - len(stops)
+    table = []
+    pos = 0
+    for word, seg in enumerate(segments, 1):
+        for _ in seg:
+            table.append((pos, word, len(stops) - word + 1,
+                          letters - len(table)))
+            pos += 1
+        pos += 1  # the stop sign
+    return table
 
 
 def _compare_equal_level_letters(alpha, beta, kappa: int, n: int,
                                  res: CheckResult) -> int:
     """Check hypothesis-satisfying letter pairs of equal level; returns how
     many qualified."""
-    la = letter_levels(alpha)
-    lb = letter_levels(beta)
-    pos_a = {la[i]: i for i in range(len(alpha)) if not is_stop(alpha[i])}
-    pos_b = {lb[i]: i for i in range(len(beta)) if not is_stop(beta[i])}
     count = 0
-    for lv, ia in pos_a.items():
-        ib = pos_b.get(lv)
-        if ib is None:
-            continue
-        m_a = _word_index_of(alpha, ia)
-        m_b = _word_index_of(beta, ib)
+    for lv, (a, b) in enumerate(zip(_letter_table(alpha),
+                                    _letter_table(beta)), 1):
+        ia, m_a, stops_a, tail_a = a
+        ib, m_b, stops_b, tail_b = b
         if abs(m_a - m_b) > 2:
             continue
-        stops_behind_a = sum(1 for t in alpha[ia:] if is_stop(t))
-        stops_behind_b = sum(1 for t in beta[ib:] if is_stop(t))
-        p = min(stops_behind_a, stops_behind_b)
+        p = min(stops_a, stops_b)
         if p < 3:
             continue
-        tail = max(letter_count(alpha[ia:]), letter_count(beta[ib:]))
-        if tail > n * (p - 2):
+        if max(tail_a, tail_b) > n * (p - 2):
             continue
         count += 1
         if alpha[ia] != beta[ib]:

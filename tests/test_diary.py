@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtrees import verify
 from qtrees.diary import (
     STOP,
     InconsistentDiary,
@@ -20,6 +21,7 @@ from qtrees.diary import (
     parse_sentence,
     reconstruct,
     rest_sentence,
+    words_and_stops,
 )
 
 EXAMPLE = parse_sentence("a a b c s a s b c b s c s b s")
@@ -119,17 +121,63 @@ def test_text_syntax_roundtrip():
     assert "_" in text and text.endswith("s")
 
 
-def test_encode_segments_string_path_matches_generic():
-    words = ("ab", "", "bba")
-    pages, rest = encode_segments(words, "sss", 2)
-    tup_pages, tup_rest = encode_with_rest(
-        tuple(t for w in words for t in (*w, STOP)), 2)
-    assert tuple(tuple(p) for p in pages) == tup_pages
-    assert tuple(rest) == tup_rest
-
-
 words_strategy = st.lists(
     st.text(alphabet="ab", min_size=0, max_size=5), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=words_strategy, kappa=st.integers(min_value=1, max_value=5),
+       bits=st.lists(st.integers(min_value=0, max_value=1), min_size=5,
+                     max_size=5))
+def test_encode_segments_string_path_matches_generic(words, kappa, bits):
+    pages, rest = encode_segments(words, STOP * len(words), kappa)
+    sent = tuple(t for w in words for t in (*w, STOP))
+    tup_pages, tup_rest = encode_with_rest(sent, kappa)
+    assert tuple(tuple(p) for p in pages) == tup_pages
+    assert tuple(rest) == tup_rest
+    # decorated stop signs split the sentence into the same words
+    stops = [(STOP, bit) for bit in bits[: len(words)]]
+    deco = tuple(t for w, stop in zip(words, stops) for t in (*w, stop))
+    deco_words, deco_stops = words_and_stops(deco)
+    assert deco_words == words_and_stops(sent)[0]
+    assert deco_stops == stops
+
+
+def test_encode_segments_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        encode_segments(("ab", "b"), "s", 2)
+    with pytest.raises(ValueError):
+        encode_segments([("a",)], [STOP, STOP], 2)
+
+
+def test_words_and_stops_errors():
+    with pytest.raises(ValueError, match="terminal marker"):
+        words_and_stops(("a", "*", STOP, "b"))
+    with pytest.raises(ValueError, match="end with a stop sign"):
+        words_and_stops(("a", STOP, "b"))
+    assert words_and_stops(()) == ([], [])
+
+
+def test_codec_oracle_catches_wrong_rest(monkeypatch):
+    def wrong_rest(sentence, kappa):
+        pages, rest = encode_with_rest(sentence, kappa)
+        return pages, rest + (STOP,)
+
+    monkeypatch.setattr(verify, "encode_with_rest", wrong_rest)
+    res = verify.check_codec_roundtrip(2, 2, 2)
+    assert res.checked > 0 and res.status == "fail"
+    assert {v["reason"] for v in res.violations} == {"rest mismatch"}
+
+
+def test_codec_oracle_catches_non_members(monkeypatch):
+    def extra_unit(diary, kappa):
+        slotted, pending = decode(diary, kappa)
+        return slotted + ((False, ()),), pending
+
+    monkeypatch.setattr(verify, "decode", extra_unit)
+    res = verify.check_codec_roundtrip(2, 2, 2)
+    assert res.checked > 0 and res.status == "fail"
+    assert any(v["reason"] == "not a member" for v in res.violations)
 
 
 @settings(max_examples=300, deadline=None)

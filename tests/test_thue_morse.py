@@ -1,3 +1,6 @@
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,22 @@ def test_prefix_stability(n):
     assert mt_prefix(2 * n)[:n] == mt_prefix(n)
 
 
+def _reference_is_cube_free(bits):
+    """The O(n^2) scan: a cube of period p is a run of 2p positions i with
+    bits[i] == bits[i + p]."""
+    n = len(bits)
+    for p in range(1, n // 3 + 1):
+        run = 0
+        for i in range(n - p):
+            if bits[i] == bits[i + p]:
+                run += 1
+                if run >= 2 * p:
+                    return False
+            else:
+                run = 0
+    return True
+
+
 def test_cube_detector():
     assert not is_cube_free((0, 0, 0))
     assert not is_cube_free((0, 1, 0, 1, 0, 1))
@@ -39,8 +58,29 @@ def test_cube_detector():
     assert is_cube_free(())
 
 
+def test_cube_detector_matches_reference_scan():
+    for n in range(15):
+        for bits in itertools.product((0, 1), repeat=n):
+            assert is_cube_free(bits) == _reference_is_cube_free(bits), bits
+
+
+def test_cube_detector_needs_bits():
+    for bad in ((0, 2, 0), (0, -1), (0, 1, 256), ("a", "b"), (0.5,), 5):
+        with pytest.raises(ValueError):
+            is_cube_free(bad)
+
+
 def test_sequence_cube_free_at_desk_scale():
-    assert is_cube_free(mt_prefix(2048))
+    prefix = mt_prefix(2048)
+    assert is_cube_free(prefix)
+    assert _reference_is_cube_free(prefix)
+
+
+def test_mt_bit_is_digit_sum_parity():
+    prefix = mt_prefix(2 ** 14)
+    assert [mt_bit(i) for i in range(2 ** 14)] == list(prefix)
+    with pytest.raises(ValueError):
+        mt_bit(-1)
 
 
 def test_levels_and_decoration():
