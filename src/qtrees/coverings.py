@@ -14,16 +14,22 @@ are heuristics whose output must pass it:
 
 Property (3) with j' = j forces same-color same-level elements to be
 pairwise disjoint.
+
+The validator runs the region tests of every property but the mesh on a
+`CoveringKernel`: the certificates, the points and the ball radii as ints
+in one unit.  What it reports stays as it was: the mesh and its bound are
+Fractions, and violations name elements and points by id.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qtrees.geometry import Arc, BoxRegion, LineIntervals, Region, \
-    WholeSpace, region_from_json
+from qtrees.geometry import Arc, BoxRegion, LineIntervals, PointSubset, \
+    Region, WholeSpace, region_from_json, scale_number
 from qtrees.metric import FiniteMetricSpace, ScaleParams
 from qtrees.reporting import CheckResult, FAIL, PASS, frac_str, parse_frac
 
@@ -34,7 +40,6 @@ class CoveringElement:
     color: int
     level: int
     region: Region
-    members: tuple[int, ...]  # sample point ids inside the certificate
 
 
 @dataclass
@@ -63,6 +68,65 @@ class CoveringSequence:
 
 class CoveringError(ValueError):
     """Raised when a generated sequence fails its own validation."""
+
+
+class CoveringKernel:
+    """A covering sequence's certificates, its space's points and the ball
+    radii 2 r^k for 0 <= k <= J+1, as ints in one unit.
+
+    The unit is the lcm of the denominators of every point coordinate, of
+    r^(J+1) and of every certificate number, so each scaled region test
+    gives the same answer as on the Fractions.  A space without
+    coordinates keeps point ids as its coordinates, and its unit also
+    clears every distance.  Ids are not scaled, so such a space takes
+    point-subset certificates (and the whole space) only.  ``regions`` maps
+    each element uid to its scaled certificate.
+    """
+
+    def __init__(self, seq: "CoveringSequence", top_level: int):
+        space = seq.space
+        certificates: dict[str, Region] = {}
+        for j in sorted(seq.levels):
+            for e in seq.family(j):
+                if certificates.setdefault(e.uid, e.region) != e.region:
+                    raise ValueError(
+                        f"element id {e.uid!r} names two certificates")
+        if space.coords:
+            numbers = [x for p in space.points
+                       for x in _coord_numbers(space.coord(p))]
+        else:
+            numbers = [d for row in space.dist for d in row]
+            if not all(isinstance(region, (PointSubset, WholeSpace))
+                       for region in certificates.values()):
+                raise ValueError("a space without coordinates takes "
+                                 "point-subset certificates only")
+        self.unit = math.lcm((seq.r ** (top_level + 1)).denominator,
+                             *(x.denominator for x in numbers),
+                             *(region.denominator()
+                               for region in certificates.values()))
+        if space.coords:
+            self.coords = tuple(_scale_coord(space.coord(p), self.unit)
+                                for p in space.points)
+        else:
+            self.coords = tuple(space.points)
+        self.regions = {uid: region.scaled(self.unit)
+                        for uid, region in certificates.items()}
+        self._radii = {k: scale_number(2 * seq.r**k, self.unit)
+                       for k in range(top_level + 2)}
+
+    def radius(self, k: int) -> int:
+        """2 r^k in the unit, for 0 <= k <= J+1."""
+        return self._radii[k]
+
+
+def _coord_numbers(coord) -> tuple:
+    return coord if isinstance(coord, tuple) else (coord,)
+
+
+def _scale_coord(coord, unit: int):
+    if isinstance(coord, tuple):
+        return tuple(scale_number(x, unit) for x in coord)
+    return scale_number(coord, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +200,20 @@ def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
         result.checked += 1
 
     # coverage and same-color disjointness per level
+    kernel = CoveringKernel(seq, levels[-1])
+    coords, regions = kernel.coords, kernel.regions
     for j in levels:
-        fam = seq.family(j)
+        fam = [regions[e.uid] for e in seq.family(j)]
         for z in space.points:
-            if not any(e.region.contains_point(space.coord(z)) for e in fam):
+            coord = coords[z]
+            if not any(region.contains_point(coord) for region in fam):
                 result.add_violation({"property": "cover", "level": j, "point": z})
         for c in seq.colors:
             colored = seq.levels[j].get(c, ())
             for i, e in enumerate(colored):
+                region = regions[e.uid]
                 for e2 in colored[i + 1:]:
-                    if e.region.meets_region(e2.region):
+                    if region.meets_region(regions[e2.uid]):
                         result.add_violation({
                             "property": "disjoint", "level": j, "color": c,
                             "pair": (e.uid, e2.uid)})
@@ -153,45 +221,44 @@ def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
 
     # (2) every level-(j+1) net ball fits in some level-j element
     for j in levels:
-        radius = 2 * scale.sep(j + 1)
-        fam = seq.family(j)
+        radius = kernel.radius(j + 1)
+        fam = [(e.color, regions[e.uid]) for e in seq.family(j)]
         for v in graph.net(j + 1):
-            coord = space.coord(v)
-            hits = [e for e in fam if e.region.contains_ball(coord, radius)]
+            coord = coords[v]
+            hits = [color for color, region in fam
+                    if region.contains_ball(coord, radius)]
             if not hits:
                 result.add_violation({"property": 2, "level": j, "net_point": v})
             # per color the witness is unique (disjointness)
             for c in seq.colors:
-                if sum(1 for e in hits if e.color == c) > 1:
+                if hits.count(c) > 1:
                     result.add_violation({
                         "property": "witness-unique", "level": j,
                         "color": c, "net_point": v})
             result.checked += 1
 
     # (3) separation on same-color cross-level pairs
-    ball_cache: dict[int, list[tuple[int, object, Fraction]]] = {}
-    for j in levels:
-        radius = 2 * scale.sep(j + 1)
-        ball_cache[j] = [(v, space.coord(v), radius) for v in graph.net(j + 1)]
+    ball_cache = {j: [(v, coords[v]) for v in graph.net(j + 1)]
+                  for j in levels}
     for c in seq.colors:
         elements = seq.color_elements(c)
         for U in elements:
-            balls = [
-                (v, coord, radius)
-                for v, coord, radius in ball_cache[U.level]
-                if U.region.meets_ball(coord, radius)
-            ]
+            radius = kernel.radius(U.level + 1)
+            region = regions[U.uid]
+            balls = [(v, coord) for v, coord in ball_cache[U.level]
+                     if region.meets_ball(coord, radius)]
             for Up in elements:
                 if Up is U or Up.level > U.level:
                     continue
                 if Up.level == U.level and Up.uid == U.uid:
                     continue
+                region_p = regions[Up.uid]
                 inside = outside = 0
                 witness = None
-                for v, coord, radius in balls:
-                    if Up.region.contains_ball(coord, radius):
+                for v, coord in balls:
+                    if region_p.contains_ball(coord, radius):
                         inside += 1
-                    elif not Up.region.meets_ball(coord, radius):
+                    elif not region_p.meets_ball(coord, radius):
                         outside += 1
                     else:
                         witness = v
@@ -209,22 +276,18 @@ def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
 
 
 def _element(space, color, level, region, index) -> Optional[CoveringElement]:
-    members = tuple(
-        p for p in space.points if region.contains_point(space.coord(p))
-    )
-    if not members:
+    """The element, or None when its certificate holds no sample point."""
+    if not any(region.contains_point(space.coord(p)) for p in space.points):
         return None
-    uid = f"c{color}-j{level}-{index}"
-    return CoveringElement(uid=uid, color=color, level=level,
-                           region=region, members=members)
+    return CoveringElement(uid=f"c{color}-j{level}-{index}", color=color,
+                           level=level, region=region)
 
 
 def _whole_level(space, colors) -> dict[int, tuple[CoveringElement, ...]]:
     region = WholeSpace(space.diam)
     return {
         c: (CoveringElement(uid=f"c{c}-j0-0", color=c, level=0,
-                            region=region,
-                            members=tuple(space.points)),)
+                            region=region),)
         for c in colors
     }
 
@@ -457,17 +520,10 @@ def load_covering_json(path, space: FiniteMetricSpace) -> CoveringSequence:
         fams = {}
         for c_str, elems in entry["families"].items():
             c = int(c_str)
-            built = []
-            for i, e in enumerate(elems):
-                region = region_from_json(e, space)
-                members = tuple(
-                    p for p in space.points
-                    if region.contains_point(space.coord(p))
-                )
-                built.append(CoveringElement(
-                    uid=e.get("id", f"c{c}-j{j}-{i}"), color=c, level=j,
-                    region=region, members=members))
-            fams[c] = tuple(built)
+            fams[c] = tuple(
+                CoveringElement(uid=e.get("id", f"c{c}-j{j}-{i}"), color=c,
+                                level=j, region=region_from_json(e, space))
+                for i, e in enumerate(elems))
         levels[j] = fams
     return CoveringSequence(space=space, r=parse_frac(data["r"]),
                             colors=colors, levels=levels)

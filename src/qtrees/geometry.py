@@ -10,16 +10,43 @@ Certificates are stored as JSON objects tagged by their form, with
 rationals as "p/q" strings: {"whole_space": true, "diam"},
 {"intervals": [[lo, hi], ...]}, {"arc": [start, length]},
 {"box": [x0, x1, y0, y1]} or {"points": [id, ...]}.
+
+The region methods use only + - * % and comparisons, so each is written
+once and is exact over Fractions and over ints alike.  `Region.scaled`
+multiplies every number of a certificate by an int unit and returns the
+same class over ints; it raises ValueError when the unit leaves a
+denominator, and `Region.denominator` is the least unit that does not.  An
+`Arc` reads its circumference from `circ` (1 unless scaled), and a scaled
+`PointSubset` reads the space's distances times the unit, so both compare
+with radii in the same unit.  `coverings.CoveringKernel` scales a
+covering, its points and its ball radii by one unit; the covering
+validator, the stage-1 map, the containing chains and the edge letters
+run their region tests on it.  Reported numbers (diameters, depths) come
+from the Fraction certificates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from qtrees.reporting import frac_str, parse_frac
 
 ONE = Fraction(1)
+
+
+def scale_number(x, unit: int) -> int:
+    """``x * unit`` as an int; ValueError when ``unit`` does not clear the
+    denominator of ``x``."""
+    y = x * unit
+    if y.denominator != 1:
+        raise ValueError(f"unit {unit} does not clear {x}")
+    return y.numerator
+
+
+def _lcm_of_denominators(numbers) -> int:
+    return math.lcm(*(x.denominator for x in numbers))
 
 
 class Region:
@@ -50,6 +77,15 @@ class Region:
         """Exact distance from the point at ``coord`` to the complement of
         the region; None when the point is outside, ``cap`` when there is
         no complement."""
+        raise NotImplementedError
+
+    def denominator(self) -> int:
+        """The least unit that `scaled` accepts."""
+        raise NotImplementedError
+
+    def scaled(self, unit: int) -> "Region":
+        """The same certificate with every number multiplied by ``unit``,
+        as ints; ValueError when ``unit`` does not clear a denominator."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -83,6 +119,12 @@ class WholeSpace(Region):
 
     def depth(self, coord, cap):
         return cap
+
+    def denominator(self) -> int:
+        return 1
+
+    def scaled(self, unit):
+        return self
 
     def to_json(self):
         return {"whole_space": True, "diam": frac_str(self.diam)}
@@ -147,6 +189,14 @@ class LineIntervals(Region):
                   for lo, hi in self.intervals if lo <= x < hi]
         return max(inside) if inside else None
 
+    def denominator(self) -> int:
+        return _lcm_of_denominators(x for iv in self.intervals for x in iv)
+
+    def scaled(self, unit):
+        return LineIntervals(tuple(
+            (scale_number(lo, unit), scale_number(hi, unit))
+            for lo, hi in self.intervals))
+
     def to_json(self):
         return {"intervals": [[frac_str(lo), frac_str(hi)]
                               for lo, hi in self.intervals]}
@@ -154,72 +204,83 @@ class LineIntervals(Region):
 
 @dataclass(frozen=True)
 class Arc(Region):
-    """Half-open arc [start, start+length) on the unit circle.
+    """Half-open arc [start, start+length) on a circle of circumference
+    ``circ``: the unit circle, or a scaled copy of it.
 
-    ``length`` <= 1; the full circle is length 1.  Arc-metric diameters are
-    only meaningful for length <= 1/2, which covers every certificate the
-    generators produce above level 0.
+    ``length`` <= circ; the full circle is length circ.  Arc-metric
+    diameters are only meaningful for length <= circ/2, which covers every
+    certificate the generators produce above level 0.
     """
 
     start: Fraction
     length: Fraction
+    circ: Fraction = field(default=ONE, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", self.start % 1)
-        if not (0 < self.length <= 1):
-            raise ValueError(f"arc length {self.length} outside (0, 1]")
+        object.__setattr__(self, "start", self.start % self.circ)
+        if not (0 < self.length <= self.circ):
+            raise ValueError(
+                f"arc length {self.length} outside (0, {self.circ}]")
 
     def diameter(self) -> Fraction:
-        return min(self.length, Fraction(1, 2))
+        return min(self.length, Fraction(self.circ, 2))
 
     def contains_point(self, x) -> bool:
-        if self.length == 1:
+        if self.length == self.circ:
             return True
-        return (x - self.start) % 1 < self.length
+        return (x - self.start) % self.circ < self.length
 
     def contains_ball(self, center, radius) -> bool:
         # lift the open ball (center-radius, center+radius) relative to start
-        if self.length == 1:
+        if self.length == self.circ:
             return True
         if 2 * radius > self.length:
             return False
-        offset = (center - radius - self.start) % 1
+        offset = (center - radius - self.start) % self.circ
         return offset + 2 * radius <= self.length
 
     def meets_ball(self, center, radius) -> bool:
-        if self.length == 1:
+        if self.length == self.circ:
             return True
-        offset = (center - radius - self.start) % 1
+        offset = (center - radius - self.start) % self.circ
         if offset < self.length:
             return True
-        # ball may wrap past 1 back into the arc
-        return offset + 2 * radius > 1
+        # ball may wrap past the circumference back into the arc
+        return offset + 2 * radius > self.circ
 
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return False
         if not isinstance(other, Arc):
             raise TypeError("mixed certificate geometries")
-        if self.length == 1:
+        if self.length == self.circ:
             return True
         if other.length > self.length:
             return False
-        offset = (other.start - self.start) % 1
+        offset = (other.start - self.start) % self.circ
         return offset + other.length <= self.length
 
     def meets_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return True
-        if self.length == 1 or other.length == 1:
+        if self.length == self.circ or other.length == other.circ:
             return True
-        offset = (other.start - self.start) % 1
-        return offset < self.length or offset + other.length > 1
+        offset = (other.start - self.start) % self.circ
+        return offset < self.length or offset + other.length > self.circ
 
     def depth(self, x, cap):
-        if self.length == 1:
+        if self.length == self.circ:
             return cap
-        off = (x - self.start) % 1
+        off = (x - self.start) % self.circ
         return min(off, self.length - off) if off < self.length else None
+
+    def denominator(self) -> int:
+        return _lcm_of_denominators((self.start, self.length, self.circ))
+
+    def scaled(self, unit):
+        return Arc(scale_number(self.start, unit),
+                   scale_number(self.length, unit),
+                   scale_number(self.circ, unit))
 
     def to_json(self):
         return {"arc": [frac_str(self.start), frac_str(self.length)]}
@@ -289,6 +350,13 @@ class BoxRegion(Region):
         x, y = p
         return min(x - self.x0, self.x1 - x, y - self.y0, self.y1 - y)
 
+    def denominator(self) -> int:
+        return _lcm_of_denominators((self.x0, self.x1, self.y0, self.y1))
+
+    def scaled(self, unit):
+        return BoxRegion(*(scale_number(v, unit)
+                           for v in (self.x0, self.x1, self.y0, self.y1)))
+
     def to_json(self):
         return {"box": [frac_str(self.x0), frac_str(self.x1),
                         frac_str(self.y0), frac_str(self.y1)]}
@@ -297,18 +365,23 @@ class BoxRegion(Region):
 class PointSubset(Region):
     """Fallback certificate: an explicit subset of the sample, with all
     checks running through the space metric.  Sampling-dependent, used only
-    for user-loaded spaces without generator coordinates."""
+    for user-loaded spaces without generator coordinates.  Distances are
+    read times ``unit``: 1, or the unit of a scaled copy."""
 
-    def __init__(self, space, members):
+    def __init__(self, space, members, unit=1):
         self.space = space
         self.members = frozenset(members)
+        self.unit = unit
         if not self.members:
             raise ValueError("empty point-subset certificate")
+
+    def _d(self, a, b):
+        return self.space.d(a, b) * self.unit
 
     def diameter(self) -> Fraction:
         pts = sorted(self.members)
         return max(
-            (self.space.d(a, b) for i, a in enumerate(pts) for b in pts[i:]),
+            (self._d(a, b) for i, a in enumerate(pts) for b in pts[i:]),
             default=Fraction(0),
         )
 
@@ -319,11 +392,11 @@ class PointSubset(Region):
         return all(
             q in self.members
             for q in self.space.points
-            if self.space.d(center, q) < radius
+            if self._d(center, q) < radius
         )
 
     def meets_ball(self, center, radius) -> bool:
-        return any(self.space.d(center, q) < radius for q in self.members)
+        return any(self._d(center, q) < radius for q in self.members)
 
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
@@ -341,8 +414,18 @@ class PointSubset(Region):
         """Distance to the nearest sample point outside the member set."""
         if p not in self.members:
             return None
-        return min((self.space.d(p, q) for q in self.space.points
+        return min((self._d(p, q) for q in self.space.points
                     if q not in self.members), default=cap)
+
+    def denominator(self) -> int:
+        """The least unit that clears every distance of the space."""
+        return _lcm_of_denominators(
+            self._d(a, b) for a in self.space.points for b in self.space.points)
+
+    def scaled(self, unit):
+        if unit % self.denominator():
+            raise ValueError(f"unit {unit} does not clear the distances")
+        return PointSubset(self.space, self.members, self.unit * unit)
 
     def to_json(self):
         return {"points": sorted(self.members)}

@@ -118,12 +118,13 @@ class Labelling:
     def _letter(self, element, k: int):
         """Palette colors of level-(k+1) net points whose balls touch the
         element, decorated with the level bit."""
-        graph = self.graph
-        radius = 2 * graph.scale.sep(k + 1)
+        kernel = self.stage1.kernel
+        radius = kernel.radius(k + 1)
+        region = kernel.regions[element.uid]
         hit = frozenset(
             self.coloring.color(k + 1, p)
-            for p in graph.net(k + 1)
-            if element.region.meets_ball(graph.space.coord(p), radius)
+            for p in self.graph.net(k + 1)
+            if region.meets_ball(kernel.coords[p], radius)
         )
         if not hit:
             raise AssertionError(

@@ -9,7 +9,7 @@ across workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -184,18 +184,24 @@ def compute_k0(diam: Fraction, r: Fraction) -> int:
 @dataclass(frozen=True)
 class ScaleParams:
     """Scale parameter r <= 1/6, its inverse a, the base level k0 and the
-    truncation level ``max_level``."""
+    truncation level ``max_level``.  Each power r^k is computed once and
+    kept on the instance."""
 
     r: Fraction
     k0: int
     max_level: int
+    _powers: dict[int, Fraction] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def a(self) -> Fraction:
         return 1 / self.r
 
     def sep(self, level: int) -> Fraction:
-        return self.r**level
+        power = self._powers.get(level)
+        if power is None:
+            power = self._powers[level] = self.r**level
+        return power
 
     @staticmethod
     def for_space(space: FiniteMetricSpace, r: Fraction,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from qtrees.approx import ApproxGraph, Vertex
-from qtrees.coverings import CoveringSequence
+from qtrees.coverings import CoveringKernel, CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import ColorTree, build_color_tree
 
@@ -36,6 +36,7 @@ class Stage1:
     seq: CoveringSequence
     trees: dict[int, ColorTree]
     fc: dict[tuple[int, Vertex], str]  # (color, vertex) -> element uid
+    kernel: CoveringKernel  # the region tests of the map, chains and letters
     _chains: dict[tuple[int, Vertex], tuple[str, ...]] = field(
         default_factory=dict)
 
@@ -59,16 +60,16 @@ class Stage1:
         key = (color, v)
         cached = self._chains.get(key)
         if cached is None:
-            coord = self.graph.space.coord(v.center)
-            tree = self.trees[color]
-            cached = tuple(uid for uid in tree.tree.vertices()
-                           if tree.elements[uid].region.contains_point(coord))
+            coord = self.kernel.coords[v.center]
+            regions = self.kernel.regions
+            cached = tuple(uid for uid in self.trees[color].tree.vertices()
+                           if regions[uid].contains_point(coord))
             self._chains[key] = cached
         return cached
 
 
-def map_fc(seq: CoveringSequence, tree: ColorTree, graph: ApproxGraph,
-           color: int, v: Vertex) -> str:
+def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
+           graph: ApproxGraph, color: int, v: Vertex) -> str:
     """Highest-level element of the color containing the vertex ball at a
     level <= level(v) - 1; the root maps to the tree root.  Vertices whose
     level-bound falls below the covering hierarchy (level 0 over a base
@@ -76,26 +77,27 @@ def map_fc(seq: CoveringSequence, tree: ColorTree, graph: ApproxGraph,
     every ball."""
     if v == graph.root:
         return tree.tree.root
-    radius = graph.ball_radius(v)
-    coord = graph.space.coord(v.center)
     top = min(v.level - 1, seq.max_level)
-    for j in range(top, -1, -1):
-        for uid in tree.level_vertices(j):
-            if tree.elements[uid].region.contains_ball(coord, radius):
-                return uid
     if top < 0:
         return tree.tree.root
+    radius = kernel.radius(v.level)
+    coord = kernel.coords[v.center]
+    for j in range(top, -1, -1):
+        for uid in tree.level_vertices(j):
+            if kernel.regions[uid].contains_ball(coord, radius):
+                return uid
     raise ValueError(
         f"no covering element of color {color} contains the ball of {v}")
 
 
 def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
+    kernel = CoveringKernel(seq, max(seq.max_level, graph.scale.max_level))
     fc = {}
     for c in seq.colors:
         for v in graph.vertices:
-            fc[(c, v)] = map_fc(seq, trees[c], graph, c, v)
-    return Stage1(graph=graph, seq=seq, trees=trees, fc=fc)
+            fc[(c, v)] = map_fc(seq, kernel, trees[c], graph, c, v)
+    return Stage1(graph=graph, seq=seq, trees=trees, fc=fc, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +109,15 @@ def classify_pair(graph: ApproxGraph, v: Vertex, w: Vertex) -> PairClass:
     level l satisfies r^l <= d < r^(l-1).  Pairs involving levels below 0
     stay unclassified (they are covered by the Lipschitz and global
     suites only)."""
-    r = graph.scale.r
+    sep = graph.scale.sep
     lo = min(v.level, w.level)
     d = graph.d(v, w)
     if lo < 0:
-        return PairClass(UNCLASSIFIED) if d >= r**lo else PairClass(CLOSE)
-    if d < r**lo:
+        return PairClass(UNCLASSIFIED) if d >= sep(lo) else PairClass(CLOSE)
+    if d < sep(lo):
         return PairClass(CLOSE)
     l = lo
-    while d >= r ** (l - 1):
+    while d >= sep(l - 1):
         l -= 1
     return PairClass(DISTINCT, critical_level=l)
 

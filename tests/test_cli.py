@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -152,3 +153,42 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
     assert pipe.ok
     assert sorted(levels) == list(range(pipe.scale.k0,
                                         pipe.scale.max_level + 2))
+
+
+GOLDEN_SHA256 = {
+    ("--preset", "cantor"): {
+        "report.json": "d3361946325363636a23a63ff3752efd"
+                       "30eaeb1425e0f4ca22af7d5c1b206383",
+        "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
+                     "2337b32cca8f81b94510a0eb249d77f0",
+        "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
+                          "66da1628e35733aaa20fcd07a1b2ebc5",
+        "covering.json": "bc7d8fbb79cbb9b3dd72fd678b0239ae"
+                         "f223d8eccfafdb7ac5565416499b491c",
+        "graph.edges": "fd83188f6dc765ee74bbf6bbbb2f93fa"
+                       "0afd34b73d214ad19a16771a24afa31c",
+    },
+    ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
+     "--colors", "3", "--kappa", "46"): {
+        "report.json": "570a101b9e058fa033427c40b6e56aa8"
+                       "ce66c3a80975707d9dc0b2ffafe5767c",
+        "pairs.csv": "efc8f016b3009d44572cb604dd261223"
+                     "3c18b80c1a063988d9d00a2819f44635",
+        "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
+                          "a5160268c429de154f39105c3ba5281c",
+        "covering.json": "dcb4b3014640e3b6a24b0382e956f5d7"
+                         "bbe0f77ccb810e69c0f492cddba8e5a2",
+        "graph.edges": "ebaf2e2b4e8356333cb382cb64c903d2"
+                       "5bc025f5b9f53c2bf13125f8bbc39f94",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_SHA256))
+def test_artifacts_keep_their_bytes(args, tmp_path, capsys):
+    # the artifact bytes of a pinned config are part of the contract: a
+    # change that only makes the program faster leaves them as they are
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    for name, digest in GOLDEN_SHA256[args].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name

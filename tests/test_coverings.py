@@ -32,12 +32,7 @@ def circle_setup(n=81, r=F(1, 12), J=2):
 
 
 def element(space, region, color=0, level=1, uid="t"):
-    members = tuple(
-        p for p in space.points
-        if region.contains_point(space.coord(p))
-    )
-    return CoveringElement(uid=uid, color=color, level=level, region=region,
-                           members=members)
+    return CoveringElement(uid=uid, color=color, level=level, region=region)
 
 
 def test_mesh_basics():
@@ -116,11 +111,49 @@ def test_deliberate_overlap_reported_by_validator():
     # clone one level-1 arc into its same-color neighbor's place
     fam0 = list(seq.levels[1][0])
     bad = CoveringElement(uid="dup", color=0, level=1,
-                          region=fam0[0].region, members=fam0[0].members)
+                          region=fam0[0].region)
     seq.levels[1][0] = tuple(fam0 + [bad])
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "fail"
     assert any(v.get("property") in ("disjoint", 3) for v in report.violations)
+
+
+def test_validator_sees_a_shift_below_every_natural_denominator():
+    # the natural unit of circle(81) at r = 1/12, L2 is 5184: shrinking one
+    # level-1 arc by 1/(5184*7) must still cost its last point's ball
+    s, sc, g = circle_setup()
+    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
+                                     n_colors=2)
+    assert validate_covering_sequence(seq, graph=g).status == "pass"
+    first, *rest = seq.levels[1][0]
+    shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
+    seq.levels[1][0] = (CoveringElement(uid=first.uid, color=0, level=1,
+                                        region=shrunk), *rest)
+    report = validate_covering_sequence(seq, graph=g)
+    assert report.status == "fail"
+    assert any(v.get("property") == 2 and v["level"] == 1
+               for v in report.violations)
+
+
+def test_kernel_refuses_what_it_cannot_scale(tmp_path):
+    s, sc, g = cantor_setup(depth=2, J=1)
+    seq = generate_covering_sequence("ultrametric", s, sc, 1, graph=g)
+    first = seq.levels[1][0][0]
+    seq.levels[1][0] += (first,)  # one element twice: an overlap, reported
+    report = validate_covering_sequence(seq, graph=g)
+    assert report.violations[0]["property"] == "disjoint"
+    seq.levels[1][0] += (element(s, LineIntervals(((F(0), F(1, 3)),)),
+                                 uid=first.uid),)
+    with pytest.raises(ValueError, match="names two certificates"):
+        validate_covering_sequence(seq, graph=g)
+
+    space_file = tmp_path / "cantor2.csv"
+    save_space_csv(s, space_file)
+    loaded = load_space_csv(space_file)
+    seq.space = loaded
+    seq.levels[1][0] = seq.levels[1][0][:1]
+    with pytest.raises(ValueError, match="point-subset certificates only"):
+        validate_covering_sequence(seq, graph=build_approximation(loaded, sc))
 
 
 def test_grid_preset_validates():

@@ -64,6 +64,13 @@ def test_compute_k0_rejects_trivial_and_large_r():
         compute_k0(F(1), F(1, 2))
 
 
+def test_scale_powers_are_computed_once_per_instance():
+    a, b = ScaleParams(F(1, 9), 0, 3), ScaleParams(F(1, 9), 0, 3)
+    assert a.sep(3) == F(1, 729) and a.sep(-2) == 81
+    assert a.sep(3) is a.sep(3)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_greedy_net_examples():
     rows = [[F(0), F(2, 5), F(1)], [F(2, 5), F(0), F(3, 5)], [F(1), F(3, 5), F(0)]]
     s = make_space(rows)
