@@ -7,15 +7,18 @@ adjacent levels when the upper ball sits inside the lower one, certified
 on centers by d + 2 r^(k+1) <= 2 r^k.  The center rule is what the
 containment proofs actually produce, it is transitive, and it does not
 depend on how densely the space was sampled.
+
+Gromov products are taken at the root and held doubled, as ints.  The
+exact δ over all vertex triples and the visual band are reported, never
+asserted.
 """
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from qtrees.metric import FiniteMetricSpace, ScaleParams, maximal_separated_net
 from qtrees.reporting import CheckResult, PASS
@@ -28,8 +31,6 @@ class Vertex(NamedTuple):
 
 HORIZONTAL = "H"
 RADIAL = "R"
-
-EXHAUSTIVE_TRIPLE_LIMIT = 300
 
 
 @dataclass
@@ -99,9 +100,11 @@ class ApproxGraph:
     def distance(self, v: Vertex, w: Vertex) -> int:
         return self.distances_from(v)[w]
 
-    def gromov_product(self, o: Vertex, x: Vertex, y: Vertex) -> Fraction:
-        do = self.distances_from(o)
-        return Fraction(do[x] + do[y] - self.distance(x, y), 2)
+    def gromov_row(self, x: Vertex) -> dict[Vertex, int]:
+        """Twice the Gromov product (x|y) at the root, for every vertex y:
+        |ox| + |oy| - |xy|, an int read off the cached BFS rows."""
+        do, dx = self.distances_from(self.root), self.distances_from(x)
+        return {y: do[x] + oy - dx[y] for y, oy in do.items()}
 
     def radial_descendants(self, v: Vertex) -> dict[int, set]:
         """Vertices reachable from v by strictly descending radial edges,
@@ -199,39 +202,25 @@ def central_ancestor(graph: ApproxGraph, v: Vertex) -> Vertex:
     raise AssertionError(f"no central ancestor for {v}: net not maximal")
 
 
-def estimate_delta(graph: ApproxGraph, base: Optional[Vertex] = None,
-                   seed: int = 0, samples: int = 200_000
-                   ) -> tuple[Fraction, str]:
-    """Hyperbolicity defect at the base point: the largest amount by which a
-    Gromov-product triple fails to be a 0-triple.  Exhaustive over all vertex
-    triples up to EXHAUSTIVE_TRIPLE_LIMIT vertices, sampled beyond."""
-    base = base or graph.root
+def estimate_delta(graph: ApproxGraph) -> Fraction:
+    """Hyperbolicity defect at the root, exact over all vertex triples: the
+    largest amount by which min((x|y), (y|z)) exceeds (x|z).  With g the
+    doubled products, max_y min(g(x,y), g(y,z)) >= t exactly when the
+    bitsets {y : g(x,y) >= t} and {y : g(z,y) >= t} meet (Fournier,
+    Viennot and Vigliotti, IPL 2015).  Thresholds run down from the largest
+    g; since g >= 0, none at or below the worst defect can beat it."""
     verts = graph.vertices
-    do = graph.distances_from(base)
-    pair_dist = {v: graph.distances_from(v) for v in verts}
-
-    def gp(x, y):
-        return do[x] + do[y] - pair_dist[x][y]  # 2 * gromov product
-
+    gp = [[row[y] for y in verts] for row in map(graph.gromov_row, verts)]
     worst = 0
-    if len(verts) <= EXHAUSTIVE_TRIPLE_LIMIT:
-        mode = "exhaustive"
-        triples = itertools.combinations(verts, 3)
-    else:
-        mode = f"sampled({samples},seed={seed})"
-        rng = random.Random(seed)
-        triples = (
-            tuple(rng.sample(verts, 3)) for _ in range(samples)
-        )
-    for x, y, z in triples:
-        xy, yz, xz = gp(x, y), gp(y, z), gp(x, z)
-        worst = max(
-            worst,
-            min(xy, yz) - xz,
-            min(yz, xz) - xy,
-            min(xy, xz) - yz,
-        )
-    return Fraction(worst, 2), mode
+    for t in range(max(map(max, gp)), 0, -1):
+        if t <= worst:
+            break
+        rows = [sum(1 << j for j, g in enumerate(gi) if g >= t) for gi in gp]
+        for i, gi in enumerate(gp):
+            for k in range(i + 1, len(verts)):
+                if gi[k] < t - worst and rows[i] & rows[k]:
+                    worst = t - gi[k]
+    return Fraction(worst, 2)
 
 
 @dataclass(frozen=True)
@@ -262,16 +251,11 @@ def visual_metric_constants(graph: ApproxGraph) -> VisualBand:
     if len(deepest) < 2:
         raise ValueError("need at least two deepest-level vertices")
     a = graph.scale.a
-    lo = hi = None
-    for v, w in itertools.combinations(deepest, 2):
-        g2 = graph.distances_from(graph.root)[v] + \
-            graph.distances_from(graph.root)[w] - graph.distance(v, w)
-        val_sq = graph.d(v, w) ** 2 * a**g2  # (d * a^(g2/2))^2
-        if lo is None or val_sq < lo:
-            lo = val_sq
-        if hi is None or val_sq > hi:
-            hi = val_sq
-    return VisualBand(c1_sq=lo, c2_sq=hi)
+    vals_sq = []  # (d * a^(g2/2))^2
+    for i, v in enumerate(deepest):
+        g2 = graph.gromov_row(v)
+        vals_sq += [graph.d(v, w) ** 2 * a**g2[w] for w in deepest[i + 1:]]
+    return VisualBand(c1_sq=min(vals_sq), c2_sq=max(vals_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +366,16 @@ def check_gromov_products(graph: ApproxGraph) -> CheckResult:
     (o,o,y) -> 0."""
     res = CheckResult("approx-gromov-product", PASS)
     o = graph.root
+    g2 = {v: graph.gromov_row(v) for v in graph.vertices}
     for v, w in itertools.combinations(graph.vertices, 2):
         res.checked += 1
-        g = graph.gromov_product(o, v, w)
-        if g < 0:
-            res.add_violation({"pair": (v, w), "product": g})
+        if g2[v][w] < 0:
+            res.add_violation({"pair": (v, w),
+                               "product": Fraction(g2[v][w], 2)})
     for v in graph.vertices:
-        if graph.gromov_product(o, v, v) != graph.distance(o, v):
+        if g2[v][v] != 2 * graph.distance(o, v):
             res.add_violation({"vertex": v, "reason": "(o,x,x) != |ox|"})
-        if graph.gromov_product(o, o, v) != 0:
+        if g2[o][v] != 0:
             res.add_violation({"vertex": v, "reason": "(o,o,y) != 0"})
     return res
 

@@ -34,7 +34,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="page capacity (default 15*colors+1)")
     p.add_argument("--colors", dest="n_colors", type=int,
                    help="covering colors")
-    p.add_argument("--seed", type=int, help="seed for sampled checks")
+    p.add_argument("--seed", type=int,
+                   help="seed of the randomized morse_thue checks; only "
+                        "verify morse_thue and verify all read it")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
     p.add_argument("--research-kappa", action="store_true",
                    help="allow page capacities below the proven bound")

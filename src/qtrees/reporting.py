@@ -42,7 +42,8 @@ def jsonable(obj):
 
 @dataclass
 class CheckResult:
-    """Outcome of one named invariant check."""
+    """Outcome of one named invariant check.  A pass that checked no
+    instance is reported as inconclusive."""
 
     check_id: str
     status: str
@@ -62,7 +63,8 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {
             "id": self.check_id,
-            "status": self.status,
+            "status": INCONCLUSIVE if self.status == PASS and not self.checked
+            else self.status,
             "checked": self.checked,
             "violations": self.violations,
             "notes": self.notes,

@@ -43,8 +43,7 @@ def test_single_root_graph():
     g = build_approximation(s, sc)
     assert len(g.vertices) == 1
     assert not g.edge_kind
-    delta, mode = estimate_delta(g)
-    assert delta == 0 and mode == "exhaustive"
+    assert estimate_delta(g) == 0
 
 
 def test_graph_distance_basics():
@@ -87,8 +86,8 @@ def test_gromov_product_identities():
     g = build_approximation(s, sc)
     o = g.root
     for v in g.vertices:
-        assert g.gromov_product(o, v, v) == g.distance(o, v)
-        assert g.gromov_product(o, o, v) == 0
+        assert g.gromov_row(v)[v] == 2 * g.distance(o, v)
+        assert g.gromov_row(o)[v] == 0
 
 
 def test_radial_only_graph_is_tree_with_zero_delta():
@@ -100,17 +99,14 @@ def test_radial_only_graph_is_tree_with_zero_delta():
     g = build_approximation(s, sc)
     horizontals = [e for e in g.edge_kind.values() if e == HORIZONTAL]
     assert len(horizontals) == 1  # only at level 0; deeper levels split
-    sub_delta, _ = estimate_delta(g)
-    assert sub_delta <= F(1, 2)
+    assert estimate_delta(g) <= F(1, 2)
 
 
 def test_delta_fixture_cantor():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    delta, mode = estimate_delta(g)
-    assert mode == "exhaustive"
-    assert delta == F(1, 2)
+    assert estimate_delta(g) == F(1, 2)
 
 
 def test_delta_fixture_cantor3():
@@ -118,8 +114,7 @@ def test_delta_fixture_cantor3():
     sc = ScaleParams.for_space(s, F(1, 9), 3)
     g = build_approximation(s, sc)
     assert len(g.vertices) == 21
-    delta, _ = estimate_delta(g)
-    assert delta == F(1, 2)
+    assert estimate_delta(g) == F(1, 2)
 
 
 def test_visual_band_fixture_and_level_stability():

@@ -43,6 +43,15 @@ def test_run_deterministic(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_run_reads_no_seed(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "cantor", "--seed", "1",
+                 "--out", str(a)]) == 0
+    assert main(["run", "--preset", "cantor", "--seed", "2",
+                 "--out", str(b)]) == 0
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
 def test_run_one_color_circle_fails_at_covering(capsys):
     code = main(["run", "--space", "circle", "--colors", "1"])
     assert code != 0
@@ -157,8 +166,8 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "d3361946325363636a23a63ff3752efd"
-                       "30eaeb1425e0f4ca22af7d5c1b206383",
+        "report.json": "57d34a158387ccffbb07d83b4fc88a41"
+                       "3a083ce22f4241fd9de59970fce77f08",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -170,8 +179,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "570a101b9e058fa033427c40b6e56aa8"
-                       "ce66c3a80975707d9dc0b2ffafe5767c",
+        "report.json": "03f56a50a85011c286252559c3b68b02"
+                       "3c8401da3c8df6a5e246db441d7ae825",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"

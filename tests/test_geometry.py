@@ -78,15 +78,33 @@ def test_scaled_region_tests_match_fractions(case):
     assert sa.depth(sc, 7 * unit) == (None if depth is None else depth * unit)
 
 
+def prime_divisors(d: int) -> list[int]:
+    """The primes dividing d, by trial division up to the square root of
+    what is left of d."""
+    primes, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return primes + [d] if d > 1 else primes
+
+
+def test_prime_divisors():
+    assert prime_divisors(1) == []
+    assert prime_divisors(2 ** 5 * 3 * 59 ** 2) == [2, 3, 59]
+    assert prime_divisors(97 * 89) == [89, 97]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(intervals(), arcs, boxes()))
 def test_scaled_needs_a_clearing_unit(region):
     d = region.denominator()
     region.scaled(d)
-    for p in range(2, d + 1):
-        if d % p == 0 and all(p % q for q in range(2, p)):
-            with pytest.raises(ValueError):
-                region.scaled(d // p)
+    for p in prime_divisors(d):
+        with pytest.raises(ValueError):
+            region.scaled(d // p)
 
 
 def test_scaled_arc_keeps_wrap_and_full_circle():

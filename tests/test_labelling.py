@@ -20,6 +20,7 @@ from qtrees.labelling import (
 )
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import mt_bit
+from qtrees.reporting import PASS, CheckResult
 from qtrees.stage1 import embed_stage1
 
 
@@ -146,6 +147,25 @@ def test_critical_letters_inconclusive_without_pairs():
     st2 = build_stage2(lab, kappa=16)
     res = check_critical_letters(st2)
     assert res.status in ("pass", "inconclusive")
+
+
+def test_vacuous_pass_is_reported_inconclusive():
+    # the two-level graph of the test above: neither stage-2 check finds an
+    # instance, and the one rule in CheckResult reports both inconclusive
+    s = generate_space("cantor", 4)
+    sc = ScaleParams.for_space(s, F(1, 9), 1)
+    g = build_approximation(s, sc)
+    seq = generate_covering_sequence("ultrametric", s, sc, 1, graph=g)
+    st2 = build_stage2(build_labelling(embed_stage1(g, seq)), kappa=16)
+    for res in (check_critical_letters(st2), check_binary_stage(st2)):
+        assert (res.status, res.checked) == ("pass", 0), res.check_id
+        assert res.to_dict()["status"] == "inconclusive", res.check_id
+    assert check_critical_letters(st2).notes == "no qualifying pairs"
+    assert CheckResult("none", PASS).to_dict()["status"] == "inconclusive"
+    assert CheckResult("one", PASS, checked=1).to_dict()["status"] == "pass"
+    failed = CheckResult("failed", PASS)
+    failed.add_violation({"reason": "before any instance"})
+    assert failed.to_dict()["status"] == "fail"
 
 
 def test_embedding_dump_shape(cantor_lab):
