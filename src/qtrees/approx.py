@@ -8,6 +8,12 @@ on centers by d + 2 r^(k+1) <= 2 r^k.  The center rule is what the
 containment proofs actually produce, it is transitive, and it does not
 depend on how densely the space was sampled.
 
+The graph owns the pair table, ``ApproxGraph.pairs``: one row per vertex
+pair in ``itertools.combinations`` order, with the graph distance and the
+pair's class (horizontally close, or distinct at a critical level).  The
+class compares center distances with r^k as ints, both multiplied by one
+unit, so every pair loop of every stage reads the same exact answers.
+
 Gromov products are taken at the root and held doubled, as ints.  The
 exact δ over all vertex triples and the visual band are reported, never
 asserted.
@@ -15,9 +21,11 @@ asserted.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from qtrees.metric import FiniteMetricSpace, ScaleParams, maximal_separated_net
@@ -31,6 +39,13 @@ class Vertex(NamedTuple):
 
 HORIZONTAL = "H"
 RADIAL = "R"
+
+# pair classes: horizontally close, d < r^(min level); distinct with
+# critical level l, r^l <= d < r^(l-1); a pair with a vertex below level 0
+# that is not close stays unclassified
+CLOSE = "close"
+DISTINCT = "distinct"
+UNCLASSIFIED = "unclassified"
 
 
 @dataclass
@@ -99,6 +114,60 @@ class ApproxGraph:
 
     def distance(self, v: Vertex, w: Vertex) -> int:
         return self.distances_from(v)[w]
+
+    # -- the pair table -----------------------------------------------------
+
+    @cached_property
+    def unit(self) -> int:
+        """The lcm of the denominators of every distance between graph
+        centers and of r^k for k0 - 1 <= k <= max_level: both sides of a
+        pair test, times this unit, are ints with the same order."""
+        scale, dist = self.scale, self.space.dist
+        centers = sorted({v.center for v in self.vertices})
+        return math.lcm(
+            *(scale.sep(k).denominator
+              for k in range(scale.k0 - 1, scale.max_level + 1)),
+            *(dist[a][b].denominator for a in centers for b in centers))
+
+    @cached_property
+    def scaled_dist(self) -> dict[int, dict[int, int]]:
+        """Distances between graph centers, times ``unit``."""
+        unit, dist = self.unit, self.space.dist
+        centers = sorted({v.center for v in self.vertices})
+        return {a: {b: dist[a][b].numerator * (unit // dist[a][b].denominator)
+                    for b in centers} for a in centers}
+
+    def scaled_sep(self, level: int) -> int:
+        """r^level times ``unit``, for k0 - 1 <= level <= max_level."""
+        power = self.scale.sep(level)
+        return power.numerator * (self.unit // power.denominator)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple, ...]:
+        """One row (v, w, graph distance, class, critical level or None)
+        per vertex pair, in ``itertools.combinations(vertices, 2)``
+        order."""
+        scale = self.scale
+        sep = {k: self.scaled_sep(k)
+               for k in range(scale.k0 - 1, scale.max_level + 1)}
+        scaled = self.scaled_dist
+        verts = self.vertices
+        rows = []
+        for i, v in enumerate(verts):
+            hops, row = self.distances_from(v), scaled[v.center]
+            for w in verts[i + 1:]:
+                d = row[w.center]
+                lo = min(v.level, w.level)
+                if d < sep[lo]:
+                    rows.append((v, w, hops[w], CLOSE, None))
+                elif lo < 0:
+                    rows.append((v, w, hops[w], UNCLASSIFIED, None))
+                else:
+                    l = lo
+                    while d >= sep[l - 1]:
+                        l -= 1
+                    rows.append((v, w, hops[w], DISTINCT, l))
+        return tuple(rows)
 
     def gromov_row(self, x: Vertex) -> dict[Vertex, int]:
         """Twice the Gromov product (x|y) at the root, for every vertex y:
@@ -275,13 +344,16 @@ def check_ball_intersection_bound(graph: ApproxGraph) -> CheckResult:
     """Pairs whose closed certified balls touch satisfy
     |vv'| <= |level difference| + 1."""
     res = CheckResult("approx-ball-intersect-bound", PASS)
-    for v, w in itertools.combinations(graph.vertices, 2):
-        if graph.d(v, w) <= graph.ball_radius(v) + graph.ball_radius(w):
+    scaled = graph.scaled_dist
+    radius = {k: 2 * graph.scaled_sep(k)
+              for k in range(graph.scale.k0, graph.scale.max_level + 1)}
+    for v, w, dist, _, _ in graph.pairs:
+        if scaled[v.center][w.center] <= radius[v.level] + radius[w.level]:
             res.checked += 1
-            if graph.distance(v, w) > abs(v.level - w.level) + 1:
+            if dist > abs(v.level - w.level) + 1:
                 res.add_violation({
                     "pair": (v, w),
-                    "graph_dist": graph.distance(v, w),
+                    "graph_dist": dist,
                     "bound": abs(v.level - w.level) + 1,
                 })
     return res
@@ -317,8 +389,8 @@ def check_horizontal_descent(graph: ApproxGraph) -> CheckResult:
     """If |vv'| <= 1 at one level, any radially adjacent vertices one level
     below are also within distance 1."""
     res = CheckResult("approx-horizontal-descent", PASS)
-    for v, w in itertools.combinations(graph.vertices, 2):
-        if v.level != w.level or not graph.has_edge(v, w):
+    for v, w, dist, _, _ in graph.pairs:
+        if v.level != w.level or dist != 1:
             continue
         below_v = [u for u in graph.neighbors(v) if u.level == v.level - 1]
         below_w = [u for u in graph.neighbors(w) if u.level == w.level - 1]
@@ -335,9 +407,8 @@ def check_geodesic_shape(graph: ApproxGraph) -> CheckResult:
     """Every pair admits a shortest path that descends radially, crosses at
     most one horizontal edge at its lowest level, and ascends radially."""
     res = CheckResult("approx-geodesic-shape", PASS)
-    for v, w in itertools.combinations(graph.vertices, 2):
+    for v, w, target, _, _ in graph.pairs:
         res.checked += 1
-        target = graph.distance(v, w)
         dv = graph.radial_descendants(v)
         dw = graph.radial_descendants(w)
         found = False

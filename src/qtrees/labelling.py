@@ -27,7 +27,7 @@ from qtrees.diary import (
 )
 from qtrees.morse_thue import mt_bit
 from qtrees.reporting import CheckResult, PASS
-from qtrees.stage1 import DISTINCT, Stage1, classify_pair
+from qtrees.stage1 import DISTINCT, ImageKeys, Stage1
 from qtrees.trees import binary_embed, binary_width, word_distance
 
 
@@ -301,20 +301,26 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
                 recon.add_violation({"uid": uid, "color": c})
 
     sig = sigma_lower(C)
-    worst_upper = Fraction(0)
+    worst_upper = (0, 1)  # the largest total / gd, as (total, gd)
     worst_lower = 0
-    for v, w in itertools.combinations(graph.vertices, 2):
-        gd = graph.distance(v, w)
-        per_color = {c: st2.page_distance(c, v, w) for c in st2.colors}
-        total = sum(per_color.values())
+    images = {v: tuple(emb.image(c, v) for c in st2.colors)
+              for v in graph.vertices}
+    page_dists: dict[tuple, tuple[int, ...]] = {}  # per image pair
+    for v, w, gd, _, _ in graph.pairs:
+        key = (images[v], images[w])
+        per_color = page_dists.get(key)
+        if per_color is None:
+            per_color = page_dists[key] = tuple(
+                st2.page_distance(c, v, w) for c in st2.colors)
+        total = sum(per_color)
         upper.checked += 1
-        for c, pd in per_color.items():
+        for c, pd in zip(st2.colors, per_color):
             if pd > 2 * gd:
                 upper.add_violation({"pair": (v, w), "color": c, "page": pd})
         if total > 2 * C * gd:
             upper.add_violation({"pair": (v, w), "total": total, "dist": gd})
-        if gd:
-            worst_upper = max(worst_upper, Fraction(total, gd))
+        if gd and total * worst_upper[1] > worst_upper[0] * gd:
+            worst_upper = (total, gd)
         lower.checked += 1
         if gd > 2 * C * total + sig:
             lower.add_violation({"pair": (v, w), "dist": gd, "total": total})
@@ -324,7 +330,7 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     checks = [radial_iso, upper, lower, recon, crit]
     fits = {
         "pairs": upper.checked,
-        "upperWorst": worst_upper,
+        "upperWorst": Fraction(*worst_upper),
         "lowerWorst": worst_lower,
         "sigmaBound": sig,
         "violations": [v for c in (upper, lower) for v in c.violations],
@@ -355,42 +361,53 @@ def critical_letters(lab: Labelling, color: int, ua: str, ub: str, l: int
 def check_critical_letters(st2: Stage2) -> CheckResult:
     """For horizontally distinct vertices sitting (as points) in same-color
     elements deep enough past their critical level, the critical-level
-    letters differ and their word positions are within 2."""
+    letters differ and their word positions are within 2.
+
+    The outcome is computed once per (color, two containing chains,
+    critical level) and replayed to each pair in pair order."""
     res = CheckResult("stage2-critical-letters", PASS)
     emb = st2.stage1
-    graph = emb.graph
-    lab = st2.labelling
-    for v, w in itertools.combinations(graph.vertices, 2):
-        pc = classify_pair(graph, v, w)
-        if pc.kind != DISTINCT:
-            continue
-        l = pc.critical_level
-        if l < 1:
+    chains = ImageKeys(emb).chains
+    outcomes: dict[tuple[int, int, int], tuple[int, tuple]] = {}
+    for v, w, _, kind, l in emb.graph.pairs:
+        if kind != DISTINCT or l < 1:
             continue  # sentences carry no level-0 letter
-        for c in st2.colors:
-            tree = emb.trees[c]
-            for ua in emb.containing_chain(c, v):
-                if tree.elements[ua].level < l + 1:
-                    continue
-                for ub in emb.containing_chain(c, w):
-                    if tree.elements[ub].level < l + 1:
-                        continue
-                    if ua == ub:
-                        res.add_violation({"pair": (v, w), "element": ua,
-                                           "reason": "shared element despite critical gap"})
-                        continue
-                    res.checked += 1
-                    a, m, b, mp = critical_letters(lab, c, ua, ub, l)
-                    if a == b:
-                        res.add_violation({"pair": (v, w), "color": c,
-                                           "elements": (ua, ub), "level": l,
-                                           "reason": "equal letters"})
-                    if abs(m - mp) > 2:
-                        res.add_violation({"pair": (v, w), "color": c,
-                                           "words": (m, mp)})
+        (kv, cv), (kw, cw) = chains[v], chains[w]
+        for c, a, b, chain_v, chain_w in zip(st2.colors, kv, kw, cv, cw):
+            out = outcomes.get((a, b, l))
+            if out is None:
+                out = outcomes[(a, b, l)] = _critical_letters(
+                    st2.labelling, c, chain_v, chain_w, l)
+            res.checked += out[0]
+            for info in out[1]:
+                res.add_violation({"pair": (v, w), **info})
     if res.checked == 0 and res.status == PASS:
         res.notes = "no qualifying pairs"
     return res
+
+
+def _critical_letters(lab: Labelling, color: int, chain_v: tuple,
+                      chain_w: tuple, l: int) -> tuple[int, tuple]:
+    """(instances, violations less the pair) of one color's chains."""
+    elements = lab.stage1.trees[color].elements
+    deep_v = [u for u in chain_v if elements[u].level >= l + 1]
+    deep_w = [u for u in chain_w if elements[u].level >= l + 1]
+    checked = 0
+    found = []
+    for ua in deep_v:
+        for ub in deep_w:
+            if ua == ub:
+                found.append({"element": ua,
+                              "reason": "shared element despite critical gap"})
+                continue
+            checked += 1
+            a, m, b, mp = critical_letters(lab, color, ua, ub, l)
+            if a == b:
+                found.append({"color": color, "elements": (ua, ub),
+                              "level": l, "reason": "equal letters"})
+            if abs(m - mp) > 2:
+                found.append({"color": color, "words": (m, mp)})
+    return checked, tuple(found)
 
 
 def check_binary_stage(st2: Stage2) -> CheckResult:

@@ -70,7 +70,12 @@ class FiniteMetricSpace:
 
 def validate_metric(rows: Sequence[Sequence[Fraction]]) -> MetricReport:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
-    inequality; report the first violating triple if any."""
+    inequality; report the first violating triple if any.
+
+    Once the matrix is symmetric, (i, j, k) and (k, j, i) test the same
+    inequality, so the first violating triple in the order of
+    ``itertools.permutations`` has i < k: only those triples are tested,
+    in that order."""
     n = len(rows)
     for i in range(n):
         if len(rows[i]) != n:
@@ -83,9 +88,16 @@ def validate_metric(rows: Sequence[Sequence[Fraction]]) -> MetricReport:
                 return MetricReport(False, MetricViolation("symmetry", (i, j)))
             if rows[i][j] < 0:
                 return MetricReport(False, MetricViolation("negative", (i, j)))
-    for i, j, k in itertools.permutations(range(n), 3):
-        if rows[i][k] > rows[i][j] + rows[j][k]:
-            return MetricReport(False, MetricViolation("triangle", (i, j, k)))
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(n):
+            if j == i:
+                continue
+            row_j, d_ij = rows[j], row_i[j]
+            for k in range(i + 1, n):
+                if k != j and row_i[k] > d_ij + row_j[k]:
+                    return MetricReport(
+                        False, MetricViolation("triangle", (i, j, k)))
     return MetricReport(True)
 
 

@@ -139,7 +139,7 @@ class Pipeline:
                 checks = [self.seq.contract]
             elif suite == "stage1":
                 emb = self.stage1
-                checks = [check_color_tree(self.seq, emb.trees[c],
+                checks = [check_color_tree(emb.kernel, emb.trees[c],
                                            self.scale.k0)
                           for c in emb.colors]
                 pair_checks, extra = stage1_suite(emb)

@@ -5,23 +5,30 @@ covering element of the color that contains the ball at a level strictly
 below the vertex's own; the root maps to the tree root.  The product map
 is bilipschitz up to constants depending only on the number of colors,
 and every inequality in that statement is checked pair by pair.
+
+The pair loops read the graph's pair table, ``ApproxGraph.pairs``: the
+graph distance, the class and the critical level of every vertex pair,
+compared on ints.  The tree side depends on a pair only through its image
+keys: its images, or its containing chains, in each color, with the
+critical level.  ``ImageKeys`` computes each tree-side quantity once per
+distinct key (meets and generation distances per (color, a, b), the
+distinct-pair bound per (images, level), the segment-dip outcome per
+(color, a, b, level)), and each check replays the result to every pair that
+has the key, in pair-table order, so instance counts and the first
+violations are those of a plain pair-by-pair loop.
 """
 from __future__ import annotations
 
 import csv
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from qtrees.approx import ApproxGraph, Vertex
+from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
 from qtrees.coverings import CoveringKernel, CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import ColorTree, build_color_tree
-
-CLOSE = "close"
-DISTINCT = "distinct"
-UNCLASSIFIED = "unclassified"  # a vertex below level 0 is involved
 
 
 @dataclass(frozen=True)
@@ -146,9 +153,90 @@ class PairRow:
     violation: bool
 
 
+class ImageKeys:
+    """The tree side of one Stage1, each quantity computed once per
+    distinct image key and read by every vertex pair that meets it: the
+    youngest common ancestor and the generation distance per (color, a, b),
+    the segment-dip violations per (color, a, b, critical level), and one
+    int key per distinct containing chain of a color."""
+
+    def __init__(self, emb: Stage1):
+        self.emb = emb
+        self.trees = {c: emb.trees[c].tree for c in emb.colors}
+        self.depth = {c: {u: t.depth(u) for u in t.parent}
+                      for c, t in self.trees.items()}
+        # tree levels along each root path; they strictly increase
+        self.levels = {c: {u: tuple(t.level[x] for x in t.root_path(u))
+                           for u in t.parent}
+                       for c, t in self.trees.items()}
+        self._meets: dict[tuple[int, str, str], str] = {}
+        self._dips: dict[tuple[int, str, str, int], tuple[dict, ...]] = {}
+
+    def meet(self, color: int, a: str, b: str) -> str:
+        key = (color, a, b)
+        out = self._meets.get(key)
+        if out is None:
+            out = self._meets[key] = self.trees[color].lca(a, b)
+        return out
+
+    def distance(self, color: int, a: str, b: str) -> int:
+        depth = self.depth[color]
+        return depth[a] + depth[b] - 2 * depth[self.meet(color, a, b)]
+
+    @cached_property
+    def chains(self) -> dict[Vertex, tuple[tuple[int, ...], tuple]]:
+        """Per vertex: one int key per color and the containing chain of
+        every color; equal chains of a color share their key."""
+        emb = self.emb
+        keys: dict[tuple[int, tuple[str, ...]], int] = {}
+        out = {}
+        for v in emb.graph.vertices:
+            chains = tuple(emb.containing_chain(c, v) for c in emb.colors)
+            out[v] = tuple(keys.setdefault((c, chain), len(keys))
+                           for c, chain in zip(emb.colors, chains)), chains
+        return out
+
+    def segment_dip(self, chains_v: tuple, chains_w: tuple, l: int
+                    ) -> tuple[int, list[dict]]:
+        """(instances, violations less the pair) of the segment-dip test on
+        every color's element pairs of two vertices' chains."""
+        instances, found = 0, []
+        for c, chain_v, chain_w in zip(self.emb.colors, chains_v, chains_w):
+            instances += len(chain_v) * len(chain_w)
+            for a in chain_v:
+                for b in chain_w:
+                    dip = self._dips.get((c, a, b, l))
+                    found += self._dip(c, a, b, l) if dip is None else dip
+        return instances, found
+
+    def _dip(self, color: int, a: str, b: str, l: int) -> tuple[dict, ...]:
+        """The violations of one element pair.  The tree root is the whole
+        space: its certificate diameter is bounded by r^k0, not by the
+        level-0 mesh, so it counts as level k0.  Below it levels strictly
+        increase, so the sub-critical vertices from the meet to an end are
+        one bisect on the end's level list."""
+        t = self.trees[color]
+        meet = self.meet(color, a, b)
+        i = self.depth[color][meet]
+        if (self.emb.graph.scale.k0 if i == 0 else t.level[meet]) >= l:
+            out = ({"color": color, "meet": meet, "critical": l},)
+        else:
+            levels = self.levels[color]
+            # search from index 1: a meet at the root (i == 0) counts with
+            # level k0 < l, not with its tree level
+            out = tuple({"color": color, "end": end, "below": below}
+                        for end in (a, b)
+                        for below in [bisect_left(levels[end], l, max(i, 1))
+                                      - i]
+                        if below > 3)
+        self._dips[(color, a, b, l)] = out
+        return out
+
+
 def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     graph = emb.graph
-    C = len(emb.colors)
+    colors = emb.colors
+    C = len(colors)
     lip = CheckResult("stage1-tree-lipschitz", PASS)
     close_radial = CheckResult("stage1-close-radial-segment", PASS)
     close_bound = CheckResult("stage1-close-pair-bound", PASS)
@@ -158,15 +246,33 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows: list[PairRow] = []
 
-    for v, w in itertools.combinations(graph.vertices, 2):
-        gd = graph.distance(v, w)
-        per_color = {c: emb.tree_distance(c, v, w) for c in emb.colors}
-        total = sum(per_color.values())
-        pc = classify_pair(graph, v, w)
+    keys = ImageKeys(emb)
+    images = {v: tuple(emb.image(c, v) for c in colors)
+              for v in graph.vertices}
+    scaled = graph.scaled_dist
+    radius = {k: 2 * graph.scaled_sep(k)
+              for k in range(graph.scale.k0, graph.scale.max_level + 1)}
+    # per image pair: tree distances by color and the colors whose two
+    # images are incomparable
+    tree_side: dict[tuple, tuple] = {}
+    # per (hi images, lo images, l): (color, rhs) of the colors meeting the
+    # level half of the distinct-pair bound, in color order
+    distinct_side: dict[tuple, tuple] = {}
+
+    for v, w, gd, kind, l in graph.pairs:
+        iv, iw = images[v], images[w]
+        side = tree_side.get((iv, iw))
+        if side is None:
+            dists = tuple(keys.distance(c, a, b)
+                          for c, a, b in zip(colors, iv, iw))
+            apart = tuple(c for c, a, b in zip(colors, iv, iw)
+                          if keys.meet(c, a, b) not in (a, b))
+            side = tree_side[(iv, iw)] = dists, sum(dists), apart
+        dists, total, apart = side
 
         # (a) every color is 2-Lipschitz
         lip.checked += 1
-        for c, td in per_color.items():
+        for c, td in zip(colors, dists):
             if td > 2 * gd:
                 lip.add_violation({"pair": (v, w), "color": c,
                                    "tree_dist": td, "graph_dist": gd})
@@ -175,24 +281,21 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
         bound_rhs = None
         violation = False
 
-        if pc.kind == CLOSE:
+        if kind == CLOSE:
             close_radial.checked += 1
-            for c in emb.colors:
-                t = emb.trees[c].tree
-                a, b = emb.image(c, v), emb.image(c, w)
-                if t.lca(a, b) not in (a, b):
-                    close_radial.add_violation({"pair": (v, w), "color": c})
+            for c in apart:
+                close_radial.add_violation({"pair": (v, w), "color": c})
             close_bound.checked += 1
-            ok = False
-            for c in sorted(per_color, key=lambda c: -per_color[c]):
-                rhs = C * per_color[c] + (C + 1)
-                if gd <= rhs:
-                    ok, best_color, bound_rhs = True, c, rhs
-                    break
-            if not ok:
+            # the largest tree distance gives the largest right-hand side
+            top = max(dists)
+            if gd <= C * top + (C + 1):
+                best_color = colors[dists.index(top)]
+                bound_rhs = C * top + (C + 1)
+            else:
                 violation = True
                 close_bound.add_violation({"pair": (v, w), "dist": gd,
-                                           "per_color": per_color})
+                                           "per_color": dict(zip(colors,
+                                                                 dists))})
             # distinct vertices that are close have different levels and
             # nested certified balls
             if v != w:
@@ -201,32 +304,29 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
                 if v.level == w.level:
                     radclose.add_violation({"pair": (v, w),
                                             "reason": "equal levels"})
-                elif graph.d(hi, lo) + graph.ball_radius(hi) > graph.ball_radius(lo):
+                elif scaled[hi.center][lo.center] + radius[hi.level] > \
+                        radius[lo.level]:
                     radclose.add_violation({"pair": (v, w),
                                             "reason": "upper ball not inside lower"})
                 elif gd > abs(v.level - w.level) + 1:
                     radclose.add_violation({"pair": (v, w), "dist": gd})
 
-        elif pc.kind == DISTINCT:
-            l = pc.critical_level
+        elif kind == DISTINCT:
             hi, lo_v = (v, w) if v.level >= w.level else (w, v)
             critdist.checked += 1
             if gd > hi.level + lo_v.level - 2 * l + 3:
                 critdist.add_violation({"pair": (v, w), "dist": gd,
                                         "bound": hi.level + lo_v.level - 2 * l + 3})
             distinct_bound.checked += 1
-            ok = False
-            for c in emb.colors:
-                t = emb.trees[c].tree
-                a, b = emb.image(c, hi), emb.image(c, lo_v)
-                wv = t.lca(a, b)
-                dist_aw = t.generation_distance(a, wv)
-                lhs_levels = max(t.level[a], t.level[b]) - l + 1
-                if lhs_levels <= C * (dist_aw + 1) and \
-                        gd <= 2 * C * dist_aw + (2 * C + 1):
-                    ok, best_color, bound_rhs = True, c, 2 * C * dist_aw + 2 * C + 1
+            key = (images[hi], images[lo_v], l)
+            fits = distinct_side.get(key)
+            if fits is None:
+                fits = distinct_side[key] = _distinct_fits(keys, C, *key)
+            for c, rhs in fits:
+                if gd <= rhs:
+                    best_color, bound_rhs = c, rhs
                     break
-            if not ok:
+            else:
                 violation = True
                 distinct_bound.add_violation({"pair": (v, w), "dist": gd,
                                               "critical": l})
@@ -238,7 +338,7 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
             global_bound.add_violation({"pair": (v, w), "dist": gd,
                                         "product_dist": total})
 
-        rows.append(PairRow(v, w, gd, pc.kind, pc.critical_level, total,
+        rows.append(PairRow(v, w, gd, kind, l, total,
                             best_color, bound_rhs, violation))
 
     checks = [lip, close_radial, close_bound, distinct_bound, global_bound,
@@ -247,44 +347,41 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     return checks, rows
 
 
+def _distinct_fits(keys: ImageKeys, C: int, hi: tuple, lo: tuple, l: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """(color, 2C d(a, meet) + 2C + 1) for each color whose images a (of
+    the higher vertex) and b pass max(level a, level b) - l + 1 <=
+    C (d(a, meet) + 1)."""
+    fits = []
+    for c, a, b in zip(keys.emb.colors, hi, lo):
+        level, depth = keys.trees[c].level, keys.depth[c]
+        dist_aw = depth[a] - depth[keys.meet(c, a, b)]
+        if max(level[a], level[b]) - l + 1 <= C * (dist_aw + 1):
+            fits.append((c, 2 * C * dist_aw + 2 * C + 1))
+    return tuple(fits)
+
+
 def check_segment_dip(emb: Stage1) -> CheckResult:
     """For horizontally distinct pairs, every same-color pair of elements
     containing the two centers meets strictly below the critical level, with
     at most three sub-critical vertices on each side of the meet.
 
-    The tree root is the whole space: its certificate diameter is bounded by
-    r^k0, not by the level-0 mesh, so it counts with effective level k0.
-    """
+    The outcome is computed once per (chains of v, chains of w, critical
+    level) and replayed to each pair in pair order."""
     res = CheckResult("stage1-critical-segment-shape", PASS)
-    graph = emb.graph
-    k0 = graph.scale.k0
-
-    for v, w in itertools.combinations(graph.vertices, 2):
-        pc = classify_pair(graph, v, w)
-        if pc.kind != DISTINCT:
+    keys = ImageKeys(emb)
+    chains = keys.chains
+    outcomes: dict[tuple, tuple[int, list[dict]]] = {}
+    for v, w, _, kind, l in emb.graph.pairs:
+        if kind != DISTINCT:
             continue
-        l = pc.critical_level
-        for c in emb.colors:
-            tree = emb.trees[c]
-            t = tree.tree
-
-            def eff(uid):
-                return k0 if uid == t.root else t.level[uid]
-
-            for a in emb.containing_chain(c, v):
-                for b in emb.containing_chain(c, w):
-                    res.checked += 1
-                    meet = t.lca(a, b)
-                    if eff(meet) >= l:
-                        res.add_violation({"pair": (v, w), "color": c,
-                                           "meet": meet, "critical": l})
-                        continue
-                    for end in (a, b):
-                        seg = _segment(t, meet, end)
-                        below = sum(1 for u in seg if eff(u) < l)
-                        if below > 3:
-                            res.add_violation({"pair": (v, w), "color": c,
-                                               "end": end, "below": below})
+        (kv, cv), (kw, cw) = chains[v], chains[w]
+        out = outcomes.get((kv, kw, l))
+        if out is None:
+            out = outcomes[(kv, kw, l)] = keys.segment_dip(cv, cw, l)
+        res.checked += out[0]
+        for info in out[1]:
+            res.add_violation({"pair": (v, w), **info})
     return res
 
 
@@ -293,7 +390,11 @@ def check_level_escape(emb: Stage1) -> CheckResult:
     vertex at level j+1 and any i <= j, a color c has
     (distance from the image to level-i vertices) + 1 >= (j-i+1)/|C|."""
     res = CheckResult("stage1-level-escape", PASS)
+    keys = ImageKeys(emb)
     C = len(emb.colors)
+    # (color, image, i) -> distance to the nearest level-i vertex, or None
+    # when level i is empty
+    nearest: dict[tuple[int, str, int], Optional[int]] = {}
     for v in emb.graph.vertices:
         j = v.level - 1
         if j < 0:
@@ -302,24 +403,21 @@ def check_level_escape(emb: Stage1) -> CheckResult:
             res.checked += 1
             best = None
             for c in emb.colors:
-                tree = emb.trees[c]
-                uid = emb.image(c, v)
-                level_i = tree.level_vertices(i)
-                if not level_i:
+                key = (c, emb.image(c, v), i)
+                if key not in nearest:
+                    level_i = emb.trees[c].level_vertices(i)
+                    nearest[key] = min(
+                        (keys.distance(c, key[1], u) for u in level_i),
+                        default=None)
+                m = nearest[key]
+                if m is None:
                     best = None  # empty level: infinite distance, satisfied
                     break
-                m = min(tree.tree.generation_distance(uid, u) for u in level_i)
                 if best is None or m > best:
                     best = m
-            if best is not None and Fraction(j - i + 1, C) > best + 1:
+            if best is not None and j - i + 1 > C * (best + 1):
                 res.add_violation({"vertex": v, "i": i, "best": best})
     return res
-
-
-def _segment(tree, meet: str, end: str) -> list[str]:
-    path = tree.root_path(end)
-    i = path.index(meet)
-    return list(path[i:])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from qtrees.coverings import CoveringElement, CoveringSequence
+from qtrees.coverings import CoveringElement, CoveringKernel, \
+    CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 
 
@@ -140,10 +141,12 @@ def _assert_levelled(tree: LevelledTree) -> None:
             raise ValueError(f"level not strictly monotone at edge ({u},{p})")
 
 
-def check_color_tree(seq: CoveringSequence, ct: ColorTree, k0: int) -> CheckResult:
+def check_color_tree(kernel: CoveringKernel, ct: ColorTree, k0: int
+                     ) -> CheckResult:
     """Structural invariants: strict monotonicity along root paths, depth
     bounded by level - k0, condition (+) via nested-or-disjoint regions,
-    and incomparable pairs meeting strictly below both levels."""
+    and incomparable pairs meeting strictly below both levels.  The region
+    tests run on the kernel's scaled certificates."""
     res = CheckResult(f"tree-structure-c{ct.color}", PASS)
     t = ct.tree
     for u in t.vertices():
@@ -160,7 +163,7 @@ def check_color_tree(seq: CoveringSequence, ct: ColorTree, k0: int) -> CheckResu
     uids = t.vertices()
     for i, u in enumerate(uids):
         for v in uids[i + 1:]:
-            ru, rv = ct.elements[u].region, ct.elements[v].region
+            ru, rv = kernel.regions[u], kernel.regions[v]
             nested = ru.contains_region(rv) or rv.contains_region(ru)
             if ru.meets_region(rv) and not nested:
                 res.add_violation({"pair": (u, v),

@@ -1,8 +1,13 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrees.metric import (
+    MetricReport,
+    MetricViolation,
     ScaleParams,
     compute_k0,
     doubling_estimate,
@@ -44,6 +49,70 @@ def test_validate_metric_violations():
     asym = [[F(0), F(1)], [F(2), F(0)]]
     rep = validate_metric(asym)
     assert not rep.ok and rep.violation.kind == "symmetry"
+
+
+def reference_validate_metric(rows):
+    """The same checks, with the triangle inequality tested on every
+    permutation of three points."""
+    n = len(rows)
+    for i in range(n):
+        if len(rows[i]) != n:
+            return MetricReport(False, MetricViolation("shape", (i,)))
+        if rows[i][i] != 0:
+            return MetricReport(False, MetricViolation("diagonal", (i,)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return MetricReport(False, MetricViolation("symmetry", (i, j)))
+            if rows[i][j] < 0:
+                return MetricReport(False, MetricViolation("negative", (i, j)))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if rows[i][k] > rows[i][j] + rows[j][k]:
+            return MetricReport(False, MetricViolation("triangle", (i, j, k)))
+    return MetricReport(True)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Symmetric rational matrices with zero diagonal on up to 7 points:
+    line metrics (valid), with some entries redrawn at random or planted
+    far above every path around them; now and then an entry is made
+    asymmetric or negative."""
+    n = draw(st.integers(0, 7))
+    small = st.fractions(min_value=0, max_value=2, max_denominator=6)
+    pos = draw(st.lists(small, min_size=n, max_size=n))
+    rows = [[abs(a - b) for b in pos] for a in pos]
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        for i, k in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            rows[i][k] = rows[k][i] = draw(small)
+        for i, k in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+            rows[i][k] = rows[k][i] = 1 + sum(map(sum, rows))
+        if draw(st.integers(0, 9)) == 0:
+            i, k = draw(st.sampled_from(pairs))
+            if draw(st.booleans()):
+                rows[i][k] += F(1, 7)
+            else:
+                rows[i][k] = rows[k][i] = -1 - rows[i][k]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_validate_metric_matches_every_permutation(rows):
+    assert validate_metric(rows) == reference_validate_metric(rows)
+
+
+def test_validate_metric_reports_the_first_permutation():
+    # d(0, 3) is too long through 1 and through 2, and d(3, 1) through 2:
+    # the first permutation in order is (0, 1, 3)
+    rows = [[F(0), F(1), F(1), F(5)],
+            [F(1), F(0), F(1), F(3)],
+            [F(1), F(1), F(0), F(1)],
+            [F(5), F(3), F(1), F(0)]]
+    rep = validate_metric(rows)
+    assert rep == reference_validate_metric(rows)
+    assert rep.violation == MetricViolation("triangle", (0, 1, 3))
 
 
 def test_compute_k0_reference_values():

@@ -1,0 +1,45 @@
+"""The benchmark's tracer, ``perfbench/traced.py``, wraps qtrees functions by
+name.  Every name it lists must resolve, so that a rename in ``src/`` fails
+here before it breaks a traced benchmark run."""
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+TRACED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "traced.py"
+
+
+def traced_names() -> dict[str, tuple]:
+    """The literal ``SPANS`` and ``COUNTS`` tuples of the tracer, read from
+    its source without importing it."""
+    tree = ast.parse(TRACED.read_text(), filename=str(TRACED))
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name) and \
+                node.targets[0].id in ("SPANS", "COUNTS"):
+            out[node.targets[0].id] = ast.literal_eval(node.value)
+    return out
+
+
+def resolve(name: str):
+    module, *owner, attr = name.split(".")
+    target = importlib.import_module(f"qtrees.{module}")
+    for part in owner:
+        target = getattr(target, part)
+    return getattr(target, attr)
+
+
+def test_every_traced_name_resolves():
+    names = traced_names()
+    assert set(names) == {"SPANS", "COUNTS"}
+    assert names["SPANS"] and names["COUNTS"]
+    for name in names["SPANS"] + names["COUNTS"]:
+        assert callable(resolve(name)), name
+
+
+def test_resolve_fails_on_a_missing_name():
+    with pytest.raises(AttributeError):
+        resolve("stage1.no_such_check")

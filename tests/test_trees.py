@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtrees.approx import build_approximation
-from qtrees.coverings import generate_covering_sequence
+from qtrees.coverings import CoveringKernel, generate_covering_sequence
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.trees import (
     LevelledTree,
@@ -62,7 +62,7 @@ def test_color_tree_structure(cantor_tree):
         assert t.level[parent] == 1
         assert ct.elements[parent].region.contains_region(
             ct.elements[uid].region)
-    check = check_color_tree(seq, ct, sc.k0)
+    check = check_color_tree(CoveringKernel(seq, sc.max_level), ct, sc.k0)
     assert check.status == "pass", check.violations[:2]
 
 
