@@ -5,32 +5,8 @@ generate a colored covering hierarchy, map graph vertices into one tree
 per color, relabel tree vertices as sentences over a finite alphabet,
 and compress sentences into bounded-valence word trees with a paging
 codec.  Every module ships exhaustive checkers for the quantitative
-inequalities the construction promises.
+inequalities the construction promises.  The package imports no module
+eagerly: codec users load only ``diary``, ``morse_thue`` and ``verify``.
 """
-
-from qtrees.metric import (
-    FiniteMetricSpace,
-    Net,
-    ScaleParams,
-    compute_k0,
-    doubling_estimate,
-    generate_space,
-    maximal_separated_net,
-    validate_metric,
-)
-from qtrees.approx import ApproxGraph, build_approximation
-
-__all__ = [
-    "FiniteMetricSpace",
-    "Net",
-    "ScaleParams",
-    "ApproxGraph",
-    "build_approximation",
-    "compute_k0",
-    "doubling_estimate",
-    "generate_space",
-    "maximal_separated_net",
-    "validate_metric",
-]
 
 __version__ = "0.1.0"

@@ -259,48 +259,58 @@ def fill_slots(slotted: Slotted, fillers: Sequence[Sequence],
     return tuple(out)
 
 
-def _match(slotted: Slotted, sentence: Sequence
-           ) -> Optional[tuple[dict[int, tuple], list]]:
-    """Split the sentence once and match it against the slotted pattern:
-    the filler of each slotted unit (by unit index) and the sentence's stop
-    tokens, or None when the sentence is not a member."""
-    try:
-        words, stops = words_and_stops(sentence)
-    except ValueError:
-        return None
+def member_rest_segments(slotted: Slotted, pending: Sequence,
+                         words: Sequence, stops: Sequence
+                         ) -> Optional[tuple]:
+    """Core membership rule on pre-split words, one stop token per word.
+
+    Returns the member's token-exact leftover -- for each pending stop
+    sign, the member's unrecorded prefix of the owning word followed by the
+    member's actual stop token -- or None when the words are not a member
+    of the slotted class.  With no pending stop signs the leftover of a
+    member is empty, which makes this the membership test as well."""
     if len(words) != len(slotted):
         return None
     fillers: dict[int, tuple] = {}
     for i, (word, (has_slot, shown)) in enumerate(zip(words, slotted)):
         if has_slot:
-            if len(word) < len(shown) or \
-                    (len(shown) and word[-len(shown):] != shown):
+            cut = len(word) - len(shown)
+            if cut < 0 or word[cut:] != shown:
                 return None
-            fillers[i] = word[: len(word) - len(shown)]
+            fillers[i] = word[:cut]
         elif word != shown:
             return None
-    return fillers, stops
-
-
-def membership(slotted: Slotted, sentence: Sequence) -> bool:
-    return _match(slotted, sentence) is not None
-
-
-def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence
-                ) -> tuple:
-    """Token-exact leftover of a member: for each pending stop sign, the
-    member's unrecorded prefix of the owning word followed by the member's
-    actual stop token.  Matches the encoder's rest on every member."""
-    match = _match(slotted, sentence)
-    if match is None:
-        raise ValueError("sentence is not a member of the slotted class")
-    fillers, stops = match
     out: list = []
     for word_idx, owner in pending:
         if owner is not None:
             out.extend(fillers[owner])
         out.append(stops[word_idx])
     return tuple(out)
+
+
+def _match(slotted: Slotted, pending: Sequence, sentence: Sequence
+           ) -> Optional[tuple]:
+    """Split the sentence once and match it against the slotted pattern:
+    the member's leftover, or None when the sentence is not a member."""
+    try:
+        words, stops = words_and_stops(sentence)
+    except ValueError:
+        return None
+    return member_rest_segments(slotted, pending, words, stops)
+
+
+def membership(slotted: Slotted, sentence: Sequence) -> bool:
+    return _match(slotted, (), sentence) is not None
+
+
+def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence
+                ) -> tuple:
+    """Token-exact leftover of a member (see ``member_rest_segments``).
+    Matches the encoder's rest on every member."""
+    rest = _match(slotted, pending, sentence)
+    if rest is None:
+        raise ValueError("sentence is not a member of the slotted class")
+    return rest
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,18 @@ def check_net_coloring(graph: ApproxGraph, coloring: NetColoring) -> CheckResult
     for j, assignment in coloring.mu.items():
         bound = 2 * scale.sep(j - 2)
         pts = sorted(assignment)
+        # conflict degrees, counted in the same pass over the pairs
+        degree = dict.fromkeys(pts, 0)
         for i, p in enumerate(pts):
             for q in pts[i + 1:]:
                 res.checked += 1
-                if space.d(p, q) < bound and assignment[p] == assignment[q]:
-                    res.add_violation({"level": j, "pair": (p, q)})
+                if space.d(p, q) < bound:
+                    degree[p] += 1
+                    degree[q] += 1
+                    if assignment[p] == assignment[q]:
+                        res.add_violation({"level": j, "pair": (p, q)})
         # greedy never exceeds max conflict degree + 1
-        degree = max(
-            (sum(1 for q in pts if q != p and space.d(p, q) < bound)
-             for p in pts), default=0)
-        if len(set(assignment.values())) > degree + 1:
+        if len(set(assignment.values())) > max(degree.values(), default=0) + 1:
             res.add_violation({"level": j, "reason": "palette above degree+1"})
     return res
 

@@ -4,29 +4,40 @@ Each suite is a list of CheckResults keyed by stable check ids; skipped
 hypotheses surface as "inconclusive" entries with counts, never as
 silent omissions.  The codec and sequence suites are config-independent
 apart from the seed and (for negative controls) the page capacity.
+
+The codec checks sweep every in-bound sentence as a tuple of words, in
+``itertools.product`` order, and get its pages and rest from its
+one-word-shorter prefix's by one encoder step; membership and the rest are
+matched on the same words (``diary.member_rest_segments``), so no sentence
+is built flat or split unless a violation records it.  The converse pass
+still encodes every fill with the whole fold, which checks the step-wise
+pages on every sentence.  The pipeline and the geometry stack are imported
+inside ``run_suite``, so codec users never load them.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from qtrees import morse_thue as mt
-from qtrees.coverings import CoveringError
 from qtrees.diary import (
+    STAR,
     STOP,
     decode,
     encode,
+    encode_segments,
     encode_with_rest,
     fill_slots,
     is_honest,
-    member_rest,
+    member_rest_segments,
     reconstruct,
 )
-from qtrees.labelling import min_kappa
-from qtrees.pipeline import Pipeline, StageError
-from qtrees.presets import PipelineConfig
 from qtrees.reporting import CheckResult, EXPECTED_FAIL, FAIL, PASS, \
     suite_dict
+
+if TYPE_CHECKING:
+    from qtrees.pipeline import Pipeline
+    from qtrees.presets import PipelineConfig
 
 SUITES = ("approx", "covering", "stage1", "diary", "morse_thue", "stage2",
           "all")
@@ -36,6 +47,8 @@ def run_suite(config: PipelineConfig, suite: str) -> dict:
     """One named suite, or "all" of them on one shared pipeline."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    # the geometry stack loads here, so codec-only users never import it
+    from qtrees.pipeline import Pipeline
     pipe = Pipeline(config)
     if suite == "all":
         out = {name: _suite(config, name, pipe) for name in SUITES[:-1]}
@@ -51,6 +64,9 @@ def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
         return suite_dict("morse_thue", morse_thue_suite(
             seed=config.seed, kappa=config.kappa,
             research=config.research_kappa))
+    from qtrees.coverings import CoveringError
+    from qtrees.labelling import min_kappa
+    from qtrees.pipeline import StageError
     try:
         checks = list(pipe.checks(suite))
     except StageError as exc:
@@ -71,83 +87,129 @@ def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
 def diary_suite(max_words: int = 3, max_len: int = 3,
                 kappas=(1, 2, 3)) -> list[CheckResult]:
     """Exhaustive small-instance oracle for the page codec; the acceptance
-    test runs the same checks at the full advertised bounds."""
-    checks = [
-        check_worked_example(),
-        check_star_honest(max_words, max_len, kappas),
-        check_string_recovery(),
-    ]
-    for kappa in kappas:
-        checks.append(check_codec_roundtrip(kappa, max_words, max_len))
-    return checks
+    test runs the same checks at the full advertised bounds.
 
-
-def enumerate_sentences(alphabet, max_words: int, max_len: int,
-                        include_empty: bool = True):
-    """All sentences with 1..max_words words of length <= max_len."""
-    words = []
-    lengths = range(0 if include_empty else 1, max_len + 1)
-    for ln in lengths:
-        words.extend(itertools.product(alphabet, repeat=ln))
-    for k in range(1, max_words + 1):
-        for combo in itertools.product(words, repeat=k):
-            yield tuple(t for w in combo for t in (*w, STOP))
+    One incremental sweep per page capacity serves both the round-trip
+    check and the star-honesty check: each sentence is encoded once, as
+    one encoder step from its one-word-shorter prefix.  The round-trip
+    check's converse pass still re-encodes every fill of every class with
+    the whole fold, and every in-bound sentence is a fill of its own
+    class, so the fold is checked against the step-wise pages on every
+    sentence.  The star-honesty check (whenever a page carries the
+    terminal marker, the prefix up to that page reconstructs honestly)
+    reads each sweep's pages."""
+    star = CheckResult("diary-star-honest", PASS)
+    roundtrips = [_codec_sweep(kappa, max_words, max_len, ("a", "b"), star)
+                  for kappa in kappas]
+    return [check_worked_example(), star, check_string_recovery(),
+            *roundtrips]
 
 
 def check_codec_roundtrip(kappa: int, max_words: int, max_len: int,
                           alphabet=("a", "b")) -> CheckResult:
     """Within the enumeration bounds: equal pages <=> same slotted class,
     and the codec's rest sentence equals the member's slot fillers."""
+    return _codec_sweep(kappa, max_words, max_len, alphabet, None)
+
+
+def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
+                 star: Optional[CheckResult]) -> CheckResult:
+    """The round-trip check at one capacity, over every sentence of
+    1..max_words words of at most max_len letters, as word tuples in
+    ``itertools.product`` order; when ``star`` is given, the star-honesty
+    check reads the same pages.
+
+    A sentence's pages and rest extend those of its one-word-shorter
+    prefix by one encoder step: between words the encoder's only state is
+    the rest, which it puts in front of the next word.  The prefix
+    continues from its member rest, which equals the encoder's rest
+    whenever the prefix passed; so a faulty rest is reported on the
+    sentence that shows it and does not also corrupt the pages of its
+    extensions.  Only the levels below ``max_words`` are kept."""
     res = CheckResult(f"diary-roundtrip-k{kappa}", PASS)
+    words = [w for ln in range(max_len + 1)
+             for w in itertools.product(alphabet, repeat=ln)]
+    # words of length <= b are the first within[b] entries of ``words``
+    within = list(itertools.accumulate(
+        len(alphabet) ** ln for ln in range(max_len + 1)))
+    n = len(words)
     classes: dict = {}
     counts: dict = {}
-    for sent in enumerate_sentences(alphabet, max_words, max_len):
-        pages, rest = encode_with_rest(sent, kappa)
-        decoded = classes.get(pages)
-        if decoded is None:
-            decoded = decode(pages, kappa)
-            classes[pages] = decoded
-        slotted, pending = decoded
-        counts[pages] = counts.get(pages, 0) + 1
-        res.checked += 1
-        try:
-            member = member_rest(slotted, pending, sent)
-        except ValueError:
-            res.add_violation({"sentence": sent, "reason": "not a member"})
-            continue
-        if member != rest:
-            res.add_violation({"sentence": sent, "reason": "rest mismatch",
-                               "codec_rest": rest})
+    honest: dict = {}
+    prefixes = [((), ())]
+    for k in range(1, max_words + 1):
+        stops = (STOP,) * k
+        level = []
+        for i, sent_words in enumerate(itertools.product(words, repeat=k)):
+            prefix_pages, prefix_rest = prefixes[i // n]
+            page, rest = encode_segments(
+                (prefix_rest + sent_words[-1],), (STOP,), kappa)
+            pages = prefix_pages + page
+            decoded = classes.get(pages)
+            if decoded is None:
+                decoded = classes[pages] = decode(pages, kappa)
+                counts[pages] = 1
+            else:
+                counts[pages] += 1
+            slotted, pending = decoded
+            res.checked += 1
+            member = member_rest_segments(slotted, pending, sent_words, stops)
+            if member is None:
+                res.add_violation({"sentence": _flat(sent_words),
+                                   "reason": "not a member"})
+            elif member != rest:
+                res.add_violation({"sentence": _flat(sent_words),
+                                   "reason": "rest mismatch",
+                                   "codec_rest": rest})
+            if k < max_words:
+                level.append((pages, rest if member is None else member))
+            if star is not None:
+                _star_pages(star, honest, kappa, sent_words, pages)
+        prefixes = level
     # converse: every in-bounds member of a class encodes to the class diary
     for pages, (slotted, _) in classes.items():
+        options = []
+        for has_slot, shown in slotted:
+            budget = max_len - len(shown)
+            if budget < 0:
+                options = None
+                break
+            options.append([filler + shown
+                            for filler in words[:within[budget]]]
+                           if has_slot else [shown])
         members = 0
-        for filled in _fills_within(slotted, alphabet, max_len):
-            members += 1
-            if encode(filled, kappa) != pages:
-                res.add_violation({"fill": filled, "reason": "diary changed"})
+        if options is not None:
+            stops = (STOP,) * len(options)
+            for fill in itertools.product(*options):
+                members += 1
+                if encode_segments(fill, stops, kappa)[0] != pages:
+                    res.add_violation({"fill": _flat(fill),
+                                       "reason": "diary changed"})
         if members != counts[pages]:
             res.add_violation({"pages": pages, "reason": "class size mismatch",
                                "fills": members, "enumerated": counts[pages]})
     return res
 
 
-def _fills_within(slotted, alphabet, max_len: int):
-    """All members whose words stay within the length bound."""
-    options = []
-    for has_slot, word in slotted:
-        if not has_slot:
-            if len(word) > max_len:
-                return
-            continue
-        budget = max_len - len(word)
-        if budget < 0:
-            return
-        opts = []
-        for ln in range(0, budget + 1):
-            opts.extend(itertools.product(alphabet, repeat=ln))
-        options.append(opts)
-    for combo in itertools.product(*options):
-        yield fill_slots(slotted, combo)
+def _star_pages(res: CheckResult, honest: dict, kappa: int, sent_words,
+                pages) -> None:
+    """Star-honesty on one sentence's pages; ``honest`` memoizes the
+    verdict per starred page prefix."""
+    for i, page in enumerate(pages):
+        if page[-1] == STAR:
+            res.checked += 1
+            prefix = pages[: i + 1]
+            ok = honest.get(prefix)
+            if ok is None:
+                ok = honest[prefix] = is_honest(reconstruct(prefix, kappa))
+            if not ok:
+                res.add_violation({"sentence": _flat(sent_words), "page": i,
+                                   "kappa": kappa})
+
+
+def _flat(sent_words) -> tuple:
+    """The flat sentence of a word tuple: each word followed by a stop."""
+    return tuple(t for w in sent_words for t in (*w, STOP))
 
 
 def check_worked_example() -> CheckResult:
@@ -175,22 +237,6 @@ def check_worked_example() -> CheckResult:
     one_word = tuple("aabc") + (STOP,)
     if encode_with_rest(one_word, 3)[1] != ("a", STOP):
         res.add_violation({"reason": "first rest sentence"})
-    return res
-
-
-def check_star_honest(max_words: int, max_len: int, kappas) -> CheckResult:
-    """Whenever a page carries the terminal marker, the prefix up to that
-    page reconstructs honestly."""
-    res = CheckResult("diary-star-honest", PASS)
-    for kappa in kappas:
-        for sent in enumerate_sentences(("a", "b"), max_words, max_len):
-            pages = encode(sent, kappa)
-            for i, page in enumerate(pages):
-                if page[-1] == "*":
-                    res.checked += 1
-                    if not is_honest(reconstruct(pages[: i + 1], kappa)):
-                        res.add_violation({"sentence": sent, "page": i,
-                                           "kappa": kappa})
     return res
 
 

@@ -159,11 +159,11 @@ def test_words_and_stops_errors():
 
 
 def test_codec_oracle_catches_wrong_rest(monkeypatch):
-    def wrong_rest(sentence, kappa):
-        pages, rest = encode_with_rest(sentence, kappa)
+    def wrong_rest(words, stops, kappa):
+        pages, rest = encode_segments(words, stops, kappa)
         return pages, rest + (STOP,)
 
-    monkeypatch.setattr(verify, "encode_with_rest", wrong_rest)
+    monkeypatch.setattr(verify, "encode_segments", wrong_rest)
     res = verify.check_codec_roundtrip(2, 2, 2)
     assert res.checked > 0 and res.status == "fail"
     assert {v["reason"] for v in res.violations} == {"rest mismatch"}

@@ -6,6 +6,7 @@ from qtrees.approx import build_approximation
 from qtrees.coverings import generate_covering_sequence
 from qtrees.diary import is_stop
 from qtrees.labelling import (
+    NetColoring,
     build_labelling,
     build_stage2,
     check_binary_stage,
@@ -57,6 +58,50 @@ def test_coloring_extremes():
     coloring = color_nets(g)
     assert len(set(coloring.mu[2].values())) == 16
     assert coloring.palette_size >= 16
+
+
+def ref_check_net_coloring(graph, coloring):
+    """The earlier check: one pass for the pairs, a second nested pass for
+    the conflict degrees."""
+    res = CheckResult("labelling-net-coloring", PASS)
+    space, scale = graph.space, graph.scale
+    for j, assignment in coloring.mu.items():
+        bound = 2 * scale.sep(j - 2)
+        pts = sorted(assignment)
+        for i, p in enumerate(pts):
+            for q in pts[i + 1:]:
+                res.checked += 1
+                if space.d(p, q) < bound and assignment[p] == assignment[q]:
+                    res.add_violation({"level": j, "pair": (p, q)})
+        degree = max(
+            (sum(1 for q in pts if q != p and space.d(p, q) < bound)
+             for p in pts), default=0)
+        if len(set(assignment.values())) > degree + 1:
+            res.add_violation({"level": j, "reason": "palette above degree+1"})
+    return res
+
+
+def test_net_coloring_check_matches_two_pass_reference(cantor_lab,
+                                                       circle_lab):
+    for lab in (cantor_lab, circle_lab):
+        graph, mu = lab.graph, lab.coloring.mu
+        # the coloring itself, one color everywhere (pair violations) and
+        # a color per point (palette violations wherever degrees are low)
+        for doctored in (mu,
+                         {j: dict.fromkeys(a, 0) for j, a in mu.items()},
+                         {j: {p: p for p in a} for j, a in mu.items()}):
+            coloring = NetColoring(palette_size=0, mu=doctored)
+            new = check_net_coloring(graph, coloring)
+            assert new.checked > 0
+            assert new.to_dict() == \
+                ref_check_net_coloring(graph, coloring).to_dict()
+    one_color = NetColoring(0, {j: dict.fromkeys(a, 0)
+                                for j, a in circle_lab.coloring.mu.items()})
+    assert check_net_coloring(circle_lab.graph, one_color).status == "fail"
+    per_point = NetColoring(0, {j: {p: p for p in a}
+                                for j, a in cantor_lab.coloring.mu.items()})
+    assert any(v.get("reason") == "palette above degree+1" for v in
+               check_net_coloring(cantor_lab.graph, per_point).violations)
 
 
 def test_cantor_edge_word_fixture(cantor_lab):

@@ -3,7 +3,10 @@ name.  Every name it lists must resolve, so that a rename in ``src/`` fails
 here before it breaks a traced benchmark run."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +46,16 @@ def test_every_traced_name_resolves():
 def test_resolve_fails_on_a_missing_name():
     with pytest.raises(AttributeError):
         resolve("stage1.no_such_check")
+
+
+def test_codec_modules_import_without_the_geometry_stack():
+    code = ("import sys\n"
+            "from qtrees import diary, morse_thue, verify\n"
+            "print(' '.join(sorted(sys.modules)))")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "qtrees.verify" in out
+    for heavy in ("qtrees.pipeline", "qtrees.approx", "qtrees.coverings"):
+        assert heavy not in out
