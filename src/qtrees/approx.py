@@ -308,10 +308,6 @@ class VisualBand:
     def c2(self) -> float:
         return float(self.c2_sq) ** 0.5
 
-    @property
-    def ratio_sq(self) -> Fraction:
-        return self.c2_sq / self.c1_sq
-
 
 def visual_metric_constants(graph: ApproxGraph) -> VisualBand:
     """Treat deepest-level centers as boundary proxies and measure how well

@@ -74,6 +74,9 @@ def main(argv=None) -> int:
     p_export.set_defaults(out_dir=".")
 
     args = parser.parse_args(argv)
+    if args.kappa is not None and args.kappa < 1:
+        print("error: --kappa must be at least 1", file=sys.stderr)
+        return 2
     config = _config_from_args(args)
 
     try:

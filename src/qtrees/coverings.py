@@ -412,14 +412,13 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
 
 
 def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
-                           max_level: int, n_colors: int = 3,
-                           tile_scale: Fraction = Fraction(1, 2)
+                           max_level: int, n_colors: int = 3
                            ) -> CoveringSequence:
     """Three diagonally shifted square tilings per level, each shrunk by one
     ball radius so no net ball pokes across a same-family seam.
 
-    Family c at level j tiles the plane with squares of side S = tile_scale
-    * r^j, offset by (c/3, c/3) * S, then shrunk by g = 2 r^(j+1) on every
+    Family c at level j tiles the plane with squares of side S = r^j / 2,
+    offset by (c/3, c/3) * S, then shrunk by g = 2 r^(j+1) on every
     side.  A point near one family's gridline is deep inside another's tile,
     which is why three colors suffice in the plane.  Alignment of seams
     across levels requires 1/r = 1 (mod 3).
@@ -432,7 +431,7 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
     colors = tuple(range(n_colors))
     levels = {0: _whole_level(space, colors)}
     for j in range(1, max_level + 1):
-        side = tile_scale * scale.sep(j)
+        side = scale.sep(j) / 2
         g = 2 * scale.sep(j + 1)
         if 2 * g >= side:
             raise CoveringError(f"tiles at level {j} vanish after shrinking")

@@ -128,10 +128,6 @@ def encode(sentence: Sequence, kappa: int) -> Diary:
     return encode_with_rest(sentence, kappa)[0]
 
 
-def rest_sentence(sentence: Sequence, kappa: int) -> tuple:
-    return encode_with_rest(sentence, kappa)[1]
-
-
 def page_is_valid(page: Sequence, kappa: int) -> bool:
     """A page has exactly kappa tokens, or fewer followed by the terminal
     marker (which may stand alone)."""

@@ -27,7 +27,7 @@ from qtrees.diary import (
 )
 from qtrees.morse_thue import mt_bit
 from qtrees.reporting import CheckResult, PASS
-from qtrees.stage1 import DISTINCT, ImageKeys, Stage1
+from qtrees.stage1 import DISTINCT, Stage1
 from qtrees.trees import binary_embed, binary_width, word_distance
 
 
@@ -239,9 +239,6 @@ class Stage2:
     def page_distance(self, color: int, v: Vertex, w: Vertex) -> int:
         return word_distance(self.diary_of(color, v), self.diary_of(color, w))
 
-    def product_distance(self, v: Vertex, w: Vertex) -> int:
-        return sum(self.page_distance(c, v, w) for c in self.colors)
-
 
 def min_kappa(n_colors: int) -> int:
     return 15 * n_colors + 1
@@ -280,8 +277,7 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
 
     for v in graph.vertices:
         radial_iso.checked += 1
-        for c in st2.colors:
-            uid = emb.image(c, v)
+        for c, uid in zip(st2.colors, emb.images[v]):
             depth = emb.trees[c].tree.depth(uid)
             if len(st2.diary_of(c, v)) != depth:
                 radial_iso.add_violation({"vertex": v, "color": c})
@@ -305,8 +301,7 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     sig = sigma_lower(C)
     worst_upper = (0, 1)  # the largest total / gd, as (total, gd)
     worst_lower = 0
-    images = {v: tuple(emb.image(c, v) for c in st2.colors)
-              for v in graph.vertices}
+    images = emb.images
     page_dists: dict[tuple, tuple[int, ...]] = {}  # per image pair
     for v, w, gd, _, _ in graph.pairs:
         key = (images[v], images[w])
@@ -369,7 +364,7 @@ def check_critical_letters(st2: Stage2) -> CheckResult:
     critical level) and replayed to each pair in pair order."""
     res = CheckResult("stage2-critical-letters", PASS)
     emb = st2.stage1
-    chains = ImageKeys(emb).chains
+    chains = emb.chains
     outcomes: dict[tuple[int, int, int], tuple[int, tuple]] = {}
     for v, w, _, kind, l in emb.graph.pairs:
         if kind != DISTINCT or l < 1:

@@ -254,15 +254,13 @@ def maximal_separated_net(
     space: FiniteMetricSpace,
     separation: Fraction,
     level: int = 0,
-    order: Optional[Sequence[int]] = None,
 ) -> Net:
     """Greedy maximal ``separation``-separated subset, swept in ascending
-    point id order (or the explicit ``order``).  Deterministic and seed-free."""
+    point id order.  Deterministic and seed-free."""
     if separation <= 0:
         raise ValueError("separation must be positive")
-    sweep = list(order) if order is not None else list(space.points)
     centers: list[int] = []
-    for p in sweep:
+    for p in space.points:
         if all(space.d(p, c) >= separation for c in centers):
             centers.append(p)
     return Net(level=level, separation=separation, centers=tuple(sorted(centers)))

@@ -95,7 +95,7 @@ class Pipeline:
                           lambda: generate_covering_sequence(
                               cfg.covering_kind, self.space, self.scale,
                               self.scale.max_level, graph=self.graph,
-                              n_colors=cfg.n_colors, **cfg.params()))
+                              n_colors=cfg.n_colors))
 
     @property
     def stage1(self) -> Stage1:

@@ -32,10 +32,6 @@ class PipelineConfig:
     seed: int = 0
     out_dir: Optional[str] = None
     preset: str = ""
-    covering_params: tuple = ()  # sorted (key, value) pairs
-
-    def params(self) -> dict:
-        return dict(self.covering_params)
 
 
 @dataclass(frozen=True)

@@ -8,27 +8,29 @@ and every inequality in that statement is checked pair by pair.
 
 The pair loops read the graph's pair table, ``ApproxGraph.pairs``: the
 graph distance, the class and the critical level of every vertex pair,
-compared on ints.  The tree side depends on a pair only through its image
-keys: its images, or its containing chains, in each color, with the
-critical level.  ``ImageKeys`` computes each tree-side quantity once per
-distinct key (meets and generation distances per (color, a, b), the
-distinct-pair bound per (images, level), the segment-dip outcome per
-(color, a, b, level)), and each check replays the result to every pair that
-has the key, in pair-table order, so instance counts and the first
-violations are those of a plain pair-by-pair loop.
+compared on ints.  The tree side has one owner per quantity, each built
+once: the color trees own depths, root-path levels and meets
+(``LevelledTree``), and ``Stage1`` owns the images of every vertex and its
+containing chains with their int keys.  A pair reaches the tree side only
+through its images or chains in each color, with the critical level, so
+each check computes an outcome once per distinct key (tree distances per
+image pair, the distinct-pair bound per (images, level), the segment dip
+per (color, a, b, level)) and replays it to every pair that has the key,
+in pair-table order: instance counts and the first violations are those of
+a plain pair-by-pair loop.
 """
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
 from qtrees.coverings import CoveringKernel, CoveringSequence
 from qtrees.reporting import CheckResult, PASS
-from qtrees.trees import ColorTree, build_color_tree
+from qtrees.trees import ColorTree, LevelledTree, build_color_tree
 
 
 @dataclass(frozen=True)
@@ -42,37 +44,39 @@ class Stage1:
     graph: ApproxGraph
     seq: CoveringSequence
     trees: dict[int, ColorTree]
-    fc: dict[tuple[int, Vertex], str]  # (color, vertex) -> element uid
+    images: dict[Vertex, tuple[str, ...]]  # element uid per color, in order
     kernel: CoveringKernel  # the region tests of the map, chains and letters
-    _chains: dict[tuple[int, Vertex], tuple[str, ...]] = field(
-        default_factory=dict)
 
     @property
     def colors(self) -> tuple[int, ...]:
         return self.seq.colors
 
     def image(self, color: int, v: Vertex) -> str:
-        return self.fc[(color, v)]
+        return self.images[v][self.colors.index(color)]
 
-    def tree_distance(self, color: int, v: Vertex, w: Vertex) -> int:
-        t = self.trees[color].tree
-        return t.generation_distance(self.image(color, v), self.image(color, w))
-
-    def product_distance(self, v: Vertex, w: Vertex) -> int:
-        return sum(self.tree_distance(c, v, w) for c in self.colors)
-
-    def containing_chain(self, color: int, v: Vertex) -> tuple[str, ...]:
-        """Tree vertices of the color whose region contains the center point
-        of v, in tree vertex order."""
-        key = (color, v)
-        cached = self._chains.get(key)
-        if cached is None:
-            coord = self.kernel.coords[v.center]
-            regions = self.kernel.regions
-            cached = tuple(uid for uid in self.trees[color].tree.vertices()
-                           if regions[uid].contains_point(coord))
-            self._chains[key] = cached
-        return cached
+    @cached_property
+    def chains(self) -> dict[Vertex, tuple[tuple[int, ...], tuple]]:
+        """Per vertex: one int key per color and the containing chain of
+        every color, the tree vertices whose region contains the vertex's
+        center point, in tree vertex order.  Equal chains of a color share
+        their key; vertices with one center share one entry."""
+        coords, regions = self.kernel.coords, self.kernel.regions
+        uids = [self.trees[c].tree.vertices() for c in self.colors]
+        keys: dict[tuple[int, tuple[str, ...]], int] = {}
+        by_center: dict[int, tuple] = {}
+        out = {}
+        for v in self.graph.vertices:
+            entry = by_center.get(v.center)
+            if entry is None:
+                coord = coords[v.center]
+                chains = tuple(tuple(u for u in color_uids
+                                     if regions[u].contains_point(coord))
+                               for color_uids in uids)
+                entry = by_center[v.center] = tuple(
+                    keys.setdefault((c, chain), len(keys))
+                    for c, chain in zip(self.colors, chains)), chains
+            out[v] = entry
+        return out
 
 
 def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
@@ -100,11 +104,11 @@ def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
 def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
     kernel = CoveringKernel(seq, max(seq.max_level, graph.scale.max_level))
-    fc = {}
-    for c in seq.colors:
-        for v in graph.vertices:
-            fc[(c, v)] = map_fc(seq, kernel, trees[c], graph, c, v)
-    return Stage1(graph=graph, seq=seq, trees=trees, fc=fc, kernel=kernel)
+    images = {v: tuple(map_fc(seq, kernel, trees[c], graph, c, v)
+                       for c in seq.colors)
+              for v in graph.vertices}
+    return Stage1(graph=graph, seq=seq, trees=trees, images=images,
+                  kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +133,6 @@ def classify_pair(graph: ApproxGraph, v: Vertex, w: Vertex) -> PairClass:
     return PairClass(DISTINCT, critical_level=l)
 
 
-def critical_level(graph: ApproxGraph, v: Vertex, w: Vertex) -> int:
-    pc = classify_pair(graph, v, w)
-    if pc.kind != DISTINCT:
-        raise ValueError(f"pair {v},{w} is not horizontally distinct")
-    return pc.critical_level
-
-
 # ---------------------------------------------------------------------------
 # Pairwise verification
 
@@ -153,86 +150,6 @@ class PairRow:
     violation: bool
 
 
-class ImageKeys:
-    """The tree side of one Stage1, each quantity computed once per
-    distinct image key and read by every vertex pair that meets it: the
-    youngest common ancestor and the generation distance per (color, a, b),
-    the segment-dip violations per (color, a, b, critical level), and one
-    int key per distinct containing chain of a color."""
-
-    def __init__(self, emb: Stage1):
-        self.emb = emb
-        self.trees = {c: emb.trees[c].tree for c in emb.colors}
-        self.depth = {c: {u: t.depth(u) for u in t.parent}
-                      for c, t in self.trees.items()}
-        # tree levels along each root path; they strictly increase
-        self.levels = {c: {u: tuple(t.level[x] for x in t.root_path(u))
-                           for u in t.parent}
-                       for c, t in self.trees.items()}
-        self._meets: dict[tuple[int, str, str], str] = {}
-        self._dips: dict[tuple[int, str, str, int], tuple[dict, ...]] = {}
-
-    def meet(self, color: int, a: str, b: str) -> str:
-        key = (color, a, b)
-        out = self._meets.get(key)
-        if out is None:
-            out = self._meets[key] = self.trees[color].lca(a, b)
-        return out
-
-    def distance(self, color: int, a: str, b: str) -> int:
-        depth = self.depth[color]
-        return depth[a] + depth[b] - 2 * depth[self.meet(color, a, b)]
-
-    @cached_property
-    def chains(self) -> dict[Vertex, tuple[tuple[int, ...], tuple]]:
-        """Per vertex: one int key per color and the containing chain of
-        every color; equal chains of a color share their key."""
-        emb = self.emb
-        keys: dict[tuple[int, tuple[str, ...]], int] = {}
-        out = {}
-        for v in emb.graph.vertices:
-            chains = tuple(emb.containing_chain(c, v) for c in emb.colors)
-            out[v] = tuple(keys.setdefault((c, chain), len(keys))
-                           for c, chain in zip(emb.colors, chains)), chains
-        return out
-
-    def segment_dip(self, chains_v: tuple, chains_w: tuple, l: int
-                    ) -> tuple[int, list[dict]]:
-        """(instances, violations less the pair) of the segment-dip test on
-        every color's element pairs of two vertices' chains."""
-        instances, found = 0, []
-        for c, chain_v, chain_w in zip(self.emb.colors, chains_v, chains_w):
-            instances += len(chain_v) * len(chain_w)
-            for a in chain_v:
-                for b in chain_w:
-                    dip = self._dips.get((c, a, b, l))
-                    found += self._dip(c, a, b, l) if dip is None else dip
-        return instances, found
-
-    def _dip(self, color: int, a: str, b: str, l: int) -> tuple[dict, ...]:
-        """The violations of one element pair.  The tree root is the whole
-        space: its certificate diameter is bounded by r^k0, not by the
-        level-0 mesh, so it counts as level k0.  Below it levels strictly
-        increase, so the sub-critical vertices from the meet to an end are
-        one bisect on the end's level list."""
-        t = self.trees[color]
-        meet = self.meet(color, a, b)
-        i = self.depth[color][meet]
-        if (self.emb.graph.scale.k0 if i == 0 else t.level[meet]) >= l:
-            out = ({"color": color, "meet": meet, "critical": l},)
-        else:
-            levels = self.levels[color]
-            # search from index 1: a meet at the root (i == 0) counts with
-            # level k0 < l, not with its tree level
-            out = tuple({"color": color, "end": end, "below": below}
-                        for end in (a, b)
-                        for below in [bisect_left(levels[end], l, max(i, 1))
-                                      - i]
-                        if below > 3)
-        self._dips[(color, a, b, l)] = out
-        return out
-
-
 def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     graph = emb.graph
     colors = emb.colors
@@ -246,9 +163,8 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows: list[PairRow] = []
 
-    keys = ImageKeys(emb)
-    images = {v: tuple(emb.image(c, v) for c in colors)
-              for v in graph.vertices}
+    trees = [emb.trees[c].tree for c in colors]
+    images = emb.images
     scaled = graph.scaled_dist
     radius = {k: 2 * graph.scaled_sep(k)
               for k in range(graph.scale.k0, graph.scale.max_level + 1)}
@@ -263,10 +179,10 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
         iv, iw = images[v], images[w]
         side = tree_side.get((iv, iw))
         if side is None:
-            dists = tuple(keys.distance(c, a, b)
-                          for c, a, b in zip(colors, iv, iw))
-            apart = tuple(c for c, a, b in zip(colors, iv, iw)
-                          if keys.meet(c, a, b) not in (a, b))
+            dists = tuple(t.generation_distance(a, b)
+                          for t, a, b in zip(trees, iv, iw))
+            apart = tuple(c for c, t, a, b in zip(colors, trees, iv, iw)
+                          if t.meets[a, b] not in (a, b))
             side = tree_side[(iv, iw)] = dists, sum(dists), apart
         dists, total, apart = side
 
@@ -321,7 +237,8 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
             key = (images[hi], images[lo_v], l)
             fits = distinct_side.get(key)
             if fits is None:
-                fits = distinct_side[key] = _distinct_fits(keys, C, *key)
+                fits = distinct_side[key] = _distinct_fits(colors, trees,
+                                                           *key)
             for c, rhs in fits:
                 if gd <= rhs:
                     best_color, bound_rhs = c, rhs
@@ -347,16 +264,17 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     return checks, rows
 
 
-def _distinct_fits(keys: ImageKeys, C: int, hi: tuple, lo: tuple, l: int
+def _distinct_fits(colors: tuple[int, ...], trees: list[LevelledTree],
+                   hi: tuple, lo: tuple, l: int
                    ) -> tuple[tuple[int, int], ...]:
     """(color, 2C d(a, meet) + 2C + 1) for each color whose images a (of
     the higher vertex) and b pass max(level a, level b) - l + 1 <=
     C (d(a, meet) + 1)."""
     fits = []
-    for c, a, b in zip(keys.emb.colors, hi, lo):
-        level, depth = keys.trees[c].level, keys.depth[c]
-        dist_aw = depth[a] - depth[keys.meet(c, a, b)]
-        if max(level[a], level[b]) - l + 1 <= C * (dist_aw + 1):
+    C = len(colors)
+    for c, t, a, b in zip(colors, trees, hi, lo):
+        dist_aw = t.depths[a] - t.depths[t.meets[a, b]]
+        if max(t.level[a], t.level[b]) - l + 1 <= C * (dist_aw + 1):
             fits.append((c, 2 * C * dist_aw + 2 * C + 1))
     return tuple(fits)
 
@@ -366,11 +284,14 @@ def check_segment_dip(emb: Stage1) -> CheckResult:
     containing the two centers meets strictly below the critical level, with
     at most three sub-critical vertices on each side of the meet.
 
-    The outcome is computed once per (chains of v, chains of w, critical
-    level) and replayed to each pair in pair order."""
+    The violations of an element pair are found once per (color, a, b,
+    critical level), and the outcome of two vertices' chains once per
+    (chain keys of v, chain keys of w, critical level); each is replayed to
+    every pair in pair order."""
     res = CheckResult("stage1-critical-segment-shape", PASS)
-    keys = ImageKeys(emb)
-    chains = keys.chains
+    chains = emb.chains
+    k0 = emb.graph.scale.k0
+    dips: dict[tuple[int, str, str, int], tuple[dict, ...]] = {}
     outcomes: dict[tuple, tuple[int, list[dict]]] = {}
     for v, w, _, kind, l in emb.graph.pairs:
         if kind != DISTINCT:
@@ -378,11 +299,41 @@ def check_segment_dip(emb: Stage1) -> CheckResult:
         (kv, cv), (kw, cw) = chains[v], chains[w]
         out = outcomes.get((kv, kw, l))
         if out is None:
-            out = outcomes[(kv, kw, l)] = keys.segment_dip(cv, cw, l)
+            instances, found = 0, []
+            for c, chain_v, chain_w in zip(emb.colors, cv, cw):
+                instances += len(chain_v) * len(chain_w)
+                for a in chain_v:
+                    for b in chain_w:
+                        dip = dips.get((c, a, b, l))
+                        if dip is None:
+                            dip = dips[(c, a, b, l)] = _dip(
+                                emb.trees[c].tree, k0, c, a, b, l)
+                        found += dip
+            out = outcomes[(kv, kw, l)] = instances, found
         res.checked += out[0]
         for info in out[1]:
             res.add_violation({"pair": (v, w), **info})
     return res
+
+
+def _dip(t: LevelledTree, k0: int, color: int, a: str, b: str, l: int
+         ) -> tuple[dict, ...]:
+    """The violations of one element pair.  The tree root is the whole
+    space: its certificate diameter is bounded by r^k0, not by the level-0
+    mesh, so it counts as level k0.  Below it levels strictly increase, so
+    the sub-critical vertices from the meet to an end are one bisect on the
+    end's level list."""
+    meet = t.meets[a, b]
+    i = t.depths[meet]
+    if (k0 if i == 0 else t.level[meet]) >= l:
+        return ({"color": color, "meet": meet, "critical": l},)
+    # search from index 1: a meet at the root (i == 0) counts with level
+    # k0 < l, not with its tree level
+    return tuple({"color": color, "end": end, "below": below}
+                 for end in (a, b)
+                 for below in [bisect_left(t.path_levels[end], l, max(i, 1))
+                               - i]
+                 if below > 3)
 
 
 def check_level_escape(emb: Stage1) -> CheckResult:
@@ -390,7 +341,6 @@ def check_level_escape(emb: Stage1) -> CheckResult:
     vertex at level j+1 and any i <= j, a color c has
     (distance from the image to level-i vertices) + 1 >= (j-i+1)/|C|."""
     res = CheckResult("stage1-level-escape", PASS)
-    keys = ImageKeys(emb)
     C = len(emb.colors)
     # (color, image, i) -> distance to the nearest level-i vertex, or None
     # when level i is empty
@@ -402,12 +352,13 @@ def check_level_escape(emb: Stage1) -> CheckResult:
         for i in range(0, j + 1):
             res.checked += 1
             best = None
-            for c in emb.colors:
-                key = (c, emb.image(c, v), i)
+            for c, uid in zip(emb.colors, emb.images[v]):
+                key = (c, uid, i)
                 if key not in nearest:
-                    level_i = emb.trees[c].level_vertices(i)
+                    tree = emb.trees[c]
                     nearest[key] = min(
-                        (keys.distance(c, key[1], u) for u in level_i),
+                        (tree.tree.generation_distance(uid, u)
+                         for u in tree.level_vertices(i)),
                         default=None)
                 m = nearest[key]
                 if m is None:

@@ -4,6 +4,11 @@ Color trees order covering elements by certificate inclusion; an edge
 joins an element to its maximal-level proper ancestor.  Word trees over
 an alphabet never get materialized: the vertex set is "all finite
 sequences" and the generation distance only needs common prefixes.
+
+A ``LevelledTree`` owns everything that depends only on the tree: root
+paths, depths, the levels along each root path and one meet memo.  They
+are built once with the tree and every check that reads the tree shares
+them.
 """
 from __future__ import annotations
 
@@ -15,62 +20,81 @@ from qtrees.coverings import CoveringElement, CoveringKernel, \
 from qtrees.reporting import CheckResult, PASS
 
 
+class _Meets(dict):
+    """(u, v) -> youngest common ancestor, computed by the tree's ``lca``
+    on the first lookup of either order."""
+
+    def __init__(self, tree: LevelledTree):
+        super().__init__()
+        self.tree = tree
+
+    def __missing__(self, key: tuple[str, str]) -> str:
+        return self.tree.lca(*key)
+
+
 @dataclass
 class LevelledTree:
     """Rooted tree with integer levels strictly increasing away from the
-    root along ancestor chains."""
+    root along ancestor chains.
+
+    What depends only on the tree is built with it: the children, the root
+    path of every vertex with its depth and the levels along it, and one
+    meet memo, ``meets[u, v]``, shared by every reader of the tree."""
 
     root: str
     parent: dict[str, Optional[str]]
     level: dict[str, int]
-    children: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    paths: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    depths: dict[str, int] = field(init=False, repr=False)
+    path_levels: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    meets: _Meets = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.children:
-            kids: dict[str, list[str]] = {u: [] for u in self.parent}
-            for u, p in self.parent.items():
-                if p is not None:
-                    kids[p].append(u)
-            self.children = {u: tuple(sorted(v)) for u, v in kids.items()}
+        kids: dict[str, list[str]] = {u: [] for u in self.parent}
+        for u, p in self.parent.items():
+            if p is not None:
+                kids[p].append(u)
+        self.children = {u: tuple(sorted(v)) for u, v in kids.items()}
+        self.paths = {self.root: (self.root,)}
+        todo = [self.root]
+        while todo:
+            u = todo.pop()
+            for k in self.children[u]:
+                self.paths[k] = self.paths[u] + (k,)
+                todo.append(k)
+        self.depths = {u: len(p) - 1 for u, p in self.paths.items()}
+        self.path_levels = {u: tuple(self.level[x] for x in p)
+                            for u, p in self.paths.items()}
+        self.meets = _Meets(self)
 
     def vertices(self) -> list[str]:
         return sorted(self.parent)
 
     def root_path(self, u: str) -> tuple[str, ...]:
         """Vertices from the root down to u, inclusive."""
-        cached = self._paths.get(u)
-        if cached is not None:
-            return cached
-        path = []
-        cur: Optional[str] = u
-        while cur is not None:
-            path.append(cur)
-            cur = self.parent[cur]
-        out = tuple(reversed(path))
-        self._paths[u] = out
-        return out
+        return self.paths[u]
 
     def depth(self, u: str) -> int:
         """Generations between u and the root."""
-        return len(self.root_path(u)) - 1
+        return self.depths[u]
 
     def lca(self, u: str, v: str) -> str:
         """Minimum-level vertex on the unique path: the youngest common
-        ancestor (one of the ends when u, v are comparable)."""
-        pu, pv = self.root_path(u), self.root_path(v)
-        last = pu[0]
-        for a, b in zip(pu, pv):
+        ancestor (one of the ends when u, v are comparable).  It is kept in
+        ``meets`` under both orders, where every later lookup finds it."""
+        last = self.root
+        for a, b in zip(self.paths[u], self.paths[v]):
             if a != b:
                 break
             last = a
+        self.meets[u, v] = self.meets[v, u] = last
         return last
 
     def generation_distance(self, u: str, v: str) -> int:
         """Path length through the youngest common ancestor."""
-        w = self.lca(u, v)
-        return self.depth(u) + self.depth(v) - 2 * self.depth(w)
-
+        d = self.depths
+        return d[u] + d[v] - 2 * d[self.meets[u, v]]
 
 
 @dataclass
@@ -169,7 +193,7 @@ def check_color_tree(kernel: CoveringKernel, ct: ColorTree, k0: int
                 res.add_violation({"pair": (u, v),
                                    "reason": "overlapping incomparable regions"})
             if not nested:
-                w = t.lca(u, v)
+                w = t.meets[u, v]
                 if w in (u, v):
                     continue
                 if t.level[w] >= min(t.level[u], t.level[v]):

@@ -123,7 +123,7 @@ def test_visual_band_fixture_and_level_stability():
     band = visual_metric_constants(build_approximation(s, sc))
     assert band.c1_sq == F(2116, 6561)
     assert band.c2_sq == F(64, 9)
-    assert band.ratio_sq == F(11664, 529)
+    assert band.c2_sq / band.c1_sq == F(11664, 529)
     # one more level leaves the extremes within a factor of 4
     sc5 = ScaleParams.for_space(s, F(1, 9), 5)
     band5 = visual_metric_constants(build_approximation(s, sc5))

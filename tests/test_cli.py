@@ -52,6 +52,20 @@ def test_run_reads_no_seed(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "cantor"],
+    ["export", "--preset", "cantor"],
+    ["verify", "morse_thue"],
+])
+def test_page_capacity_below_one_is_rejected(argv, tmp_path, capsys):
+    code = main([*argv, "--kappa", "0", "--research-kappa",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --kappa must be at least 1"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_one_color_circle_fails_at_covering(capsys):
     code = main(["run", "--space", "circle", "--colors", "1"])
     assert code != 0

@@ -20,7 +20,6 @@ from qtrees.diary import (
     page_is_valid,
     parse_sentence,
     reconstruct,
-    rest_sentence,
     words_and_stops,
 )
 
@@ -64,10 +63,10 @@ def test_single_full_page_reconstruction():
 
 
 def test_rest_sentence_examples():
-    assert rest_sentence(parse_sentence("a a b c s"), 3) == ("a", STOP)
-    assert rest_sentence(EXAMPLE, 3) == (STOP,)
-    assert rest_sentence(("a", "b", STOP), 1) == ("a", STOP)
-    assert rest_sentence(("a", STOP), 3) == (STOP,)
+    assert encode_with_rest(parse_sentence("a a b c s"), 3)[1] == ("a", STOP)
+    assert encode_with_rest(EXAMPLE, 3)[1] == (STOP,)
+    assert encode_with_rest(("a", "b", STOP), 1)[1] == ("a", STOP)
+    assert encode_with_rest(("a", STOP), 3)[1] == (STOP,)
 
 
 def test_empty_sentence_codec_identity():

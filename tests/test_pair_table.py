@@ -30,6 +30,11 @@ from qtrees.trees import ColorTree, LevelledTree
 # References: the per-pair loops
 
 
+def chain(emb, c, v):
+    """The containing chain of v in color c."""
+    return emb.chains[v][1][emb.colors.index(c)]
+
+
 def reference_stage1_suite(emb):
     graph = emb.graph
     C = len(emb.colors)
@@ -43,7 +48,8 @@ def reference_stage1_suite(emb):
     rows = []
     for v, w in itertools.combinations(graph.vertices, 2):
         gd = graph.distance(v, w)
-        per_color = {c: emb.tree_distance(c, v, w) for c in emb.colors}
+        per_color = {c: emb.trees[c].tree.generation_distance(
+            emb.image(c, v), emb.image(c, w)) for c in emb.colors}
         total = sum(per_color.values())
         pc = classify_pair(graph, v, w)
         lip.checked += 1
@@ -138,8 +144,8 @@ def reference_segment_dip(emb):
             def eff(uid):
                 return k0 if uid == t.root else t.level[uid]
 
-            for a in emb.containing_chain(c, v):
-                for b in emb.containing_chain(c, w):
+            for a in chain(emb, c, v):
+                for b in chain(emb, c, w):
                     res.checked += 1
                     meet = t.lca(a, b)
                     if eff(meet) >= l:
@@ -196,10 +202,10 @@ def reference_critical_letters(st2):
             continue
         for c in st2.colors:
             tree = emb.trees[c]
-            for ua in emb.containing_chain(c, v):
+            for ua in chain(emb, c, v):
                 if tree.elements[ua].level < l + 1:
                     continue
-                for ub in emb.containing_chain(c, w):
+                for ub in chain(emb, c, w):
                     if tree.elements[ub].level < l + 1:
                         continue
                     if ua == ub:
@@ -255,13 +261,11 @@ def doctored(preset: str, how: str):
     deep = [v for v in graph.vertices if v.level == graph.scale.max_level]
     x = deep[len(deep) // 3]
     far = max(deep, key=lambda v: (graph.d(x, v), v))
-    for c in emb.colors:
-        emb.fc[(c, x)] = emb.trees[c].tree.root if how == "root" \
-            else emb.image(c, far)
-        emb._chains[(c, x)] = emb.containing_chain(c, far)
-        if how == "all-root":
-            emb.fc.update({(c, v): emb.trees[c].tree.root
-                           for v in graph.vertices})
+    roots = tuple(emb.trees[c].tree.root for c in emb.colors)
+    emb.images[x] = roots if how == "root" else emb.images[far]
+    emb.chains[x] = emb.chains[far]
+    if how == "all-root":
+        emb.images.update(dict.fromkeys(graph.vertices, roots))
     return st2
 
 
@@ -316,9 +320,11 @@ def test_segment_dip_replays_long_segments(monkeypatch):
             parent[u], level[u] = (names[i - 1] if i else "root"), i - 6
     tree = LevelledTree(root="root", parent=parent, level=level)
     emb.trees = {0: ColorTree(0, tree, elements={}, by_level={})}
+    keys, emb.chains = {}, {}
     for v in graph.vertices:
         side = branch["a" if 2 * v.center < graph.space.n else "b"]
-        emb._chains[(0, v)] = ("root", *side[:(2 * v.level + v.center) % 9])
+        ch = ("root", *side[:(2 * v.level + v.center) % 9])
+        emb.chains[v] = (keys.setdefault(ch, len(keys)),), (ch,)
     res = check_segment_dip(emb)
     assert outcome(res) == outcome(reference_segment_dip(emb))
     kinds = {"meet" if "meet" in info else "below" for info in res.violations}

@@ -1,20 +1,27 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from qtrees.approx import Vertex, build_approximation
 from qtrees.coverings import generate_covering_sequence
+from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, generate_space, make_space
+from qtrees.pipeline import Pipeline
+from qtrees.presets import config_for
 from qtrees.stage1 import (
     CLOSE,
     DISTINCT,
     UNCLASSIFIED,
+    PairClass,
+    check_level_escape,
+    check_segment_dip,
     classify_pair,
-    critical_level,
     embed_stage1,
     stage1_suite,
     write_pairs_csv,
 )
+from qtrees.trees import LevelledTree
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +91,7 @@ def test_classification_examples():
     a, b = Vertex(2, 0), Vertex(2, 1)
     pc = classify_pair(g2, a, b)
     assert pc.kind == DISTINCT and pc.critical_level == 2
-    with pytest.raises(ValueError):
-        critical_level(g2, a, a)
+    assert classify_pair(g2, a, a) == PairClass(CLOSE)
 
 
 def test_scan_example_r6():
@@ -113,12 +119,17 @@ def test_negative_level_pairs_unclassified():
 def test_product_distance(cantor_emb):
     emb = cantor_emb
     g = emb.graph
-    v, w = g.vertices[0], g.vertices[10]
-    assert emb.product_distance(v, v) == 0
-    assert emb.product_distance(v, w) == emb.tree_distance(0, v, w)
+
+    def product_distance(v, w):
+        return sum(emb.trees[c].tree.generation_distance(a, b)
+                   for c, a, b in zip(emb.colors, emb.images[v],
+                                      emb.images[w]))
+
+    v = g.vertices[10]
+    assert product_distance(v, v) == 0
     for a in g.vertices[:10]:
         for b in g.vertices[:10]:
-            assert emb.product_distance(a, b) <= \
+            assert product_distance(a, b) <= \
                 2 * len(emb.colors) * g.distance(a, b)
 
 
@@ -150,3 +161,37 @@ def test_single_vertex_graph_vacuous():
     assert not rows
     for check in checks:
         assert check.status == "pass"
+
+
+def test_one_stage1_builds_its_tree_side_once(monkeypatch):
+    """The stage-1 suite (with its segment-dip and level-escape checks),
+    those two checks again and the critical-letter check read one set of
+    tables: no meet of a color tree is computed twice, and the containing
+    chains are built once, one region test per center and tree vertex."""
+    st2 = Pipeline(config_for("circle")).stage2
+    emb = st2.stage1
+    meets, tests = Counter(), Counter()
+    lca = LevelledTree.lca
+
+    def counted_lca(tree, u, v):
+        meets[id(tree), frozenset((u, v))] += 1
+        return lca(tree, u, v)
+
+    def counted(contains_point):
+        def wrapper(region, coord):
+            tests["contains_point"] += 1
+            return contains_point(region, coord)
+        return wrapper
+
+    monkeypatch.setattr(LevelledTree, "lca", counted_lca)
+    for cls in {type(region) for region in emb.kernel.regions.values()}:
+        monkeypatch.setattr(cls, "contains_point",
+                            counted(cls.contains_point))
+    stage1_suite(emb)
+    check_segment_dip(emb)
+    check_level_escape(emb)
+    check_critical_letters(st2)
+    assert meets and max(meets.values()) == 1
+    centers = {v.center for v in emb.graph.vertices}
+    tree_vertices = sum(len(emb.trees[c].tree.parent) for c in emb.colors)
+    assert tests["contains_point"] == len(centers) * tree_vertices

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrees.approx import build_approximation
 from qtrees.coverings import CoveringKernel, generate_covering_sequence
@@ -47,6 +50,52 @@ def test_lowest_segment_vertex_comparable_is_ancestor_end():
     t = chain_tree()
     assert t.lca("a", "c") == "a"
     assert t.lca("c", "c") == "c"
+
+
+@st.composite
+def random_trees(draw):
+    """A random parent map on up to 12 vertices, each below an earlier one,
+    with levels strictly increasing away from the root."""
+    n = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"u{i}" for i in range(n)]))
+    parent, level = {names[0]: None}, {names[0]: draw(st.integers(-3, 3))}
+    for i, u in enumerate(names[1:], start=1):
+        parent[u] = names[draw(st.integers(0, i - 1))]
+        level[u] = level[parent[u]] + draw(st.integers(1, 3))
+    return LevelledTree(root=names[0], parent=parent, level=level)
+
+
+def walk(tree, u):
+    """The root path of u, by following parents up to the root."""
+    path = [u]
+    while tree.parent[path[-1]] is not None:
+        path.append(tree.parent[path[-1]])
+    return path[::-1]
+
+
+def walk_meet(tree, u, v):
+    ancestors = set(walk(tree, u))
+    while v not in ancestors:
+        v = tree.parent[v]
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(), st.randoms(use_true_random=False))
+def test_tree_tables_match_a_parent_walk(tree, rng):
+    for u in tree.parent:
+        path = walk(tree, u)
+        assert tree.root_path(u) == tuple(path)
+        assert tree.depth(u) == len(path) - 1
+        assert tree.path_levels[u] == tuple(tree.level[x] for x in path)
+    pairs = list(itertools.product(tree.parent, repeat=2))
+    rng.shuffle(pairs)  # the memo must not depend on the lookup order
+    for u, v in pairs:
+        meet = walk_meet(tree, u, v)
+        distance = len(walk(tree, u)) + len(walk(tree, v)) \
+            - 2 * len(walk(tree, meet))
+        assert tree.generation_distance(u, v) == distance
+        assert tree.meets[u, v] == tree.lca(u, v) == meet
 
 
 def test_color_tree_structure(cantor_tree):
