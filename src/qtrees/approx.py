@@ -11,8 +11,9 @@ depend on how densely the space was sampled.
 The graph owns the pair table, ``ApproxGraph.pairs``: one row per vertex
 pair in ``itertools.combinations`` order, with the graph distance and the
 pair's class (horizontally close, or distinct at a critical level).  The
-class compares center distances with r^k as ints, both multiplied by one
-unit, so every pair loop of every stage reads the same exact answers.
+edges and the classes compare the space's int distances with r^k moved
+into the space's unit (rounded up for a strict test, down otherwise), so
+every pair loop of every stage reads the same exact answers.
 
 Gromov products are taken at the root and held doubled, as ints.  The
 exact δ over all vertex triples and the visual band are reported, never
@@ -26,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from qtrees.metric import FiniteMetricSpace, ScaleParams, maximal_separated_net
 from qtrees.reporting import CheckResult, PASS
@@ -118,43 +119,18 @@ class ApproxGraph:
     # -- the pair table -----------------------------------------------------
 
     @cached_property
-    def unit(self) -> int:
-        """The lcm of the denominators of every distance between graph
-        centers and of r^k for k0 - 1 <= k <= max_level: both sides of a
-        pair test, times this unit, are ints with the same order."""
-        scale, dist = self.scale, self.space.dist
-        centers = sorted({v.center for v in self.vertices})
-        return math.lcm(
-            *(scale.sep(k).denominator
-              for k in range(scale.k0 - 1, scale.max_level + 1)),
-            *(dist[a][b].denominator for a in centers for b in centers))
-
-    @cached_property
-    def scaled_dist(self) -> dict[int, dict[int, int]]:
-        """Distances between graph centers, times ``unit``."""
-        unit, dist = self.unit, self.space.dist
-        centers = sorted({v.center for v in self.vertices})
-        return {a: {b: dist[a][b].numerator * (unit // dist[a][b].denominator)
-                    for b in centers} for a in centers}
-
-    def scaled_sep(self, level: int) -> int:
-        """r^level times ``unit``, for k0 - 1 <= level <= max_level."""
-        power = self.scale.sep(level)
-        return power.numerator * (self.unit // power.denominator)
-
-    @cached_property
     def pairs(self) -> tuple[tuple, ...]:
         """One row (v, w, graph distance, class, critical level or None)
         per vertex pair, in ``itertools.combinations(vertices, 2)``
         order."""
-        scale = self.scale
-        sep = {k: self.scaled_sep(k)
+        scale, unit = self.scale, self.space.unit
+        # d < r^k exactly when the int distance is below ceil(r^k * unit)
+        sep = {k: math.ceil(scale.sep(k) * unit)
                for k in range(scale.k0 - 1, scale.max_level + 1)}
-        scaled = self.scaled_dist
         verts = self.vertices
         rows = []
         for i, v in enumerate(verts):
-            hops, row = self.distances_from(v), scaled[v.center]
+            hops, row = self.distances_from(v), self.space.rows[v.center]
             for w in verts[i + 1:]:
                 d = row[w.center]
                 lo = min(v.level, w.level)
@@ -200,7 +176,6 @@ def build_approximation(space: FiniteMetricSpace, scale: ScaleParams
     """Construct the graph with nets for levels k0..max_level."""
     if scale.max_level < scale.k0:
         raise ValueError("max_level below base level")
-    r = scale.r
     nets = {
         k: maximal_separated_net(space, scale.sep(k), k).centers
         for k in range(scale.k0, scale.max_level + 1)
@@ -213,32 +188,40 @@ def build_approximation(space: FiniteMetricSpace, scale: ScaleParams
     adj: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
     edge_kind: dict[frozenset, str] = {}
     threshold_hits = 0
+    dist = space.rows
 
     def add_edge(v, w, kind):
         adj[v].append(w)
         adj[w].append(v)
         edge_kind[frozenset((v, w))] = kind
 
+    def at_most(bound: Fraction) -> tuple[int, Optional[int]]:
+        # int distances d <= bound, and the one equal to it if any
+        top = math.floor(bound * space.unit)
+        return top, (top if top == bound * space.unit else None)
+
     for k in range(scale.k0, scale.max_level + 1):
-        bound = 4 * scale.sep(k)
+        top, hit = at_most(4 * scale.sep(k))
         centers = nets[k]
         for i, a in enumerate(centers):
+            row = dist[a]
             for b in centers[i + 1:]:
-                d = space.d(a, b)
-                if d == bound:
+                d = row[b]
+                if d == hit:
                     threshold_hits += 1
-                if d <= bound:
+                if d <= top:
                     add_edge(Vertex(k, a), Vertex(k, b), HORIZONTAL)
         if k == scale.max_level:
             continue
         upper = nets[k + 1]
-        margin = 2 * scale.sep(k) - 2 * scale.sep(k + 1)
+        top, hit = at_most(2 * scale.sep(k) - 2 * scale.sep(k + 1))
         for up in upper:
+            row = dist[up]
             for lo in centers:
-                d = space.d(up, lo)
-                if d == margin:
+                d = row[lo]
+                if d == hit:
                     threshold_hits += 1
-                if d <= margin:
+                if d <= top:
                     add_edge(Vertex(k + 1, up), Vertex(k, lo), RADIAL)
 
     graph = ApproxGraph(
@@ -264,10 +247,12 @@ def central_ancestor(graph: ApproxGraph, v: Vertex) -> Vertex:
     if v == graph.root:
         raise ValueError("the root has no ancestor")
     k = v.level - 1
+    space = graph.space
+    row = space.rows[v.center]
+    bound = math.floor(graph.scale.sep(k) * space.unit)  # d <= r^k, on ints
     for c in graph.nets[k]:
-        if graph.space.d(v.center, c) <= graph.scale.sep(k):
-            w = Vertex(k, c)
-            return w
+        if row[c] <= bound:
+            return Vertex(k, c)
     raise AssertionError(f"no central ancestor for {v}: net not maximal")
 
 
@@ -340,11 +325,13 @@ def check_ball_intersection_bound(graph: ApproxGraph) -> CheckResult:
     """Pairs whose closed certified balls touch satisfy
     |vv'| <= |level difference| + 1."""
     res = CheckResult("approx-ball-intersect-bound", PASS)
-    scaled = graph.scaled_dist
-    radius = {k: 2 * graph.scaled_sep(k)
-              for k in range(graph.scale.k0, graph.scale.max_level + 1)}
+    rows, unit, sep = graph.space.rows, graph.space.unit, graph.scale.sep
+    levels = range(graph.scale.k0, graph.scale.max_level + 1)
+    # d <= 2 r^k + 2 r^k' on int distances
+    touch = {(a, b): math.floor(2 * (sep(a) + sep(b)) * unit)
+             for a in levels for b in levels}
     for v, w, dist, _, _ in graph.pairs:
-        if scaled[v.center][w.center] <= radius[v.level] + radius[w.level]:
+        if rows[v.center][w.center] <= touch[v.level, w.level]:
             res.checked += 1
             if dist > abs(v.level - w.level) + 1:
                 res.add_violation({

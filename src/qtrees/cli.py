@@ -74,9 +74,10 @@ def main(argv=None) -> int:
     p_export.set_defaults(out_dir=".")
 
     args = parser.parse_args(argv)
-    if args.kappa is not None and args.kappa < 1:
-        print("error: --kappa must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--kappa", args.kappa), ("--colors", args.n_colors)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 2
     config = _config_from_args(args)
 
     try:

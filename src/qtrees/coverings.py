@@ -17,14 +17,20 @@ pairwise disjoint.
 
 The validator runs the region tests of every property but the mesh on a
 `CoveringKernel`: the certificates, the points and the ball radii as ints
-in one unit.  What it reports stays as it was: the mesh and its bound are
-Fractions, and violations name elements and points by id.
+in one unit, a multiple of the space's.  `build_covering` builds one
+kernel, on the generator's candidates; generation drops on it every
+candidate that holds no sample point and validates with it, and the
+caller passes the same kernel to the later stages and the Lebesgue
+numbers.  A kernel refuses a sequence whose certificates it did not
+scale.  What is reported stays as it was: the mesh, its bound and the
+Lebesgue numbers are Fractions, and violations name elements and points
+by id.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -56,6 +62,10 @@ class CoveringSequence:
     def max_level(self) -> int:
         return max(self.levels)
 
+    @property
+    def elements(self) -> list[CoveringElement]:
+        return [e for j in sorted(self.levels) for e in self.family(j)]
+
     def family(self, j: int) -> list[CoveringElement]:
         return [e for fam in self.levels[j].values() for e in fam]
 
@@ -72,61 +82,55 @@ class CoveringError(ValueError):
 
 class CoveringKernel:
     """A covering sequence's certificates, its space's points and the ball
-    radii 2 r^k for 0 <= k <= J+1, as ints in one unit.
+    radii 2 r^k for 0 <= k <= top_level + 1, as ints in one unit.
 
-    The unit is the lcm of the denominators of every point coordinate, of
-    r^(J+1) and of every certificate number, so each scaled region test
-    gives the same answer as on the Fractions.  A space without
-    coordinates keeps point ids as its coordinates, and its unit also
-    clears every distance.  Ids are not scaled, so such a space takes
-    point-subset certificates (and the whole space) only.  ``regions`` maps
-    each element uid to its scaled certificate.
+    The unit is the lcm of the space's unit, of the denominator of
+    r^(top_level + 1) and of every certificate number, so each scaled
+    region test gives the same answer as on the Fractions.  ``coords`` is
+    the space's lattice in that unit: point ids for a space without
+    coordinates, which takes point-subset certificates (and the whole
+    space) only.  ``regions`` maps each element uid to its scaled
+    certificate.
     """
 
-    def __init__(self, seq: "CoveringSequence", top_level: int):
+    def __init__(self, seq: CoveringSequence, top_level: int):
         space = seq.space
         certificates: dict[str, Region] = {}
-        for j in sorted(seq.levels):
-            for e in seq.family(j):
-                if certificates.setdefault(e.uid, e.region) != e.region:
-                    raise ValueError(
-                        f"element id {e.uid!r} names two certificates")
-        if space.coords:
-            numbers = [x for p in space.points
-                       for x in _coord_numbers(space.coord(p))]
-        else:
-            numbers = [d for row in space.dist for d in row]
-            if not all(isinstance(region, (PointSubset, WholeSpace))
-                       for region in certificates.values()):
-                raise ValueError("a space without coordinates takes "
-                                 "point-subset certificates only")
-        self.unit = math.lcm((seq.r ** (top_level + 1)).denominator,
-                             *(x.denominator for x in numbers),
+        for e in seq.elements:
+            if certificates.setdefault(e.uid, e.region) != e.region:
+                raise ValueError(
+                    f"element id {e.uid!r} names two certificates")
+        if not space.coords and not all(
+                isinstance(region, (PointSubset, WholeSpace))
+                for region in certificates.values()):
+            raise ValueError("a space without coordinates takes "
+                             "point-subset certificates only")
+        self.space = space
+        self._certificates = certificates
+        self.unit = math.lcm(space.unit,
+                             (seq.r ** (top_level + 1)).denominator,
                              *(region.denominator()
                                for region in certificates.values()))
-        if space.coords:
-            self.coords = tuple(_scale_coord(space.coord(p), self.unit)
-                                for p in space.points)
-        else:
-            self.coords = tuple(space.points)
+        self.coords = space.lattice(self.unit)
         self.regions = {uid: region.scaled(self.unit)
                         for uid, region in certificates.items()}
         self._radii = {k: scale_number(2 * seq.r**k, self.unit)
                        for k in range(top_level + 2)}
 
     def radius(self, k: int) -> int:
-        """2 r^k in the unit, for 0 <= k <= J+1."""
+        """2 r^k in the unit, for 0 <= k <= top_level + 1."""
         return self._radii[k]
 
-
-def _coord_numbers(coord) -> tuple:
-    return coord if isinstance(coord, tuple) else (coord,)
-
-
-def _scale_coord(coord, unit: int):
-    if isinstance(coord, tuple):
-        return tuple(scale_number(x, unit) for x in coord)
-    return scale_number(coord, unit)
+    def check(self, elements, space: Optional[FiniteMetricSpace] = None
+              ) -> None:
+        """ValueError unless the kernel scaled each element's certificate
+        under its uid and, when ``space`` is given, was built on it."""
+        if space is not None and space is not self.space:
+            raise ValueError("the kernel was built on another space")
+        for e in elements:
+            if self._certificates.get(e.uid) != e.region:
+                raise ValueError(f"the kernel was not built on the "
+                                 f"certificate of element {e.uid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,39 +144,40 @@ def mesh(family: Sequence[CoveringElement]) -> Fraction:
 
 
 def lebesgue_number(family: Sequence[CoveringElement],
-                    space: FiniteMetricSpace) -> Fraction:
+                    kernel: CoveringKernel) -> Fraction:
     """min over sample points z of min(sup_U dist(z, complement of U), mesh).
 
     The inner sup is infinite when some member is the whole space; it is
-    then clipped by the mesh.
+    then clipped by the mesh.  The depths are taken on ``kernel``, a
+    kernel of the family's certificates, over its space's points.
     """
-    m = mesh(family)
-    worst: Optional[Fraction] = None
-    for z in space.points:
-        best: Optional[Fraction] = None
-        for e in family:
-            depth = e.region.depth(space.coord(z), m)
-            if depth is None:
-                continue
-            if best is None or depth > best:
-                best = depth
-        if best is None:
+    kernel.check(family)
+    cap = mesh(family) * kernel.unit
+    regions = [kernel.regions[e.uid] for e in family]
+    worst = None
+    for z, coord in enumerate(kernel.coords):
+        depths = [d for region in regions
+                  if (d := region.depth(coord, cap)) is not None]
+        if not depths:
             raise ValueError(f"sample point {z} covered by no element")
-        val = min(best, m)
+        val = min(max(depths), cap)
         if worst is None or val < worst:
             worst = val
-    assert worst is not None
-    return worst
+    return Fraction(worst, kernel.unit)
 
 
 # ---------------------------------------------------------------------------
 # Validator
 
 
-def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
+def validate_covering_sequence(seq: CoveringSequence, graph,
+                               kernel: Optional[CoveringKernel] = None
+                               ) -> CheckResult:
     """Run the full contract against the nets of ``graph`` (an
-    `ApproxGraph` over the same space); returns a CheckResult whose first
-    violation names the offending element(s)."""
+    `ApproxGraph` over the same space), on ``kernel`` (a kernel of the
+    sequence reaching its top level) or a new kernel of the sequence;
+    returns a CheckResult whose first violation names the offending
+    element(s)."""
     scale = graph.scale
     if seq.r != scale.r:
         raise ValueError("covering scale differs from graph scale")
@@ -200,7 +205,8 @@ def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
         result.checked += 1
 
     # coverage and same-color disjointness per level
-    kernel = CoveringKernel(seq, levels[-1])
+    kernel = kernel or CoveringKernel(seq, levels[-1])
+    kernel.check(seq.elements, space)
     coords, regions = kernel.coords, kernel.regions
     for j in levels:
         fam = [regions[e.uid] for e in seq.family(j)]
@@ -275,10 +281,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph) -> CheckResult:
 # Generators
 
 
-def _element(space, color, level, region, index) -> Optional[CoveringElement]:
-    """The element, or None when its certificate holds no sample point."""
-    if not any(region.contains_point(space.coord(p)) for p in space.points):
-        return None
+def _candidate(color, level, region, index) -> CoveringElement:
     return CoveringElement(uid=f"c{color}-j{level}-{index}", color=color,
                            level=level, region=region)
 
@@ -320,9 +323,7 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
             region = LineIntervals((
                 (a - 2 * length / 3, a + 4 * length / 3),
             ))
-            elem = _element(space, 0, j, region, i)
-            if elem is not None:
-                fam.append(elem)
+            fam.append(_candidate(0, j, region, i))
         levels[j] = {0: tuple(fam)}
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)
 
@@ -391,9 +392,7 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
         length = (last - first) * unit + 2 * h1
         region = Arc(lo % 1, length)
         c = block_color[i]
-        elem = _element(space, c, 1, region, i)
-        if elem is not None:
-            fam[c].append(elem)
+        fam[c].append(_candidate(c, 1, region, i))
     levels[1] = {c: tuple(v) for c, v in fam.items()}
 
     # levels >= 2: per-point arcs, certificate twice the ball radius wide,
@@ -404,9 +403,7 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
         for p in space.points:
             region = Arc((space.coords[p] - 2 * hj) % 1, 4 * hj)
             c = color_of_point[p]
-            elem = _element(space, c, j, region, p)
-            if elem is not None:
-                fam[c].append(elem)
+            fam[c].append(_candidate(c, j, region, p))
         levels[j] = {c: tuple(v) for c, v in fam.items()}
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)
 
@@ -436,7 +433,7 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
         if 2 * g >= side:
             raise CoveringError(f"tiles at level {j} vanish after shrinking")
         fam: dict[int, list[CoveringElement]] = {c: [] for c in colors}
-        seen: dict[tuple, int] = {}
+        seen: set[tuple] = set()
         for p in space.points:
             x, y = space.coords[p]
             for c in colors:
@@ -450,11 +447,9 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
                 x1 = off + (mx + 1) * side - g
                 y0 = off + my * side + g
                 y1 = off + (my + 1) * side - g
-                region = BoxRegion(x0, x1, y0, y1)
-                elem = _element(space, c, j, region, len(seen))
-                seen[key] = 1
-                if elem is not None:
-                    fam[c].append(elem)
+                fam[c].append(_candidate(c, j, BoxRegion(x0, x1, y0, y1),
+                                         len(seen)))
+                seen.add(key)
         levels[j] = {c: tuple(v) for c, v in fam.items()}
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)
 
@@ -466,20 +461,38 @@ GENERATORS = {
 }
 
 
-def generate_covering_sequence(kind: str, space: FiniteMetricSpace,
-                               scale: ScaleParams, max_level: int,
-                               graph, **params) -> CoveringSequence:
-    """Build and validate against the nets of ``graph``; generation fails
-    when validation fails, and a sequence that passes keeps its validation
-    result as ``contract``."""
-    if kind not in GENERATORS:
-        raise CoveringError(f"unknown covering generator {kind!r}")
-    seq = GENERATORS[kind](space, scale, max_level, **params)
-    seq.contract = validate_covering_sequence(seq, graph)
+def generate_covering_sequence(candidates: CoveringSequence, graph,
+                               kernel: CoveringKernel) -> CoveringSequence:
+    """The candidates whose certificate holds a sample point, validated
+    against the nets of ``graph`` on ``kernel``, a kernel of the
+    candidates; generation fails when validation fails.  A sequence that
+    passes keeps its validation result as ``contract``."""
+    kernel.check(candidates.elements, candidates.space)
+    coords, regions = kernel.coords, kernel.regions
+    seq = replace(candidates, levels={
+        j: {c: tuple(e for e in members
+                     if any(map(regions[e.uid].contains_point, coords)))
+            for c, members in family.items()}
+        for j, family in candidates.levels.items()})
+    seq.contract = validate_covering_sequence(seq, graph, kernel)
     if seq.contract.status == FAIL:
         raise CoveringError("generated sequence fails validation: "
                             f"{seq.contract.violations[0]}")
     return seq
+
+
+def build_covering(kind: str, space: FiniteMetricSpace, scale: ScaleParams,
+                   max_level: int, graph, **params
+                   ) -> tuple[CoveringSequence, CoveringKernel]:
+    """The generated sequence of ``kind`` and the one kernel it was
+    validated on, built on the generator's candidates and reaching the
+    depth of ``graph``: pass it to the later stages."""
+    if kind not in GENERATORS:
+        raise CoveringError(f"unknown covering generator {kind!r}")
+    candidates = GENERATORS[kind](space, scale, max_level, **params)
+    kernel = CoveringKernel(candidates,
+                            max(max_level, graph.scale.max_level))
+    return generate_covering_sequence(candidates, graph, kernel), kernel
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ multiplies every number of a certificate by an int unit and returns the
 same class over ints; it raises ValueError when the unit leaves a
 denominator, and `Region.denominator` is the least unit that does not.  An
 `Arc` reads its circumference from `circ` (1 unless scaled), and a scaled
-`PointSubset` reads the space's distances times the unit, so both compare
-with radii in the same unit.  `coverings.CoveringKernel` scales a
-covering, its points and its ball radii by one unit; the covering
-validator, the stage-1 map, the containing chains and the edge letters
-run their region tests on it.  Reported numbers (diameters, depths) come
-from the Fraction certificates.
+`PointSubset` reads the space's int distances in the same unit, so both
+compare with radii in that unit.  `coverings.CoveringKernel` scales a
+covering, its points and its ball radii by one unit, a multiple of the
+space's; covering generation, the covering validator, the stage-1 map,
+the containing chains, the color-tree checks and the edge letters run
+their region tests on it.  Reported diameters come from the Fraction
+certificates.
 """
 from __future__ import annotations
 
@@ -366,17 +367,18 @@ class PointSubset(Region):
     """Fallback certificate: an explicit subset of the sample, with all
     checks running through the space metric.  Sampling-dependent, used only
     for user-loaded spaces without generator coordinates.  Distances are
-    read times ``unit``: 1, or the unit of a scaled copy."""
+    the space's int distances times ``factor``: 1/unit, giving Fractions,
+    or an int in a scaled copy."""
 
-    def __init__(self, space, members, unit=1):
+    def __init__(self, space, members, factor=None):
         self.space = space
         self.members = frozenset(members)
-        self.unit = unit
+        self.factor = Fraction(1, space.unit) if factor is None else factor
         if not self.members:
             raise ValueError("empty point-subset certificate")
 
     def _d(self, a, b):
-        return self.space.d(a, b) * self.unit
+        return self.space.rows[a][b] * self.factor
 
     def diameter(self) -> Fraction:
         pts = sorted(self.members)
@@ -418,14 +420,14 @@ class PointSubset(Region):
                     if q not in self.members), default=cap)
 
     def denominator(self) -> int:
-        """The least unit that clears every distance of the space."""
-        return _lcm_of_denominators(
-            self._d(a, b) for a in self.space.points for b in self.space.points)
+        """The space's unit, which clears every distance (1 once scaled)."""
+        return self.factor.denominator
 
     def scaled(self, unit):
-        if unit % self.denominator():
+        factor = self.factor * unit
+        if factor.denominator != 1:
             raise ValueError(f"unit {unit} does not clear the distances")
-        return PointSubset(self.space, self.members, self.unit * unit)
+        return PointSubset(self.space, self.members, factor.numerator)
 
     def to_json(self):
         return {"points": sorted(self.members)}

@@ -11,6 +11,7 @@ constants depending only on the color count.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -50,13 +51,11 @@ def color_nets(graph: ApproxGraph) -> NetColoring:
     mu: dict[int, dict[int, int]] = {}
     palette = 0
     for j in range(scale.k0, scale.max_level + 2):
-        bound = 2 * scale.sep(j - 2)
+        bound = math.ceil(2 * scale.sep(j - 2) * space.unit)  # d < 2 r^(j-2)
         assignment: dict[int, int] = {}
         for p in graph.net(j):
-            used = {
-                assignment[q] for q in assignment
-                if space.d(p, q) < bound
-            }
+            row = space.rows[p]
+            used = {c for q, c in assignment.items() if row[q] < bound}
             c = 0
             while c in used:
                 c += 1
@@ -70,14 +69,15 @@ def check_net_coloring(graph: ApproxGraph, coloring: NetColoring) -> CheckResult
     res = CheckResult("labelling-net-coloring", PASS)
     space, scale = graph.space, graph.scale
     for j, assignment in coloring.mu.items():
-        bound = 2 * scale.sep(j - 2)
+        bound = math.ceil(2 * scale.sep(j - 2) * space.unit)  # d < 2 r^(j-2)
         pts = sorted(assignment)
         # conflict degrees, counted in the same pass over the pairs
         degree = dict.fromkeys(pts, 0)
         for i, p in enumerate(pts):
+            row = space.rows[p]
             for q in pts[i + 1:]:
                 res.checked += 1
-                if space.d(p, q) < bound:
+                if row[q] < bound:
                     degree[p] += 1
                     degree[q] += 1
                     if assignment[p] == assignment[q]:

@@ -1,20 +1,27 @@
-"""Finite metric spaces with exact rational distances.
+"""Finite metric spaces with exact rational distances, held as ints.
 
-All distances are Fractions so that comparisons against powers of the
-scale parameter r are exact; the downstream construction branches on
-strict inequalities like d < r^k and floating point would make those
-checks unsound.  Spaces are frozen after construction and safe to share
-across workers.
+A space has one int scale: ``unit`` clears every distance and generator
+coordinate, and ``rows[i][j]`` is d(i, j) times ``unit``.  The
+construction branches on strict inequalities like d < r^k, where floating
+point would be unsound; a bound x enters the unit once, as
+``math.ceil(x * unit)`` for a strict test and ``math.floor(x * unit)``
+otherwise, so validation, nets, the graph, the pair table, the net
+coloring and the doubling constant compare ints.  Fractions remain where
+numbers are read out: ``dist`` and ``diam`` (one Fraction per distinct
+value), the coordinates ``coords``, reports, files, and the reference
+`stage1.classify_pair`.  Spaces are frozen and safe to share.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-ZERO = Fraction(0)
+from qtrees.geometry import scale_number
 
 
 @dataclass(frozen=True)
@@ -35,42 +42,59 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Point set with an exact pairwise distance matrix.
+    """Point set with an exact pairwise distance matrix: ``rows`` holds the
+    distances times ``unit``, as ints.
 
     ``coords`` carries generator coordinates (positions on the line, the
     unit circle, or the unit square) used by covering generators to build
-    geometric certificates; it is empty for file-loaded spaces.
+    geometric certificates, or is empty for file-loaded spaces.
     """
 
-    dist: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    unit: int
     kind: str = "custom"
     coords: tuple = ()
     label: str = ""
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return len(self.rows)
 
     @property
     def points(self) -> range:
-        return range(len(self.dist))
+        return range(len(self.rows))
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions, one Fraction per distinct value."""
+        values = {x: Fraction(x, self.unit) for x in set().union(*self.rows)}
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.rows)
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
-    def coord(self, p: int):
-        """Where certificates look for point p: its generator coordinate,
-        or the point id itself when the space has no coordinates."""
-        return self.coords[p] if self.coords else p
-
-    @property
+    @cached_property
     def diam(self) -> Fraction:
-        return max(max(row) for row in self.dist)
+        return Fraction(max(map(max, self.rows)), self.unit)
+
+    def lattice(self, unit: int) -> tuple:
+        """Every point's coordinate times ``unit`` (a multiple of the
+        space's unit), as ints; the point ids when the space has no
+        coordinates.  ValueError when ``unit`` does not clear a
+        coordinate."""
+        if unit % self.unit:
+            raise ValueError(f"unit {unit} is not a multiple of {self.unit}")
+        if not self.coords:
+            return tuple(self.points)
+        return tuple(tuple(scale_number(x, unit) for x in c)
+                     if isinstance(c, tuple) else scale_number(c, unit)
+                     for c in self.coords)
 
 
-def validate_metric(rows: Sequence[Sequence[Fraction]]) -> MetricReport:
+def validate_metric(rows: Sequence[Sequence]) -> MetricReport:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
-    inequality; report the first violating triple if any.
+    inequality; report the first violating triple if any.  The entries may
+    be Fractions or, as `make_space` passes them, ints in one unit.
 
     Once the matrix is symmetric, (i, j, k) and (k, j, i) test the same
     inequality, so the first violating triple in the order of
@@ -101,77 +125,71 @@ def validate_metric(rows: Sequence[Sequence[Fraction]]) -> MetricReport:
     return MetricReport(True)
 
 
-def make_space(
-    rows: Sequence[Sequence[Fraction]],
-    kind: str = "custom",
-    coords: tuple = (),
-    label: str = "",
-    check: bool = True,
-) -> FiniteMetricSpace:
+def scale_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """A unit for a rational matrix, the lcm of its denominators, and the
+    matrix times that unit, as ints."""
+    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+            for row in rows]
+    unit = math.lcm(*(x.denominator for row in rows for x in row))
+    return unit, [[x.numerator * (unit // x.denominator) for x in row]
+                  for row in rows]
+
+
+def make_space(rows: Sequence[Sequence], kind: str = "custom",
+               label: str = "") -> FiniteMetricSpace:
+    """The space of a rational distance matrix, validated on its ints."""
     if len(rows) < 2:
         raise ValueError("metric space must contain at least two points")
-    if check:
-        report = validate_metric(rows)
-        if not report.ok:
-            raise ValueError(f"invalid metric: {report.violation}")
-    frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return FiniteMetricSpace(dist=frozen, kind=kind, coords=coords, label=label)
+    unit, ints = scale_rows(rows)
+    report = validate_metric(ints)
+    if not report.ok:
+        raise ValueError(f"invalid metric: {report.violation}")
+    return FiniteMetricSpace(tuple(map(tuple, ints)), unit, kind=kind,
+                             label=label)
 
 
 # ---------------------------------------------------------------------------
 # Generators
 
 
-def _cantor_positions(depth: int) -> list[Fraction]:
-    """Left endpoints of the 2^depth surviving triadic intervals, ascending."""
-    positions = [ZERO]
-    for level in range(1, depth + 1):
-        step = Fraction(2, 3**level)
-        positions = [p for x in positions for p in (x, x + step)]
-    return sorted(positions)
-
-
 def generate_space(kind: str, param: int) -> FiniteMetricSpace:
-    """Build one of the test spaces: ``cantor(depth)``, ``circle(N)`` or
-    ``grid(n)``.
+    """Build one of the test spaces, with int distances read off the
+    generator's lattice:
 
-    cantor: triadic middle-third sample with the line metric.
-    circle: N equispaced points, arc metric normalized to circumference 1.
-    grid:   n x n points spanning the unit square with the sup metric.
+    cantor(depth): left ends of the 2^depth triadic intervals, ascending,
+                   line metric, unit 3^depth;
+    circle(N):     N equispaced points, arc metric on circumference 1, unit N;
+    grid(n):       n x n points spanning the unit square, sup metric, unit n-1.
     """
     if param < 1:
         raise ValueError(f"{kind} parameter must be >= 1, got {param}")
     if kind == "cantor":
-        pos = _cantor_positions(param)
-        rows = [[abs(a - b) for b in pos] for a in pos]
-        return make_space(rows, kind="cantor", coords=tuple(pos),
-                          label=f"cantor({param})", check=False)
-    if kind == "circle":
+        unit, pos = 3**param, [0]
+        for k in reversed(range(param)):  # level l steps by 2 * 3^(depth - l)
+            pos = [p for x in pos for p in (x, x + 2 * 3**k)]
+        rows = tuple(tuple(abs(a - b) for b in pos) for a in pos)
+        coords = tuple(Fraction(x, unit) for x in pos)
+    elif kind == "circle":
         if param < 2:
             raise ValueError("circle needs at least two points")
-        pos = tuple(Fraction(i, param) for i in range(param))
-        rows = []
-        for i in range(param):
-            row = []
-            for j in range(param):
-                k = abs(i - j)
-                row.append(Fraction(min(k, param - k), param))
-            rows.append(row)
-        return make_space(rows, kind="circle", coords=pos,
-                          label=f"circle({param})", check=False)
-    if kind == "grid":
+        unit = param
+        base = [min(k, param - k) for k in range(param)]
+        rows = tuple(tuple(base[param - i:] + base[:param - i])
+                     for i in range(param))
+        coords = tuple(Fraction(i, param) for i in range(param))
+    elif kind == "grid":
         if param < 2:
             raise ValueError("grid(1) is a single point; nontrivial space required")
-        step = Fraction(1, param - 1)
-        pos = tuple(
-            (i * step, j * step) for i in range(param) for j in range(param)
-        )
-        rows = [
-            [max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in pos] for a in pos
-        ]
-        return make_space(rows, kind="grid", coords=pos,
-                          label=f"grid({param})", check=False)
-    raise ValueError(f"unknown space kind {kind!r}")
+        unit = param - 1
+        idx = [(i, j) for i in range(param) for j in range(param)]
+        rows = tuple(tuple(max(abs(i - a), abs(j - b)) for a, b in idx)
+                     for i, j in idx)
+        steps = [Fraction(i, unit) for i in range(param)]
+        coords = tuple((steps[i], steps[j]) for i, j in idx)
+    else:
+        raise ValueError(f"unknown space kind {kind!r}")
+    return FiniteMetricSpace(rows, unit, kind=kind, coords=coords,
+                             label=f"{kind}({param})")
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +249,9 @@ class ScaleParams:
 def full_separation_level(space: FiniteMetricSpace, r: Fraction, k0: int) -> int:
     """Smallest level whose net necessarily contains every point: past the
     minimum positive pairwise distance, deeper levels only add radial chains."""
-    min_gap = min(
-        space.d(i, j)
-        for i in space.points
-        for j in space.points
-        if i < j
-    )
+    min_gap = min(min(row[i + 1:]) for i, row in enumerate(space.rows[:-1]))
     level = k0
-    while r**level > min_gap:
+    while r**level * space.unit > min_gap:
         level += 1
     return level
 
@@ -259,9 +272,10 @@ def maximal_separated_net(
     point id order.  Deterministic and seed-free."""
     if separation <= 0:
         raise ValueError("separation must be positive")
+    bound = math.ceil(separation * space.unit)  # d >= separation, on ints
     centers: list[int] = []
-    for p in space.points:
-        if all(space.d(p, c) >= separation for c in centers):
+    for p, row in enumerate(space.rows):
+        if all(row[c] >= bound for c in centers):
             centers.append(p)
     return Net(level=level, separation=separation, centers=tuple(sorted(centers)))
 
@@ -271,26 +285,27 @@ def doubling_estimate(space: FiniteMetricSpace) -> int:
     open ball B(z, rho), over all centers z and radii rho in the distance set.
 
     The greedy cover takes its centers in ascending point order.  Balls are
-    bitsets over point ids: each point's row is sorted once with prefix
-    bitsets, so an open ball is one bisect on exact Fractions, and the next
-    center is the lowest point the cover has not reached yet.
+    bitsets over point ids: each point's int row is sorted once with prefix
+    bitsets, so an open ball is one bisect, and the next center is the
+    lowest point the cover has not reached yet.
 
     Used for sizing reports only; the construction never branches on it.
     """
     dists, prefixes = [], []
-    for p in space.points:
-        order = sorted(space.points, key=space.dist[p].__getitem__)
-        dists.append([space.d(p, q) for q in order])
+    for row in space.rows:
+        order = sorted(space.points, key=row.__getitem__)
+        dists.append([row[q] for q in order])
         prefixes.append(list(itertools.accumulate(
             (1 << q for q in order), int.__or__, initial=0)))
 
-    def ball(p: int, rho: Fraction) -> int:
+    def ball(p: int, rho: int) -> int:
         return prefixes[p][bisect_left(dists[p], rho)]
 
-    radii = sorted({d for row in space.dist for d in row if d > 0})
+    radii = sorted({d for row in space.rows for d in row if d > 0})
     worst = 1
     for rho in radii:
-        halves = [ball(p, rho / 2) for p in space.points]
+        # an int distance is below rho / 2 exactly when below ceil(rho / 2)
+        halves = [ball(p, (rho + 1) // 2) for p in space.points]
         for z in space.points:
             rest = ball(z, rho)
             if rest.bit_count() <= worst:  # one center per point at most

@@ -143,10 +143,12 @@ def check_synchronization(trials: int = 4000, seed: int = 0,
     A counterexample would be lengths L != L' within l/2 whose level windows
     carry identical bit patterns of length l; any hit exhibits a cube in the
     sequence.  Single-word sentences realize every (L, L', l) combination,
-    so the search runs directly on bit windows.
+    so the search runs directly on bit windows: the windows ending at L
+    and L' are compared as slices of one prefix.
     """
     res = CheckResult("mt-synchronization", PASS)
     rng = random.Random(seed)
+    bits = mt_prefix(max_len + max_len // 3 + 2)  # L' <= max_len * 4/3 + 1
     for _ in range(trials):
         L = rng.randint(2, max_len)
         shift = rng.randint(0, max(1, L // 3))
@@ -155,9 +157,7 @@ def check_synchronization(trials: int = 4000, seed: int = 0,
         if 2 * shift > l:
             continue
         res.checked += 1
-        window = [mt_bit(L - i) for i in range(l)]
-        window_p = [mt_bit(Lp - i) for i in range(l)]
-        if shift != 0 and window == window_p:
+        if shift != 0 and bits[L - l + 1:L + 1] == bits[Lp - l + 1:Lp + 1]:
             res.add_violation({"L": L, "L'": Lp, "tail": l})
     return res
 

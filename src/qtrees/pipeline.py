@@ -18,8 +18,8 @@ from functools import cached_property
 from qtrees import approx, coverings, metric
 from qtrees.approx import ApproxGraph, approx_suite, estimate_delta, \
     export_edges, graph_summary, visual_metric_constants
-from qtrees.coverings import CoveringSequence, \
-    generate_covering_sequence, save_covering_json
+from qtrees.coverings import CoveringKernel, CoveringSequence, \
+    build_covering, save_covering_json
 from qtrees.labelling import Labelling, Stage2, build_labelling, \
     build_stage2, check_binary_stage, check_net_coloring, check_sentences, \
     embedding_dump, min_kappa, stage2_suite
@@ -90,17 +90,26 @@ class Pipeline:
 
     @property
     def seq(self) -> CoveringSequence:
+        return self._covering[0]
+
+    @property
+    def kernel(self) -> CoveringKernel:
+        """The one kernel of the run's certificates."""
+        return self._covering[1]
+
+    @property
+    def _covering(self) -> tuple[CoveringSequence, CoveringKernel]:
         cfg = self.config
-        return self._once("seq", "covering",
-                          lambda: generate_covering_sequence(
+        return self._once("covering", "covering",
+                          lambda: build_covering(
                               cfg.covering_kind, self.space, self.scale,
                               self.scale.max_level, graph=self.graph,
                               n_colors=cfg.n_colors))
 
     @property
     def stage1(self) -> Stage1:
-        return self._once("stage1", "stage1",
-                          lambda: embed_stage1(self.graph, self.seq))
+        return self._once("stage1", "stage1", lambda: embed_stage1(
+            self.graph, self.seq, self.kernel))
 
     @property
     def labelling(self) -> Labelling:
@@ -165,7 +174,7 @@ class Pipeline:
                   for name in PIPELINE_SUITES}
         # reported, never asserted: how deep inside members the points sit
         suites["covering"]["lebesgue"] = {
-            str(j): coverings.lebesgue_number(seq.family(j), self.space)
+            str(j): coverings.lebesgue_number(seq.family(j), self.kernel)
             for j in sorted(seq.levels)
         }
         suites["stage2"]["fit"] = jsonable(self._suite("stage2")[1])
@@ -194,10 +203,14 @@ class Pipeline:
 def run_pipeline(config: PipelineConfig) -> Pipeline:
     """The pipeline of a config, with its artifact files written when the
     config names an output directory.  Whatever is not written is built
-    when first read."""
+    when first read.  A file that cannot be written is a StageError of
+    the export stage."""
     pipe = Pipeline(config)
     if config.out_dir:
-        export_artifacts(pipe, config.out_dir)
+        try:
+            export_artifacts(pipe, config.out_dir)
+        except OSError as exc:
+            raise StageError("export", exc) from exc
     return pipe
 
 

@@ -22,6 +22,7 @@ a plain pair-by-pair loop.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,9 +102,13 @@ def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
         f"no covering element of color {color} contains the ball of {v}")
 
 
-def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
+def embed_stage1(graph: ApproxGraph, seq: CoveringSequence,
+                 kernel: CoveringKernel) -> Stage1:
+    """The color trees and the stage-1 map, with their region tests on
+    ``kernel``, a kernel of the sequence reaching the graph's depth (the
+    one `coverings.build_covering` returns)."""
+    kernel.check(seq.elements, seq.space)
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
-    kernel = CoveringKernel(seq, max(seq.max_level, graph.scale.max_level))
     images = {v: tuple(map_fc(seq, kernel, trees[c], graph, c, v)
                        for c in seq.colors)
               for v in graph.vertices}
@@ -165,9 +170,12 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
 
     trees = [emb.trees[c].tree for c in colors]
     images = emb.images
-    scaled = graph.scaled_dist
-    radius = {k: 2 * graph.scaled_sep(k)
-              for k in range(graph.scale.k0, graph.scale.max_level + 1)}
+    dist, unit, sep = graph.space.rows, graph.space.unit, graph.scale.sep
+    levels = range(graph.scale.k0, graph.scale.max_level + 1)
+    # per (upper level, lower level): the upper ball of a center pair sits
+    # inside the lower one, d + 2 r^hi <= 2 r^lo, when the int d is at most
+    nested = {(hi, lo): math.floor(2 * (sep(lo) - sep(hi)) * unit)
+              for hi in levels for lo in levels if hi > lo}
     # per image pair: tree distances by color and the colors whose two
     # images are incomparable
     tree_side: dict[tuple, tuple] = {}
@@ -220,8 +228,8 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
                 if v.level == w.level:
                     radclose.add_violation({"pair": (v, w),
                                             "reason": "equal levels"})
-                elif scaled[hi.center][lo.center] + radius[hi.level] > \
-                        radius[lo.level]:
+                elif dist[hi.center][lo.center] > \
+                        nested[hi.level, lo.level]:
                     radclose.add_violation({"pair": (v, w),
                                             "reason": "upper ball not inside lower"})
                 elif gd > abs(v.level - w.level) + 1:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtrees.approx import approx_suite, build_approximation
-from qtrees.coverings import CoveringError, generate_covering_sequence, \
+from qtrees.coverings import CoveringError, build_covering, \
     validate_covering_sequence
 from qtrees.diary import decode, encode, encode_segments, format_diary, \
     is_honest, parse_sentence, reconstruct
@@ -217,7 +217,7 @@ def test_criterion_6_covering_contract(cantor_run, circle_run):
         circle_run.seq, graph=circle_run.graph).status == "pass"
     one_color_fails = False
     try:
-        generate_covering_sequence(
+        build_covering(
             "shifted_arcs", circle_run.space, circle_run.graph.scale,
             circle_run.graph.scale.max_level, graph=circle_run.graph,
             n_colors=1)

@@ -204,6 +204,10 @@ GOLDEN_SHA256 = {
         "graph.edges": "ebaf2e2b4e8356333cb382cb64c903d2"
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
+    ("--preset", "circle"): {
+        "report.json": "3cf3212684563b0ffd53bbf7c432c0f9"
+                       "8f769e8c174c5d7c7bb6f664f5afaf4f",
+    },
 }
 
 
@@ -215,3 +219,60 @@ def test_artifacts_keep_their_bytes(args, tmp_path, capsys):
     for name, digest in GOLDEN_SHA256[args].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+
+
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "covering", "--preset", "circle"):
+        "ad85e005d0270192720e5c46180b9068c60dcf7e1673dad25e82c704e18c17c9",
+    ("verify", "covering", "--preset", "grid"):
+        "78a4ba920f2724a989fbf221f609b38fb41af5f637b6759e0837511addb8e3ba",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256))
+def test_verify_stdout_keeps_its_bytes(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_one_run_builds_one_covering_kernel(tmp_path, monkeypatch):
+    # generation, the validator, the stage-1 map, the color-tree checks and
+    # the edge letters share the kernel generation built
+    from qtrees.coverings import CoveringKernel
+
+    built = []
+    init = CoveringKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoveringKernel, "__init__", counted)
+    assert main(["run", "--preset", "cantor", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_unwritable_out_is_an_export_error(command, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code = main([command, "--preset", "cantor",
+                 "--out", str(tmp_path / "file" / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [export] ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--space", "grid"],
+    ["run", "--space", "cantor"],
+    ["export", "--space", "circle"],
+    ["verify", "covering", "--space", "grid"],
+])
+@pytest.mark.parametrize("colors", ["0", "-1"])
+def test_color_count_below_one_is_rejected(argv, colors, tmp_path, capsys):
+    code = main([*argv, "--colors", colors, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --colors must be at least 1"]
+    assert not any(tmp_path.iterdir())

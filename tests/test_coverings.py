@@ -1,13 +1,17 @@
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from qtrees.approx import build_approximation
 from qtrees.coverings import (
+    GENERATORS,
     CoveringElement,
     CoveringError,
+    CoveringKernel,
     CoveringSequence,
-    generate_covering_sequence,
+    build_covering,
     lebesgue_number,
     load_covering_json,
     mesh,
@@ -17,6 +21,7 @@ from qtrees.coverings import (
 from qtrees.geometry import Arc, LineIntervals, PointSubset, WholeSpace
 from qtrees.metric import ScaleParams, generate_space, load_space_csv, \
     save_space_csv
+from qtrees.stage1 import embed_stage1
 
 
 def cantor_setup(depth=4, J=4):
@@ -35,6 +40,13 @@ def element(space, region, color=0, level=1, uid="t"):
     return CoveringElement(uid=uid, color=color, level=level, region=region)
 
 
+def family_kernel(space, family):
+    """A kernel of a hand-built one-level family."""
+    seq = CoveringSequence(space=space, r=F(1, 9), colors=(0,),
+                           levels={0: {0: tuple(family)}})
+    return CoveringKernel(seq, 0)
+
+
 def test_mesh_basics():
     s = generate_space("cantor", 2)
     whole = element(s, WholeSpace(s.diam), uid="z")
@@ -49,7 +61,7 @@ def test_mesh_basics():
 def test_lebesgue_whole_space_clips_to_mesh():
     s = generate_space("cantor", 2)
     whole = element(s, WholeSpace(s.diam), uid="z")
-    assert lebesgue_number([whole], s) == s.diam
+    assert lebesgue_number([whole], family_kernel(s, [whole])) == s.diam
 
 
 def test_lebesgue_overlapping_arcs():
@@ -59,7 +71,7 @@ def test_lebesgue_overlapping_arcs():
     t = F(1, 8)
     a = element(s, Arc(F(0) - t / 2, F(1, 2) + t), uid="a")
     b = element(s, Arc(F(1, 2) - t / 2, F(1, 2) + t), uid="b")
-    val = lebesgue_number([a, b], s)
+    val = lebesgue_number([a, b], family_kernel(s, [a, b]))
     assert val >= t / 2
 
 
@@ -67,12 +79,12 @@ def test_lebesgue_missing_point_errors():
     s = generate_space("cantor", 2)
     partial = element(s, LineIntervals(((F(0), F(1, 3)),)), uid="p")
     with pytest.raises(ValueError):
-        lebesgue_number([partial], s)
+        lebesgue_number([partial], family_kernel(s, [partial]))
 
 
 def test_cantor_preset_validates():
     s, sc, g = cantor_setup()
-    seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "pass"
     for j in range(1, 5):
@@ -81,18 +93,18 @@ def test_cantor_preset_validates():
 
 def test_trivial_level_zero_only():
     s, sc, g = cantor_setup(J=0)
-    seq = generate_covering_sequence("ultrametric", s, sc, 0, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 0, graph=g)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
 
 
 def test_circle_preset_validates_and_one_color_fails():
     s, sc, g = circle_setup()
-    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                     n_colors=2)
+    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                            n_colors=2)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
     with pytest.raises(CoveringError):
-        generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                   n_colors=1)
+        build_covering("shifted_arcs", s, sc, 2, graph=g,
+                       n_colors=1)
 
 
 def test_identical_shift_for_both_families_fails():
@@ -100,14 +112,14 @@ def test_identical_shift_for_both_families_fails():
     # the same color to collide
     s, sc, g = circle_setup()
     with pytest.raises(CoveringError):
-        generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                   n_colors=2, blocks=[3] * 27)
+        build_covering("shifted_arcs", s, sc, 2, graph=g,
+                       n_colors=2, blocks=[3] * 27)
 
 
 def test_deliberate_overlap_reported_by_validator():
     s, sc, g = circle_setup()
-    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                     n_colors=2)
+    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                            n_colors=2)
     # clone one level-1 arc into its same-color neighbor's place
     fam0 = list(seq.levels[1][0])
     bad = CoveringElement(uid="dup", color=0, level=1,
@@ -122,8 +134,8 @@ def test_validator_sees_a_shift_below_every_natural_denominator():
     # the natural unit of circle(81) at r = 1/12, L2 is 5184: shrinking one
     # level-1 arc by 1/(5184*7) must still cost its last point's ball
     s, sc, g = circle_setup()
-    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                     n_colors=2)
+    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                            n_colors=2)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
     first, *rest = seq.levels[1][0]
     shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
@@ -135,9 +147,33 @@ def test_validator_sees_a_shift_below_every_natural_denominator():
                for v in report.violations)
 
 
+def test_a_kernel_serves_only_what_it_scaled():
+    # the run's kernel serves the certificates and the space it was built
+    # on: after an edit every stage it serves refuses it, and a kernel of
+    # the edited sequence serves it
+    s, sc, g = circle_setup()
+    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                                 n_colors=2)
+    images = embed_stage1(g, seq, kernel).images
+    first, *rest = seq.levels[1][0]
+    shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
+    seq.levels[1][0] = (replace(first, region=shrunk), *rest)
+    for use in (lambda k: validate_covering_sequence(seq, g, k),
+                lambda k: embed_stage1(g, seq, k),
+                lambda k: lebesgue_number(seq.family(1), k)):
+        with pytest.raises(ValueError, match=re.escape(repr(first.uid))):
+            use(kernel)
+    seq.levels[1][0] = (first, *rest)
+    seq.space = generate_space("circle", 81)
+    with pytest.raises(ValueError, match="another space"):
+        embed_stage1(g, seq, kernel)
+    assert embed_stage1(g, seq, CoveringKernel(seq, sc.max_level)).images \
+        == images
+
+
 def test_kernel_refuses_what_it_cannot_scale(tmp_path):
     s, sc, g = cantor_setup(depth=2, J=1)
-    seq = generate_covering_sequence("ultrametric", s, sc, 1, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 1, graph=g)
     first = seq.levels[1][0][0]
     seq.levels[1][0] += (first,)  # one element twice: an overlap, reported
     report = validate_covering_sequence(seq, graph=g)
@@ -160,8 +196,8 @@ def test_grid_preset_validates():
     s = generate_space("grid", 9)
     sc = ScaleParams.for_space(s, F(1, 64), 1)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("shifted_cubes", s, sc, 1, graph=g,
-                                     n_colors=3)
+    seq, _ = build_covering("shifted_cubes", s, sc, 1, graph=g,
+                            n_colors=3)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
 
 
@@ -170,13 +206,13 @@ def test_shifted_cubes_requires_seam_alignment():
     sc = ScaleParams.for_space(s, F(1, 32), 1)
     g = build_approximation(s, sc)
     with pytest.raises(CoveringError):
-        generate_covering_sequence("shifted_cubes", s, sc, 1, graph=g,
-                                   n_colors=3)
+        build_covering("shifted_cubes", s, sc, 1, graph=g,
+                       n_colors=3)
 
 
 def test_covering_json_roundtrip(tmp_path):
     s, sc, g = cantor_setup(depth=3, J=3)
-    seq = generate_covering_sequence("ultrametric", s, sc, 3, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 3, graph=g)
     path = tmp_path / "covering.json"
     save_covering_json(seq, path)
     loaded = load_covering_json(path, s)
@@ -190,7 +226,7 @@ def test_covering_json_roundtrip(tmp_path):
 
 def test_witness_uniqueness_per_color():
     s, sc, g = cantor_setup()
-    seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
     for j in range(0, 4):
         radius = 2 * sc.sep(j + 1)
         for v in g.net(j + 1):
@@ -230,7 +266,56 @@ def test_point_subset_covering_on_a_loaded_space(tmp_path):
     for j in seq.levels:
         assert [e.region for e in loaded.family(j)] == \
             [e.region for e in seq.family(j)]
-    before = [lebesgue_number(seq.family(j), s) for j in seq.levels]
-    after = [lebesgue_number(loaded.family(j), s) for j in loaded.levels]
-    assert before == after
+    kernel = CoveringKernel(seq, seq.max_level)
+    loaded_kernel = CoveringKernel(loaded, loaded.max_level)
+    before = [lebesgue_number(seq.family(j), kernel) for j in seq.levels]
+    after = [lebesgue_number(loaded.family(j), loaded_kernel)
+             for j in loaded.levels]
+    assert before == after == [reference_lebesgue(seq.family(j), s)
+                               for j in seq.levels]
     assert before[1] == F(2, 27)
+
+
+def reference_lebesgue(family, space):
+    """The Lebesgue number on the Fraction certificates and coordinates."""
+    m = mesh(family)
+    worst = None
+    for z in space.points:
+        coord = space.coords[z] if space.coords else z
+        depths = [d for d in (e.region.depth(coord, m) for e in family)
+                  if d is not None]
+        val = min(max(depths), m)
+        worst = val if worst is None else min(worst, val)
+    return worst
+
+
+PRESET_COVERINGS = [
+    ("cantor", 4, F(1, 9), 4, "ultrametric", 1),
+    ("circle", 81, F(1, 12), 2, "shifted_arcs", 2),
+    ("grid", 9, F(1, 64), 1, "shifted_cubes", 3),
+    ("grid", 5, F(1, 64), 2, "shifted_cubes", 3),
+]
+
+
+@pytest.mark.parametrize("kind, n, r, J, generator, colors", PRESET_COVERINGS)
+def test_int_generation_keeps_the_fraction_candidates(kind, n, r, J,
+                                                      generator, colors):
+    # generation drops, on the kernel's ints, exactly the candidates whose
+    # Fraction certificate holds no sample point; the Lebesgue numbers on
+    # ints equal those on the Fractions
+    s = generate_space(kind, n)
+    sc = ScaleParams.for_space(s, r, J)
+    g = build_approximation(s, sc)
+    seq, kernel = build_covering(generator, s, sc, J, graph=g,
+                                 n_colors=colors)
+    candidates = GENERATORS[generator](s, sc, J, n_colors=colors)
+    for j, family in candidates.levels.items():
+        for c, members in family.items():
+            kept = tuple(e for e in members
+                         if any(map(e.region.contains_point, s.coords)))
+            assert seq.levels[j][c] == kept
+        assert lebesgue_number(seq.family(j), kernel) == \
+            reference_lebesgue(seq.family(j), s)
+    if generator == "shifted_cubes":  # tiles between grid points drop
+        assert len(kernel.regions) > sum(
+            len(f) for fam in seq.levels.values() for f in fam.values())

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtrees.approx import build_approximation
-from qtrees.coverings import generate_covering_sequence
+from qtrees.coverings import build_covering
 from qtrees.diary import is_stop
 from qtrees.labelling import (
     NetColoring,
@@ -30,8 +30,8 @@ def cantor_lab():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
-    return build_labelling(embed_stage1(g, seq))
+    seq, kernel = build_covering("ultrametric", s, sc, 4, graph=g)
+    return build_labelling(embed_stage1(g, seq, kernel))
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,9 @@ def circle_lab():
     s = generate_space("circle", 81)
     sc = ScaleParams.for_space(s, F(1, 12), 2)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                     n_colors=2)
-    return build_labelling(embed_stage1(g, seq))
+    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                                 n_colors=2)
+    return build_labelling(embed_stage1(g, seq, kernel))
 
 
 def test_coloring_conflict_property(cantor_lab):
@@ -187,8 +187,8 @@ def test_critical_letters_inconclusive_without_pairs():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 1)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 1, graph=g)
-    lab = build_labelling(embed_stage1(g, seq))
+    seq, kernel = build_covering("ultrametric", s, sc, 1, graph=g)
+    lab = build_labelling(embed_stage1(g, seq, kernel))
     st2 = build_stage2(lab, kappa=16)
     res = check_critical_letters(st2)
     assert res.status in ("pass", "inconclusive")
@@ -200,8 +200,8 @@ def test_vacuous_pass_is_reported_inconclusive():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 1)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 1, graph=g)
-    st2 = build_stage2(build_labelling(embed_stage1(g, seq)), kappa=16)
+    seq, kernel = build_covering("ultrametric", s, sc, 1, graph=g)
+    st2 = build_stage2(build_labelling(embed_stage1(g, seq, kernel)), kappa=16)
     for res in (check_critical_letters(st2), check_binary_stage(st2)):
         assert (res.status, res.checked) == ("pass", 0), res.check_id
         assert res.to_dict()["status"] == "inconclusive", res.check_id

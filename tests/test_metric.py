@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees.metric import (
+    FiniteMetricSpace,
     MetricReport,
     MetricViolation,
     ScaleParams,
     compute_k0,
     doubling_estimate,
+    full_separation_level,
     generate_space,
     load_space_csv,
     make_space,
     maximal_separated_net,
     save_space_csv,
+    scale_rows,
     validate_metric,
 )
 
@@ -103,6 +107,70 @@ def test_validate_metric_matches_every_permutation(rows):
     assert validate_metric(rows) == reference_validate_metric(rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_int_rows_validate_like_the_fractions(rows):
+    # the int rows are the Fraction rows times one unit, and validating
+    # the ints reports the Fraction reference's first violation
+    unit, ints = scale_rows(rows)
+    assert [[F(x, unit) for x in row] for row in ints] == rows
+    report = validate_metric(ints)
+    assert report == reference_validate_metric(rows)
+    if len(rows) < 2:
+        return
+    if report.ok:
+        space = make_space(rows)
+        assert space.unit == unit and space.rows == tuple(map(tuple, ints))
+        assert space.dist == tuple(map(tuple, rows))
+        assert space.diam == max(map(max, rows))
+    else:
+        message = re.escape(str(report.violation))
+        with pytest.raises(ValueError, match=message):
+            make_space(rows)
+
+
+def fraction_space(kind, param):
+    """Coordinates and distances of a generated space, built entry by entry
+    in Fractions."""
+    if kind == "cantor":
+        pos = [F(0)]
+        for level in range(1, param + 1):
+            pos = [p for x in pos for p in (x, x + F(2, 3**level))]
+        return sorted(pos), [[abs(a - b) for b in sorted(pos)]
+                             for a in sorted(pos)]
+    if kind == "circle":
+        return ([F(i, param) for i in range(param)],
+                [[F(min(abs(i - j), param - abs(i - j)), param)
+                  for j in range(param)] for i in range(param)])
+    step = F(1, param - 1)
+    pos = [(i * step, j * step) for i in range(param) for j in range(param)]
+    return pos, [[max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in pos]
+                 for a in pos]
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("cantor", range(1, 7)), ("circle", range(2, 30)), ("grid", range(2, 8))])
+def test_generated_int_rows_match_the_fractions(kind, sizes):
+    for param in sizes:
+        s = generate_space(kind, param)
+        coords, rows = fraction_space(kind, param)
+        assert s.coords == tuple(coords)
+        assert s.dist == tuple(map(tuple, rows))
+        assert s.rows == tuple(tuple(x * s.unit for x in row) for row in rows)
+        assert s.diam == max(map(max, rows))
+        assert s.lattice(2 * s.unit) == tuple(
+            tuple(2 * s.unit * x for x in c) if kind == "grid"
+            else 2 * s.unit * c for c in coords)
+
+
+def test_lattice_refuses_a_unit_that_does_not_clear_a_coordinate():
+    s = FiniteMetricSpace(rows=((0, 1), (1, 0)), unit=1,
+                          coords=(F(0), F(1, 2)))
+    assert s.lattice(2) == (0, 1)
+    with pytest.raises(ValueError, match="does not clear 1/2"):
+        s.lattice(1)
+
+
 def test_validate_metric_reports_the_first_permutation():
     # d(0, 3) is too long through 1 and through 2, and d(3, 1) through 2:
     # the first permutation in order is (0, 1, 3)
@@ -145,6 +213,13 @@ def test_greedy_net_examples():
     s = make_space(rows)
     assert maximal_separated_net(s, F(1, 2)).centers == (0, 2)
     assert maximal_separated_net(s, F(3, 10)).centers == (0, 1, 2)
+
+
+def test_full_separation_level_reaches_the_min_gap():
+    # the first level with r^level <= min gap, the boundary included
+    for gap, level in [(F(1, 36), 2), (F(1, 37), 3), (F(1, 35), 2)]:
+        s = make_space([[F(0), gap], [gap, F(0)]])
+        assert full_separation_level(s, F(1, 6), 1) == level
 
 
 def test_net_separation_and_maximality():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtrees.approx import Vertex, build_approximation
-from qtrees.coverings import generate_covering_sequence
+from qtrees.coverings import build_covering
 from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, generate_space, make_space
 from qtrees.pipeline import Pipeline
@@ -29,8 +29,8 @@ def cantor_emb():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
-    return embed_stage1(g, seq)
+    seq, kernel = build_covering("ultrametric", s, sc, 4, graph=g)
+    return embed_stage1(g, seq, kernel)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,9 @@ def circle_emb():
     s = generate_space("circle", 81)
     sc = ScaleParams.for_space(s, F(1, 12), 2)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("shifted_arcs", s, sc, 2, graph=g,
-                                     n_colors=2)
-    return embed_stage1(g, seq)
+    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
+                                 n_colors=2)
+    return embed_stage1(g, seq, kernel)
 
 
 def test_root_maps_to_root(cantor_emb):
@@ -155,8 +155,8 @@ def test_single_vertex_graph_vacuous():
     s = generate_space("cantor", 3)
     sc = ScaleParams.for_space(s, F(1, 9), 0)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 0, graph=g)
-    emb = embed_stage1(g, seq)
+    seq, kernel = build_covering("ultrametric", s, sc, 0, graph=g)
+    emb = embed_stage1(g, seq, kernel)
     checks, rows = stage1_suite(emb)
     assert not rows
     for check in checks:

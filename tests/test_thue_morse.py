@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtrees import morse_thue
 from qtrees.diary import STOP, encode, letter_count
 from qtrees.morse_thue import (
     check_equal_diaries,
@@ -19,6 +21,7 @@ from qtrees.morse_thue import (
     strip,
     synchronize_check,
 )
+from qtrees.reporting import CheckResult, PASS
 
 
 def test_prefix_values():
@@ -147,3 +150,36 @@ def test_long_journey_shape():
     alpha, _ = long_journey_pair(k=2, n_stops=2)
     # one long word then an empty word: two stop signs total
     assert alpha == ("b", "a", "a", "a", "a", "a", "a") * 2 + (STOP, STOP)
+
+
+def reference_synchronization(seq, trials, seed, max_len):
+    """The search with two lists of l bits per trial, read off ``seq``."""
+    res = CheckResult("mt-synchronization", PASS)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        L = rng.randint(2, max_len)
+        shift = rng.randint(0, max(1, L // 3))
+        Lp = L + shift
+        l = rng.randint(max(1, 2 * shift), min(L, max_len))
+        if 2 * shift > l:
+            continue
+        res.checked += 1
+        window = [seq[L - i] for i in range(l)]
+        window_p = [seq[Lp - i] for i in range(l)]
+        if shift != 0 and window == window_p:
+            res.add_violation({"L": L, "L'": Lp, "tail": l})
+    return res
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_synchronization_slices_the_windows_it_means(seed, monkeypatch):
+    # on sparse random bits in place of the Thue-Morse prefix equal windows
+    # are common, and the sliced search must report exactly the pairs the
+    # bitwise one does
+    rng = random.Random(seed)
+    seq = tuple(int(rng.random() < 0.03) for _ in range(300))
+    monkeypatch.setattr(morse_thue, "mt_prefix", lambda n: seq[:n])
+    got = morse_thue.check_synchronization(trials=30, seed=seed, max_len=60)
+    want = reference_synchronization(seq, 30, seed, 60)
+    assert got.to_dict() == want.to_dict()
+    assert got.violations

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees.approx import build_approximation
-from qtrees.coverings import CoveringKernel, generate_covering_sequence
+from qtrees.coverings import CoveringKernel, build_covering
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.trees import (
     LevelledTree,
@@ -25,7 +25,7 @@ def cantor_tree():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 4, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
     return seq, build_color_tree(seq, 0), sc
 
 
@@ -125,7 +125,7 @@ def test_single_level_tree():
     s = generate_space("cantor", 3)
     sc = ScaleParams.for_space(s, F(1, 9), 0)
     g = build_approximation(s, sc)
-    seq = generate_covering_sequence("ultrametric", s, sc, 0, graph=g)
+    seq, _ = build_covering("ultrametric", s, sc, 0, graph=g)
     ct = build_color_tree(seq, 0)
     assert len(ct.elements) == 1
 
