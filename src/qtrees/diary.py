@@ -72,11 +72,6 @@ def words_and_stops(sentence: Sequence) -> tuple[list[tuple], list]:
     return words, stops
 
 
-def letter_count(sentence: Sequence) -> int:
-    """Sentence length: stop signs are ignored."""
-    return len(sentence) - len(segments_and_stops(sentence)[1])
-
-
 # ---------------------------------------------------------------------------
 # Encoding
 

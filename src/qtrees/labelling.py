@@ -7,13 +7,19 @@ lower endpoint, together with the Thue-Morse bit of the level.  Tree
 vertices become sentences, sentences become page sequences, and the
 composition graph -> trees -> page trees stays bilipschitz with
 constants depending only on the color count.
+
+Stage 2 is built once from the color trees, as two tables:
+``Labelling.words`` holds one edge word per (color, non-root tree vertex),
+``Stage2.diaries`` one diary per (color, tree vertex), its parent's pages
+plus one encoder step.  Sentences and the letter of a level are read off
+the root paths; the images' binary words are built with the diaries.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -21,7 +27,8 @@ from qtrees.approx import ApproxGraph, Vertex
 from qtrees.diary import (
     STOP,
     Diary,
-    encode,
+    encode_segments,
+    format_diary,
     is_stop,
     membership,
     reconstruct,
@@ -96,8 +103,7 @@ def check_net_coloring(graph: ApproxGraph, coloring: NetColoring) -> CheckResult
 class Labelling:
     stage1: Stage1
     coloring: NetColoring
-    # per color: tree vertex uid -> sentence tokens / letter index
-    _sentences: dict[tuple[int, str], tuple] = field(default_factory=dict)
+    words: dict[tuple[int, str], tuple]  # (color, non-root uid) -> edge word
 
     @property
     def graph(self) -> ApproxGraph:
@@ -106,69 +112,60 @@ class Labelling:
     def edge_word(self, color: int, child_uid: str) -> tuple:
         """Letters for the tree edge from child to its parent, one per level
         in (parent level, child level]."""
-        tree = self.stage1.trees[color]
-        child = tree.elements[child_uid]
-        parent_uid = tree.tree.parent[child_uid]
-        if parent_uid is None:
+        if self.stage1.trees[color].tree.parent[child_uid] is None:
             raise ValueError("the root has no incoming edge")
-        parent = tree.elements[parent_uid]
-        return tuple(
-            self._letter(child, k)
-            for k in range(parent.level + 1, child.level + 1)
-        )
-
-    def _letter(self, element, k: int):
-        """Palette colors of level-(k+1) net points whose balls touch the
-        element, decorated with the level bit."""
-        kernel = self.stage1.kernel
-        radius = kernel.radius(k + 1)
-        region = kernel.regions[element.uid]
-        hit = frozenset(
-            self.coloring.color(k + 1, p)
-            for p in self.graph.net(k + 1)
-            if region.meets_ball(kernel.coords[p], radius)
-        )
-        if not hit:
-            raise AssertionError(
-                f"empty letter at level {k} for {element.uid}")
-        return (hit, mt_bit(k))
+        return self.words[color, child_uid]
 
     def sentence_of(self, color: int, uid: str) -> tuple:
         """Decorated sentence spelled along the root path: one word per tree
         edge, each word closed by a stop sign carrying the bit of its last
         letter's level."""
-        cached = self._sentences.get((color, uid))
-        if cached is not None:
-            return cached
-        tree = self.stage1.trees[color]
-        path = tree.tree.root_path(uid)
+        tree = self.stage1.trees[color].tree
+        path, levels = tree.paths[uid], tree.path_levels[uid]
         tokens: list = []
-        for child_uid in path[1:]:
-            word = self.edge_word(color, child_uid)
-            tokens.extend(word)
-            tokens.append((STOP, mt_bit(tree.elements[child_uid].level)))
-        out = tuple(tokens)
-        self._sentences[(color, uid)] = out
-        return out
+        for child, level in zip(path[1:], levels[1:]):
+            tokens.extend(self.words[color, child])
+            tokens.append((STOP, mt_bit(level)))
+        return tuple(tokens)
 
     def letter_at_level(self, color: int, uid: str, level: int):
-        """(letter, word index) for the sentence letter of the given level;
-        letters sit at levels 1..element level, one each."""
-        sent = self.sentence_of(color, uid)
-        word_idx = 1
-        lv = 0
-        for tok in sent:
-            if is_stop(tok):
-                word_idx += 1
-            else:
-                lv += 1
-                if lv == level:
-                    return tok, word_idx
-        raise ValueError(f"no letter of level {level} in {uid}")
+        """(letter, word index) for the sentence letter of the given level,
+        one of 1..element level: a letter of the edge into the first
+        root-path vertex reaching the level, whose depth is the index."""
+        tree = self.stage1.trees[color].tree
+        levels = tree.path_levels[uid]  # from the root's level 0
+        if not 1 <= level <= levels[-1]:
+            raise ValueError(f"no letter of level {level} in {uid}")
+        depth = bisect_left(levels, level)
+        word = self.words[color, tree.paths[uid][depth]]
+        return word[level - levels[depth - 1] - 1], depth
+
+
+def _letter(stage1: Stage1, coloring: NetColoring, uid: str, k: int):
+    """Palette colors of level-(k+1) net points whose balls touch the
+    element, decorated with the level bit."""
+    kernel = stage1.kernel
+    radius = kernel.radius(k + 1)
+    region = kernel.regions[uid]
+    hit = frozenset(coloring.color(k + 1, p) for p in stage1.graph.net(k + 1)
+                    if region.meets_ball(kernel.coords[p], radius))
+    if not hit:
+        raise AssertionError(f"empty letter at level {k} for {uid}")
+    return (hit, mt_bit(k))
 
 
 def build_labelling(stage1: Stage1) -> Labelling:
-    return Labelling(stage1=stage1, coloring=color_nets(stage1.graph))
+    """Color the nets and spell every tree edge's word, each letter once."""
+    coloring = color_nets(stage1.graph)
+    words = {}
+    for c in stage1.colors:
+        tree = stage1.trees[c].tree
+        for uid, parent in tree.parent.items():
+            if parent is not None:
+                words[c, uid] = tuple(
+                    _letter(stage1, coloring, uid, k)
+                    for k in range(tree.level[parent] + 1, tree.level[uid] + 1))
+    return Labelling(stage1=stage1, coloring=coloring, words=words)
 
 
 def check_sentences(lab: Labelling) -> CheckResult:
@@ -206,7 +203,11 @@ def check_sentences(lab: Labelling) -> CheckResult:
 class Stage2:
     labelling: Labelling
     kappa: int
-    pages: dict[tuple[int, str], Diary] = field(default_factory=dict)
+    diaries: dict[tuple[int, str], Diary]  # (color, tree uid) -> pages
+    # the page alphabet of the binary re-encoding: every page of an image's
+    # diary in any color, numbered from 1 in ``repr`` order
+    page_index: dict[tuple, int]
+    binary: dict[Diary, tuple[int, ...]]  # image diary -> its binary word
 
     @property
     def stage1(self) -> Stage1:
@@ -217,24 +218,7 @@ class Stage2:
         return self.stage1.colors
 
     def diary_of(self, color: int, v: Vertex) -> Diary:
-        uid = self.stage1.image(color, v)
-        key = (color, uid)
-        cached = self.pages.get(key)
-        if cached is None:
-            cached = encode(self.labelling.sentence_of(color, uid), self.kappa)
-            self.pages[key] = cached
-        return cached
-
-    @cached_property
-    def page_index(self) -> dict[tuple, int]:
-        """The page alphabet of the binary re-encoding: every page of every
-        vertex's diary in any color, numbered from 1 in ``repr`` order."""
-        pages = sorted(
-            {p for c in self.colors for v in self.stage1.graph.vertices
-             for p in self.diary_of(c, v)},
-            key=repr,
-        )
-        return {p: i + 1 for i, p in enumerate(pages)}
+        return self.diaries[color, self.stage1.image(color, v)]
 
     def page_distance(self, color: int, v: Vertex, w: Vertex) -> int:
         return word_distance(self.diary_of(color, v), self.diary_of(color, w))
@@ -246,14 +230,35 @@ def min_kappa(n_colors: int) -> int:
 
 def build_stage2(lab: Labelling, kappa: Optional[int] = None,
                  research_kappa: bool = False) -> Stage2:
-    C = len(lab.stage1.colors)
+    """Page every tree vertex's sentence: its parent's pages and rest, then
+    one encoder step on the rest and the vertex's edge word."""
+    stage1 = lab.stage1
+    C = len(stage1.colors)
     if kappa is None:
         kappa = min_kappa(C)
     if kappa < min_kappa(C) and not research_kappa:
         raise ValueError(
             f"page capacity {kappa} below the safe bound {min_kappa(C)}; "
             "pass research_kappa to experiment below it")
-    return Stage2(labelling=lab, kappa=kappa)
+    diaries = {}
+    for c in stage1.colors:
+        tree = stage1.trees[c].tree
+        diaries[c, tree.root], rests = (), {tree.root: ()}
+        for uid in sorted(tree.parent, key=tree.depths.get)[1:]:
+            parent = tree.parent[uid]
+            page, rests[uid] = encode_segments(
+                (rests[parent] + lab.words[c, uid],),
+                ((STOP, mt_bit(tree.level[uid])),), kappa)
+            diaries[c, uid] = diaries[c, parent] + page
+    images = {diaries[c, uid] for uids in stage1.images.values()
+              for c, uid in zip(stage1.colors, uids)}
+    pages = sorted({p for d in images for p in d}, key=repr)
+    index = {p: i for i, p in enumerate(pages, start=1)}
+    width = max(len(index), 1)  # no pages: every image diary is empty
+    binary = {d: binary_embed(tuple(index[p] for p in d), width)
+              for d in images}
+    return Stage2(labelling=lab, kappa=kappa, diaries=diaries,
+                  page_index=index, binary=binary)
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +413,20 @@ def _critical_letters(lab: Labelling, color: int, chain_v: tuple,
 
 
 def check_binary_stage(st2: Stage2) -> CheckResult:
-    """Re-encode occurring pages in binary and verify the homothety sandwich
-    lam*(D-2)+2 <= D_bin <= lam*D on every occurring pair per color."""
+    """Verify the homothety sandwich lam*(D-2)+2 <= D_bin <= lam*D of the
+    binary re-encoding on every occurring pair per color."""
     res = CheckResult("stage2-binary-sandwich", PASS)
     graph = st2.stage1.graph
-    index = st2.page_index
-    if not index:
+    n = len(st2.page_index)
+    if not n:
         return res
-    n = len(index)
     lam = binary_width(n)
     res.notes = f"{n} distinct pages, width {lam}"
     for c in st2.colors:
         images = sorted({st2.diary_of(c, v) for v in graph.vertices}, key=repr)
-        coded = {d: binary_embed(tuple(index[p] for p in d), n) for d in images}
         for da, db in itertools.combinations(images, 2):
             D = word_distance(da, db)
-            Db = word_distance(coded[da], coded[db])
+            Db = word_distance(st2.binary[da], st2.binary[db])
             res.checked += 1
             if not (lam * (D - 2) + 2 <= Db <= lam * D):
                 res.add_violation({"color": c, "D": D, "Dbin": Db, "lam": lam})
@@ -435,12 +438,9 @@ def check_binary_stage(st2: Stage2) -> CheckResult:
 
 
 def embedding_dump(st2: Stage2) -> dict:
-    from qtrees.diary import format_diary
-
     graph = st2.stage1.graph
-    index = st2.page_index
-    n = max(len(index), 1)
-    out = {"kappa": st2.kappa, "pageAlphabet": len(index), "vertices": {}}
+    out = {"kappa": st2.kappa, "pageAlphabet": len(st2.page_index),
+           "vertices": {}}
     for v in graph.vertices:
         key = f"{v.level}:{v.center}"
         entry = {}
@@ -448,10 +448,7 @@ def embedding_dump(st2: Stage2) -> dict:
             diary = st2.diary_of(c, v)
             entry[str(c)] = {
                 "pages": format_diary(diary),
-                "binary": "".join(
-                    str(b)
-                    for b in binary_embed(tuple(index[p] for p in diary), n)
-                ),
+                "binary": "".join(map(str, st2.binary[diary])),
             }
         out["vertices"][key] = entry
     return out

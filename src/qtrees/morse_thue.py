@@ -10,13 +10,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from qtrees.diary import (
-    STOP,
-    encode,
-    is_stop,
-    letter_count,
-    segments_and_stops,
-)
+from qtrees.diary import STOP, encode, segments_and_stops
 from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
 
 
@@ -65,20 +59,6 @@ def is_cube_free(bits: Sequence[int]) -> bool:
 # Decoration
 
 
-def letter_levels(sentence: Sequence) -> list[int]:
-    """Level per token: the first letter has level 1 (0 for a leading stop
-    sign); levels increment on letters and stay put on stop signs."""
-    segments, _ = segments_and_stops(sentence)
-    levels = []
-    lv = 0
-    for seg in segments:
-        levels.extend(range(lv + 1, lv + len(seg) + 1))
-        lv += len(seg)
-        levels.append(lv)  # the stop sign after the segment
-    levels.pop()  # the last segment has no stop sign after it
-    return levels
-
-
 def decorate(sentence: Sequence) -> tuple:
     """Replace each token by (token, bit-of-its-level)."""
     segments, _ = segments_and_stops(sentence)
@@ -108,32 +88,8 @@ def decoration_is_valid(decorated: Sequence) -> bool:
     return decorate(plain) == tuple(decorated)
 
 
-def common_tail_letters(alpha: Sequence, beta: Sequence) -> int:
-    """Letters (stop signs ignored) in the longest identical token suffix."""
-    i, j = len(alpha), len(beta)
-    letters = 0
-    while i > 0 and j > 0 and alpha[i - 1] == beta[j - 1]:
-        if not is_stop(alpha[i - 1]):
-            letters += 1
-        i -= 1
-        j -= 1
-    return letters
-
-
 # ---------------------------------------------------------------------------
 # Synchronization checks
-
-
-def synchronize_check(alpha: Sequence, beta: Sequence, l: int) -> str:
-    """Decorated sentences with identical tails of >= l letters and lengths
-    within l/2 of each other must have equal lengths.  Returns "pass",
-    "fail", or "inconclusive" when the hypotheses do not hold."""
-    if not (decoration_is_valid(alpha) and decoration_is_valid(beta)):
-        return INCONCLUSIVE
-    la, lb = letter_count(alpha), letter_count(beta)
-    if common_tail_letters(alpha, beta) < l or 2 * abs(la - lb) > l:
-        return INCONCLUSIVE
-    return PASS if la == lb else "fail"
 
 
 def check_synchronization(trials: int = 4000, seed: int = 0,

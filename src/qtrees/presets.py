@@ -25,13 +25,17 @@ class PipelineConfig:
     space_file: Optional[str] = None
     r: Fraction = Fraction(1, 9)
     max_level: Optional[int] = 4
-    covering_kind: str = "ultrametric"
     n_colors: int = 1
     kappa: Optional[int] = None  # default: 15 * n_colors + 1
     research_kappa: bool = False
     seed: int = 0
     out_dir: Optional[str] = None
     preset: str = ""
+
+    @property
+    def covering_kind(self) -> str:
+        """The covering generator of the space kind."""
+        return SPACES[self.space_kind].covering
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ SPACES: dict[str, SpaceSpec] = {
 def _defaults(kind: str) -> PipelineConfig:
     spec = SPACES.get(kind, SPACES["cantor"])
     return PipelineConfig(space_kind=kind, space_param=spec.size, r=spec.r,
-                          max_level=None, covering_kind=spec.covering,
-                          n_colors=spec.colors)
+                          max_level=None, n_colors=spec.colors)
 
 
 PRESETS: dict[str, PipelineConfig] = {

@@ -207,6 +207,8 @@ GOLDEN_SHA256 = {
     ("--preset", "circle"): {
         "report.json": "3cf3212684563b0ffd53bbf7c432c0f9"
                        "8f769e8c174c5d7c7bb6f664f5afaf4f",
+        "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
+                          "996b1225b5ad6da6758b000fd4a95584",
     },
 }
 
@@ -226,6 +228,11 @@ GOLDEN_STDOUT_SHA256 = {
         "ad85e005d0270192720e5c46180b9068c60dcf7e1673dad25e82c704e18c17c9",
     ("verify", "covering", "--preset", "grid"):
         "78a4ba920f2724a989fbf221f609b38fb41af5f637b6759e0837511addb8e3ba",
+    ("verify", "stage2", "--preset", "circle"):
+        "a09947414e6d91ebd06fd3f5a5b13a7529f1cd9def8048fa3ff2b420582d50b7",
+    ("verify", "stage2", "--preset", "cantor", "--research-kappa",
+     "--kappa", "3"):
+        "cc31afacca585842be6f1a268c2479d93963f9bbd7655b1264c8c77a2c963975",
 }
 
 

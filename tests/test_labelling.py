@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from qtrees.approx import build_approximation
 from qtrees.coverings import build_covering
-from qtrees.diary import is_stop
+from qtrees.diary import STOP, encode, is_stop
 from qtrees.labelling import (
     NetColoring,
     build_labelling,
@@ -21,8 +22,11 @@ from qtrees.labelling import (
 )
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import mt_bit
+from qtrees.pipeline import Pipeline
+from qtrees.presets import PRESETS, config_for
 from qtrees.reporting import PASS, CheckResult
 from qtrees.stage1 import embed_stage1
+from qtrees.trees import binary_embed
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +282,108 @@ def test_critical_letters_precondition(circle_lab):
     root = tree.tree.root
     with pytest.raises(ValueError):
         critical_letters(lab, 0, root, root, 1)
+
+
+# ---------------------------------------------------------------------------
+# The stage-2 tables against from-scratch references
+
+
+def ref_sentence(lab, color, uid):
+    """The sentence of a tree vertex from a walk up its parents, with each
+    edge word recomputed from the kernel regions and the net coloring."""
+    tree, kernel = lab.stage1.trees[color].tree, lab.stage1.kernel
+    words = []
+    while tree.parent[uid] is not None:
+        parent = tree.parent[uid]
+        region = kernel.regions[uid]
+        word = tuple(
+            (frozenset(lab.coloring.mu[k + 1][p] for p in lab.graph.net(k + 1)
+                       if region.meets_ball(kernel.coords[p],
+                                            kernel.radius(k + 1))),
+             mt_bit(k))
+            for k in range(tree.level[parent] + 1, tree.level[uid] + 1))
+        words.append(word + ((STOP, mt_bit(tree.level[uid])),))
+        uid = parent
+    return tuple(tok for word in reversed(words) for tok in word)
+
+
+def ref_letter_at_level(sentence, level):
+    """(letter, word index) by a token walk over the sentence."""
+    word, lv = 1, 0
+    for tok in sentence:
+        if is_stop(tok):
+            word += 1
+        else:
+            lv += 1
+            if lv == level:
+                return tok, word
+    raise ValueError(level)
+
+
+STAGE2_CONFIGS = {
+    "cantor": PRESETS["cantor"],
+    "circle": PRESETS["circle"],
+    "grid": PRESETS["grid"],
+    "grid5-L2": config_for(None, space_kind="grid", space_param=5,
+                           max_level=2),
+}
+
+
+@pytest.mark.parametrize("name", list(STAGE2_CONFIGS))
+def test_stage2_tables_match_from_scratch_references(name):
+    pipe = Pipeline(STAGE2_CONFIGS[name])
+    lab, emb = pipe.labelling, pipe.stage1
+    sentences = {}
+    for c in emb.colors:
+        tree = emb.trees[c].tree
+        for uid in tree.vertices():
+            sent = sentences[c, uid] = ref_sentence(lab, c, uid)
+            assert lab.sentence_of(c, uid) == sent
+            for level in range(1, tree.level[uid] + 1):
+                assert lab.letter_at_level(c, uid, level) == \
+                    ref_letter_at_level(sent, level)
+            for outside in (0, tree.level[uid] + 1):
+                with pytest.raises(ValueError):
+                    lab.letter_at_level(c, uid, outside)
+    # small capacities carry a rest from page to page; the run's does not
+    for kappa in (pipe.kappa, 1, 2, 3):
+        st2 = build_stage2(lab, kappa, research_kappa=True)
+        for (c, uid), sent in sentences.items():
+            assert st2.diaries[c, uid] == encode(sent, kappa)
+        images = {st2.diary_of(c, v) for c in emb.colors
+                  for v in pipe.graph.vertices}
+        pages = sorted({p for d in images for p in d}, key=repr)
+        assert list(st2.page_index) == pages
+        assert list(st2.page_index.values()) == list(
+            range(1, len(pages) + 1))
+        assert set(st2.binary) == images
+        for d in images:
+            assert st2.binary[d] == binary_embed(
+                tuple(st2.page_index[p] for p in d), max(len(pages), 1))
+
+
+def test_stage2_spells_each_letter_and_pages_each_vertex_once(monkeypatch):
+    from qtrees import labelling
+
+    pipe = Pipeline(PRESETS["cantor"])
+    emb = pipe.stage1
+    letters, steps = Counter(), []
+    letter, step = labelling._letter, labelling.encode_segments
+
+    def counted_letter(stage1, coloring, uid, k):
+        letters[uid, k] += 1
+        return letter(stage1, coloring, uid, k)
+
+    def counted_step(words, stops, kappa):
+        steps.append(stops)
+        return step(words, stops, kappa)
+
+    monkeypatch.setattr(labelling, "_letter", counted_letter)
+    monkeypatch.setattr(labelling, "encode_segments", counted_step)
+    assert all(check.ok for check in pipe.checks("stage2"))
+    embedding_dump(pipe.stage2)
+    trees = [emb.trees[c].tree for c in emb.colors]
+    edges = {(u, k) for t in trees for u, p in t.parent.items()
+             if p is not None for k in range(t.level[p] + 1, t.level[u] + 1)}
+    assert set(letters) == edges and set(letters.values()) == {1}
+    assert len(steps) == sum(len(t.parent) - 1 for t in trees) > 0

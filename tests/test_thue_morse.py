@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees import morse_thue
-from qtrees.diary import STOP, encode, letter_count
+from qtrees.diary import STOP, encode
 from qtrees.morse_thue import (
     check_equal_diaries,
     check_synchronization,
-    common_tail_letters,
     decorate,
     decoration_is_valid,
     is_cube_free,
-    letter_levels,
     long_journey_pair,
     mt_bit,
     mt_prefix,
     strip,
-    synchronize_check,
 )
 from qtrees.reporting import CheckResult, PASS
 
@@ -88,10 +85,8 @@ def test_mt_bit_is_digit_sum_parity():
 
 def test_levels_and_decoration():
     sent = ("a", STOP)
-    assert letter_levels(sent) == [1, 1]
     assert decorate(sent)[0] == ("a", mt_bit(1)) == ("a", 1)
     lead = (STOP, "a", STOP)
-    assert letter_levels(lead) == [0, 1, 1]
     assert decorate(lead)[0] == (STOP, 0)
     two = ("a", "a", STOP)
     assert [b for _, b in decorate(two)] == [1, 1, 1]  # t(1), t(2), stop at 2
@@ -102,26 +97,6 @@ def test_strip_inverts_decorate():
         deco = decorate(sent)
         assert strip(deco) == sent
         assert decoration_is_valid(deco)
-
-
-def test_sentence_length_ignores_stops():
-    deco = decorate(("a", "b", STOP, STOP, "c", STOP))
-    assert letter_count(deco) == 3
-
-
-def test_common_tail_letters():
-    a = decorate(("a", "b", STOP))
-    b = decorate(("b", "b", STOP))
-    assert common_tail_letters(a, a) == 2
-    assert common_tail_letters(a, b) == 1
-
-
-def test_synchronize_trivial_and_inconclusive():
-    alpha = decorate(("a", "b", "a", STOP))
-    assert synchronize_check(alpha, alpha, 3) == "pass"
-    beta = decorate(("b", "a", STOP))
-    # tails differ: hypotheses not met
-    assert synchronize_check(alpha, beta, 3) == "inconclusive"
 
 
 def test_synchronization_search_finds_nothing():

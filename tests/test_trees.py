@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from qtrees.approx import build_approximation
 from qtrees.coverings import CoveringKernel, build_covering
 from qtrees.metric import ScaleParams, generate_space
+from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import (
+    ColorTree,
     LevelledTree,
     binary_embed,
     binary_width,
     build_color_tree,
-    check_binary_sandwich,
     check_color_tree,
     export_tree,
     word_distance,
@@ -115,6 +116,27 @@ def test_color_tree_structure(cantor_tree):
     assert check.status == "pass", check.violations[:2]
 
 
+def test_meet_below_both_ends_follows_from_monotone_levels(cantor_tree):
+    # a tree whose incomparable pair meets at the level of one end has a
+    # non-monotone edge, and the check reports that edge
+    seq, ct, sc = cantor_tree
+    t = ct.tree
+    u = ct.level_vertices(2)[0]
+    q = next(x for x in ct.level_vertices(1) if x != t.parent[u])
+    doctored = LevelledTree(root=t.root, parent=t.parent,
+                            level={**t.level, u: 0})
+    assert doctored.level[doctored.meets[u, q]] >= min(doctored.level[u],
+                                                       doctored.level[q])
+    bad = ColorTree(color=ct.color, tree=doctored, elements=ct.elements,
+                    by_level=ct.by_level)
+    kernel = CoveringKernel(seq, sc.max_level)
+    check = check_color_tree(kernel, bad, sc.k0)
+    assert check.status == "fail"
+    assert {"vertex": u, "edge": [t.parent[u], u],
+            "reason": "level not increasing"} in check.violations
+    assert check.checked == check_color_tree(kernel, ct, sc.k0).checked
+
+
 def test_color_tree_depth_bound(cantor_tree):
     seq, ct, sc = cantor_tree
     for uid, elem in ct.elements.items():
@@ -145,6 +167,40 @@ def test_binary_width_and_embed():
     assert binary_embed((), 3) == ()
     with pytest.raises(ValueError):
         binary_embed((4,), 3)
+
+
+def check_binary_sandwich(n: int, max_len: int = 5) -> CheckResult:
+    """lam*(D-2)+2 <= D_bin <= lam*D for all word pairs over 1..n of length
+    <= max_len.
+
+    Both distances depend only on the common-prefix length, the two suffix
+    lengths, and the first differing letters; sweeping those parameters is
+    exhaustive over all such pairs.
+    """
+    res = CheckResult(f"binary-sandwich-n{n}", PASS)
+    lam = binary_width(n)
+
+    def verify(u, v):
+        D = word_distance(u, v)
+        Db = word_distance(binary_embed(u, n), binary_embed(v, n))
+        res.checked += 1
+        if not (lam * (D - 2) + 2 <= Db <= lam * D):
+            res.add_violation({"u": u, "v": v, "D": D, "Dbin": Db, "lam": lam})
+
+    for t in range(0, max_len + 1):
+        base = tuple([1] * t)
+        for la in range(0, max_len - t + 1):
+            for lb in range(0, max_len - t + 1):
+                pad_a, pad_b = [1] * max(la - 1, 0), [1] * max(lb - 1, 0)
+                if la == 0 or lb == 0:
+                    # comparable pair; suffix letters do not matter
+                    verify(base + tuple([1] * la), base + tuple([1] * lb))
+                    continue
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        if x != y:
+                            verify(base + (x, *pad_a), base + (y, *pad_b))
+    return res
 
 
 def test_binary_sandwich_alphabets_3_to_9():
