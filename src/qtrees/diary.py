@@ -40,8 +40,9 @@ class InconsistentDiary(ValueError):
 
 
 def is_stop(tok) -> bool:
-    return tok == STOP or (isinstance(tok, tuple) and len(tok) == 2
-                           and tok[0] == STOP)
+    if isinstance(tok, tuple):
+        return len(tok) == 2 and tok[0] == STOP
+    return tok == STOP
 
 
 def segments_and_stops(tokens: Sequence) -> tuple[list[tuple], list]:
@@ -53,11 +54,19 @@ def segments_and_stops(tokens: Sequence) -> tuple[list[tuple], list]:
     stops: list = []
     start = 0
     for i, tok in enumerate(tokens):
-        if tok == STOP or (isinstance(tok, tuple) and len(tok) == 2
-                           and tok[0] == STOP):
-            segments.append(tokens[start:i])
-            stops.append(tok)
-            start = i + 1
+        # the type first, so that no decorated token is compared with STOP
+        cls = tok.__class__
+        if cls is str:
+            if tok != STOP:
+                continue
+        elif cls is tuple or isinstance(tok, tuple):
+            if len(tok) != 2 or not tok[0] == STOP:
+                continue
+        elif not tok == STOP:
+            continue
+        segments.append(tokens[start:i])
+        stops.append(tok)
+        start = i + 1
     segments.append(tokens[start:])
     return segments, stops
 
@@ -123,96 +132,91 @@ def encode(sentence: Sequence, kappa: int) -> Diary:
     return encode_with_rest(sentence, kappa)[0]
 
 
-def page_is_valid(page: Sequence, kappa: int) -> bool:
-    """A page has exactly kappa tokens, or fewer followed by the terminal
-    marker (which may stand alone)."""
-    if len(page) == kappa and STAR not in page:
-        return True
-    return (
-        0 < len(page) <= kappa
-        and page[-1] == STAR
-        and STAR not in page[:-1]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction
 
 
 def decode(diary: Sequence, kappa: int) -> tuple[Slotted, tuple]:
     """Invert the page codec; returns the slotted sentence together with the
-    pending-stop structure.
+    pending-stop structure: the fold of ``decode_step`` over the pages."""
+    state = ((), ())
+    for page in diary:
+        state = decode_step(state, page, kappa)
+    return state
 
-    The decoder mirrors the encoder's leftover text as a list of pending
+
+def decode_step(state: tuple[Slotted, tuple], page: Sequence, kappa: int
+                ) -> tuple[Slotted, tuple]:
+    """The decoded (slotted, pending) of a diary extended by one page, from
+    the diary's own; the state of no pages is ``((), ())``.
+
+    The decoder mirrors the encoder's leftover text as a tuple of pending
     stop signs; each pending stop may "own" a slotted unit whose hidden
     prefix sits right before it.  A page either starts a new slotted word
     (no stop sign visible), or shows the new word completely together with
     the text around the most recent pending stops: complete segments close
     their owners' slots, the oldest (window-cut) segment only extends its
     owner, and a terminal marker proves the whole leftover was shown,
-    closing everything.
+    closing everything.  A page has exactly kappa tokens, or fewer
+    followed by the terminal marker (which may stand alone); any other
+    page is malformed.
     """
-    units: list[tuple[bool, tuple]] = []
-    # pending stop signs, oldest first; each value is the index of the
-    # slotted unit whose unrecorded prefix precedes the stop, or None
-    pending: list[Optional[int]] = []
+    if kappa < 1:
+        raise ValueError("page capacity must be at least 1")
+    units, pending = state
+    # pending holds (word index, owner): the index of the slotted unit
+    # whose unrecorded prefix precedes the stop sign, or None
+    idx = len(units)
+    has_star = len(page) > 0 and page[-1] == STAR
+    body = page[:-1] if has_star else page
+    if STAR in body or (len(body) >= kappa if has_star
+                        else len(body) != kappa):
+        raise InconsistentDiary(idx, "malformed page")
+    # segments before each visible pending stop, then the new word, in
+    # natural reading order
+    shown, _ = segments_and_stops(body[::-1])
+    new_word = shown.pop()
+    p = len(shown)
 
-    for idx, page in enumerate(diary):
-        if not page_is_valid(page, kappa):
-            raise InconsistentDiary(idx, "malformed page")
-        has_star = page[-1] == STAR
-        body = page[:-1] if has_star else page
-        pi = tuple(body[::-1])  # natural reading order
-        # segments before each visible pending stop, then the new word
-        shown, _ = segments_and_stops(pi)
-        new_word = shown.pop()
-        p = len(shown)
-
-        if p == 0:
-            if has_star:
-                if idx > 0:
-                    raise InconsistentDiary(
-                        idx, "terminal page must reach back to a stop sign")
-                units.append((False, new_word))
-                pending.append((0, None))
-            else:
-                units.append((True, new_word))
-                pending.append((len(units) - 1, len(units) - 1))
-            continue
-
-        if p > len(pending):
-            raise InconsistentDiary(idx, "page shows stop signs that are "
-                                         "not pending")
-        if has_star and p != len(pending):
+    if p == 0:
+        if not has_star:
+            return units + ((True, new_word),), pending + ((idx, idx),)
+        if idx > 0:
             raise InconsistentDiary(
-                idx, "terminal page must show every pending stop sign")
+                idx, "terminal page must reach back to a stop sign")
+        return units + ((False, new_word),), pending + ((0, None),)
 
-        visible = pending[len(pending) - p:]
-        # complete segments (all but the oldest) close their owners
-        for seg, (_, owner) in zip(shown[1:], visible[1:]):
-            if owner is None:
-                if seg:
-                    raise InconsistentDiary(
-                        idx, "text shown before a fully recorded word")
-            else:
-                units[owner] = (False, seg + units[owner][1])
-        # the oldest visible segment is cut by the window: it extends its
-        # owner, whose slot stays open unless the page was terminal
-        first_owner = visible[0][1]
-        if first_owner is None:
-            if shown[0]:
+    if p > len(pending):
+        raise InconsistentDiary(idx, "page shows stop signs that are "
+                                     "not pending")
+    if has_star and p != len(pending):
+        raise InconsistentDiary(
+            idx, "terminal page must show every pending stop sign")
+
+    kept = len(pending) - p
+    visible = pending[kept:]
+    units = list(units)
+    # complete segments (all but the oldest) close their owners
+    for seg, (_, owner) in zip(shown[1:], visible[1:]):
+        if owner is None:
+            if seg:
                 raise InconsistentDiary(
                     idx, "text shown before a fully recorded word")
-            carried = None
         else:
-            units[first_owner] = (not has_star,
-                                  shown[0] + units[first_owner][1])
-            carried = None if has_star else first_owner
-        del pending[len(pending) - p:]
-        units.append((False, new_word))
-        pending.append((len(units) - 1, carried))
-
-    return tuple(units), tuple(pending)
+            units[owner] = (False, seg + units[owner][1])
+    # the oldest visible segment is cut by the window: it extends its
+    # owner, whose slot stays open unless the page was terminal
+    first_owner = visible[0][1]
+    if first_owner is None:
+        if shown[0]:
+            raise InconsistentDiary(
+                idx, "text shown before a fully recorded word")
+        carried = None
+    else:
+        units[first_owner] = (not has_star, shown[0] + units[first_owner][1])
+        carried = None if has_star else first_owner
+    units.append((False, new_word))
+    return tuple(units), pending[:kept] + ((idx, carried),)
 
 
 def reconstruct(diary: Sequence, kappa: int) -> Slotted:

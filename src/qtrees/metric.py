@@ -325,7 +325,12 @@ def doubling_estimate(space: FiniteMetricSpace) -> int:
 def load_space_csv(path) -> FiniteMetricSpace:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    n = int(lines[0])
+    if not lines:
+        raise ValueError("empty space file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError("line 1 must be the point count") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -143,18 +143,19 @@ def check_equal_diaries(kappa: int, n: int, trials: int = 300,
             words.append(tuple(rng.choice(alphabet) for _ in range(wl)))
         plain = tuple(t for w in words for t in (*w, STOP))
         deco = decorate(plain)
-        buckets.setdefault(encode(deco, kappa), []).append(deco)
+        # each sentence's letter table, built once for all of its pairs
+        buckets.setdefault(encode(deco, kappa), []).append(
+            (deco, _letter_table(deco)))
     qualifying = 0
     for group in buckets.values():
         for i, alpha in enumerate(group):
             for beta in group[i + 1:]:
                 qualifying += _compare_equal_level_letters(
-                    alpha, beta, kappa, n, res)
+                    alpha, beta, n, res)
     # every sentence trivially pairs with itself
     for group in buckets.values():
         for alpha in group:
-            qualifying += _compare_equal_level_letters(
-                alpha, alpha, kappa, n, res)
+            qualifying += _compare_equal_level_letters(alpha, alpha, n, res)
     res.checked = qualifying
     if qualifying == 0:
         res.status = INCONCLUSIVE
@@ -177,13 +178,13 @@ def _letter_table(sentence: Sequence) -> list[tuple[int, int, int, int]]:
     return table
 
 
-def _compare_equal_level_letters(alpha, beta, kappa: int, n: int,
+def _compare_equal_level_letters(alpha: tuple, beta: tuple, n: int,
                                  res: CheckResult) -> int:
-    """Check hypothesis-satisfying letter pairs of equal level; returns how
-    many qualified."""
+    """Check hypothesis-satisfying letter pairs of equal level of two
+    (sentence, letter table) pairs; returns how many qualified."""
+    (sent_a, table_a), (sent_b, table_b) = alpha, beta
     count = 0
-    for lv, (a, b) in enumerate(zip(_letter_table(alpha),
-                                    _letter_table(beta)), 1):
+    for lv, (a, b) in enumerate(zip(table_a, table_b), 1):
         ia, m_a, stops_a, tail_a = a
         ib, m_b, stops_b, tail_b = b
         if abs(m_a - m_b) > 2:
@@ -194,11 +195,11 @@ def _compare_equal_level_letters(alpha, beta, kappa: int, n: int,
         if max(tail_a, tail_b) > n * (p - 2):
             continue
         count += 1
-        if alpha[ia] != beta[ib]:
+        if sent_a[ia] != sent_b[ib]:
             res.add_violation({
                 "level": lv,
-                "a": alpha[ia],
-                "a'": beta[ib],
+                "a": sent_a[ia],
+                "a'": sent_b[ib],
                 "words": (m_a, m_b),
             })
     return count

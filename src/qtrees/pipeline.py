@@ -14,22 +14,21 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from qtrees import approx, coverings, metric
 from qtrees.approx import ApproxGraph, approx_suite, estimate_delta, \
     export_edges, graph_summary, visual_metric_constants
 from qtrees.coverings import CoveringKernel, CoveringSequence, \
     build_covering, save_covering_json
-from qtrees.labelling import Labelling, Stage2, build_labelling, \
-    build_stage2, check_binary_stage, check_net_coloring, check_sentences, \
-    embedding_dump, min_kappa, stage2_suite
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
 from qtrees.presets import PipelineConfig
 from qtrees.reporting import CheckResult, dump_json, jsonable, suite_dict
-from qtrees.stage1 import PairRow, Stage1, embed_stage1, stage1_suite, \
-    write_pairs_csv
-from qtrees.trees import check_color_tree, export_tree
+
+if TYPE_CHECKING:
+    from qtrees.labelling import Labelling, Stage2
+    from qtrees.stage1 import PairRow, Stage1
 
 PIPELINE_SUITES = ("approx", "covering", "stage1", "stage2")
 
@@ -106,27 +105,38 @@ class Pipeline:
                               self.scale.max_level, graph=self.graph,
                               n_colors=cfg.n_colors))
 
+    # The tree side (``trees``, ``stage1``, ``labelling``) is imported where
+    # its artifacts and suites are built, so that the commands that stop at
+    # the covering never load it.
+
     @property
     def stage1(self) -> Stage1:
-        return self._once("stage1", "stage1", lambda: embed_stage1(
-            self.graph, self.seq, self.kernel))
+        def build():
+            from qtrees.stage1 import embed_stage1
+            return embed_stage1(self.graph, self.seq, self.kernel)
+        return self._once("stage1", "stage1", build)
 
     @property
     def labelling(self) -> Labelling:
-        return self._once("labelling", "labelling",
-                          lambda: build_labelling(self.stage1))
+        def build():
+            from qtrees.labelling import build_labelling
+            return build_labelling(self.stage1)
+        return self._once("labelling", "labelling", build)
 
     @property
     def kappa(self) -> int:
         if self.config.kappa is not None:
             return self.config.kappa
+        from qtrees.labelling import min_kappa
         return min_kappa(len(self.seq.colors))
 
     @property
     def stage2(self) -> Stage2:
-        return self._once("stage2", "stage2", lambda: build_stage2(
-            self.labelling, self.kappa,
-            research_kappa=self.config.research_kappa))
+        def build():
+            from qtrees.labelling import build_stage2
+            return build_stage2(self.labelling, self.kappa,
+                                research_kappa=self.config.research_kappa)
+        return self._once("stage2", "stage2", build)
 
     # -- checks -------------------------------------------------------------
 
@@ -147,6 +157,8 @@ class Pipeline:
             elif suite == "covering":
                 checks = [self.seq.contract]
             elif suite == "stage1":
+                from qtrees.stage1 import stage1_suite
+                from qtrees.trees import check_color_tree
                 emb = self.stage1
                 checks = [check_color_tree(emb.kernel, emb.trees[c],
                                            self.scale.k0)
@@ -154,6 +166,8 @@ class Pipeline:
                 pair_checks, extra = stage1_suite(emb)
                 checks += pair_checks
             elif suite == "stage2":
+                from qtrees.labelling import check_binary_stage, \
+                    check_net_coloring, check_sentences, stage2_suite
                 checks, extra = stage2_suite(self.stage2)
                 checks.append(check_net_coloring(self.graph,
                                                  self.labelling.coloring))
@@ -231,6 +245,9 @@ def _config_dict(config: PipelineConfig, kappa: int) -> dict:
 
 
 def export_artifacts(pipe: Pipeline, out_dir) -> None:
+    from qtrees.labelling import embedding_dump
+    from qtrees.stage1 import write_pairs_csv
+    from qtrees.trees import export_tree
     os.makedirs(out_dir, exist_ok=True)
     dump_json(pipe.report, os.path.join(out_dir, "report.json"))
     export_edges(pipe.graph, os.path.join(out_dir, "graph.edges"))

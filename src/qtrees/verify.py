@@ -9,10 +9,14 @@ The codec checks sweep every in-bound sentence as a tuple of words, in
 ``itertools.product`` order, and get its pages and rest from its
 one-word-shorter prefix's by one encoder step; membership and the rest are
 matched on the same words (``diary.member_rest_segments``), so no sentence
-is built flat or split unless a violation records it.  The converse pass
-still encodes every fill with the whole fold, which checks the step-wise
-pages on every sentence.  The pipeline and the geometry stack are imported
-inside ``run_suite``, so codec users never load them.
+is built flat or split unless a violation records it.  Each new class
+costs one decoder step (``diary.decode_step``) from its prefix class's
+state, and star-honesty reads the honesty verdicts of the prefix classes'
+states.  The converse pass still encodes every fill with the whole fold,
+which checks the step-wise pages on every sentence.  The pipeline and the
+geometry stack are imported inside ``run_suite``, and the tree side only
+where a suite reads it, so codec users and ``verify approx|covering``
+never load what they do not run.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from qtrees import morse_thue as mt
 from qtrees.diary import (
     STAR,
     STOP,
-    decode,
+    decode_step,
     encode,
     encode_segments,
     encode_with_rest,
@@ -65,7 +69,6 @@ def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
             seed=config.seed, kappa=config.kappa,
             research=config.research_kappa))
     from qtrees.coverings import CoveringError
-    from qtrees.labelling import min_kappa
     from qtrees.pipeline import StageError
     try:
         checks = list(pipe.checks(suite))
@@ -74,9 +77,10 @@ def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
             raise
         return suite_dict(suite, [
             CheckResult("covering-contract", FAIL, notes=str(exc.cause))])
-    if suite == "stage2" and config.research_kappa and \
-            pipe.kappa < min_kappa(len(pipe.seq.colors)):
-        checks.append(check_small_kappa_collision(pipe.kappa))
+    if suite == "stage2" and config.research_kappa:
+        from qtrees.labelling import min_kappa
+        if pipe.kappa < min_kappa(len(pipe.seq.colors)):
+            checks.append(check_small_kappa_collision(pipe.kappa))
     return suite_dict(suite, checks)
 
 
@@ -91,13 +95,15 @@ def diary_suite(max_words: int = 3, max_len: int = 3,
 
     One incremental sweep per page capacity serves both the round-trip
     check and the star-honesty check: each sentence is encoded once, as
-    one encoder step from its one-word-shorter prefix.  The round-trip
-    check's converse pass still re-encodes every fill of every class with
-    the whole fold, and every in-bound sentence is a fill of its own
-    class, so the fold is checked against the step-wise pages on every
-    sentence.  The star-honesty check (whenever a page carries the
+    one encoder step from its one-word-shorter prefix, and each class is
+    decoded once, as one decoder step from its prefix class's state.  The
+    round-trip check's converse pass still re-encodes every fill of every
+    class with the whole fold, and every in-bound sentence is a fill of
+    its own class, so the fold is checked against the step-wise pages on
+    every sentence.  The star-honesty check (whenever a page carries the
     terminal marker, the prefix up to that page reconstructs honestly)
-    reads each sweep's pages."""
+    reads, for each starred page, the verdict on the state of the prefix
+    class that ends with it; no prefix is reconstructed again."""
     star = CheckResult("diary-star-honest", PASS)
     roundtrips = [_codec_sweep(kappa, max_words, max_len, ("a", "b"), star)
                   for kappa in kappas]
@@ -117,7 +123,7 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
     """The round-trip check at one capacity, over every sentence of
     1..max_words words of at most max_len letters, as word tuples in
     ``itertools.product`` order; when ``star`` is given, the star-honesty
-    check reads the same pages.
+    check reads the same classes.
 
     A sentence's pages and rest extend those of its one-word-shorter
     prefix by one encoder step: between words the encoder's only state is
@@ -125,7 +131,11 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
     continues from its member rest, which equals the encoder's rest
     whenever the prefix passed; so a faulty rest is reported on the
     sentence that shows it and does not also corrupt the pages of its
-    extensions.  Only the levels below ``max_words`` are kept."""
+    extensions.  A new class is decoded by one decoder step from its
+    prefix class's state, which is kept beside the prefix's pages; a
+    starred page's honesty verdict is taken once per class, and a
+    sentence inherits those of its prefix's pages.  Only the levels below
+    ``max_words`` are kept."""
     res = CheckResult(f"diary-roundtrip-k{kappa}", PASS)
     words = [w for ln in range(max_len + 1)
              for w in itertools.product(alphabet, repeat=ln)]
@@ -133,27 +143,38 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
     within = list(itertools.accumulate(
         len(alphabet) ** ln for ln in range(max_len + 1)))
     n = len(words)
+    # pages -> (decoded state, honesty verdict of a starred last page or
+    # None); and how many enumerated sentences have those pages
     classes: dict = {}
     counts: dict = {}
-    honest: dict = {}
-    prefixes = [((), ())]
+    # per prefix sentence: pages, rest, decoded state, starred pages and
+    # the indices of the dishonest ones
+    prefixes = [((), (), ((), ()), 0, ())]
     for k in range(1, max_words + 1):
         stops = (STOP,) * k
         level = []
         for i, sent_words in enumerate(itertools.product(words, repeat=k)):
-            prefix_pages, prefix_rest = prefixes[i // n]
+            prefix_pages, prefix_rest, prefix_state, starred, dishonest = \
+                prefixes[i // n]
             page, rest = encode_segments(
                 (prefix_rest + sent_words[-1],), (STOP,), kappa)
             pages = prefix_pages + page
-            decoded = classes.get(pages)
-            if decoded is None:
-                decoded = classes[pages] = decode(pages, kappa)
+            known = classes.get(pages)
+            if known is None:
+                state = decode_step(prefix_state, page[0], kappa)
+                known = classes[pages] = (
+                    state,
+                    is_honest(state[0]) if page[0][-1] == STAR else None)
                 counts[pages] = 1
             else:
                 counts[pages] += 1
-            slotted, pending = decoded
+            state, honest = known
+            if honest is not None:
+                starred += 1
+                if not honest:
+                    dishonest += (k - 1,)
             res.checked += 1
-            member = member_rest_segments(slotted, pending, sent_words, stops)
+            member = member_rest_segments(*state, sent_words, stops)
             if member is None:
                 res.add_violation({"sentence": _flat(sent_words),
                                    "reason": "not a member"})
@@ -162,12 +183,16 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
                                    "reason": "rest mismatch",
                                    "codec_rest": rest})
             if k < max_words:
-                level.append((pages, rest if member is None else member))
+                level.append((pages, rest if member is None else member,
+                              state, starred, dishonest))
             if star is not None:
-                _star_pages(star, honest, kappa, sent_words, pages)
+                star.checked += starred
+                for p in dishonest:
+                    star.add_violation({"sentence": _flat(sent_words),
+                                        "page": p, "kappa": kappa})
         prefixes = level
     # converse: every in-bounds member of a class encodes to the class diary
-    for pages, (slotted, _) in classes.items():
+    for pages, ((slotted, _), _) in classes.items():
         options = []
         for has_slot, shown in slotted:
             budget = max_len - len(shown)
@@ -189,22 +214,6 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
             res.add_violation({"pages": pages, "reason": "class size mismatch",
                                "fills": members, "enumerated": counts[pages]})
     return res
-
-
-def _star_pages(res: CheckResult, honest: dict, kappa: int, sent_words,
-                pages) -> None:
-    """Star-honesty on one sentence's pages; ``honest`` memoizes the
-    verdict per starred page prefix."""
-    for i, page in enumerate(pages):
-        if page[-1] == STAR:
-            res.checked += 1
-            prefix = pages[: i + 1]
-            ok = honest.get(prefix)
-            if ok is None:
-                ok = honest[prefix] = is_honest(reconstruct(prefix, kappa))
-            if not ok:
-                res.add_violation({"sentence": _flat(sent_words), "page": i,
-                                   "kappa": kappa})
 
 
 def _flat(sent_words) -> tuple:

@@ -133,6 +133,21 @@ def test_verify_bad_scale_is_a_stage_error(capsys):
     assert len(err) == 1 and err[0].startswith("error: [space] ")
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("", "empty space file"),
+    ("\n  \n", "empty space file"),
+    ("0,1\n1,0\n", "line 1 must be the point count"),
+])
+def test_bad_space_file_is_a_named_space_error(tmp_path, capsys, text,
+                                               reason):
+    path = tmp_path / "space.csv"
+    path.write_text(text)
+    code = main(["verify", "approx", "--space-file", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [space] {reason}"]
+
+
 @pytest.mark.parametrize("preset", ["cantor", "grid"])
 def test_verify_all_matches_run_report(preset):
     suites = run_suite(config_for(preset), "all")["suites"]

@@ -187,18 +187,42 @@ def test_wrong_rest_mutant_matches_reference(monkeypatch, max_words, max_len):
 @pytest.mark.parametrize("max_words,max_len", [(3, 3), (2, 2), (4, 2)])
 def test_extra_unit_decoder_matches_reference(monkeypatch, max_words,
                                               max_len):
-    def extra_unit(pages, kappa):
-        slotted, pending = real(pages, kappa)
+    # the flat reference's ``decode`` folds the mutant step as well
+    def extra_unit(state, page, kappa):
+        slotted, pending = real(state, page, kappa)
         return slotted + ((False, ()),), pending
 
-    real = diary.decode
-    _patch_everywhere(monkeypatch, "decode", extra_unit)
+    real = diary.decode_step
+    _patch_everywhere(monkeypatch, "decode_step", extra_unit)
     for kappa in (1, 2, 3):
         new, ref = _both(max_words, max_len, kappa)
         assert new["status"] == "fail"
         assert new == ref
     assert star_honest(max_words, max_len, KAPPAS).to_dict() == \
         ref_check_star_honest(max_words, max_len, KAPPAS).to_dict()
+
+
+@pytest.mark.parametrize("max_words,max_len", [(3, 3), (4, 2)])
+def test_dishonest_decoder_matches_star_reference(monkeypatch, max_words,
+                                                  max_len):
+    # every starred page leaves its last word slotted, so each starred
+    # prefix is dishonest; at kappa 3 sentences carry several starred pages
+    def open_slot(state, page, kappa):
+        slotted, pending = real(state, page, kappa)
+        if page[-1] == STAR:
+            slotted = slotted[:-1] + ((True, slotted[-1][1]),)
+        return slotted, pending
+
+    real = diary.decode_step
+    _patch_everywhere(monkeypatch, "decode_step", open_slot)
+    for kappas in (KAPPAS, (3,)):
+        new = star_honest(max_words, max_len, kappas).to_dict()
+        assert new["status"] == "fail"
+        assert new == ref_check_star_honest(max_words, max_len,
+                                            kappas).to_dict()
+    # some kept sentence is reported at two starred pages
+    sentences = [tuple(v["sentence"]) for v in new["violations"]]
+    assert len(set(sentences)) < len(sentences)
 
 
 def test_markerless_encoder_fails_like_reference(monkeypatch):

@@ -6,7 +6,9 @@ from qtrees import verify
 from qtrees.diary import (
     STOP,
     InconsistentDiary,
+    STAR,
     decode,
+    decode_step,
     encode,
     encode_segments,
     encode_with_rest,
@@ -15,11 +17,12 @@ from qtrees.diary import (
     format_sentence,
     format_slotted,
     is_honest,
+    is_stop,
     member_rest,
     membership,
-    page_is_valid,
     parse_sentence,
     reconstruct,
+    segments_and_stops,
     words_and_stops,
 )
 
@@ -95,12 +98,15 @@ def test_honest_rest_is_bare_stop():
 
 
 def test_page_shapes():
-    assert page_is_valid(("a", "b", "c"), 3)
-    assert page_is_valid(("a", "*"), 3)
-    assert page_is_valid(("*",), 3)
-    assert not page_is_valid(("a", "b"), 3)
-    assert not page_is_valid(("a", "b", "c", "*"), 3)
-    assert not page_is_valid(("*", "a"), 3)
+    """A page has exactly kappa tokens, or fewer followed by the terminal
+    marker (which may stand alone); the decoder refuses any other."""
+    for page in (("a", "b", "c"), ("a", "*"), ("*",)):
+        decode_step(((), ()), page, 3)
+    for page in (("a", "b"), ("a", "b", "c", "*"), ("*", "a")):
+        with pytest.raises(InconsistentDiary, match="page 1: malformed page"):
+            decode_step(((), ()), page, 3)
+    with pytest.raises(ValueError, match="page capacity"):
+        decode(((),), 0)
 
 
 def test_inconsistent_diary_detected():
@@ -142,6 +148,18 @@ def test_encode_segments_string_path_matches_generic(words, kappa, bits):
     assert deco_stops == stops
 
 
+def test_stop_rule_reads_the_type_first():
+    stops = [STOP, (STOP, 0), (STOP, 1)]
+    letters = ["a", ("a", 1), (STOP,), (STOP, 0, 1), [STOP, 0], "*", 0]
+    for tok in stops:
+        assert is_stop(tok)
+    for tok in letters:
+        assert not is_stop(tok)
+    tokens = ("a", (STOP, 0, 1), STOP, (STOP,), (STOP, 1), "b")
+    assert segments_and_stops(tokens) == (
+        [("a", (STOP, 0, 1)), ((STOP,),), ("b",)], [STOP, (STOP, 1)])
+
+
 def test_encode_segments_rejects_length_mismatch():
     with pytest.raises(ValueError):
         encode_segments(("ab", "b"), "s", 2)
@@ -169,11 +187,11 @@ def test_codec_oracle_catches_wrong_rest(monkeypatch):
 
 
 def test_codec_oracle_catches_non_members(monkeypatch):
-    def extra_unit(diary, kappa):
-        slotted, pending = decode(diary, kappa)
+    def extra_unit(state, page, kappa):
+        slotted, pending = decode_step(state, page, kappa)
         return slotted + ((False, ()),), pending
 
-    monkeypatch.setattr(verify, "decode", extra_unit)
+    monkeypatch.setattr(verify, "decode_step", extra_unit)
     res = verify.check_codec_roundtrip(2, 2, 2)
     assert res.checked > 0 and res.status == "fail"
     assert any(v["reason"] == "not a member" for v in res.violations)
@@ -204,3 +222,109 @@ def test_starred_prefixes_reconstruct_honestly(words, kappa):
     for i, page in enumerate(pages):
         if page[-1] == "*":
             assert is_honest(reconstruct(pages[: i + 1], kappa))
+
+
+# -- the decoder step against the whole-diary decoder it replaced ------------
+
+
+def ref_page_is_valid(page, kappa):
+    if len(page) == kappa and STAR not in page:
+        return True
+    return 0 < len(page) <= kappa and page[-1] == STAR \
+        and STAR not in page[:-1]
+
+
+def ref_decode(diary, kappa):
+    """The whole-diary decoder, verbatim but for the names of the page
+    check and the split."""
+    units = []
+    pending = []
+    for idx, page in enumerate(diary):
+        if not ref_page_is_valid(page, kappa):
+            raise InconsistentDiary(idx, "malformed page")
+        has_star = page[-1] == STAR
+        body = page[:-1] if has_star else page
+        pi = tuple(body[::-1])
+        shown, _ = segments_and_stops(pi)
+        new_word = shown.pop()
+        p = len(shown)
+        if p == 0:
+            if has_star:
+                if idx > 0:
+                    raise InconsistentDiary(
+                        idx, "terminal page must reach back to a stop sign")
+                units.append((False, new_word))
+                pending.append((0, None))
+            else:
+                units.append((True, new_word))
+                pending.append((len(units) - 1, len(units) - 1))
+            continue
+        if p > len(pending):
+            raise InconsistentDiary(idx, "page shows stop signs that are "
+                                         "not pending")
+        if has_star and p != len(pending):
+            raise InconsistentDiary(
+                idx, "terminal page must show every pending stop sign")
+        visible = pending[len(pending) - p:]
+        for seg, (_, owner) in zip(shown[1:], visible[1:]):
+            if owner is None:
+                if seg:
+                    raise InconsistentDiary(
+                        idx, "text shown before a fully recorded word")
+            else:
+                units[owner] = (False, seg + units[owner][1])
+        first_owner = visible[0][1]
+        if first_owner is None:
+            if shown[0]:
+                raise InconsistentDiary(
+                    idx, "text shown before a fully recorded word")
+            carried = None
+        else:
+            units[first_owner] = (not has_star,
+                                  shown[0] + units[first_owner][1])
+            carried = None if has_star else first_owner
+        del pending[len(pending) - p:]
+        units.append((False, new_word))
+        pending.append((len(units) - 1, carried))
+    return tuple(units), tuple(pending)
+
+
+page_tokens = st.sampled_from(("a", "b", STOP, (STOP, 1)))
+
+
+@st.composite
+def diaries(draw):
+    """A diary at a capacity: the pages of a sentence, with some pages
+    replaced by well-shaped pages of random tokens, which are mostly
+    inconsistent with the pages before them, or by arbitrary ones."""
+    kappa = draw(st.integers(min_value=1, max_value=4))
+    words = draw(words_strategy)
+    pages = list(encode(tuple(t for w in words for t in (*w, STOP)), kappa))
+    for i in draw(st.lists(st.integers(0, len(pages) - 1), max_size=2)):
+        pages[i] = draw(st.one_of(
+            st.lists(page_tokens, min_size=kappa, max_size=kappa),
+            st.lists(page_tokens, max_size=kappa - 1).map(
+                lambda body: body + [STAR]),
+            st.lists(st.one_of(page_tokens, st.just(STAR)),
+                     max_size=kappa + 1)).map(tuple))
+    return tuple(pages), kappa
+
+
+@settings(max_examples=500, deadline=None)
+@given(diaries())
+def test_decode_is_the_fold_of_decode_step(diary_kappa):
+    pages, kappa = diary_kappa
+    try:
+        expected = ref_decode(pages, kappa)
+    except InconsistentDiary as exc:
+        with pytest.raises(InconsistentDiary) as new:
+            decode(pages, kappa)
+        assert new.value.page_index == exc.page_index
+        assert str(new.value) == str(exc)
+        return
+    assert decode(pages, kappa) == expected
+    state = ((), ())
+    for i, page in enumerate(pages, 1):
+        state = decode_step(state, page, kappa)
+        assert state == ref_decode(pages[:i], kappa)
+    assert state == expected

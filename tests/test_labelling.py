@@ -24,7 +24,8 @@ from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import mt_bit
 from qtrees.pipeline import Pipeline
 from qtrees.presets import PRESETS, config_for
-from qtrees.reporting import PASS, CheckResult
+from qtrees.reporting import MAX_VIOLATIONS_KEPT, PASS, CheckResult, \
+    jsonable
 from qtrees.stage1 import embed_stage1
 from qtrees.trees import binary_embed
 
@@ -387,3 +388,87 @@ def test_stage2_spells_each_letter_and_pages_each_vertex_once(monkeypatch):
              if p is not None for k in range(t.level[p] + 1, t.level[u] + 1)}
     assert set(letters) == edges and set(letters.values()) == {1}
     assert len(steps) == sum(len(t.parent) - 1 for t in trees) > 0
+
+
+# -- doctored tables: the two checks that read them can fail ----------------
+
+
+def doctored_tables(preset: str):
+    """A fresh stage 2 of the preset, and the deepest color-0 tree vertex
+    with its root path (root first)."""
+    st2 = Pipeline(PRESETS[preset]).stage2
+    tree = st2.stage1.trees[0].tree
+    uid = max(tree.vertices(), key=lambda u: (tree.depth(u), u))
+    assert tree.depth(uid) >= 2
+    return st2, uid, tree.paths[uid]
+
+
+def _add_letter(word, level):
+    return word + ((word[-1][0], mt_bit(level + 1)),)
+
+
+def _flip_bit(word, level):
+    (letter, bit), *rest = word
+    return ((letter, 1 - bit), *rest)
+
+
+def _stop_inside(word, level):
+    return word[:1] + ((STOP, 0),) + word[1:]
+
+
+WORD_DOCTORS = {
+    "letter count": _add_letter,
+    "decoration bits": _flip_bit,
+    "word count": _stop_inside,
+    "empty word": lambda word, level: (),
+}
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+@pytest.mark.parametrize("reason", list(WORD_DOCTORS))
+def test_doctored_words_fail_the_sentence_check(preset, reason):
+    st2, uid, path = doctored_tables(preset)
+    lab = st2.labelling
+    assert check_sentences(lab).status == PASS
+    level = st2.stage1.trees[0].tree.level[uid]
+    lab.words[0, uid] = WORD_DOCTORS[reason](lab.words[0, uid], level)
+    check = check_sentences(lab)
+    assert check.status == "fail"
+    assert {"uid": uid, "reason": reason} in check.violations
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_emptied_root_path_has_more_words_than_letters(preset):
+    st2, uid, path = doctored_tables(preset)
+    lab = st2.labelling
+    for child in path[1:]:
+        lab.words[0, child] = ()
+    check = check_sentences(lab)
+    assert check.status == "fail"
+    assert {"uid": uid, "reason": "more words than letters"} in \
+        check.violations
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+@pytest.mark.parametrize("how", ["drop a page", "add a page"])
+def test_doctored_diary_fails_the_radial_isometry(preset, how):
+    st2, _, _ = doctored_tables(preset)
+    emb = st2.stage1
+    # a deep vertex of the graph, and the color-0 tree vertex it maps to
+    v = max(emb.graph.vertices, key=lambda w: (
+        emb.trees[0].tree.depth(emb.image(0, w)), w))
+    image = emb.image(0, v)
+    checks, _ = stage2_suite(st2)
+    assert checks[0].check_id == "stage2-radially-isometric"
+    assert checks[0].status == PASS
+    diary = st2.diaries[0, image]
+    # a page of kappa letters, which any diary can take next
+    letter = st2.labelling.words[0, image][0]
+    st2.diaries[0, image] = diary[:-1] if how == "drop a page" \
+        else diary + ((letter,) * st2.kappa,)
+    radial = stage2_suite(st2)[0][0]
+    assert radial.status == "fail"
+    # one violation per vertex mapped to the doctored tree vertex
+    mapped = [w for w in emb.graph.vertices if emb.image(0, w) == image]
+    assert jsonable({"vertex": v, "color": 0}) in radial.violations
+    assert len(radial.violations) == min(len(mapped), MAX_VIOLATIONS_KEPT)

@@ -158,3 +158,60 @@ def test_synchronization_slices_the_windows_it_means(seed, monkeypatch):
     want = reference_synchronization(seq, 30, seed, 60)
     assert got.to_dict() == want.to_dict()
     assert got.violations
+
+
+def reference_equal_diaries(kappa, n, trials, seed, alphabet=("a", "b")):
+    """The letter-identification search that rebuilds both letter tables
+    for every pair, self-pairs included."""
+    res = CheckResult(f"mt-equal-diaries-k{kappa}", PASS)
+    rng = random.Random(seed)
+    buckets = {}
+    for _ in range(trials):
+        words = []
+        for _ in range(rng.randint(3, 8)):
+            wl = rng.randint(1, 4)
+            words.append(tuple(rng.choice(alphabet) for _ in range(wl)))
+        deco = decorate(tuple(t for w in words for t in (*w, STOP)))
+        buckets.setdefault(morse_thue.encode(deco, kappa), []).append(deco)
+
+    def compare(alpha, beta):
+        count = 0
+        for lv, (a, b) in enumerate(zip(morse_thue._letter_table(alpha),
+                                        morse_thue._letter_table(beta)), 1):
+            ia, m_a, stops_a, tail_a = a
+            ib, m_b, stops_b, tail_b = b
+            p = min(stops_a, stops_b)
+            if abs(m_a - m_b) > 2 or p < 3 or \
+                    max(tail_a, tail_b) > n * (p - 2):
+                continue
+            count += 1
+            if alpha[ia] != beta[ib]:
+                res.add_violation({"level": lv, "a": alpha[ia],
+                                   "a'": beta[ib], "words": (m_a, m_b)})
+        return count
+
+    qualifying = sum(compare(alpha, beta) for group in buckets.values()
+                     for i, alpha in enumerate(group)
+                     for beta in group[i + 1:])
+    qualifying += sum(compare(alpha, alpha) for group in buckets.values()
+                      for alpha in group)
+    res.checked = qualifying
+    if qualifying == 0:
+        res.status = "inconclusive"
+    return res
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_equal_diaries_match_the_per_pair_reference(seed, coarse,
+                                                    monkeypatch):
+    # a coarse stand-in for the encoder buckets different sentences
+    # together, so that letters of equal level differ and are reported
+    if coarse:
+        monkeypatch.setattr(morse_thue, "encode",
+                            lambda deco, kappa: len(deco) // 4)
+    got = check_equal_diaries(kappa=16, n=3, trials=120, seed=seed)
+    want = reference_equal_diaries(16, 3, 120, seed)
+    assert got.to_dict() == want.to_dict()
+    assert got.checked > 0
+    assert bool(got.violations) == coarse

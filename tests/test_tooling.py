@@ -59,3 +59,20 @@ def test_codec_modules_import_without_the_geometry_stack():
     assert "qtrees.verify" in out
     for heavy in ("qtrees.pipeline", "qtrees.approx", "qtrees.coverings"):
         assert heavy not in out
+
+
+def test_verify_covering_leaves_the_tree_side_unloaded():
+    code = ("import contextlib, io, sys\n"
+            "from qtrees import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', 'covering', '--preset', 'grid'])\n"
+            "print(code, ' '.join(sorted(sys.modules)))")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code, *out = subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.split()
+    assert code == "0"
+    assert "qtrees.coverings" in out
+    for tree_side in ("qtrees.trees", "qtrees.stage1", "qtrees.labelling"):
+        assert tree_side not in out
