@@ -11,12 +11,18 @@ The package imports no module eagerly, and each command loads only what
 it runs:
 
 - codec users load ``diary``, ``morse_thue`` and ``verify``;
-- every ``embed`` command also loads the pipeline and the geometry stack
-  (``metric``, ``geometry``, ``approx``, ``coverings``), which is all
-  that ``verify approx|covering|diary|morse_thue`` run;
+- every ``embed`` command loads the pipeline and the geometry stack
+  (``metric``, ``geometry``, ``approx``, ``coverings``); ``verify``
+  commands add ``verify`` with ``diary`` and ``morse_thue``, which is
+  all that ``verify approx|covering|diary|morse_thue`` run;
 - ``verify stage1`` adds ``trees`` and ``stage1``, and ``run``,
-  ``export`` and ``verify stage2|all`` add ``labelling`` as well, each
-  when the pipeline first builds the stage that needs it.
+  ``export`` and ``verify stage2|all`` add ``labelling`` (with ``diary``
+  and ``morse_thue``) as well, each when the pipeline first builds the
+  stage that needs it.  ``run`` and ``export`` never load ``verify``.
+
+Records are ``typing.NamedTuple`` classes or plain classes, and no
+module loads ``dataclasses``, which would cost every start of a command
+its import and about a millisecond per class created.
 """
 
 __version__ = "0.1.0"

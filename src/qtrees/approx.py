@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -49,7 +48,6 @@ DISTINCT = "distinct"
 UNCLASSIFIED = "unclassified"
 
 
-@dataclass
 class ApproxGraph:
     """The graph over one space and scale.
 
@@ -59,16 +57,23 @@ class ApproxGraph:
     letters read the level one past the truncation.
     """
 
-    space: FiniteMetricSpace
-    scale: ScaleParams
-    nets: dict[int, tuple[int, ...]]
-    vertices: tuple[Vertex, ...]
-    adj: dict[Vertex, tuple[Vertex, ...]]
-    edge_kind: dict[frozenset, str]
-    root: Vertex
-    threshold_hits: int = 0  # comparisons that landed exactly on a boundary
-    _dist_cache: dict[Vertex, dict[Vertex, int]] = field(default_factory=dict)
-    _raddesc_cache: dict[Vertex, dict[int, set]] = field(default_factory=dict)
+    def __init__(self, space: FiniteMetricSpace, scale: ScaleParams,
+                 nets: dict[int, tuple[int, ...]],
+                 vertices: tuple[Vertex, ...],
+                 adj: dict[Vertex, tuple[Vertex, ...]],
+                 edge_kind: dict[frozenset, str], root: Vertex,
+                 threshold_hits: int = 0):
+        self.space = space
+        self.scale = scale
+        self.nets = nets
+        self.vertices = vertices
+        self.adj = adj
+        self.edge_kind = edge_kind
+        self.root = root
+        # comparisons that landed exactly on a boundary
+        self.threshold_hits = threshold_hits
+        self._dist_cache: dict[Vertex, dict[Vertex, int]] = {}
+        self._raddesc_cache: dict[Vertex, dict[int, set]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -277,8 +282,7 @@ def estimate_delta(graph: ApproxGraph) -> Fraction:
     return Fraction(worst, 2)
 
 
-@dataclass(frozen=True)
-class VisualBand:
+class VisualBand(NamedTuple):
     """Extremes of d(center, center') * a^(gromov product) over deepest-level
     pairs, stored squared so half-integer exponents stay exact."""
 

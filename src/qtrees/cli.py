@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from qtrees.pipeline import StageError, run_pipeline
 from qtrees.presets import PRESETS, SPACES, config_for
-from qtrees.reporting import json_text
-from qtrees.verify import SUITES, run_suite
+from qtrees.reporting import SUITES, json_text
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -82,6 +81,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
+            # loaded only here: run and export never call it
+            from qtrees.verify import run_suite
             report = run_suite(config, args.suite)
             print(json_text(report), end="")
             return 0 if report["ok"] else 1

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from qtrees.geometry import Arc, BoxRegion, LineIntervals, PointSubset, \
     Region, WholeSpace, region_from_json, scale_number
@@ -40,23 +39,27 @@ from qtrees.metric import FiniteMetricSpace, ScaleParams
 from qtrees.reporting import CheckResult, FAIL, PASS, frac_str, parse_frac
 
 
-@dataclass(frozen=True)
-class CoveringElement:
+class CoveringElement(NamedTuple):
     uid: str
     color: int
     level: int
     region: Region
 
 
-@dataclass
 class CoveringSequence:
-    space: FiniteMetricSpace
-    r: Fraction
-    colors: tuple[int, ...]
-    # levels[j][color] -> tuple of elements
-    levels: dict[int, dict[int, tuple[CoveringElement, ...]]]
-    # the validator's result, kept by generate_covering_sequence
-    contract: Optional[CheckResult] = None
+    __slots__ = ("space", "r", "colors", "levels", "contract")
+
+    def __init__(self, space: FiniteMetricSpace, r: Fraction,
+                 colors: tuple[int, ...],
+                 levels: dict[int, dict[int, tuple[CoveringElement, ...]]],
+                 contract: Optional[CheckResult] = None):
+        self.space = space
+        self.r = r
+        self.colors = colors
+        # levels[j][color] -> tuple of elements
+        self.levels = levels
+        # the validator's result, kept by generate_covering_sequence
+        self.contract = contract
 
     @property
     def max_level(self) -> int:
@@ -469,11 +472,12 @@ def generate_covering_sequence(candidates: CoveringSequence, graph,
     passes keeps its validation result as ``contract``."""
     kernel.check(candidates.elements, candidates.space)
     coords, regions = kernel.coords, kernel.regions
-    seq = replace(candidates, levels={
-        j: {c: tuple(e for e in members
-                     if any(map(regions[e.uid].contains_point, coords)))
-            for c, members in family.items()}
-        for j, family in candidates.levels.items()})
+    seq = CoveringSequence(
+        candidates.space, candidates.r, candidates.colors,
+        {j: {c: tuple(e for e in members
+                      if any(map(regions[e.uid].contains_point, coords)))
+             for c, members in family.items()}
+         for j, family in candidates.levels.items()})
     seq.contract = validate_covering_sequence(seq, graph, kernel)
     if seq.contract.status == FAIL:
         raise CoveringError("generated sequence fails validation: "

@@ -85,8 +85,26 @@ def words_and_stops(sentence: Sequence) -> tuple[list[tuple], list]:
 # Encoding
 
 
+def encode_step(rest, word, tail, kappa: int):
+    """One step of the paging rule: the page of ``word`` and the new rest,
+    from the rest of the words before it.
+
+    The page holds the last ``kappa`` tokens of ``rest + word``, reversed,
+    or all of them and the terminal marker when fewer remain; the new rest
+    is what the page left out followed by ``tail``, the word's stop sign as
+    a one-token sequence.  Rest, word and tail are tuples of tokens or
+    plain strings of single-character tokens, and the page and rest share
+    their type.  The caller checks ``kappa >= 1``.
+    """
+    base = rest + word
+    if len(base) >= kappa:
+        return base[:-kappa - 1:-1], base[:-kappa] + tail
+    return base[::-1] + (STAR if tail.__class__ is str else (STAR,)), tail
+
+
 def encode_segments(words: Sequence, stops: Sequence, kappa: int):
-    """Core paging rule on pre-split words, one stop token per word.
+    """Core paging rule on pre-split words, one stop token per word: the
+    fold of ``encode_step`` over the words, from the empty rest.
 
     Words, stops and the returned pages/rest all share the type of the
     inputs (tuples of tokens, or plain strings of single-character tokens
@@ -101,20 +119,14 @@ def encode_segments(words: Sequence, stops: Sequence, kappa: int):
     if isinstance(stops, str) or (len(stops) > 0
                                   and isinstance(stops[0], str)
                                   and isinstance(words[0], str)):
-        star, rest, tails = STAR, "", stops
+        rest, tails = "", stops
     else:
         # zip of one sequence yields each stop sign as a 1-tuple
-        star, rest, tails = (STAR,), (), zip(stops)
+        rest, tails = (), zip(stops)
     pages = []
     for word, tail in zip(words, tails):
-        base = rest + word
-        cut = len(base) - kappa
-        if cut >= 0:
-            pages.append(base[cut:][::-1])
-            rest = base[:cut] + tail
-        else:
-            pages.append(base[::-1] + star)
-            rest = tail
+        page, rest = encode_step(rest, word, tail, kappa)
+        pages.append(page)
     return tuple(pages), rest
 
 

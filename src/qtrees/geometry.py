@@ -28,7 +28,6 @@ certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -50,9 +49,37 @@ def _lcm_of_denominators(numbers) -> int:
     return math.lcm(*(x.denominator for x in numbers))
 
 
-class Region:
+class Frozen:
+    """An immutable value: ``__init__`` sets the fields with
+    ``object.__setattr__`` and nothing assigns them after it.  It equals
+    an instance of its own class with the same ``_key()``, and hashes as
+    its ``_key()``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Region(Frozen):
     """Base certificate.  Coordinates are Fractions (line, circle) or
     (Fraction, Fraction) pairs (sup-metric plane)."""
+
+    __slots__ = ()
 
     def diameter(self) -> Fraction:
         raise NotImplementedError
@@ -93,12 +120,20 @@ class Region:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class WholeSpace(Region):
     """The entire space as a covering element; its diameter is the space
     diameter and it contains every ball by definition."""
 
-    diam: Fraction
+    __slots__ = ("diam",)
+
+    def __init__(self, diam: Fraction):
+        object.__setattr__(self, "diam", diam)
+
+    def _key(self) -> tuple:
+        return (self.diam,)
+
+    def __repr__(self) -> str:
+        return f"WholeSpace(diam={self.diam!r})"
 
     def diameter(self) -> Fraction:
         return self.diam
@@ -131,14 +166,13 @@ class WholeSpace(Region):
         return {"whole_space": True, "diam": frac_str(self.diam)}
 
 
-@dataclass(frozen=True)
 class LineIntervals(Region):
     """Disjoint union of half-open intervals [lo, hi) on the line."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("intervals",)
 
-    def __post_init__(self):
-        ivs = tuple(sorted(self.intervals))
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
+        ivs = tuple(sorted(intervals))
         for lo, hi in ivs:
             if lo >= hi:
                 raise ValueError(f"empty interval [{lo}, {hi})")
@@ -146,6 +180,12 @@ class LineIntervals(Region):
             if b > c:
                 raise ValueError("overlapping intervals in one certificate")
         object.__setattr__(self, "intervals", ivs)
+
+    def _key(self) -> tuple:
+        return (self.intervals,)
+
+    def __repr__(self) -> str:
+        return f"LineIntervals(intervals={self.intervals!r})"
 
     def diameter(self) -> Fraction:
         return self.intervals[-1][1] - self.intervals[0][0]
@@ -203,25 +243,32 @@ class LineIntervals(Region):
                               for lo, hi in self.intervals]}
 
 
-@dataclass(frozen=True)
 class Arc(Region):
     """Half-open arc [start, start+length) on a circle of circumference
     ``circ``: the unit circle, or a scaled copy of it.
 
     ``length`` <= circ; the full circle is length circ.  Arc-metric
     diameters are only meaningful for length <= circ/2, which covers every
-    certificate the generators produce above level 0.
+    certificate the generators produce above level 0.  ``circ`` is left
+    out of equality, hashing and ``repr``.
     """
 
-    start: Fraction
-    length: Fraction
-    circ: Fraction = field(default=ONE, compare=False, repr=False)
+    __slots__ = ("start", "length", "circ")
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", self.start % self.circ)
-        if not (0 < self.length <= self.circ):
-            raise ValueError(
-                f"arc length {self.length} outside (0, {self.circ}]")
+    def __init__(self, start: Fraction, length: Fraction,
+                 circ: Fraction = ONE):
+        put = object.__setattr__
+        put(self, "start", start % circ)
+        put(self, "length", length)
+        put(self, "circ", circ)
+        if not (0 < length <= circ):
+            raise ValueError(f"arc length {length} outside (0, {circ}]")
+
+    def _key(self) -> tuple:
+        return self.start, self.length
+
+    def __repr__(self) -> str:
+        return f"Arc(start={self.start!r}, length={self.length!r})"
 
     def diameter(self) -> Fraction:
         return min(self.length, Fraction(self.circ, 2))
@@ -287,18 +334,27 @@ class Arc(Region):
         return {"arc": [frac_str(self.start), frac_str(self.length)]}
 
 
-@dataclass(frozen=True)
 class BoxRegion(Region):
     """Half-open axis box [x0,x1) x [y0,y1) under the sup metric."""
 
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
+    __slots__ = ("x0", "x1", "y0", "y1")
 
-    def __post_init__(self):
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
+    def __init__(self, x0: Fraction, x1: Fraction, y0: Fraction,
+                 y1: Fraction):
+        if x0 >= x1 or y0 >= y1:
             raise ValueError("empty box")
+        put = object.__setattr__
+        put(self, "x0", x0)
+        put(self, "x1", x1)
+        put(self, "y0", y0)
+        put(self, "y1", y1)
+
+    def _key(self) -> tuple:
+        return self.x0, self.x1, self.y0, self.y1
+
+    def __repr__(self) -> str:
+        return (f"BoxRegion(x0={self.x0!r}, x1={self.x1!r}, y0={self.y0!r}, "
+                f"y1={self.y1!r})")
 
     def diameter(self) -> Fraction:
         return max(self.x1 - self.x0, self.y1 - self.y0)
@@ -370,12 +426,17 @@ class PointSubset(Region):
     the space's int distances times ``factor``: 1/unit, giving Fractions,
     or an int in a scaled copy."""
 
+    __slots__ = ("space", "members", "factor")
+
     def __init__(self, space, members, factor=None):
-        self.space = space
-        self.members = frozenset(members)
-        self.factor = Fraction(1, space.unit) if factor is None else factor
-        if not self.members:
+        members = frozenset(members)
+        if not members:
             raise ValueError("empty point-subset certificate")
+        put = object.__setattr__
+        put(self, "space", space)
+        put(self, "members", members)
+        put(self, "factor",
+                Fraction(1, space.unit) if factor is None else factor)
 
     def _d(self, a, b):
         return self.space.rows[a][b] * self.factor

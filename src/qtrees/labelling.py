@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,13 +38,15 @@ from qtrees.stage1 import DISTINCT, Stage1
 from qtrees.trees import binary_embed, binary_width, word_distance
 
 
-@dataclass
 class NetColoring:
     """Greedy conflict coloring per level: same-level net points at distance
     below 2 r^(j-2) get different palette colors."""
 
-    palette_size: int
-    mu: dict[int, dict[int, int]]  # level -> point -> color
+    __slots__ = ("palette_size", "mu")
+
+    def __init__(self, palette_size: int, mu: dict[int, dict[int, int]]):
+        self.palette_size = palette_size
+        self.mu = mu  # level -> point -> color
 
     def color(self, level: int, point: int) -> int:
         return self.mu[level][point]
@@ -99,11 +100,14 @@ def check_net_coloring(graph: ApproxGraph, coloring: NetColoring) -> CheckResult
 # Edge words and sentences
 
 
-@dataclass
 class Labelling:
-    stage1: Stage1
-    coloring: NetColoring
-    words: dict[tuple[int, str], tuple]  # (color, non-root uid) -> edge word
+    __slots__ = ("stage1", "coloring", "words")
+
+    def __init__(self, stage1: Stage1, coloring: NetColoring,
+                 words: dict[tuple[int, str], tuple]):
+        self.stage1 = stage1
+        self.coloring = coloring
+        self.words = words  # (color, non-root uid) -> edge word
 
     @property
     def graph(self) -> ApproxGraph:
@@ -199,15 +203,20 @@ def check_sentences(lab: Labelling) -> CheckResult:
 # Stage 2: page sequences per color
 
 
-@dataclass
 class Stage2:
-    labelling: Labelling
-    kappa: int
-    diaries: dict[tuple[int, str], Diary]  # (color, tree uid) -> pages
-    # the page alphabet of the binary re-encoding: every page of an image's
-    # diary in any color, numbered from 1 in ``repr`` order
-    page_index: dict[tuple, int]
-    binary: dict[Diary, tuple[int, ...]]  # image diary -> its binary word
+    __slots__ = ("labelling", "kappa", "diaries", "page_index", "binary")
+
+    def __init__(self, labelling: Labelling, kappa: int,
+                 diaries: dict[tuple[int, str], Diary],
+                 page_index: dict[tuple, int],
+                 binary: dict[Diary, tuple[int, ...]]):
+        self.labelling = labelling
+        self.kappa = kappa
+        self.diaries = diaries  # (color, tree uid) -> pages
+        # the page alphabet of the binary re-encoding: every page of an
+        # image's diary in any color, numbered from 1 in ``repr`` order
+        self.page_index = page_index
+        self.binary = binary  # image diary -> its binary word
 
     @property
     def stage1(self) -> Stage1:

@@ -16,16 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from qtrees.geometry import scale_number
+from qtrees.geometry import Frozen, scale_number
 
 
-@dataclass(frozen=True)
-class MetricViolation:
+class MetricViolation(NamedTuple):
     kind: str  # "symmetry" | "diagonal" | "triangle" | "negative"
     triple: tuple[int, ...]
 
@@ -34,27 +32,39 @@ class MetricViolation:
         return f"{self.kind} violation at ({pts})"
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     ok: bool
     violation: Optional[MetricViolation] = None
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """Point set with an exact pairwise distance matrix: ``rows`` holds the
     distances times ``unit``, as ints.
 
     ``coords`` carries generator coordinates (positions on the line, the
     unit circle, or the unit square) used by covering generators to build
     geometric certificates, or is empty for file-loaded spaces.
+
+    Equal and hashed by its five fields; ``dist`` and ``diam`` are
+    computed on first use and kept.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    unit: int
-    kind: str = "custom"
-    coords: tuple = ()
-    label: str = ""
+    def __init__(self, rows: tuple[tuple[int, ...], ...], unit: int,
+                 kind: str = "custom", coords: tuple = (), label: str = ""):
+        put = object.__setattr__
+        put(self, "rows", rows)
+        put(self, "unit", unit)
+        put(self, "kind", kind)
+        put(self, "coords", coords)
+        put(self, "label", label)
+
+    def _key(self) -> tuple:
+        return self.rows, self.unit, self.kind, self.coords, self.label
+
+    def __repr__(self) -> str:
+        return (f"FiniteMetricSpace(rows={self.rows!r}, unit={self.unit!r}, "
+                f"kind={self.kind!r}, coords={self.coords!r}, "
+                f"label={self.label!r})")
 
     @property
     def n(self) -> int:
@@ -212,17 +222,26 @@ def compute_k0(diam: Fraction, r: Fraction) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ScaleParams:
+class ScaleParams(Frozen):
     """Scale parameter r <= 1/6, its inverse a, the base level k0 and the
     truncation level ``max_level``.  Each power r^k is computed once and
-    kept on the instance."""
+    kept on the instance, out of equality and hashing."""
 
-    r: Fraction
-    k0: int
-    max_level: int
-    _powers: dict[int, Fraction] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("r", "k0", "max_level", "_powers")
+
+    def __init__(self, r: Fraction, k0: int, max_level: int):
+        put = object.__setattr__
+        put(self, "r", r)
+        put(self, "k0", k0)
+        put(self, "max_level", max_level)
+        put(self, "_powers", {})
+
+    def _key(self) -> tuple:
+        return self.r, self.k0, self.max_level
+
+    def __repr__(self) -> str:
+        return (f"ScaleParams(r={self.r!r}, k0={self.k0!r}, "
+                f"max_level={self.max_level!r})")
 
     @property
     def a(self) -> Fraction:
@@ -256,8 +275,7 @@ def full_separation_level(space: FiniteMetricSpace, r: Fraction, k0: int) -> int
     return level
 
 
-@dataclass(frozen=True)
-class Net:
+class Net(NamedTuple):
     level: int
     separation: Fraction
     centers: tuple[int, ...]

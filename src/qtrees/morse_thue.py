@@ -60,15 +60,17 @@ def is_cube_free(bits: Sequence[int]) -> bool:
 
 
 def decorate(sentence: Sequence) -> tuple:
-    """Replace each token by (token, bit-of-its-level)."""
+    """Replace each token by (token, bit-of-its-level).  A letter's level
+    counts the letters up to it; a stop sign takes the level of the letter
+    before it.  The bit is ``mt_bit`` of the level, computed inline."""
     segments, _ = segments_and_stops(sentence)
     out = []
     lv = 0
     for seg in segments:
         for tok in seg:
             lv += 1
-            out.append((tok, mt_bit(lv)))
-        out.append((STOP, mt_bit(lv)))
+            out.append((tok, lv.bit_count() & 1))
+        out.append((STOP, lv.bit_count() & 1))
     out.pop()  # the last segment has no stop sign after it
     return tuple(out)
 

@@ -13,13 +13,11 @@ empty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     space_kind: str = "cantor"
     space_param: int = 4
     space_file: Optional[str] = None
@@ -38,8 +36,7 @@ class PipelineConfig:
         return SPACES[self.space_kind].covering
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple):
     """What a generated space of one kind runs with unless told otherwise:
     generator size, scale parameter, covering generator and its colors."""
 
@@ -63,11 +60,12 @@ def _defaults(kind: str) -> PipelineConfig:
 
 
 PRESETS: dict[str, PipelineConfig] = {
-    "cantor": replace(_defaults("cantor"), max_level=4, kappa=16,
-                      preset="cantor"),
-    "circle": replace(_defaults("circle"), max_level=2, kappa=31,
-                      preset="circle"),
-    "grid": replace(_defaults("grid"), max_level=1, kappa=46, preset="grid"),
+    "cantor": _defaults("cantor")._replace(max_level=4, kappa=16,
+                                          preset="cantor"),
+    "circle": _defaults("circle")._replace(max_level=2, kappa=31,
+                                          preset="circle"),
+    "grid": _defaults("grid")._replace(max_level=1, kappa=46,
+                                      preset="grid"),
 }
 
 
@@ -80,4 +78,4 @@ def config_for(preset: Optional[str] = None, **overrides) -> PipelineConfig:
     else:
         cfg = _defaults(overrides.get("space_kind", "cantor"))
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **overrides)
+    return cfg._replace(**overrides)

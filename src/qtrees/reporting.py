@@ -7,7 +7,6 @@ wall-clock time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 PASS = "pass"
@@ -16,6 +15,11 @@ INCONCLUSIVE = "inconclusive"
 EXPECTED_FAIL = "expected_fail"
 
 MAX_VIOLATIONS_KEPT = 20
+
+# the suites `embed verify` runs by name; "all" runs the others on one
+# pipeline
+SUITES = ("approx", "covering", "stage1", "diary", "morse_thue", "stage2",
+          "all")
 
 
 def frac_str(x: Fraction) -> str:
@@ -40,16 +44,24 @@ def jsonable(obj):
     return obj
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named invariant check.  A pass that checked no
     instance is reported as inconclusive."""
 
-    check_id: str
-    status: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    notes: str = ""
+    __slots__ = ("check_id", "status", "checked", "violations", "notes")
+
+    def __init__(self, check_id: str, status: str, checked: int = 0,
+                 violations: list = None, notes: str = ""):
+        self.check_id = check_id
+        self.status = status
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.notes = notes
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(check_id={self.check_id!r}, "
+                f"status={self.status!r}, checked={self.checked!r}, "
+                f"violations={self.violations!r}, notes={self.notes!r})")
 
     def add_violation(self, info) -> None:
         self.status = FAIL

@@ -24,9 +24,8 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
 from qtrees.coverings import CoveringKernel, CoveringSequence
@@ -34,19 +33,21 @@ from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import ColorTree, LevelledTree, build_color_tree
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     kind: str
     critical_level: Optional[int] = None
 
 
-@dataclass
 class Stage1:
-    graph: ApproxGraph
-    seq: CoveringSequence
-    trees: dict[int, ColorTree]
-    images: dict[Vertex, tuple[str, ...]]  # element uid per color, in order
-    kernel: CoveringKernel  # the region tests of the map, chains and letters
+    def __init__(self, graph: ApproxGraph, seq: CoveringSequence,
+                 trees: dict[int, ColorTree],
+                 images: dict[Vertex, tuple[str, ...]],
+                 kernel: CoveringKernel):
+        self.graph = graph
+        self.seq = seq
+        self.trees = trees
+        self.images = images  # element uid per color, in order
+        self.kernel = kernel  # the region tests of the map, chains, letters
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -142,8 +143,7 @@ def classify_pair(graph: ApproxGraph, v: Vertex, w: Vertex) -> PairClass:
 # Pairwise verification
 
 
-@dataclass
-class PairRow:
+class PairRow(NamedTuple):
     v: Vertex
     w: Vertex
     graph_dist: int

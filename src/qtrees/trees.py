@@ -12,7 +12,6 @@ them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from qtrees.coverings import CoveringElement, CoveringKernel, \
@@ -32,7 +31,6 @@ class _Meets(dict):
         return self.tree.lca(*key)
 
 
-@dataclass
 class LevelledTree:
     """Rooted tree with integer levels strictly increasing away from the
     root along ancestor chains.
@@ -41,32 +39,34 @@ class LevelledTree:
     path of every vertex with its depth and the levels along it, and one
     meet memo, ``meets[u, v]``, shared by every reader of the tree."""
 
-    root: str
-    parent: dict[str, Optional[str]]
-    level: dict[str, int]
-    children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
-    paths: dict[str, tuple[str, ...]] = field(init=False, repr=False)
-    depths: dict[str, int] = field(init=False, repr=False)
-    path_levels: dict[str, tuple[int, ...]] = field(init=False, repr=False)
-    meets: _Meets = field(init=False, repr=False)
+    __slots__ = ("root", "parent", "level", "children", "paths", "depths",
+                 "path_levels", "meets")
 
-    def __post_init__(self):
-        kids: dict[str, list[str]] = {u: [] for u in self.parent}
-        for u, p in self.parent.items():
+    def __init__(self, root: str, parent: dict[str, Optional[str]],
+                 level: dict[str, int]):
+        self.root = root
+        self.parent = parent
+        self.level = level
+        kids: dict[str, list[str]] = {u: [] for u in parent}
+        for u, p in parent.items():
             if p is not None:
                 kids[p].append(u)
         self.children = {u: tuple(sorted(v)) for u, v in kids.items()}
-        self.paths = {self.root: (self.root,)}
-        todo = [self.root]
+        self.paths = {root: (root,)}
+        todo = [root]
         while todo:
             u = todo.pop()
             for k in self.children[u]:
                 self.paths[k] = self.paths[u] + (k,)
                 todo.append(k)
         self.depths = {u: len(p) - 1 for u, p in self.paths.items()}
-        self.path_levels = {u: tuple(self.level[x] for x in p)
+        self.path_levels = {u: tuple(level[x] for x in p)
                             for u, p in self.paths.items()}
         self.meets = _Meets(self)
+
+    def __repr__(self) -> str:
+        return (f"LevelledTree(root={self.root!r}, parent={self.parent!r}, "
+                f"level={self.level!r})")
 
     def vertices(self) -> list[str]:
         return sorted(self.parent)
@@ -97,12 +97,16 @@ class LevelledTree:
         return d[u] + d[v] - 2 * d[self.meets[u, v]]
 
 
-@dataclass
 class ColorTree:
-    color: int
-    tree: LevelledTree
-    elements: dict[str, CoveringElement]
-    by_level: dict[int, tuple[str, ...]]
+    __slots__ = ("color", "tree", "elements", "by_level")
+
+    def __init__(self, color: int, tree: LevelledTree,
+                 elements: dict[str, CoveringElement],
+                 by_level: dict[int, tuple[str, ...]]):
+        self.color = color
+        self.tree = tree
+        self.elements = elements
+        self.by_level = by_level
 
     def level_vertices(self, i: int) -> tuple[str, ...]:
         return self.by_level.get(i, ())

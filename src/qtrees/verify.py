@@ -7,16 +7,18 @@ apart from the seed and (for negative controls) the page capacity.
 
 The codec checks sweep every in-bound sentence as a tuple of words, in
 ``itertools.product`` order, and get its pages and rest from its
-one-word-shorter prefix's by one encoder step; membership and the rest are
-matched on the same words (``diary.member_rest_segments``), so no sentence
-is built flat or split unless a violation records it.  Each new class
+one-word-shorter prefix's by one encoder step (``diary.encode_step``);
+membership and the rest are matched on the same words
+(``diary.member_rest_segments``), so no sentence is built flat or split
+unless a violation records it.  Each new class
 costs one decoder step (``diary.decode_step``) from its prefix class's
 state, and star-honesty reads the honesty verdicts of the prefix classes'
 states.  The converse pass still encodes every fill with the whole fold,
 which checks the step-wise pages on every sentence.  The pipeline and the
 geometry stack are imported inside ``run_suite``, and the tree side only
 where a suite reads it, so codec users and ``verify approx|covering``
-never load what they do not run.
+never load what they do not run.  The CLI loads this module for
+``verify`` only.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from qtrees.diary import (
     decode_step,
     encode,
     encode_segments,
+    encode_step,
     encode_with_rest,
     fill_slots,
     is_honest,
@@ -37,14 +40,11 @@ from qtrees.diary import (
     reconstruct,
 )
 from qtrees.reporting import CheckResult, EXPECTED_FAIL, FAIL, PASS, \
-    suite_dict
+    SUITES, suite_dict
 
 if TYPE_CHECKING:
     from qtrees.pipeline import Pipeline
     from qtrees.presets import PipelineConfig
-
-SUITES = ("approx", "covering", "stage1", "diary", "morse_thue", "stage2",
-          "all")
 
 
 def run_suite(config: PipelineConfig, suite: str) -> dict:
@@ -126,17 +126,19 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
     check reads the same classes.
 
     A sentence's pages and rest extend those of its one-word-shorter
-    prefix by one encoder step: between words the encoder's only state is
-    the rest, which it puts in front of the next word.  The prefix
-    continues from its member rest, which equals the encoder's rest
-    whenever the prefix passed; so a faulty rest is reported on the
-    sentence that shows it and does not also corrupt the pages of its
-    extensions.  A new class is decoded by one decoder step from its
+    prefix by one encoder step (``diary.encode_step``): between words the
+    encoder's only state is the rest, which it puts in front of the next
+    word.  So the sweep is the fold of ``encode_segments``, shared between
+    sentences with one prefix, and a faulty step shows as it would in the
+    fold.  A new class is decoded by one decoder step from its
     prefix class's state, which is kept beside the prefix's pages; a
     starred page's honesty verdict is taken once per class, and a
     sentence inherits those of its prefix's pages.  Only the levels below
     ``max_words`` are kept."""
+    if kappa < 1:
+        raise ValueError("page capacity must be at least 1")
     res = CheckResult(f"diary-roundtrip-k{kappa}", PASS)
+    tail = (STOP,)  # the rest after a word ends with its stop sign
     words = [w for ln in range(max_len + 1)
              for w in itertools.product(alphabet, repeat=ln)]
     # words of length <= b are the first within[b] entries of ``words``
@@ -156,15 +158,14 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
         for i, sent_words in enumerate(itertools.product(words, repeat=k)):
             prefix_pages, prefix_rest, prefix_state, starred, dishonest = \
                 prefixes[i // n]
-            page, rest = encode_segments(
-                (prefix_rest + sent_words[-1],), (STOP,), kappa)
-            pages = prefix_pages + page
+            page, rest = encode_step(prefix_rest, sent_words[-1], tail,
+                                     kappa)
+            pages = prefix_pages + (page,)
             known = classes.get(pages)
             if known is None:
-                state = decode_step(prefix_state, page[0], kappa)
+                state = decode_step(prefix_state, page, kappa)
                 known = classes[pages] = (
-                    state,
-                    is_honest(state[0]) if page[0][-1] == STAR else None)
+                    state, is_honest(state[0]) if page[-1] == STAR else None)
                 counts[pages] = 1
             else:
                 counts[pages] += 1
@@ -183,8 +184,7 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
                                    "reason": "rest mismatch",
                                    "codec_rest": rest})
             if k < max_words:
-                level.append((pages, rest if member is None else member,
-                              state, starred, dishonest))
+                level.append((pages, rest, state, starred, dishonest))
             if star is not None:
                 star.checked += starred
                 for p in dishonest:

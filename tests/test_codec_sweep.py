@@ -171,12 +171,15 @@ def _both(max_words, max_len, kappa):
 
 @pytest.mark.parametrize("max_words,max_len", [(3, 3), (2, 2), (4, 2)])
 def test_wrong_rest_mutant_matches_reference(monkeypatch, max_words, max_len):
-    def wrong_rest(words, stops, kappa):
-        pages, rest = real(words, stops, kappa)
-        return pages, rest + (STOP,)
+    # the flat reference's ``encode_segments`` folds the mutant step as
+    # well; each rest ends with a stop sign of another form, which later
+    # pages show and the decoder reads as a stop sign
+    def wrong_rest(rest, word, tail, kappa):
+        page, rest = real(rest, word, tail, kappa)
+        return page, rest[:-1] + ((STOP, 0),)
 
-    real = diary.encode_segments
-    _patch_everywhere(monkeypatch, "encode_segments", wrong_rest)
+    real = diary.encode_step
+    _patch_everywhere(monkeypatch, "encode_step", wrong_rest)
     for kappa in (1, 2, 3):
         new, ref = _both(max_words, max_len, kappa)
         assert new["status"] == "fail"
@@ -226,12 +229,12 @@ def test_dishonest_decoder_matches_star_reference(monkeypatch, max_words,
 
 
 def test_markerless_encoder_fails_like_reference(monkeypatch):
-    def no_marker(words, stops, kappa):
-        pages, rest = real(words, stops, kappa)
-        return tuple(p[:-1] if p[-1:] == (STAR,) else p for p in pages), rest
+    def no_marker(rest, word, tail, kappa):
+        page, rest = real(rest, word, tail, kappa)
+        return (page[:-1] if page[-1:] == (STAR,) else page), rest
 
-    real = diary.encode_segments
-    _patch_everywhere(monkeypatch, "encode_segments", no_marker)
+    real = diary.encode_step
+    _patch_everywhere(monkeypatch, "encode_step", no_marker)
     for kappa in (1, 2, 3):
         with pytest.raises(InconsistentDiary) as new:
             verify.check_codec_roundtrip(kappa, 3, 3)

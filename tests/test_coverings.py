@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -157,7 +156,7 @@ def test_a_kernel_serves_only_what_it_scaled():
     images = embed_stage1(g, seq, kernel).images
     first, *rest = seq.levels[1][0]
     shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
-    seq.levels[1][0] = (replace(first, region=shrunk), *rest)
+    seq.levels[1][0] = (first._replace(region=shrunk), *rest)
     for use in (lambda k: validate_covering_sequence(seq, g, k),
                 lambda k: embed_stage1(g, seq, k),
                 lambda k: lebesgue_number(seq.family(1), k)):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrees import verify
+from qtrees import diary, verify
 from qtrees.diary import (
     STOP,
     InconsistentDiary,
@@ -11,6 +11,7 @@ from qtrees.diary import (
     decode_step,
     encode,
     encode_segments,
+    encode_step,
     encode_with_rest,
     fill_slots,
     format_diary,
@@ -148,6 +149,21 @@ def test_encode_segments_string_path_matches_generic(words, kappa, bits):
     assert deco_stops == stops
 
 
+@settings(max_examples=300, deadline=None)
+@given(words=words_strategy, kappa=st.integers(min_value=1, max_value=5))
+def test_encode_segments_is_the_fold_of_encode_step(words, kappa):
+    # on the string path and on the tuple path, each step extends the pages
+    # and rest of the words before it
+    for path_words, rest, tail in ((words, "", STOP),
+                                   ([tuple(w) for w in words], (), (STOP,))):
+        pages = ()
+        for i, word in enumerate(path_words, 1):
+            page, rest = encode_step(rest, word, tail, kappa)
+            pages += (page,)
+            assert (pages, rest) == encode_segments(
+                path_words[:i], [tail[0]] * i, kappa)
+
+
 def test_stop_rule_reads_the_type_first():
     stops = [STOP, (STOP, 0), (STOP, 1)]
     letters = ["a", ("a", 1), (STOP,), (STOP, 0, 1), [STOP, 0], "*", 0]
@@ -176,11 +192,15 @@ def test_words_and_stops_errors():
 
 
 def test_codec_oracle_catches_wrong_rest(monkeypatch):
-    def wrong_rest(words, stops, kappa):
-        pages, rest = encode_segments(words, stops, kappa)
-        return pages, rest + (STOP,)
+    # each rest ends with a stop sign of another form, in the sweep's steps
+    # and in the converse pass's folds; the decoder reads it as a stop
+    # sign, so only the rests mismatch
+    def wrong_rest(rest, word, tail, kappa):
+        page, rest = encode_step(rest, word, tail, kappa)
+        return page, rest[:-1] + ((STOP, 0),)
 
-    monkeypatch.setattr(verify, "encode_segments", wrong_rest)
+    for module in (diary, verify):
+        monkeypatch.setattr(module, "encode_step", wrong_rest)
     res = verify.check_codec_roundtrip(2, 2, 2)
     assert res.checked > 0 and res.status == "fail"
     assert {v["reason"] for v in res.violations} == {"rest mismatch"}

@@ -92,6 +92,21 @@ def test_levels_and_decoration():
     assert [b for _, b in decorate(two)] == [1, 1, 1]  # t(1), t(2), stop at 2
 
 
+def test_decorate_bits_are_mt_bit_of_each_level():
+    # each letter's level counts the letters up to it; a stop sign takes
+    # the level of the letter before it (0 before the first letter)
+    rng = random.Random(5)
+    for _ in range(300):
+        sent = tuple(rng.choice(("a", "b", STOP))
+                     for _ in range(rng.randint(0, 60)))
+        lv, expected = 0, []
+        for tok in sent:
+            if tok != STOP:
+                lv += 1
+            expected.append((tok, mt_bit(lv)))
+        assert decorate(sent) == tuple(expected), sent
+
+
 def test_strip_inverts_decorate():
     for sent in [("a", STOP), (STOP,), ("a", "b", STOP, "c", STOP)]:
         deco = decorate(sent)

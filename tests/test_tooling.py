@@ -1,6 +1,7 @@
 """The benchmark's tracer, ``perfbench/traced.py``, wraps qtrees functions by
 name.  Every name it lists must resolve, so that a rename in ``src/`` fails
-here before it breaks a traced benchmark run."""
+here before it breaks a traced benchmark run.  Each command, started in a
+fresh process as the benchmark starts it, loads only the modules it runs."""
 import ast
 import importlib
 import os
@@ -48,31 +49,54 @@ def test_resolve_fails_on_a_missing_name():
         resolve("stage1.no_such_check")
 
 
-def test_codec_modules_import_without_the_geometry_stack():
-    code = ("import sys\n"
-            "from qtrees import diary, morse_thue, verify\n"
-            "print(' '.join(sorted(sys.modules)))")
+def loaded_modules(code: str, *argv: str) -> list[str]:
+    """The modules loaded after ``code`` ran in a fresh process, without
+    cached bytecode, as ``python -c code argv...``."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
+def quiet_cli(*args: str) -> str:
+    """Code that runs ``embed args...`` in-process, followed by the
+    process's own arguments, and asserts exit status 0."""
+    return ("import contextlib, io, sys\n"
+            "from qtrees import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(args)!r} + sys.argv[1:]) == 0")
+
+
+# (code, modules it must leave unloaded): a command pays at every start
+# for each module it loads
+LOADING_GATES = {
+    "import-cli": ("import qtrees.cli", ("dataclasses", "inspect",
+                                         "qtrees.verify", "qtrees.diary")),
+    "run-cantor": (quiet_cli("run", "--preset", "cantor", "--out"),
+                   ("dataclasses", "qtrees.verify")),
+    "import-verify": ("import qtrees.verify", ("dataclasses",)),
+}
+
+
+@pytest.mark.parametrize("code,unloaded", LOADING_GATES.values(),
+                         ids=LOADING_GATES.keys())
+def test_commands_leave_unused_modules_unloaded(code, unloaded, tmp_path):
+    out = loaded_modules(code, str(tmp_path))
+    assert "qtrees.reporting" in out
+    assert [name for name in unloaded if name in out] == []
+
+
+def test_codec_modules_import_without_the_geometry_stack():
+    out = loaded_modules("from qtrees import diary, morse_thue, verify")
     assert "qtrees.verify" in out
     for heavy in ("qtrees.pipeline", "qtrees.approx", "qtrees.coverings"):
         assert heavy not in out
 
 
 def test_verify_covering_leaves_the_tree_side_unloaded():
-    code = ("import contextlib, io, sys\n"
-            "from qtrees import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['verify', 'covering', '--preset', 'grid'])\n"
-            "print(code, ' '.join(sorted(sys.modules)))")
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    code, *out = subprocess.run([sys.executable, "-c", code], env=env,
-                                check=True, capture_output=True,
-                                text=True).stdout.split()
-    assert code == "0"
+    out = loaded_modules(quiet_cli("verify", "covering", "--preset", "grid"))
     assert "qtrees.coverings" in out
     for tree_side in ("qtrees.trees", "qtrees.stage1", "qtrees.labelling"):
         assert tree_side not in out
