@@ -58,11 +58,6 @@ class CheckResult:
         self.violations = [] if violations is None else violations
         self.notes = notes
 
-    def __repr__(self) -> str:
-        return (f"CheckResult(check_id={self.check_id!r}, "
-                f"status={self.status!r}, checked={self.checked!r}, "
-                f"violations={self.violations!r}, notes={self.notes!r})")
-
     def add_violation(self, info) -> None:
         self.status = FAIL
         if len(self.violations) < MAX_VIOLATIONS_KEPT:

@@ -64,10 +64,6 @@ class LevelledTree:
                             for u, p in self.paths.items()}
         self.meets = _Meets(self)
 
-    def __repr__(self) -> str:
-        return (f"LevelledTree(root={self.root!r}, parent={self.parent!r}, "
-                f"level={self.level!r})")
-
     def vertices(self) -> list[str]:
         return sorted(self.parent)
 

@@ -128,12 +128,13 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
     A sentence's pages and rest extend those of its one-word-shorter
     prefix by one encoder step (``diary.encode_step``): between words the
     encoder's only state is the rest, which it puts in front of the next
-    word.  So the sweep is the fold of ``encode_segments``, shared between
-    sentences with one prefix, and a faulty step shows as it would in the
-    fold.  A new class is decoded by one decoder step from its
-    prefix class's state, which is kept beside the prefix's pages; a
-    starred page's honesty verdict is taken once per class, and a
-    sentence inherits those of its prefix's pages.  Only the levels below
+    word.  The prefix continues from its member rest, which equals the
+    encoder's rest whenever the prefix passed; so a faulty rest is
+    reported on the sentence that shows it and does not also corrupt the
+    pages of its extensions.  A new class is decoded by one decoder step
+    from its prefix class's state, which is kept beside the prefix's
+    pages; a starred page's honesty verdict is taken once per class, and
+    a sentence inherits those of its prefix's pages.  Only the levels below
     ``max_words`` are kept."""
     if kappa < 1:
         raise ValueError("page capacity must be at least 1")
@@ -184,7 +185,8 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int, alphabet,
                                    "reason": "rest mismatch",
                                    "codec_rest": rest})
             if k < max_words:
-                level.append((pages, rest, state, starred, dishonest))
+                level.append((pages, rest if member is None else member,
+                              state, starred, dishonest))
             if star is not None:
                 star.checked += starred
                 for p in dishonest:

@@ -169,22 +169,52 @@ def _both(max_words, max_len, kappa):
             ref_check_codec_roundtrip(kappa, max_words, max_len).to_dict())
 
 
+REAL_ENCODE_STEP = diary.encode_step
+
+
+def wrong_rest(rest, word, tail, kappa):
+    """An encoder step whose rest carries one stop sign too many."""
+    page, rest = REAL_ENCODE_STEP(rest, word, tail, kappa)
+    return page, rest + (STOP,)
+
+
 @pytest.mark.parametrize("max_words,max_len", [(3, 3), (2, 2), (4, 2)])
 def test_wrong_rest_mutant_matches_reference(monkeypatch, max_words, max_len):
-    # the flat reference's ``encode_segments`` folds the mutant step as
-    # well; each rest ends with a stop sign of another form, which later
-    # pages show and the decoder reads as a stop sign
-    def wrong_rest(rest, word, tail, kappa):
-        page, rest = real(rest, word, tail, kappa)
-        return page, rest[:-1] + ((STOP, 0),)
+    # the sweep continues each prefix from its member rest, so a step with
+    # a wrong rest shows once per sentence, in its own rest, as the flat
+    # reference shows the same extra token on the whole sentence's rest
+    def wrong_final_rest(sent, kappa):
+        pages, rest = real_flat(sent, kappa)
+        return pages, rest + (STOP,)
 
-    real = diary.encode_step
-    _patch_everywhere(monkeypatch, "encode_step", wrong_rest)
+    real_flat = encode_with_rest
+    monkeypatch.setattr(verify, "encode_step", wrong_rest)
+    monkeypatch.setitem(globals(), "encode_with_rest", wrong_final_rest)
     for kappa in (1, 2, 3):
         new, ref = _both(max_words, max_len, kappa)
         assert new["status"] == "fail"
         assert {v["reason"] for v in new["violations"]} == {"rest mismatch"}
         assert new == ref
+
+
+def test_wrong_rest_step_is_a_named_violation(monkeypatch):
+    # the same step in the codec module too: the flat reference folds the
+    # extra stop signs into its later pages and raises from the decoder,
+    # while the sweep, on its member rests, still names each wrong rest
+    # and keeps its pages and star verdicts
+    expected_star = ref_check_star_honest(3, 3, (1, 2, 3)).to_dict()
+    _patch_everywhere(monkeypatch, "encode_step", wrong_rest)
+    for kappa in (2, 3):
+        with pytest.raises(InconsistentDiary,
+                           match="page 2: page shows stop signs that are "
+                                 "not pending"):
+            ref_check_codec_roundtrip(kappa, 3, 3)
+    star = CheckResult("diary-star-honest", PASS)
+    for kappa in (1, 2, 3):
+        res = verify._codec_sweep(kappa, 3, 3, ("a", "b"), star)
+        assert res.checked > 0 and res.status == "fail"
+        assert {v["reason"] for v in res.violations} == {"rest mismatch"}
+    assert star.to_dict() == expected_star
 
 
 @pytest.mark.parametrize("max_words,max_len", [(3, 3), (2, 2), (4, 2)])
