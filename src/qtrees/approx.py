@@ -16,12 +16,14 @@ into the space's unit (rounded up for a strict test, down otherwise), so
 every pair loop of every stage reads the same exact answers.
 
 Gromov products are taken at the root and held doubled, as ints.  The
-exact δ over all vertex triples and the visual band are reported, never
-asserted.
+exact δ over all vertex triples and the squares of the visual band's
+extremes are reported as exact rationals, never asserted.  The suite
+checks what a wrong edge would break; what the construction guarantees is
+not rechecked: the products' identities hold by their formula, and a
+graph that is not connected is never built.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -289,14 +291,6 @@ class VisualBand(NamedTuple):
     c1_sq: Fraction
     c2_sq: Fraction
 
-    @property
-    def c1(self) -> float:
-        return float(self.c1_sq) ** 0.5
-
-    @property
-    def c2(self) -> float:
-        return float(self.c2_sq) ** 0.5
-
 
 def visual_metric_constants(graph: ApproxGraph) -> VisualBand:
     """Treat deepest-level centers as boundary proxies and measure how well
@@ -314,15 +308,6 @@ def visual_metric_constants(graph: ApproxGraph) -> VisualBand:
 
 # ---------------------------------------------------------------------------
 # Invariant checks
-
-
-def check_connectivity(graph: ApproxGraph) -> CheckResult:
-    res = CheckResult("approx-connected", PASS, checked=len(graph.vertices))
-    reach = graph.distances_from(graph.root)
-    for v in graph.vertices:
-        if v not in reach:
-            res.add_violation({"vertex": v})
-    return res
 
 
 def check_ball_intersection_bound(graph: ApproxGraph) -> CheckResult:
@@ -419,33 +404,12 @@ def check_geodesic_shape(graph: ApproxGraph) -> CheckResult:
     return res
 
 
-def check_gromov_products(graph: ApproxGraph) -> CheckResult:
-    """Nonnegativity plus the endpoint identities (o,x,x) -> |ox| and
-    (o,o,y) -> 0."""
-    res = CheckResult("approx-gromov-product", PASS)
-    o = graph.root
-    g2 = {v: graph.gromov_row(v) for v in graph.vertices}
-    for v, w in itertools.combinations(graph.vertices, 2):
-        res.checked += 1
-        if g2[v][w] < 0:
-            res.add_violation({"pair": (v, w),
-                               "product": Fraction(g2[v][w], 2)})
-    for v in graph.vertices:
-        if g2[v][v] != 2 * graph.distance(o, v):
-            res.add_violation({"vertex": v, "reason": "(o,x,x) != |ox|"})
-        if g2[o][v] != 0:
-            res.add_violation({"vertex": v, "reason": "(o,o,y) != 0"})
-    return res
-
-
 def approx_suite(graph: ApproxGraph) -> list[CheckResult]:
     return [
-        check_connectivity(graph),
         check_ball_intersection_bound(graph),
         check_central_ancestors(graph),
         check_horizontal_descent(graph),
         check_geodesic_shape(graph),
-        check_gromov_products(graph),
     ]
 
 
@@ -475,6 +439,6 @@ def graph_summary(graph: ApproxGraph, delta=None, band=None) -> dict:
     if delta is not None:
         out["delta"] = delta
     if band is not None:
-        out["c1"] = f"{band.c1:.6g}"
-        out["c2"] = f"{band.c2:.6g}"
+        out["c1Sq"] = band.c1_sq
+        out["c2Sq"] = band.c2_sq
     return out

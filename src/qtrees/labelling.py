@@ -26,7 +26,7 @@ from qtrees.approx import ApproxGraph, Vertex
 from qtrees.diary import (
     STOP,
     Diary,
-    encode_segments,
+    encode_step,
     format_diary,
     is_stop,
     membership,
@@ -249,16 +249,18 @@ def build_stage2(lab: Labelling, kappa: Optional[int] = None,
         raise ValueError(
             f"page capacity {kappa} below the safe bound {min_kappa(C)}; "
             "pass research_kappa to experiment below it")
+    if kappa < 1:
+        raise ValueError("page capacity must be at least 1")
     diaries = {}
     for c in stage1.colors:
         tree = stage1.trees[c].tree
         diaries[c, tree.root], rests = (), {tree.root: ()}
         for uid in sorted(tree.parent, key=tree.depths.get)[1:]:
             parent = tree.parent[uid]
-            page, rests[uid] = encode_segments(
-                (rests[parent] + lab.words[c, uid],),
+            page, rests[uid] = encode_step(
+                rests[parent], lab.words[c, uid],
                 ((STOP, mt_bit(tree.level[uid])),), kappa)
-            diaries[c, uid] = diaries[c, parent] + page
+            diaries[c, uid] = diaries[c, parent] + (page,)
     images = {diaries[c, uid] for uids in stage1.images.values()
               for c, uid in zip(stage1.colors, uids)}
     pages = sorted({p for d in images for p in d}, key=repr)

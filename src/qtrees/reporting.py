@@ -86,11 +86,10 @@ def suite_dict(name: str, results: list[CheckResult]) -> dict:
     }
 
 
-def dump_json(data, path) -> None:
-    text = json.dumps(jsonable(data), sort_keys=True, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 def json_text(data) -> str:
     return json.dumps(jsonable(data), sort_keys=True, indent=2) + "\n"
+
+
+def dump_json(data, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(json_text(data))

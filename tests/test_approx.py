@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtrees import approx, reporting
 from qtrees.approx import (
     HORIZONTAL,
     RADIAL,
@@ -9,11 +10,18 @@ from qtrees.approx import (
     approx_suite,
     build_approximation,
     central_ancestor,
+    check_ball_intersection_bound,
+    check_central_ancestors,
+    check_geodesic_shape,
+    check_horizontal_descent,
     estimate_delta,
     graph_summary,
     visual_metric_constants,
 )
 from qtrees.metric import ScaleParams, generate_space, make_space
+from qtrees.pipeline import Pipeline, StageError
+from qtrees.presets import PRESETS
+from qtrees.reporting import jsonable
 
 
 def two_point_graph():
@@ -156,3 +164,124 @@ def test_graph_summary_shape():
     assert summary["vertexCount"] == 3
     assert summary["edgeCounts"]["H"] == 1
     assert summary["edgeCounts"]["R"] == 2
+
+
+# -- doctored graphs: each check fails with its named violation --------------
+
+
+def cantor_graph():
+    s = generate_space("cantor", 4)
+    return build_approximation(s, ScaleParams.for_space(s, F(1, 9), 4))
+
+
+def doctor(g, drop=(), add=()):
+    """Remove the edges ``drop``, add the (v, w, kind) edges ``add``, and
+    forget what was built on the old edges.  The graph stays connected."""
+    adj = {v: list(ws) for v, ws in g.adj.items()}
+    for v, w in drop:
+        adj[v].remove(w)
+        adj[w].remove(v)
+        del g.edge_kind[frozenset((v, w))]
+    for v, w, kind in add:
+        assert not g.has_edge(v, w)
+        adj[v].append(w)
+        adj[w].append(v)
+        g.edge_kind[frozenset((v, w))] = kind
+    g.adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+    g._dist_cache.clear()
+    g._raddesc_cache.clear()
+    g.__dict__.pop("pairs", None)
+    assert len(g.distances_from(g.root)) == len(g.vertices)
+    return g
+
+
+def in_pair_order(g, v, w):
+    index = g.vertices.index
+    return (v, w) if index(v) < index(w) else (w, v)
+
+
+@pytest.fixture
+def keep_every_violation(monkeypatch):
+    monkeypatch.setattr(reporting, "MAX_VIOLATIONS_KEPT", 10**6)
+
+
+@pytest.mark.parametrize("reason", ["no radial edge to vertex",
+                                    "neighbor not joined to ancestor"])
+def test_doctored_central_ancestor_fails(reason, keep_every_violation):
+    # a vertex v with a same-level neighbor u, and v's central ancestor w:
+    # drop the edge from w to v, or to u
+    g = cantor_graph()
+    v, u = next((v, u) for v in g.vertices for u in g.neighbors(v)
+                if u.level == v.level)
+    w = central_ancestor(g, v)
+    if reason == "no radial edge to vertex":
+        doctor(g, drop=[(v, w)])
+        expected = {"vertex": v, "ancestor": w, "reason": reason}
+    else:
+        doctor(g, drop=[(u, w)])
+        expected = {"vertex": v, "ancestor": w, "neighbor": u,
+                    "reason": reason}
+    res = check_central_ancestors(g)
+    assert res.status == "fail"
+    assert jsonable(expected) in res.violations
+
+
+def test_doctored_geodesic_shape_fails(keep_every_violation):
+    # a shortcut from a deepest vertex to the farthest vertex two levels
+    # up: no radial descent and one horizontal edge spans it
+    g = cantor_graph()
+    x = next(v for v in g.vertices if v.level == g.scale.max_level)
+    y = max((v for v in g.vertices if v.level == x.level - 2),
+            key=lambda v: (g.distance(x, v), v))
+    assert g.distance(x, y) > 2
+    doctor(g, add=[(x, y, HORIZONTAL)])
+    res = check_geodesic_shape(g)
+    assert res.status == "fail"
+    assert jsonable({"pair": in_pair_order(g, x, y), "dist": 1}) \
+        in res.violations
+
+
+def test_doctored_horizontal_descent_fails(keep_every_violation):
+    # join the two farthest deepest vertices: the vertices radially below
+    # them stay far apart
+    g = cantor_graph()
+    deep = [v for v in g.vertices if v.level == g.scale.max_level]
+    v, w = max(((v, w) for v in deep for w in deep if v != w),
+               key=lambda p: (g.d(*p), p))
+    doctor(g, add=[(v, w, HORIZONTAL)])
+    res = check_horizontal_descent(g)
+    assert res.status == "fail"
+    pair = jsonable(in_pair_order(g, v, w))
+    hits = [viol for viol in res.violations if viol["pair"] == pair]
+    assert hits and all(viol["dist"] > 1 for viol in hits)
+
+
+def test_doctored_ball_intersection_bound_fails(keep_every_violation):
+    # drop a horizontal edge: its ends' balls still touch, so the bound
+    # stays one step, but the ends are now farther apart
+    g = cantor_graph()
+    v, w = next(in_pair_order(g, v, w) for v, w, kind in g.edges()
+                if kind == HORIZONTAL)
+    doctor(g, drop=[(v, w)])
+    res = check_ball_intersection_bound(g)
+    assert res.status == "fail"
+    assert jsonable({"pair": (v, w), "graph_dist": g.distance(v, w),
+                     "bound": 1}) in res.violations
+    assert g.distance(v, w) > 1
+
+
+def test_disconnected_graph_is_an_approximation_error(monkeypatch):
+    # keep one center of the level above the deepest: the deepest centers
+    # far from it get no radial edge, and the graph is not built
+    original = approx.maximal_separated_net
+
+    def thinned(space, sep, level):
+        net = original(space, sep, level)
+        if level == PRESETS["cantor"].max_level - 1:
+            return net._replace(centers=net.centers[:1])
+        return net
+
+    monkeypatch.setattr(approx, "maximal_separated_net", thinned)
+    with pytest.raises(StageError,
+                       match=r"^\[approximation\] .*not connected"):
+        Pipeline(PRESETS["cantor"]).graph

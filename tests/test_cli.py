@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -195,8 +196,8 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "57d34a158387ccffbb07d83b4fc88a41"
-                       "3a083ce22f4241fd9de59970fce77f08",
+        "report.json": "fbe82ab9cf3d632264ebc02f571ef5c9"
+                       "7d608a84b5bccf2fd0d849dcb8b8534c",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -208,8 +209,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "03f56a50a85011c286252559c3b68b02"
-                       "3c8401da3c8df6a5e246db441d7ae825",
+        "report.json": "db5d7ec6a665d20b6f8c72d67b119f7b"
+                       "8a6f364f8e488689242183da0850ac6a",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -220,8 +221,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "3cf3212684563b0ffd53bbf7c432c0f9"
-                       "8f769e8c174c5d7c7bb6f664f5afaf4f",
+        "report.json": "87668a545016f6f746d63a796836dc23"
+                       "fef8b4252239a990aa200e1f607fe7f4",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },
@@ -236,6 +237,33 @@ def test_artifacts_keep_their_bytes(args, tmp_path, capsys):
     for name, digest in GOLDEN_SHA256[args].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+
+
+# a number written as a decimal string, not as "p/q"
+DECIMAL = re.compile(r"[-+]?((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)",
+                     re.IGNORECASE)
+
+
+@pytest.mark.parametrize("args", [("--preset", p) for p in PRESETS] + [
+    args for args in GOLDEN_SHA256 if args[:2] == ("--space", "grid")])
+def test_report_holds_exact_numbers_only(args, tmp_path, capsys):
+    # every number in report.json is an int or a "p/q" string
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    inexact = []
+
+    def walk(node, path):
+        if isinstance(node, float) or \
+                isinstance(node, str) and DECIMAL.fullmatch(node):
+            inexact.append((path, node))
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}/{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}[{i}]")
+
+    walk(json.loads((tmp_path / "report.json").read_text()), "")
+    assert not inexact
 
 
 GOLDEN_STDOUT_SHA256 = {

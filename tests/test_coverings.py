@@ -17,7 +17,8 @@ from qtrees.coverings import (
     save_covering_json,
     validate_covering_sequence,
 )
-from qtrees.geometry import Arc, LineIntervals, PointSubset, WholeSpace
+from qtrees.geometry import Arc, BoxRegion, LineIntervals, PointSubset, \
+    WholeSpace
 from qtrees.metric import ScaleParams, generate_space, load_space_csv, \
     save_space_csv
 from qtrees.stage1 import embed_stage1
@@ -318,3 +319,73 @@ def test_int_generation_keeps_the_fraction_candidates(kind, n, r, J,
     if generator == "shifted_cubes":  # tiles between grid points drop
         assert len(kernel.regions) > sum(
             len(f) for fam in seq.levels.values() for f in fam.values())
+
+
+# -- a net ball in two same-color elements is a disjointness violation ------
+
+
+def loaded_cantor3_covering(tmp_path):
+    """cantor(3) without coordinates at r = 1/9, L3, covered at level j by
+    the classes of d < r^j."""
+    space_file = tmp_path / "cantor3.csv"
+    save_space_csv(generate_space("cantor", 3), space_file)
+    s = load_space_csv(space_file)
+    sc = ScaleParams.for_space(s, F(1, 9), 3)
+    levels = {0: {0: (element(s, WholeSpace(s.diam), level=0,
+                              uid="c0-j0-0"),)}}
+    for j in range(1, 4):
+        blocks = sorted({frozenset(q for q in s.points
+                                   if s.d(p, q) < sc.sep(j))
+                         for p in s.points}, key=min)
+        levels[j] = {0: tuple(
+            element(s, PointSubset(s, b), level=j, uid=f"c0-j{j}-{i}")
+            for i, b in enumerate(blocks))}
+    seq = CoveringSequence(space=s, r=sc.r, colors=(0,), levels=levels)
+    return seq, build_approximation(s, sc)
+
+
+def generated(kind, n, r, J, generator, colors):
+    def build(tmp_path):
+        s = generate_space(kind, n)
+        sc = ScaleParams.for_space(s, r, J)
+        g = build_approximation(s, sc)
+        return build_covering(generator, s, sc, J, graph=g,
+                              n_colors=colors)[0], g
+    return build
+
+
+BALL_TWINS = {
+    "intervals": (generated("cantor", 4, F(1, 9), 4, "ultrametric", 1),
+                  lambda s, x, h: LineIntervals(((x - h, x + h),))),
+    "arc": (generated("circle", 81, F(1, 12), 2, "shifted_arcs", 2),
+            lambda s, x, h: Arc(x - h, 2 * h)),
+    "box": (generated("grid", 9, F(1, 64), 1, "shifted_cubes", 3),
+            lambda s, p, h: BoxRegion(p[0] - h, p[0] + h, p[1] - h, p[1] + h)),
+    "points": (loaded_cantor3_covering,
+               lambda s, v, h: PointSubset(
+                   s, [q for q in s.points if s.d(v, q) < h])),
+}
+
+
+@pytest.mark.parametrize("form", list(BALL_TWINS))
+def test_a_shared_net_ball_fails_disjointness(form, tmp_path):
+    # beside a level-1 element, a same-color element that is the least
+    # certificate holding one of its net balls: not a copy, yet the two meet
+    build, least = BALL_TWINS[form]
+    seq, g = build(tmp_path)
+    assert validate_covering_sequence(seq, graph=g).status == "pass"
+    s, j = seq.space, 1
+    radius = 2 * g.scale.sep(j + 1)
+    point = (lambda v: s.coords[v]) if s.coords else (lambda v: v)
+    first, v, twin = next(
+        (e, v, least(s, point(v), radius))
+        for e in seq.family(j) for v in g.net(j + 1)
+        if e.region.contains_ball(point(v), radius)
+        and least(s, point(v), radius) != e.region)
+    assert twin.contains_ball(point(v), radius)
+    c = first.color
+    seq.levels[j][c] += (element(s, twin, color=c, level=j, uid="twin"),)
+    report = validate_covering_sequence(seq, graph=g)
+    assert report.status == "fail"
+    assert {"property": "disjoint", "level": j, "color": c,
+            "pair": [first.uid, "twin"]} in report.violations

@@ -369,18 +369,18 @@ def test_stage2_spells_each_letter_and_pages_each_vertex_once(monkeypatch):
     pipe = Pipeline(PRESETS["cantor"])
     emb = pipe.stage1
     letters, steps = Counter(), []
-    letter, step = labelling._letter, labelling.encode_segments
+    letter, step = labelling._letter, labelling.encode_step
 
     def counted_letter(stage1, coloring, uid, k):
         letters[uid, k] += 1
         return letter(stage1, coloring, uid, k)
 
-    def counted_step(words, stops, kappa):
-        steps.append(stops)
-        return step(words, stops, kappa)
+    def counted_step(rest, word, tail, kappa):
+        steps.append(tail)
+        return step(rest, word, tail, kappa)
 
     monkeypatch.setattr(labelling, "_letter", counted_letter)
-    monkeypatch.setattr(labelling, "encode_segments", counted_step)
+    monkeypatch.setattr(labelling, "encode_step", counted_step)
     assert all(check.ok for check in pipe.checks("stage2"))
     embedding_dump(pipe.stage2)
     trees = [emb.trees[c].tree for c in emb.colors]
