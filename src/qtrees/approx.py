@@ -88,14 +88,8 @@ class ApproxGraph:
             self.nets[level] = centers
         return centers
 
-    def ball_radius(self, v: Vertex) -> Fraction:
-        return 2 * self.scale.sep(v.level)
-
     def d(self, v: Vertex, w: Vertex) -> Fraction:
         return self.space.d(v.center, w.center)
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self.adj[v]
 
     def has_edge(self, v: Vertex, w: Vertex) -> bool:
         return frozenset((v, w)) in self.edge_kind
@@ -119,9 +113,6 @@ class ApproxGraph:
                     queue.append(w)
         self._dist_cache[source] = dist
         return dist
-
-    def distance(self, v: Vertex, w: Vertex) -> int:
-        return self.distances_from(v)[w]
 
     # -- the pair table -----------------------------------------------------
 
@@ -350,7 +341,7 @@ def check_central_ancestors(graph: ApproxGraph) -> CheckResult:
             res.add_violation({"vertex": v, "ancestor": w,
                                "reason": "no radial edge to vertex"})
             continue
-        for u in graph.neighbors(v):
+        for u in graph.adj[v]:
             if u.level == v.level and not graph.has_edge(u, w):
                 res.add_violation({"vertex": v, "ancestor": w, "neighbor": u,
                                    "reason": "neighbor not joined to ancestor"})
@@ -364,14 +355,14 @@ def check_horizontal_descent(graph: ApproxGraph) -> CheckResult:
     for v, w, dist, _, _ in graph.pairs:
         if v.level != w.level or dist != 1:
             continue
-        below_v = [u for u in graph.neighbors(v) if u.level == v.level - 1]
-        below_w = [u for u in graph.neighbors(w) if u.level == w.level - 1]
+        below_v = [u for u in graph.adj[v] if u.level == v.level - 1]
+        below_w = [u for u in graph.adj[w] if u.level == w.level - 1]
         for a in below_v:
             for b in below_w:
                 res.checked += 1
-                if a != b and graph.distance(a, b) > 1:
+                if a != b and graph.distances_from(a)[b] > 1:
                     res.add_violation({"pair": (v, w), "below": (a, b),
-                                       "dist": graph.distance(a, b)})
+                                       "dist": graph.distances_from(a)[b]})
     return res
 
 

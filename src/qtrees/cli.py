@@ -17,6 +17,14 @@ from qtrees.presets import PRESETS, SPACES, config_for
 from qtrees.reporting import SUITES, json_text
 
 
+def fraction(text: str) -> Fraction:
+    """p/q, where argparse reports a zero q as a bad value, like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="pinned configuration known to validate")
@@ -25,7 +33,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space-file", help="distance matrix file (see README)")
     p.add_argument("--depth", "--n", dest="space_param", type=int,
                    help="generator size (cantor depth, circle N, grid n)")
-    p.add_argument("--r", dest="r", type=Fraction,
+    p.add_argument("--r", dest="r", type=fraction,
                    help="scale parameter as p/q, at most 1/6")
     p.add_argument("--max-level", dest="max_level", type=int,
                    help="truncation level (default: full separation)")

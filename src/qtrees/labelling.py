@@ -48,9 +48,6 @@ class NetColoring:
         self.palette_size = palette_size
         self.mu = mu  # level -> point -> color
 
-    def color(self, level: int, point: int) -> int:
-        return self.mu[level][point]
-
 
 def color_nets(graph: ApproxGraph) -> NetColoring:
     """Color levels k0 .. max_level + 1 (edge letters look one level past
@@ -109,22 +106,11 @@ class Labelling:
         self.coloring = coloring
         self.words = words  # (color, non-root uid) -> edge word
 
-    @property
-    def graph(self) -> ApproxGraph:
-        return self.stage1.graph
-
-    def edge_word(self, color: int, child_uid: str) -> tuple:
-        """Letters for the tree edge from child to its parent, one per level
-        in (parent level, child level]."""
-        if self.stage1.trees[color].tree.parent[child_uid] is None:
-            raise ValueError("the root has no incoming edge")
-        return self.words[color, child_uid]
-
     def sentence_of(self, color: int, uid: str) -> tuple:
         """Decorated sentence spelled along the root path: one word per tree
         edge, each word closed by a stop sign carrying the bit of its last
         letter's level."""
-        tree = self.stage1.trees[color].tree
+        tree = self.stage1.trees[color]
         path, levels = tree.paths[uid], tree.path_levels[uid]
         tokens: list = []
         for child, level in zip(path[1:], levels[1:]):
@@ -136,7 +122,7 @@ class Labelling:
         """(letter, word index) for the sentence letter of the given level,
         one of 1..element level: a letter of the edge into the first
         root-path vertex reaching the level, whose depth is the index."""
-        tree = self.stage1.trees[color].tree
+        tree = self.stage1.trees[color]
         levels = tree.path_levels[uid]  # from the root's level 0
         if not 1 <= level <= levels[-1]:
             raise ValueError(f"no letter of level {level} in {uid}")
@@ -151,7 +137,7 @@ def _letter(stage1: Stage1, coloring: NetColoring, uid: str, k: int):
     kernel = stage1.kernel
     radius = kernel.radius(k + 1)
     region = kernel.regions[uid]
-    hit = frozenset(coloring.color(k + 1, p) for p in stage1.graph.net(k + 1)
+    hit = frozenset(coloring.mu[k + 1][p] for p in stage1.graph.net(k + 1)
                     if region.meets_ball(kernel.coords[p], radius))
     if not hit:
         raise AssertionError(f"empty letter at level {k} for {uid}")
@@ -163,7 +149,7 @@ def build_labelling(stage1: Stage1) -> Labelling:
     coloring = color_nets(stage1.graph)
     words = {}
     for c in stage1.colors:
-        tree = stage1.trees[c].tree
+        tree = stage1.trees[c]
         for uid, parent in tree.parent.items():
             if parent is not None:
                 words[c, uid] = tuple(
@@ -179,14 +165,14 @@ def check_sentences(lab: Labelling) -> CheckResult:
     res = CheckResult("labelling-sentences", PASS)
     for c in lab.stage1.colors:
         tree = lab.stage1.trees[c]
-        for uid in tree.tree.vertices():
+        for uid in tree.vertices():
             res.checked += 1
             sent = lab.sentence_of(c, uid)
             words = sum(1 for t in sent if is_stop(t))
             letters = [t for t in sent if not is_stop(t)]
-            if words != tree.tree.depth(uid):
+            if words != tree.depths[uid]:
                 res.add_violation({"uid": uid, "reason": "word count"})
-            if len(letters) != tree.elements[uid].level:
+            if len(letters) != tree.level[uid]:
                 res.add_violation({"uid": uid, "reason": "letter count"})
             if any(bit != mt_bit(lv) for lv, (_, bit)
                    in enumerate(letters, start=1)):
@@ -229,9 +215,6 @@ class Stage2:
     def diary_of(self, color: int, v: Vertex) -> Diary:
         return self.diaries[color, self.stage1.image(color, v)]
 
-    def page_distance(self, color: int, v: Vertex, w: Vertex) -> int:
-        return word_distance(self.diary_of(color, v), self.diary_of(color, w))
-
 
 def min_kappa(n_colors: int) -> int:
     return 15 * n_colors + 1
@@ -253,7 +236,7 @@ def build_stage2(lab: Labelling, kappa: Optional[int] = None,
         raise ValueError("page capacity must be at least 1")
     diaries = {}
     for c in stage1.colors:
-        tree = stage1.trees[c].tree
+        tree = stage1.trees[c]
         diaries[c, tree.root], rests = (), {tree.root: ()}
         for uid in sorted(tree.parent, key=tree.depths.get)[1:]:
             parent = tree.parent[uid]
@@ -294,7 +277,7 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     for v in graph.vertices:
         radial_iso.checked += 1
         for c, uid in zip(st2.colors, emb.images[v]):
-            depth = emb.trees[c].tree.depth(uid)
+            depth = emb.trees[c].depths[uid]
             if len(st2.diary_of(c, v)) != depth:
                 radial_iso.add_violation({"vertex": v, "color": c})
 
@@ -324,7 +307,8 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
         per_color = page_dists.get(key)
         if per_color is None:
             per_color = page_dists[key] = tuple(
-                st2.page_distance(c, v, w) for c in st2.colors)
+                word_distance(st2.diary_of(c, v), st2.diary_of(c, w))
+                for c in st2.colors)
         total = sum(per_color)
         upper.checked += 1
         for c, pd in zip(st2.colors, per_color):
@@ -360,11 +344,11 @@ def critical_letters(lab: Labelling, color: int, ua: str, ub: str, l: int
     sentences carry a letter of level l; otherwise the hypothesis is unmet
     and a ValueError is raised.
     """
-    tree = lab.stage1.trees[color]
+    level = lab.stage1.trees[color].level
     if l < 1:
         raise ValueError("sentences carry no letter below level 1")
     for uid in (ua, ub):
-        if tree.elements[uid].level < l + 1:
+        if level[uid] < l + 1:
             raise ValueError(f"{uid} is too shallow for critical level {l}")
     a, m = lab.letter_at_level(color, ua, l)
     b, mp = lab.letter_at_level(color, ub, l)
@@ -402,9 +386,9 @@ def check_critical_letters(st2: Stage2) -> CheckResult:
 def _critical_letters(lab: Labelling, color: int, chain_v: tuple,
                       chain_w: tuple, l: int) -> tuple[int, tuple]:
     """(instances, violations less the pair) of one color's chains."""
-    elements = lab.stage1.trees[color].elements
-    deep_v = [u for u in chain_v if elements[u].level >= l + 1]
-    deep_w = [u for u in chain_w if elements[u].level >= l + 1]
+    level = lab.stage1.trees[color].level
+    deep_v = [u for u in chain_v if level[u] >= l + 1]
+    deep_w = [u for u in chain_w if level[u] >= l + 1]
     checked = 0
     found = []
     for ua in deep_v:

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 from qtrees import approx, coverings, metric
 from qtrees.approx import ApproxGraph, approx_suite, estimate_delta, \
     export_edges, graph_summary, visual_metric_constants
-from qtrees.coverings import CoveringKernel, CoveringSequence, \
-    build_covering, save_covering_json
+from qtrees.coverings import CoveringError, CoveringKernel, \
+    CoveringSequence, build_covering, save_covering_json
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
 from qtrees.presets import PipelineConfig
@@ -99,11 +99,16 @@ class Pipeline:
     @property
     def _covering(self) -> tuple[CoveringSequence, CoveringKernel]:
         cfg = self.config
-        return self._once("covering", "covering",
-                          lambda: build_covering(
-                              cfg.covering_kind, self.space, self.scale,
-                              self.scale.max_level, graph=self.graph,
-                              n_colors=cfg.n_colors))
+
+        def build():
+            graph = self.graph  # a failed earlier stage is reported first
+            if cfg.space_file:
+                raise CoveringError(
+                    "no covering generator takes a space loaded from a file")
+            return build_covering(cfg.covering_kind, self.space, self.scale,
+                                  self.scale.max_level, graph=graph,
+                                  n_colors=cfg.n_colors)
+        return self._once("covering", "covering", build)
 
     # The tree side (``trees``, ``stage1``, ``labelling``) is imported where
     # its artifacts and suites are built, so that the commands that stop at

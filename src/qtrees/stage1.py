@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
 from qtrees.coverings import CoveringKernel, CoveringSequence
 from qtrees.reporting import CheckResult, PASS
-from qtrees.trees import ColorTree, LevelledTree, build_color_tree
+from qtrees.trees import LevelledTree, build_color_tree
 
 
 class PairClass(NamedTuple):
@@ -40,7 +40,7 @@ class PairClass(NamedTuple):
 
 class Stage1:
     def __init__(self, graph: ApproxGraph, seq: CoveringSequence,
-                 trees: dict[int, ColorTree],
+                 trees: dict[int, LevelledTree],
                  images: dict[Vertex, tuple[str, ...]],
                  kernel: CoveringKernel):
         self.graph = graph
@@ -63,7 +63,7 @@ class Stage1:
         center point, in tree vertex order.  Equal chains of a color share
         their key; vertices with one center share one entry."""
         coords, regions = self.kernel.coords, self.kernel.regions
-        uids = [self.trees[c].tree.vertices() for c in self.colors]
+        uids = [self.trees[c].vertices() for c in self.colors]
         keys: dict[tuple[int, tuple[str, ...]], int] = {}
         by_center: dict[int, tuple] = {}
         out = {}
@@ -81,7 +81,7 @@ class Stage1:
         return out
 
 
-def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
+def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: LevelledTree,
            graph: ApproxGraph, color: int, v: Vertex) -> str:
     """Highest-level element of the color containing the vertex ball at a
     level <= level(v) - 1; the root maps to the tree root.  Vertices whose
@@ -89,10 +89,10 @@ def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: ColorTree,
     level of -1) also land on the root, the one element that contains
     every ball."""
     if v == graph.root:
-        return tree.tree.root
+        return tree.root
     top = min(v.level - 1, seq.max_level)
     if top < 0:
-        return tree.tree.root
+        return tree.root
     radius = kernel.radius(v.level)
     coord = kernel.coords[v.center]
     for j in range(top, -1, -1):
@@ -168,7 +168,7 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows: list[PairRow] = []
 
-    trees = [emb.trees[c].tree for c in colors]
+    trees = [emb.trees[c] for c in colors]
     images = emb.images
     dist, unit, sep = graph.space.rows, graph.space.unit, graph.scale.sep
     levels = range(graph.scale.k0, graph.scale.max_level + 1)
@@ -315,7 +315,7 @@ def check_segment_dip(emb: Stage1) -> CheckResult:
                         dip = dips.get((c, a, b, l))
                         if dip is None:
                             dip = dips[(c, a, b, l)] = _dip(
-                                emb.trees[c].tree, k0, c, a, b, l)
+                                emb.trees[c], k0, c, a, b, l)
                         found += dip
             out = outcomes[(kv, kw, l)] = instances, found
         res.checked += out[0]
@@ -365,7 +365,7 @@ def check_level_escape(emb: Stage1) -> CheckResult:
                 if key not in nearest:
                     tree = emb.trees[c]
                     nearest[key] = min(
-                        (tree.tree.generation_distance(uid, u)
+                        (tree.generation_distance(uid, u)
                          for u in tree.level_vertices(i)),
                         default=None)
                 m = nearest[key]

@@ -1,21 +1,21 @@
 """Levelled trees: directed posets with strictly monotone level functions.
 
-Color trees order covering elements by certificate inclusion; an edge
-joins an element to its maximal-level proper ancestor.  Word trees over
+A color tree is a ``LevelledTree`` of the covering elements of one color,
+each at its element's level; an edge joins an element to its
+maximal-level proper ancestor by certificate inclusion.  Word trees over
 an alphabet never get materialized: the vertex set is "all finite
 sequences" and the generation distance only needs common prefixes.
 
-A ``LevelledTree`` owns everything that depends only on the tree: root
-paths, depths, the levels along each root path and one meet memo.  They
-are built once with the tree and every check that reads the tree shares
-them.
+A ``LevelledTree`` owns everything that depends only on the tree: the
+vertices of each level, root paths, depths, the levels along each root
+path and one meet memo.  They are built once with the tree and every
+check that reads the tree shares them.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from qtrees.coverings import CoveringElement, CoveringKernel, \
-    CoveringSequence
+from qtrees.coverings import CoveringKernel, CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 
 
@@ -33,25 +33,31 @@ class _Meets(dict):
 
 class LevelledTree:
     """Rooted tree with integer levels strictly increasing away from the
-    root along ancestor chains.
+    root along ancestor chains.  A color tree carries its color.
 
-    What depends only on the tree is built with it: the children, the root
-    path of every vertex with its depth and the levels along it, and one
-    meet memo, ``meets[u, v]``, shared by every reader of the tree."""
+    What depends only on the tree is built with it: the children, the
+    vertices of each level, the root path of every vertex with its depth
+    and the levels along it, and one meet memo, ``meets[u, v]``, shared by
+    every reader of the tree."""
 
-    __slots__ = ("root", "parent", "level", "children", "paths", "depths",
-                 "path_levels", "meets")
+    __slots__ = ("root", "parent", "level", "color", "children", "by_level",
+                 "paths", "depths", "path_levels", "meets")
 
     def __init__(self, root: str, parent: dict[str, Optional[str]],
-                 level: dict[str, int]):
+                 level: dict[str, int], color: int = 0):
         self.root = root
         self.parent = parent
         self.level = level
+        self.color = color
         kids: dict[str, list[str]] = {u: [] for u in parent}
         for u, p in parent.items():
             if p is not None:
                 kids[p].append(u)
         self.children = {u: tuple(sorted(v)) for u, v in kids.items()}
+        by_level: dict[int, list[str]] = {}
+        for u in sorted(level):
+            by_level.setdefault(level[u], []).append(u)
+        self.by_level = {j: tuple(v) for j, v in by_level.items()}
         self.paths = {root: (root,)}
         todo = [root]
         while todo:
@@ -67,13 +73,12 @@ class LevelledTree:
     def vertices(self) -> list[str]:
         return sorted(self.parent)
 
-    def root_path(self, u: str) -> tuple[str, ...]:
-        """Vertices from the root down to u, inclusive."""
-        return self.paths[u]
+    def level_vertices(self, i: int) -> tuple[str, ...]:
+        return self.by_level.get(i, ())
 
-    def depth(self, u: str) -> int:
-        """Generations between u and the root."""
-        return self.depths[u]
+    def max_valence(self) -> int:
+        return max(len(self.children[u]) + (0 if p is None else 1)
+                   for u, p in self.parent.items())
 
     def lca(self, u: str, v: str) -> str:
         """Minimum-level vertex on the unique path: the youngest common
@@ -93,30 +98,9 @@ class LevelledTree:
         return d[u] + d[v] - 2 * d[self.meets[u, v]]
 
 
-class ColorTree:
-    __slots__ = ("color", "tree", "elements", "by_level")
-
-    def __init__(self, color: int, tree: LevelledTree,
-                 elements: dict[str, CoveringElement],
-                 by_level: dict[int, tuple[str, ...]]):
-        self.color = color
-        self.tree = tree
-        self.elements = elements
-        self.by_level = by_level
-
-    def level_vertices(self, i: int) -> tuple[str, ...]:
-        return self.by_level.get(i, ())
-
-    def max_valence(self) -> int:
-        t = self.tree
-        return max(
-            len(t.children[u]) + (0 if t.parent[u] is None else 1)
-            for u in t.parent
-        )
-
-
-def build_color_tree(seq: CoveringSequence, color: int) -> ColorTree:
-    """Parent of U = the certificate-inclusion ancestor of maximal level.
+def build_color_tree(seq: CoveringSequence, color: int) -> LevelledTree:
+    """Parent of U = the certificate-inclusion ancestor of maximal level;
+    the level of U is the level of its element.
 
     Separation makes the candidate set per level at most one element, and
     guarantees condition (+): elements sharing a descendant are nested.
@@ -149,23 +133,11 @@ def build_color_tree(seq: CoveringSequence, color: int) -> ColorTree:
                 f"covering element {uid} has no ancestor: separation violated")
         parent[uid] = found
 
-    tree = LevelledTree(root=root, parent=parent, level=level_map)
-    _assert_levelled(tree)
-    return ColorTree(
-        color=color,
-        tree=tree,
-        elements=elements,
-        by_level={j: tuple(sorted(v)) for j, v in by_level.items()},
-    )
+    return LevelledTree(root=root, parent=parent, level=level_map,
+                        color=color)
 
 
-def _assert_levelled(tree: LevelledTree) -> None:
-    for u, p in tree.parent.items():
-        if p is not None and tree.level[u] <= tree.level[p]:
-            raise ValueError(f"level not strictly monotone at edge ({u},{p})")
-
-
-def check_color_tree(kernel: CoveringKernel, ct: ColorTree, k0: int
+def check_color_tree(kernel: CoveringKernel, t: LevelledTree, k0: int
                      ) -> CheckResult:
     """Structural invariants: strict monotonicity along root paths, depth
     bounded by level - k0, and condition (+) via nested-or-disjoint
@@ -173,17 +145,16 @@ def check_color_tree(kernel: CoveringKernel, ct: ColorTree, k0: int
     Incomparable vertices meet strictly below both levels without a test
     of their own: the meet is a proper ancestor of both ends, and levels
     increase strictly along root paths."""
-    res = CheckResult(f"tree-structure-c{ct.color}", PASS)
-    t = ct.tree
+    res = CheckResult(f"tree-structure-c{t.color}", PASS)
     for u in t.vertices():
         res.checked += 1
-        path = t.root_path(u)
+        path = t.paths[u]
         for a, b in zip(path, path[1:]):
             if t.level[a] >= t.level[b]:
                 res.add_violation({"vertex": u, "edge": (a, b),
                                    "reason": "level not increasing"})
-        if t.depth(u) > t.level[u] - k0:
-            res.add_violation({"vertex": u, "depth": t.depth(u),
+        if t.depths[u] > t.level[u] - k0:
+            res.add_violation({"vertex": u, "depth": t.depths[u],
                                "level": t.level[u],
                                "reason": "depth exceeds level - k0"})
     uids = t.vertices()
@@ -236,12 +207,11 @@ def binary_embed(word: Sequence[int], n: int) -> tuple[int, ...]:
 # Export
 
 
-def export_tree(ct: ColorTree, path) -> None:
+def export_tree(t: LevelledTree, path) -> None:
     """`id parentId level colorOrLetter`, one vertex per line."""
-    t = ct.tree
     lines = []
     for uid in t.vertices():
         p = t.parent[uid] or "-"
-        lines.append(f"{uid} {p} {t.level[uid]} {ct.color}")
+        lines.append(f"{uid} {p} {t.level[uid]} {t.color}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -41,7 +41,7 @@ def test_two_point_space_structure():
     assert g.edge_kind[frozenset((v0, v1))] == HORIZONTAL
     assert g.edge_kind[frozenset((v0, g.root))] == RADIAL
     assert g.edge_kind[frozenset((v1, g.root))] == RADIAL
-    assert g.distance(v0, v1) == 1
+    assert g.distances_from(v0)[v1] == 1
 
 
 def test_single_root_graph():
@@ -59,8 +59,8 @@ def test_graph_distance_basics():
     sc = ScaleParams.for_space(s, F(1, 9), 3)
     g = build_approximation(s, sc)
     for v in g.vertices:
-        assert g.distance(v, v) == 0
-        assert g.distance(g.root, v) <= v.level - sc.k0
+        assert g.distances_from(v)[v] == 0
+        assert g.distances_from(g.root)[v] <= v.level - sc.k0
 
 
 def test_central_ancestor_contract():
@@ -76,7 +76,7 @@ def test_central_ancestor_contract():
         assert w.level == v.level - 1
         assert g.space.d(v.center, w.center) <= sc.sep(w.level)
         assert g.has_edge(v, w)
-        for u in g.neighbors(v):
+        for u in g.adj[v]:
             if u.level == v.level:
                 assert g.has_edge(u, w)
 
@@ -94,7 +94,7 @@ def test_gromov_product_identities():
     g = build_approximation(s, sc)
     o = g.root
     for v in g.vertices:
-        assert g.gromov_row(v)[v] == 2 * g.distance(o, v)
+        assert g.gromov_row(v)[v] == 2 * g.distances_from(o)[v]
         assert g.gromov_row(o)[v] == 0
 
 
@@ -211,7 +211,7 @@ def test_doctored_central_ancestor_fails(reason, keep_every_violation):
     # a vertex v with a same-level neighbor u, and v's central ancestor w:
     # drop the edge from w to v, or to u
     g = cantor_graph()
-    v, u = next((v, u) for v in g.vertices for u in g.neighbors(v)
+    v, u = next((v, u) for v in g.vertices for u in g.adj[v]
                 if u.level == v.level)
     w = central_ancestor(g, v)
     if reason == "no radial edge to vertex":
@@ -232,8 +232,8 @@ def test_doctored_geodesic_shape_fails(keep_every_violation):
     g = cantor_graph()
     x = next(v for v in g.vertices if v.level == g.scale.max_level)
     y = max((v for v in g.vertices if v.level == x.level - 2),
-            key=lambda v: (g.distance(x, v), v))
-    assert g.distance(x, y) > 2
+            key=lambda v: (g.distances_from(x)[v], v))
+    assert g.distances_from(x)[y] > 2
     doctor(g, add=[(x, y, HORIZONTAL)])
     res = check_geodesic_shape(g)
     assert res.status == "fail"
@@ -265,9 +265,9 @@ def test_doctored_ball_intersection_bound_fails(keep_every_violation):
     doctor(g, drop=[(v, w)])
     res = check_ball_intersection_bound(g)
     assert res.status == "fail"
-    assert jsonable({"pair": (v, w), "graph_dist": g.distance(v, w),
+    assert jsonable({"pair": (v, w), "graph_dist": g.distances_from(v)[w],
                      "bound": 1}) in res.violations
-    assert g.distance(v, w) > 1
+    assert g.distances_from(v)[w] > 1
 
 
 def test_disconnected_graph_is_an_approximation_error(monkeypatch):

@@ -134,6 +134,51 @@ def test_verify_bad_scale_is_a_stage_error(capsys):
     assert len(err) == 1 and err[0].startswith("error: [space] ")
 
 
+@pytest.mark.parametrize("argv", [["run"], ["verify", "approx"],
+                                  ["export"]])
+@pytest.mark.parametrize("r", ["1/0", "3/0"])
+def test_zero_denominator_scale_is_a_usage_error(argv, r, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--r", r, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error" in line] == [
+        f"embed {argv[0]}: error: argument --r: invalid fraction value: "
+        f"'{r}'"]
+    assert err[-1].startswith(f"embed {argv[0]}: error: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture
+def saved_cantor_space(tmp_path):
+    from qtrees.metric import generate_space, save_space_csv
+
+    path = tmp_path / "cantor3.csv"
+    save_space_csv(generate_space("cantor", 3), path)
+    return str(path)
+
+
+FILE_SPACE_NOTE = "no covering generator takes a space loaded from a file"
+
+
+def test_run_on_a_space_file_names_the_missing_generator(saved_cantor_space,
+                                                         capsys):
+    code = main(["run", "--space-file", saved_cantor_space])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [covering] {FILE_SPACE_NOTE}"]
+
+
+def test_verify_covering_on_a_space_file_names_the_missing_generator(
+        saved_cantor_space, capsys):
+    code = main(["verify", "covering", "--space-file", saved_cantor_space])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == [
+        {"id": "covering-contract", "status": "fail", "checked": 0,
+         "violations": [], "notes": FILE_SPACE_NOTE}]
+
+
 @pytest.mark.parametrize("text,reason", [
     ("", "empty space file"),
     ("\n  \n", "empty space file"),

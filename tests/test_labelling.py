@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 from qtrees.approx import build_approximation
 from qtrees.coverings import build_covering
-from qtrees.diary import STOP, encode, is_stop
+from qtrees.diary import STOP, encode, is_stop, membership, reconstruct
 from qtrees.labelling import (
     NetColoring,
     build_labelling,
@@ -24,10 +25,11 @@ from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import mt_bit
 from qtrees.pipeline import Pipeline
 from qtrees.presets import PRESETS, config_for
+from qtrees import reporting
 from qtrees.reporting import MAX_VIOLATIONS_KEPT, PASS, CheckResult, \
     jsonable
 from qtrees.stage1 import embed_stage1
-from qtrees.trees import binary_embed
+from qtrees.trees import binary_embed, binary_width, word_distance
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,8 @@ def circle_lab():
 
 
 def test_coloring_conflict_property(cantor_lab):
-    check = check_net_coloring(cantor_lab.graph, cantor_lab.coloring)
+    check = check_net_coloring(cantor_lab.stage1.graph,
+                               cantor_lab.coloring)
     assert check.status == "pass", check.violations[:2]
 
 
@@ -89,7 +92,7 @@ def ref_check_net_coloring(graph, coloring):
 def test_net_coloring_check_matches_two_pass_reference(cantor_lab,
                                                        circle_lab):
     for lab in (cantor_lab, circle_lab):
-        graph, mu = lab.graph, lab.coloring.mu
+        graph, mu = lab.stage1.graph, lab.coloring.mu
         # the coloring itself, one color everywhere (pair violations) and
         # a color per point (palette violations wherever degrees are low)
         for doctored in (mu,
@@ -102,18 +105,20 @@ def test_net_coloring_check_matches_two_pass_reference(cantor_lab,
                 ref_check_net_coloring(graph, coloring).to_dict()
     one_color = NetColoring(0, {j: dict.fromkeys(a, 0)
                                 for j, a in circle_lab.coloring.mu.items()})
-    assert check_net_coloring(circle_lab.graph, one_color).status == "fail"
+    assert check_net_coloring(circle_lab.stage1.graph,
+                              one_color).status == "fail"
     per_point = NetColoring(0, {j: {p: p for p in a}
                                 for j, a in cantor_lab.coloring.mu.items()})
     assert any(v.get("reason") == "palette above degree+1" for v in
-               check_net_coloring(cantor_lab.graph, per_point).violations)
+               check_net_coloring(cantor_lab.stage1.graph,
+                                  per_point).violations)
 
 
 def test_cantor_edge_word_fixture(cantor_lab):
     lab = cantor_lab
     tree = lab.stage1.trees[0]
     uid = tree.level_vertices(2)[0]  # the level-2 block around the origin
-    word = lab.edge_word(0, uid)
+    word = lab.words[0, uid]
     assert word == ((frozenset({0}), mt_bit(2)),)
     sent = lab.sentence_of(0, uid)
     assert sent == (
@@ -124,14 +129,15 @@ def test_cantor_edge_word_fixture(cantor_lab):
 
 def test_edge_word_decoration_bits(cantor_lab):
     lab = cantor_lab
+    elements = {e.uid: e for e in lab.stage1.seq.elements}
     for c in lab.stage1.colors:
         tree = lab.stage1.trees[c]
-        for uid in tree.tree.vertices():
-            if uid == tree.tree.root:
+        for uid in tree.vertices():
+            if uid == tree.root:
                 continue
-            child = tree.elements[uid]
-            parent = tree.elements[tree.tree.parent[uid]]
-            word = lab.edge_word(c, uid)
+            child = elements[uid]
+            parent = elements[tree.parent[uid]]
+            word = lab.words[c, uid]
             assert len(word) == child.level - parent.level >= 1
             for offset, (letters, bit) in enumerate(word):
                 assert bit == mt_bit(parent.level + 1 + offset)
@@ -145,8 +151,8 @@ def test_sentences_structure(cantor_lab, circle_lab):
         # root sentence is empty; depth-1 vertices have one word
         for c in lab.stage1.colors:
             tree = lab.stage1.trees[c]
-            assert lab.sentence_of(c, tree.tree.root) == ()
-            for uid in tree.tree.children[tree.tree.root]:
+            assert lab.sentence_of(c, tree.root) == ()
+            for uid in tree.children[tree.root]:
                 sent = lab.sentence_of(c, uid)
                 assert sum(1 for t in sent if is_stop(t)) == 1
 
@@ -172,8 +178,9 @@ def test_stage2_radial_isometry_and_eta_root(cantor_lab):
     for v in g.vertices:
         for c in st2.colors:
             uid = emb.image(c, v)
-            assert len(st2.diary_of(c, v)) == emb.trees[c].tree.depth(uid)
-            assert st2.page_distance(c, v, v) == 0
+            assert len(st2.diary_of(c, v)) == emb.trees[c].depths[uid]
+            diary = st2.diary_of(c, v)
+            assert word_distance(diary, diary) == 0
 
 
 def test_stage2_suites_pass(cantor_lab, circle_lab):
@@ -222,7 +229,7 @@ def test_embedding_dump_shape(cantor_lab):
     st2 = build_stage2(cantor_lab, kappa=16)
     dump = embedding_dump(st2)
     assert dump["kappa"] == 16
-    assert len(dump["vertices"]) == len(cantor_lab.graph.vertices)
+    assert len(dump["vertices"]) == len(cantor_lab.stage1.graph.vertices)
     sample = next(iter(dump["vertices"].values()))
     assert "pages" in sample["0"] and "binary" in sample["0"]
 
@@ -249,7 +256,8 @@ def test_critical_letters_op(circle_lab):
     import itertools
 
     lab = circle_lab
-    g = lab.graph
+    g = lab.stage1.graph
+    elements = {e.uid: e for e in lab.stage1.seq.elements}
     found = False
     for v, w in itertools.combinations(g.vertices, 2):
         pc = classify_pair(g, v, w)
@@ -258,13 +266,13 @@ def test_critical_letters_op(circle_lab):
         l = pc.critical_level
         for c in lab.stage1.colors:
             tree = lab.stage1.trees[c]
-            ua = next((u for u in tree.tree.vertices()
-                       if tree.elements[u].level >= l + 1 and
-                       tree.elements[u].region.contains_point(
+            ua = next((u for u in tree.vertices()
+                       if elements[u].level >= l + 1 and
+                       elements[u].region.contains_point(
                            g.space.coords[v.center])), None)
-            ub = next((u for u in tree.tree.vertices()
-                       if tree.elements[u].level >= l + 1 and
-                       tree.elements[u].region.contains_point(
+            ub = next((u for u in tree.vertices()
+                       if elements[u].level >= l + 1 and
+                       elements[u].region.contains_point(
                            g.space.coords[w.center])), None)
             if ua and ub and ua != ub:
                 a, m, b, mp = critical_letters(lab, c, ua, ub, l)
@@ -280,7 +288,7 @@ def test_critical_letters_precondition(circle_lab):
 
     lab = circle_lab
     tree = lab.stage1.trees[0]
-    root = tree.tree.root
+    root = tree.root
     with pytest.raises(ValueError):
         critical_letters(lab, 0, root, root, 1)
 
@@ -292,13 +300,14 @@ def test_critical_letters_precondition(circle_lab):
 def ref_sentence(lab, color, uid):
     """The sentence of a tree vertex from a walk up its parents, with each
     edge word recomputed from the kernel regions and the net coloring."""
-    tree, kernel = lab.stage1.trees[color].tree, lab.stage1.kernel
+    tree, kernel = lab.stage1.trees[color], lab.stage1.kernel
     words = []
     while tree.parent[uid] is not None:
         parent = tree.parent[uid]
         region = kernel.regions[uid]
         word = tuple(
-            (frozenset(lab.coloring.mu[k + 1][p] for p in lab.graph.net(k + 1)
+            (frozenset(lab.coloring.mu[k + 1][p]
+                       for p in lab.stage1.graph.net(k + 1)
                        if region.meets_ball(kernel.coords[p],
                                             kernel.radius(k + 1))),
              mt_bit(k))
@@ -336,7 +345,7 @@ def test_stage2_tables_match_from_scratch_references(name):
     lab, emb = pipe.labelling, pipe.stage1
     sentences = {}
     for c in emb.colors:
-        tree = emb.trees[c].tree
+        tree = emb.trees[c]
         for uid in tree.vertices():
             sent = sentences[c, uid] = ref_sentence(lab, c, uid)
             assert lab.sentence_of(c, uid) == sent
@@ -383,7 +392,7 @@ def test_stage2_spells_each_letter_and_pages_each_vertex_once(monkeypatch):
     monkeypatch.setattr(labelling, "encode_step", counted_step)
     assert all(check.ok for check in pipe.checks("stage2"))
     embedding_dump(pipe.stage2)
-    trees = [emb.trees[c].tree for c in emb.colors]
+    trees = [emb.trees[c] for c in emb.colors]
     edges = {(u, k) for t in trees for u, p in t.parent.items()
              if p is not None for k in range(t.level[p] + 1, t.level[u] + 1)}
     assert set(letters) == edges and set(letters.values()) == {1}
@@ -397,9 +406,9 @@ def doctored_tables(preset: str):
     """A fresh stage 2 of the preset, and the deepest color-0 tree vertex
     with its root path (root first)."""
     st2 = Pipeline(PRESETS[preset]).stage2
-    tree = st2.stage1.trees[0].tree
-    uid = max(tree.vertices(), key=lambda u: (tree.depth(u), u))
-    assert tree.depth(uid) >= 2
+    tree = st2.stage1.trees[0]
+    uid = max(tree.vertices(), key=lambda u: (tree.depths[u], u))
+    assert tree.depths[uid] >= 2
     return st2, uid, tree.paths[uid]
 
 
@@ -430,7 +439,7 @@ def test_doctored_words_fail_the_sentence_check(preset, reason):
     st2, uid, path = doctored_tables(preset)
     lab = st2.labelling
     assert check_sentences(lab).status == PASS
-    level = st2.stage1.trees[0].tree.level[uid]
+    level = st2.stage1.trees[0].level[uid]
     lab.words[0, uid] = WORD_DOCTORS[reason](lab.words[0, uid], level)
     check = check_sentences(lab)
     assert check.status == "fail"
@@ -456,7 +465,7 @@ def test_doctored_diary_fails_the_radial_isometry(preset, how):
     emb = st2.stage1
     # a deep vertex of the graph, and the color-0 tree vertex it maps to
     v = max(emb.graph.vertices, key=lambda w: (
-        emb.trees[0].tree.depth(emb.image(0, w)), w))
+        emb.trees[0].depths[emb.image(0, w)], w))
     image = emb.image(0, v)
     checks, _ = stage2_suite(st2)
     assert checks[0].check_id == "stage2-radially-isometric"
@@ -472,3 +481,94 @@ def test_doctored_diary_fails_the_radial_isometry(preset, how):
     mapped = [w for w in emb.graph.vertices if emb.image(0, w) == image]
     assert jsonable({"vertex": v, "color": 0}) in radial.violations
     assert len(radial.violations) == min(len(mapped), MAX_VIOLATIONS_KEPT)
+
+
+def stage2_check(st2, check_id):
+    """The result of one check of ``stage2_suite`` or of the binary stage."""
+    if check_id == "stage2-binary-sandwich":
+        return check_binary_stage(st2)
+    checks, _ = stage2_suite(st2)
+    return next(c for c in checks if c.check_id == check_id)
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_lengthened_diary_fails_the_upper_bound(preset):
+    # pages past every pair's bound, on the image of a deep vertex: the
+    # first pair that separates that image from another breaks it
+    st2, _, _ = doctored_tables(preset)
+    emb = st2.stage1
+    assert stage2_check(st2, "stage2-upper-bound").status == PASS
+    v = max(emb.graph.vertices, key=lambda w: (
+        emb.trees[0].depths[emb.image(0, w)], w))
+    image = emb.image(0, v)
+    letter = st2.labelling.words[0, image][0]
+    extra = 2 * max(gd for _, _, gd, _, _ in emb.graph.pairs) + 1
+    st2.diaries[0, image] += ((letter,) * st2.kappa,) * extra
+    a, b = next((a, b) for a, b, _, _, _ in emb.graph.pairs
+                if (emb.image(0, a) == image) != (emb.image(0, b) == image))
+    page = word_distance(st2.diary_of(0, a), st2.diary_of(0, b))
+    upper = stage2_check(st2, "stage2-upper-bound")
+    assert upper.status == "fail"
+    assert upper.violations[0] == jsonable(
+        {"pair": (a, b), "color": 0, "page": page})
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_stretched_graph_distance_fails_the_lower_bound(preset):
+    # one pair of the pair table, its graph distance stretched past the
+    # additive constant over its page distances
+    st2, _, _ = doctored_tables(preset)
+    graph = st2.stage1.graph
+    assert stage2_check(st2, "stage2-lower-bound").status == PASS
+    C = len(st2.colors)
+    (v, w, _, kind, l), *rest = graph.pairs
+    total = sum(word_distance(st2.diary_of(c, v), st2.diary_of(c, w))
+                for c in st2.colors)
+    stretched = 2 * C * total + sigma_lower(C) + 1
+    graph.pairs = ((v, w, stretched, kind, l), *rest)
+    lower = stage2_check(st2, "stage2-lower-bound")
+    assert lower.status == "fail"
+    assert lower.violations == [jsonable(
+        {"pair": (v, w), "dist": stretched, "total": total})]
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_swapped_diary_fails_the_reconstruction(preset):
+    # the image of a vertex takes the diary of another color-0 tree vertex
+    # of its depth, one whose reconstruction its sentence does not fit
+    st2, _, _ = doctored_tables(preset)
+    emb, lab = st2.stage1, st2.labelling
+    tree = emb.trees[0]
+    assert stage2_check(st2, "stage2-reconstruction-membership").status \
+        == PASS
+    image, other = next(
+        (image, other) for image in sorted({emb.image(0, v)
+                                            for v in emb.graph.vertices})
+        for other in tree.vertices()
+        if tree.depths[other] == tree.depths[image] >= 1 and
+        not membership(reconstruct(st2.diaries[0, other], st2.kappa),
+                       lab.sentence_of(0, image)))
+    st2.diaries[0, image] = st2.diaries[0, other]
+    recon = stage2_check(st2, "stage2-reconstruction-membership")
+    assert recon.status == "fail"
+    assert {"uid": image, "color": 0} in recon.violations
+    # the length is kept, so the radial isometry still holds
+    assert stage2_check(st2, "stage2-radially-isometric").status == PASS
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_shared_binary_word_fails_the_sandwich(preset, monkeypatch):
+    # two color-0 image diaries two pages apart or more share one binary
+    # word, so their binary distance is 0
+    monkeypatch.setattr(reporting, "MAX_VIOLATIONS_KEPT", 10**6)
+    st2, _, _ = doctored_tables(preset)
+    graph = st2.stage1.graph
+    assert stage2_check(st2, "stage2-binary-sandwich").status == PASS
+    images = sorted({st2.diary_of(0, v) for v in graph.vertices}, key=repr)
+    da, db = next((da, db) for da, db in itertools.combinations(images, 2)
+                  if word_distance(da, db) >= 2)
+    st2.binary[da] = st2.binary[db]
+    sandwich = stage2_check(st2, "stage2-binary-sandwich")
+    assert sandwich.status == "fail"
+    assert {"color": 0, "D": word_distance(da, db), "Dbin": 0,
+            "lam": binary_width(len(st2.page_index))} in sandwich.violations

@@ -24,7 +24,7 @@ from qtrees import reporting
 from qtrees.reporting import PASS, CheckResult
 from qtrees.stage1 import PairRow, check_segment_dip, classify_pair, \
     stage1_suite
-from qtrees.trees import ColorTree, LevelledTree
+from qtrees.trees import LevelledTree
 
 # ---------------------------------------------------------------------------
 # References: the per-pair loops
@@ -47,8 +47,8 @@ def reference_stage1_suite(emb):
     critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows = []
     for v, w in itertools.combinations(graph.vertices, 2):
-        gd = graph.distance(v, w)
-        per_color = {c: emb.trees[c].tree.generation_distance(
+        gd = graph.distances_from(v)[w]
+        per_color = {c: emb.trees[c].generation_distance(
             emb.image(c, v), emb.image(c, w)) for c in emb.colors}
         total = sum(per_color.values())
         pc = classify_pair(graph, v, w)
@@ -63,7 +63,7 @@ def reference_stage1_suite(emb):
         if pc.kind == CLOSE:
             close_radial.checked += 1
             for c in emb.colors:
-                t = emb.trees[c].tree
+                t = emb.trees[c]
                 a, b = emb.image(c, v), emb.image(c, w)
                 if t.lca(a, b) not in (a, b):
                     close_radial.add_violation({"pair": (v, w), "color": c})
@@ -84,8 +84,8 @@ def reference_stage1_suite(emb):
                 if v.level == w.level:
                     radclose.add_violation({"pair": (v, w),
                                             "reason": "equal levels"})
-                elif graph.d(hi, lo) + graph.ball_radius(hi) > \
-                        graph.ball_radius(lo):
+                elif graph.d(hi, lo) + 2 * graph.scale.sep(hi.level) > \
+                        2 * graph.scale.sep(lo.level):
                     radclose.add_violation(
                         {"pair": (v, w),
                          "reason": "upper ball not inside lower"})
@@ -102,7 +102,7 @@ def reference_stage1_suite(emb):
             distinct_bound.checked += 1
             ok = False
             for c in emb.colors:
-                t = emb.trees[c].tree
+                t = emb.trees[c]
                 a, b = emb.image(c, hi), emb.image(c, lo_v)
                 wv = t.lca(a, b)
                 dist_aw = t.generation_distance(a, wv)
@@ -139,7 +139,7 @@ def reference_segment_dip(emb):
             continue
         l = pc.critical_level
         for c in emb.colors:
-            t = emb.trees[c].tree
+            t = emb.trees[c]
 
             def eff(uid):
                 return k0 if uid == t.root else t.level[uid]
@@ -153,7 +153,7 @@ def reference_segment_dip(emb):
                                            "meet": meet, "critical": l})
                         continue
                     for end in (a, b):
-                        path = t.root_path(end)
+                        path = t.paths[end]
                         seg = path[path.index(meet):]
                         below = sum(1 for u in seg if eff(u) < l)
                         if below > 3:
@@ -179,7 +179,7 @@ def reference_level_escape(emb):
                 if not level_i:
                     best = None
                     break
-                m = min(tree.tree.generation_distance(uid, u)
+                m = min(tree.generation_distance(uid, u)
                         for u in level_i)
                 if best is None or m > best:
                     best = m
@@ -193,6 +193,7 @@ def reference_critical_letters(st2):
     emb = st2.stage1
     graph = emb.graph
     lab = st2.labelling
+    elements = {e.uid: e for e in emb.seq.elements}
     for v, w in itertools.combinations(graph.vertices, 2):
         pc = classify_pair(graph, v, w)
         if pc.kind != DISTINCT:
@@ -201,12 +202,11 @@ def reference_critical_letters(st2):
         if l < 1:
             continue
         for c in st2.colors:
-            tree = emb.trees[c]
             for ua in chain(emb, c, v):
-                if tree.elements[ua].level < l + 1:
+                if elements[ua].level < l + 1:
                     continue
                 for ub in chain(emb, c, w):
-                    if tree.elements[ub].level < l + 1:
+                    if elements[ub].level < l + 1:
                         continue
                     if ua == ub:
                         res.add_violation(
@@ -230,11 +230,12 @@ def reference_critical_letters(st2):
 def reference_ball_intersection_bound(graph):
     res = CheckResult("approx-ball-intersect-bound", PASS)
     for v, w in itertools.combinations(graph.vertices, 2):
-        if graph.d(v, w) <= graph.ball_radius(v) + graph.ball_radius(w):
+        sep = graph.scale.sep
+        if graph.d(v, w) <= 2 * sep(v.level) + 2 * sep(w.level):
             res.checked += 1
-            if graph.distance(v, w) > abs(v.level - w.level) + 1:
+            if graph.distances_from(v)[w] > abs(v.level - w.level) + 1:
                 res.add_violation({"pair": (v, w),
-                                   "graph_dist": graph.distance(v, w),
+                                   "graph_dist": graph.distances_from(v)[w],
                                    "bound": abs(v.level - w.level) + 1})
     return res
 
@@ -261,7 +262,7 @@ def doctored(preset: str, how: str):
     deep = [v for v in graph.vertices if v.level == graph.scale.max_level]
     x = deep[len(deep) // 3]
     far = max(deep, key=lambda v: (graph.d(x, v), v))
-    roots = tuple(emb.trees[c].tree.root for c in emb.colors)
+    roots = tuple(emb.trees[c].root for c in emb.colors)
     emb.images[x] = roots if how == "root" else emb.images[far]
     emb.chains[x] = emb.chains[far]
     if how == "all-root":
@@ -319,7 +320,7 @@ def test_segment_dip_replays_long_segments(monkeypatch):
         for i, u in enumerate(names):
             parent[u], level[u] = (names[i - 1] if i else "root"), i - 6
     tree = LevelledTree(root="root", parent=parent, level=level)
-    emb.trees = {0: ColorTree(0, tree, elements={}, by_level={})}
+    emb.trees = {0: tree}
     keys, emb.chains = {}, {}
     for v in graph.vertices:
         side = branch["a" if 2 * v.center < graph.space.n else "b"]
@@ -388,7 +389,7 @@ def test_pair_table_matches_distance_and_classify_pair(graph):
     assert [(v, w) for v, w, *_ in graph.pairs] == \
         list(itertools.combinations(graph.vertices, 2))
     for v, w, dist, kind, critical in graph.pairs:
-        assert dist == graph.distance(v, w)
+        assert dist == graph.distances_from(v)[w]
         pc = classify_pair(graph, v, w)
         assert (kind, critical) == (pc.kind, pc.critical_level)
     assert outcome(check_ball_intersection_bound(graph)) == \

@@ -46,35 +46,37 @@ def circle_emb():
 def test_root_maps_to_root(cantor_emb):
     emb = cantor_emb
     for c in emb.colors:
-        assert emb.image(c, emb.graph.root) == emb.trees[c].tree.root
+        assert emb.image(c, emb.graph.root) == emb.trees[c].root
 
 
 def test_images_contain_balls_below_own_level(cantor_emb):
     emb = cantor_emb
     g = emb.graph
+    elements = {e.uid: e for e in emb.seq.elements}
     for c in emb.colors:
         tree = emb.trees[c]
         for v in g.vertices:
             uid = emb.image(c, v)
-            elem = tree.elements[uid]
+            elem = elements[uid]
             if v == g.root:
                 continue
             assert elem.level <= v.level - 1
             coord = g.space.coords[v.center]
-            assert elem.region.contains_ball(coord, g.ball_radius(v))
+            radius = 2 * g.scale.sep(v.level)
+            assert elem.region.contains_ball(coord, radius)
             # maximality of the image level
             for j in range(elem.level + 1, v.level):
                 for other in tree.level_vertices(j):
-                    assert not tree.elements[other].region.contains_ball(
-                        coord, g.ball_radius(v))
+                    assert not elements[other].region.contains_ball(
+                        coord, radius)
 
 
 def test_cantor_level2_maps_into_level1_block(cantor_emb):
     emb = cantor_emb
-    tree = emb.trees[0]
+    elements = {e.uid: e for e in emb.seq.elements}
     for v in emb.graph.vertices:
         if v.level == 2:
-            assert tree.elements[emb.image(0, v)].level == 1
+            assert elements[emb.image(0, v)].level == 1
 
 
 def test_classification_examples():
@@ -121,7 +123,7 @@ def test_product_distance(cantor_emb):
     g = emb.graph
 
     def product_distance(v, w):
-        return sum(emb.trees[c].tree.generation_distance(a, b)
+        return sum(emb.trees[c].generation_distance(a, b)
                    for c, a, b in zip(emb.colors, emb.images[v],
                                       emb.images[w]))
 
@@ -130,7 +132,7 @@ def test_product_distance(cantor_emb):
     for a in g.vertices[:10]:
         for b in g.vertices[:10]:
             assert product_distance(a, b) <= \
-                2 * len(emb.colors) * g.distance(a, b)
+                2 * len(emb.colors) * g.distances_from(a)[b]
 
 
 def test_stage1_suites_pass(cantor_emb, circle_emb):
@@ -193,5 +195,5 @@ def test_one_stage1_builds_its_tree_side_once(monkeypatch):
     check_critical_letters(st2)
     assert meets and max(meets.values()) == 1
     centers = {v.center for v in emb.graph.vertices}
-    tree_vertices = sum(len(emb.trees[c].tree.parent) for c in emb.colors)
+    tree_vertices = sum(len(emb.trees[c].parent) for c in emb.colors)
     assert tests["contains_point"] == len(centers) * tree_vertices

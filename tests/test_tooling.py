@@ -1,9 +1,12 @@
 """The benchmark's tracer, ``perfbench/traced.py``, wraps qtrees functions by
-name.  Every name it lists must resolve, so that a rename in ``src/`` fails
-here before it breaks a traced benchmark run.  Each command, started in a
-fresh process as the benchmark starts it, loads only the modules it runs."""
+name and sizes what some of them return.  Every name it lists must resolve,
+and every size must read the artifact it is given, so that a rename in
+``src/`` fails here before it breaks a traced benchmark run.  Each command,
+started in a fresh process as the benchmark starts it, loads only the
+modules it runs."""
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -42,6 +45,34 @@ def test_every_traced_name_resolves():
     assert names["SPANS"] and names["COUNTS"]
     for name in names["SPANS"] + names["COUNTS"]:
         assert callable(resolve(name)), name
+
+
+def traced_sizes() -> dict:
+    """The ``SIZES`` of the tracer, loaded from its file.  Loading wraps
+    nothing: only ``Recorder.install`` does, and it is not called."""
+    spec = importlib.util.spec_from_file_location("traced", TRACED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SIZES
+
+
+def test_every_traced_size_reads_its_artifact():
+    from qtrees.pipeline import Pipeline
+    from qtrees.presets import config_for
+
+    pipe = Pipeline(config_for("cantor"))
+    artifacts = {
+        "approx.build_approximation": pipe.graph,
+        "coverings.generate_covering_sequence": pipe.seq,
+        "stage1.stage1_suite": (pipe.checks("stage1"), pipe.pair_rows),
+    }
+    sizes = traced_sizes()
+    assert set(sizes) == set(artifacts)
+    for name, size_of in sizes.items():
+        counts = size_of(artifacts[name])
+        assert counts, name
+        for key, n in counts.items():
+            assert type(n) is int and n > 0, (name, key, n)
 
 
 def test_resolve_fails_on_a_missing_name():

@@ -10,7 +10,6 @@ from qtrees.coverings import CoveringKernel, build_covering
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import (
-    ColorTree,
     LevelledTree,
     binary_embed,
     binary_width,
@@ -86,8 +85,8 @@ def walk_meet(tree, u, v):
 def test_tree_tables_match_a_parent_walk(tree, rng):
     for u in tree.parent:
         path = walk(tree, u)
-        assert tree.root_path(u) == tuple(path)
-        assert tree.depth(u) == len(path) - 1
+        assert tree.paths[u] == tuple(path)
+        assert tree.depths[u] == len(path) - 1
         assert tree.path_levels[u] == tuple(tree.level[x] for x in path)
     pairs = list(itertools.product(tree.parent, repeat=2))
     rng.shuffle(pairs)  # the memo must not depend on the lookup order
@@ -100,47 +99,43 @@ def test_tree_tables_match_a_parent_walk(tree, rng):
 
 
 def test_color_tree_structure(cantor_tree):
-    seq, ct, sc = cantor_tree
+    seq, t, sc = cantor_tree
+    elements = {e.uid: e for e in seq.color_elements(0)}
     # the root is the whole space; every level-1 block hangs off it
-    t = ct.tree
     assert t.level[t.root] == 0
-    for uid in ct.level_vertices(1):
+    for uid in t.level_vertices(1):
         assert t.parent[uid] == t.root
     # level-2 blocks nest inside their level-1 block
-    for uid in ct.level_vertices(2):
+    for uid in t.level_vertices(2):
         parent = t.parent[uid]
         assert t.level[parent] == 1
-        assert ct.elements[parent].region.contains_region(
-            ct.elements[uid].region)
-    check = check_color_tree(CoveringKernel(seq, sc.max_level), ct, sc.k0)
+        assert elements[parent].region.contains_region(
+            elements[uid].region)
+    check = check_color_tree(CoveringKernel(seq, sc.max_level), t, sc.k0)
     assert check.status == "pass", check.violations[:2]
 
 
 def test_meet_below_both_ends_follows_from_monotone_levels(cantor_tree):
     # a tree whose incomparable pair meets at the level of one end has a
     # non-monotone edge, and the check reports that edge
-    seq, ct, sc = cantor_tree
-    t = ct.tree
-    u = ct.level_vertices(2)[0]
-    q = next(x for x in ct.level_vertices(1) if x != t.parent[u])
-    doctored = LevelledTree(root=t.root, parent=t.parent,
-                            level={**t.level, u: 0})
-    assert doctored.level[doctored.meets[u, q]] >= min(doctored.level[u],
-                                                       doctored.level[q])
-    bad = ColorTree(color=ct.color, tree=doctored, elements=ct.elements,
-                    by_level=ct.by_level)
+    seq, t, sc = cantor_tree
+    u = t.level_vertices(2)[0]
+    q = next(x for x in t.level_vertices(1) if x != t.parent[u])
+    bad = LevelledTree(root=t.root, parent=t.parent,
+                       level={**t.level, u: 0}, color=t.color)
+    assert bad.level[bad.meets[u, q]] >= min(bad.level[u], bad.level[q])
     kernel = CoveringKernel(seq, sc.max_level)
     check = check_color_tree(kernel, bad, sc.k0)
     assert check.status == "fail"
     assert {"vertex": u, "edge": [t.parent[u], u],
             "reason": "level not increasing"} in check.violations
-    assert check.checked == check_color_tree(kernel, ct, sc.k0).checked
+    assert check.checked == check_color_tree(kernel, t, sc.k0).checked
 
 
 def test_color_tree_depth_bound(cantor_tree):
     seq, ct, sc = cantor_tree
-    for uid, elem in ct.elements.items():
-        assert ct.tree.depth(uid) <= elem.level - sc.k0
+    for elem in seq.color_elements(0):
+        assert ct.depths[elem.uid] <= elem.level - sc.k0
 
 
 def test_single_level_tree():
@@ -149,7 +144,7 @@ def test_single_level_tree():
     g = build_approximation(s, sc)
     seq, _ = build_covering("ultrametric", s, sc, 0, graph=g)
     ct = build_color_tree(seq, 0)
-    assert len(ct.elements) == 1
+    assert len(ct.level) == 1
 
 
 def test_word_distance():
@@ -214,7 +209,7 @@ def test_export_tree_format(cantor_tree, tmp_path):
     path = tmp_path / "tree.txt"
     export_tree(ct, path)
     lines = path.read_text().strip().split("\n")
-    assert len(lines) == len(ct.elements)
+    assert len(lines) == len(ct.level)
     for line in lines:
         uid, parent, level, color = line.split()
         assert int(level) >= 0 and color == "0"
