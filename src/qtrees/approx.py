@@ -322,6 +322,20 @@ def check_ball_intersection_bound(graph: ApproxGraph) -> CheckResult:
     return res
 
 
+def check_critical_level_distance(graph: ApproxGraph) -> CheckResult:
+    """Distinct pairs at critical level l satisfy
+    |vv'| <= level v + level v' - 2l + 3."""
+    res = CheckResult("approx-critical-level-distance", PASS)
+    for v, w, dist, kind, l in graph.pairs:
+        if kind == DISTINCT:
+            res.checked += 1
+            bound = v.level + w.level - 2 * l + 3
+            if dist > bound:
+                res.add_violation({"pair": (v, w), "dist": dist,
+                                   "bound": bound})
+    return res
+
+
 def check_central_ancestors(graph: ApproxGraph) -> CheckResult:
     """Every non-root vertex has a central ancestor: one level down, within
     r^(k-1) of the center, radially joined to the vertex and to each of its
@@ -398,6 +412,7 @@ def check_geodesic_shape(graph: ApproxGraph) -> CheckResult:
 def approx_suite(graph: ApproxGraph) -> list[CheckResult]:
     return [
         check_ball_intersection_bound(graph),
+        check_critical_level_distance(graph),
         check_central_ancestors(graph),
         check_horizontal_descent(graph),
         check_geodesic_shape(graph),

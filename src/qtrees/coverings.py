@@ -15,28 +15,29 @@ are heuristics whose output must pass it:
 Property (3) with j' = j forces same-color same-level elements to be
 pairwise disjoint.
 
-The validator runs the region tests of every property but the mesh on a
-`CoveringKernel`: the certificates, the points and the ball radii as ints
-in one unit, a multiple of the space's.  `build_covering` builds one
-kernel, on the generator's candidates; generation drops on it every
-candidate that holds no sample point and validates with it, and the
-caller passes the same kernel to the later stages and the Lebesgue
-numbers.  A kernel refuses a sequence whose certificates it did not
-scale.  What is reported stays as it was: the mesh, its bound and the
-Lebesgue numbers are Fractions, and violations name elements and points
-by id.
+The validator runs the region tests of every property but the mesh on the
+sequence's own `CoveringKernel`, ``seq.kernel``: its certificates, its
+points and its ball radii as ints in one unit, a multiple of the space's.
+A sequence builds its kernel when it is built and cannot change after, so
+the kernel always scales the certificates it serves.  Generation drops on
+the candidates' kernel every candidate that holds no sample point, and the
+sequence it returns keeps that kernel: a run builds one, and every later
+stage reads it from the sequence.  What is reported stays as it was: the
+mesh, its bound and the Lebesgue numbers are Fractions, and violations
+name elements and points by id.
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
-from qtrees.geometry import Arc, BoxRegion, LineIntervals, PointSubset, \
-    Region, WholeSpace, region_from_json, scale_number
+from qtrees.geometry import Arc, BoxRegion, Frozen, LineIntervals, \
+    PointSubset, Region, WholeSpace, region_from_json, scale_number
 from qtrees.metric import FiniteMetricSpace, ScaleParams
-from qtrees.reporting import CheckResult, FAIL, PASS, frac_str, parse_frac
+from qtrees.reporting import CheckResult, FAIL, PASS, frac_str
 
 
 class CoveringElement(NamedTuple):
@@ -46,20 +47,30 @@ class CoveringElement(NamedTuple):
     region: Region
 
 
-class CoveringSequence:
-    __slots__ = ("space", "r", "colors", "levels", "contract")
+class CoveringSequence(Frozen):
+    """``levels[j][color]``, a read-only map to the tuple of that color's
+    level-j elements, with the sequence's kernel and, once validated by
+    `generate_covering_sequence`, its ``contract``.  Building a sequence
+    builds its kernel, and raises ValueError where that cannot scale it.
+    ``_kernel`` is for `generate_covering_sequence` alone: the kernel of
+    candidates that hold every element of ``levels``."""
+
+    __slots__ = ("space", "r", "colors", "levels", "contract", "kernel")
 
     def __init__(self, space: FiniteMetricSpace, r: Fraction,
                  colors: tuple[int, ...],
                  levels: dict[int, dict[int, tuple[CoveringElement, ...]]],
-                 contract: Optional[CheckResult] = None):
-        self.space = space
-        self.r = r
-        self.colors = colors
-        # levels[j][color] -> tuple of elements
-        self.levels = levels
-        # the validator's result, kept by generate_covering_sequence
-        self.contract = contract
+                 contract: Optional[CheckResult] = None,
+                 _kernel: Optional[CoveringKernel] = None):
+        put = object.__setattr__
+        put(self, "space", space)
+        put(self, "r", r)
+        put(self, "colors", colors)
+        put(self, "levels", MappingProxyType(
+            {j: MappingProxyType(dict(family))
+             for j, family in levels.items()}))
+        put(self, "contract", contract)
+        put(self, "kernel", _kernel or CoveringKernel(self))
 
     @property
     def max_level(self) -> int:
@@ -83,12 +94,13 @@ class CoveringError(ValueError):
     """Raised when a generated sequence fails its own validation."""
 
 
-class CoveringKernel:
+class CoveringKernel(Frozen):
     """A covering sequence's certificates, its space's points and the ball
-    radii 2 r^k for 0 <= k <= top_level + 1, as ints in one unit.
+    radii 2 r^k for 0 <= k <= max_level + 1, as ints in one unit; built by
+    the sequence alone.
 
     The unit is the lcm of the space's unit, of the denominator of
-    r^(top_level + 1) and of every certificate number, so each scaled
+    r^(max_level + 1) and of every certificate number, so each scaled
     region test gives the same answer as on the Fractions.  ``coords`` is
     the space's lattice in that unit: point ids for a space without
     coordinates, which takes point-subset certificates (and the whole
@@ -96,8 +108,10 @@ class CoveringKernel:
     certificate.
     """
 
-    def __init__(self, seq: CoveringSequence, top_level: int):
-        space = seq.space
+    __slots__ = ("unit", "coords", "regions", "_radii")
+
+    def __init__(self, seq: CoveringSequence):
+        space, top = seq.space, seq.max_level + 1
         certificates: dict[str, Region] = {}
         for e in seq.elements:
             if certificates.setdefault(e.uid, e.region) != e.region:
@@ -108,32 +122,21 @@ class CoveringKernel:
                 for region in certificates.values()):
             raise ValueError("a space without coordinates takes "
                              "point-subset certificates only")
-        self.space = space
-        self._certificates = certificates
-        self.unit = math.lcm(space.unit,
-                             (seq.r ** (top_level + 1)).denominator,
-                             *(region.denominator()
-                               for region in certificates.values()))
-        self.coords = space.lattice(self.unit)
-        self.regions = {uid: region.scaled(self.unit)
-                        for uid, region in certificates.items()}
-        self._radii = {k: scale_number(2 * seq.r**k, self.unit)
-                       for k in range(top_level + 2)}
+        unit = math.lcm(space.unit, (seq.r ** top).denominator,
+                        *(region.denominator()
+                          for region in certificates.values()))
+        put = object.__setattr__
+        put(self, "unit", unit)
+        put(self, "coords", space.lattice(unit))
+        put(self, "regions", MappingProxyType(
+            {uid: region.scaled(unit)
+             for uid, region in certificates.items()}))
+        put(self, "_radii", {k: scale_number(2 * seq.r**k, unit)
+                             for k in range(top + 1)})
 
     def radius(self, k: int) -> int:
-        """2 r^k in the unit, for 0 <= k <= top_level + 1."""
+        """2 r^k in the unit, for 0 <= k <= max_level + 1."""
         return self._radii[k]
-
-    def check(self, elements, space: Optional[FiniteMetricSpace] = None
-              ) -> None:
-        """ValueError unless the kernel scaled each element's certificate
-        under its uid and, when ``space`` is given, was built on it."""
-        if space is not None and space is not self.space:
-            raise ValueError("the kernel was built on another space")
-        for e in elements:
-            if self._certificates.get(e.uid) != e.region:
-                raise ValueError(f"the kernel was not built on the "
-                                 f"certificate of element {e.uid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +149,15 @@ def mesh(family: Sequence[CoveringElement]) -> Fraction:
     return max(e.region.diameter() for e in family)
 
 
-def lebesgue_number(family: Sequence[CoveringElement],
-                    kernel: CoveringKernel) -> Fraction:
-    """min over sample points z of min(sup_U dist(z, complement of U), mesh).
+def lebesgue_number(seq: CoveringSequence, j: int) -> Fraction:
+    """min over sample points z of min(sup_U dist(z, complement of U), mesh)
+    for the level-j family U of ``seq``.
 
     The inner sup is infinite when some member is the whole space; it is
-    then clipped by the mesh.  The depths are taken on ``kernel``, a
-    kernel of the family's certificates, over its space's points.
+    then clipped by the mesh.  The depths are taken on the sequence's
+    kernel, over its space's points.
     """
-    kernel.check(family)
+    family, kernel = seq.family(j), seq.kernel
     cap = mesh(family) * kernel.unit
     regions = [kernel.regions[e.uid] for e in family]
     worst = None
@@ -173,14 +176,11 @@ def lebesgue_number(family: Sequence[CoveringElement],
 # Validator
 
 
-def validate_covering_sequence(seq: CoveringSequence, graph,
-                               kernel: Optional[CoveringKernel] = None
+def validate_covering_sequence(seq: CoveringSequence, graph
                                ) -> CheckResult:
     """Run the full contract against the nets of ``graph`` (an
-    `ApproxGraph` over the same space), on ``kernel`` (a kernel of the
-    sequence reaching its top level) or a new kernel of the sequence;
-    returns a CheckResult whose first violation names the offending
-    element(s)."""
+    `ApproxGraph` over the same space), on the sequence's kernel; returns
+    a CheckResult whose first violation names the offending element(s)."""
     scale = graph.scale
     if seq.r != scale.r:
         raise ValueError("covering scale differs from graph scale")
@@ -208,8 +208,7 @@ def validate_covering_sequence(seq: CoveringSequence, graph,
         result.checked += 1
 
     # coverage and same-color disjointness per level
-    kernel = kernel or CoveringKernel(seq, levels[-1])
-    kernel.check(seq.elements, space)
+    kernel = seq.kernel
     coords, regions = kernel.coords, kernel.regions
     for j in levels:
         fam = [regions[e.uid] for e in seq.family(j)]
@@ -293,7 +292,7 @@ def _whole_level(space, colors) -> dict[int, tuple[CoveringElement, ...]]:
 
 
 def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
-                         max_level: int, n_colors: int = 1) -> CoveringSequence:
+                         n_colors: int = 1) -> CoveringSequence:
     """Single-color hierarchy for triadic line samples.
 
     Level j >= 1 uses the triadic blocks of depth 2j+1 (length L), each
@@ -307,7 +306,7 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
         raise CoveringError("the triadic hierarchy is a one-color family")
     colors = (0,)
     levels = {0: _whole_level(space, colors)}
-    for j in range(1, max_level + 1):
+    for j in range(1, scale.max_level + 1):
         depth = 2 * j + 1
         length = Fraction(1, 3**depth)
         blocks: dict[int, list[int]] = {}
@@ -350,7 +349,7 @@ def default_circle_blocks(n_points: int) -> list[int]:
 
 
 def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
-                          max_level: int, n_colors: int = 2,
+                          n_colors: int = 2,
                           blocks: Optional[Sequence[int]] = None
                           ) -> CoveringSequence:
     """Two alternating families of arcs over consecutive point blocks.
@@ -365,20 +364,20 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
     """
     if space.kind != "circle":
         raise CoveringError("shifted arcs expect a circle space")
+    if not 1 <= n_colors <= 2:
+        raise CoveringError("shifted arcs alternate one or two colors, "
+                            f"not {n_colors}")
     n = space.n
     unit = Fraction(1, n)
     sizes = list(blocks) if blocks is not None else default_circle_blocks(n)
-    if n_colors >= 2 and len(sizes) % 2 != 0:
+    if len(sizes) % n_colors:
         raise CoveringError("alternating colors need an even number of blocks")
     pt_blocks = _circle_blocks(n, sizes)
-    block_color = {i: (i % 2 if n_colors >= 2 else 0)
-                   for i in range(len(pt_blocks))}
-    color_of_point = {}
-    for i, (first, last) in enumerate(pt_blocks):
-        for p in range(first, last + 1):
-            color_of_point[p] = block_color[i]
+    color_of_point = {p: i % n_colors
+                      for i, (first, last) in enumerate(pt_blocks)
+                      for p in range(first, last + 1)}
 
-    colors = tuple(range(max(n_colors, 1)))
+    colors = tuple(range(n_colors))
     levels = {0: _whole_level(space, colors)}
 
     # level 1: one arc per block, margins one level-2 ball radius wide
@@ -388,13 +387,13 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
         lo = first * unit - h1
         length = (last - first) * unit + 2 * h1
         region = Arc(lo % 1, length)
-        c = block_color[i]
+        c = i % n_colors
         fam[c].append(_candidate(c, 1, region, i))
     levels[1] = {c: tuple(v) for c, v in fam.items()}
 
     # levels >= 2: per-point arcs, certificate twice the ball radius wide,
     # colored by the point's block so cross-level pairs are nested
-    for j in range(2, max_level + 1):
+    for j in range(2, scale.max_level + 1):
         hj = 2 * scale.sep(j + 1)
         fam = {c: [] for c in colors}
         for p in space.points:
@@ -406,8 +405,7 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
 
 
 def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
-                           max_level: int, n_colors: int = 3
-                           ) -> CoveringSequence:
+                           n_colors: int = 3) -> CoveringSequence:
     """Three diagonally shifted square tilings per level, each shrunk by one
     ball radius so no net ball pokes across a same-family seam.
 
@@ -419,12 +417,15 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
     """
     if space.kind != "grid":
         raise CoveringError("shifted cubes expect a grid space")
+    if not 1 <= n_colors <= 3:
+        raise CoveringError("shifted cubes offset one to three families, "
+                            f"not {n_colors}")
     a = scale.a
     if a.denominator != 1 or a.numerator % 3 != 1:
         raise CoveringError("cube seams align across levels only when 1/r = 1 mod 3")
     colors = tuple(range(n_colors))
     levels = {0: _whole_level(space, colors)}
-    for j in range(1, max_level + 1):
+    for j in range(1, scale.max_level + 1):
         side = scale.sep(j) / 2
         g = 2 * scale.sep(j + 1)
         if 2 * g >= side:
@@ -458,39 +459,34 @@ GENERATORS = {
 }
 
 
-def generate_covering_sequence(candidates: CoveringSequence, graph,
-                               kernel: CoveringKernel) -> CoveringSequence:
-    """The candidates whose certificate holds a sample point, validated
-    against the nets of ``graph`` on ``kernel``, a kernel of the
-    candidates; generation fails when validation fails.  A sequence that
-    passes keeps its validation result as ``contract``."""
-    kernel.check(candidates.elements, candidates.space)
+def generate_covering_sequence(candidates: CoveringSequence, graph
+                               ) -> CoveringSequence:
+    """The candidates whose certificate holds a sample point, on the
+    candidates' kernel, validated against the nets of ``graph``;
+    generation fails when validation fails.  A sequence that passes keeps
+    its validation result as ``contract``."""
+    kernel = candidates.kernel
     coords, regions = kernel.coords, kernel.regions
-    seq = CoveringSequence(
-        candidates.space, candidates.r, candidates.colors,
-        {j: {c: tuple(e for e in members
-                      if any(map(regions[e.uid].contains_point, coords)))
-             for c, members in family.items()}
-         for j, family in candidates.levels.items()})
-    seq.contract = validate_covering_sequence(seq, graph, kernel)
-    if seq.contract.status == FAIL:
+    levels = {j: {c: tuple(e for e in members
+                           if any(map(regions[e.uid].contains_point, coords)))
+                  for c, members in family.items()}
+              for j, family in candidates.levels.items()}
+    head = candidates.space, candidates.r, candidates.colors, levels
+    contract = validate_covering_sequence(
+        CoveringSequence(*head, _kernel=kernel), graph)
+    if contract.status == FAIL:
         raise CoveringError("generated sequence fails validation: "
-                            f"{seq.contract.violations[0]}")
-    return seq
+                            f"{contract.violations[0]}")
+    return CoveringSequence(*head, contract, _kernel=kernel)
 
 
-def build_covering(kind: str, space: FiniteMetricSpace, scale: ScaleParams,
-                   max_level: int, graph, **params
-                   ) -> tuple[CoveringSequence, CoveringKernel]:
-    """The generated sequence of ``kind`` and the one kernel it was
-    validated on, built on the generator's candidates and reaching the
-    depth of ``graph``: pass it to the later stages."""
+def build_covering(kind: str, graph, **params) -> CoveringSequence:
+    """The generated sequence of ``kind`` on the space and scale of
+    ``graph``, down to its depth, validated against its nets."""
     if kind not in GENERATORS:
         raise CoveringError(f"unknown covering generator {kind!r}")
-    candidates = GENERATORS[kind](space, scale, max_level, **params)
-    kernel = CoveringKernel(candidates,
-                            max(max_level, graph.scale.max_level))
-    return generate_covering_sequence(candidates, graph, kernel), kernel
+    candidates = GENERATORS[kind](graph.space, graph.scale, **params)
+    return generate_covering_sequence(candidates, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +531,5 @@ def load_covering_json(path, space: FiniteMetricSpace) -> CoveringSequence:
                                 level=j, region=region_from_json(e, space))
                 for i, e in enumerate(elems))
         levels[j] = fams
-    return CoveringSequence(space=space, r=parse_frac(data["r"]),
+    return CoveringSequence(space=space, r=Fraction(data["r"]),
                             colors=colors, levels=levels)

@@ -18,12 +18,12 @@ same class over ints; it raises ValueError when the unit leaves a
 denominator, and `Region.denominator` is the least unit that does not.  An
 `Arc` reads its circumference from `circ` (1 unless scaled), and a scaled
 `PointSubset` reads the space's int distances in the same unit, so both
-compare with radii in that unit.  `coverings.CoveringKernel` scales a
-covering, its points and its ball radii by one unit, a multiple of the
-space's; covering generation, the covering validator, the stage-1 map,
-the containing chains, the color-tree checks and the edge letters run
-their region tests on it.  Reported diameters come from the Fraction
-certificates.
+compare with radii in that unit.  A covering sequence holds its own
+`coverings.CoveringKernel`: its certificates, points and ball radii in one
+unit, a multiple of the space's.  Covering generation, the covering
+validator, the color trees and their checks, the stage-1 map, the
+containing chains and the edge letters run their region tests on it.
+Reported diameters come from the Fraction certificates.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from qtrees.reporting import frac_str, parse_frac
+from qtrees.reporting import frac_str
 
 ONE = Fraction(1)
 
@@ -50,15 +50,16 @@ def _lcm_of_denominators(numbers) -> int:
 
 
 class Frozen:
-    """An immutable value: ``__init__`` sets the fields with
+    """An immutable object: ``__init__`` sets the fields with
     ``object.__setattr__`` and nothing assigns them after it.  It equals
     an instance of its own class with the same ``_key()``, and hashes as
-    its ``_key()``."""
+    its ``_key()``; a class without a key of its own compares by
+    identity."""
 
     __slots__ = ()
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return (id(self),)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -504,13 +505,13 @@ def region_from_json(data: dict, space) -> Region:
     """The certificate a `Region.to_json` object describes; ``space`` backs
     point-subset certificates."""
     if data.get("whole_space"):
-        return WholeSpace(parse_frac(data["diam"]))
+        return WholeSpace(Fraction(data["diam"]))
     if "intervals" in data:
         return LineIntervals(tuple(
-            (parse_frac(lo), parse_frac(hi)) for lo, hi in data["intervals"]))
+            (Fraction(lo), Fraction(hi)) for lo, hi in data["intervals"]))
     if "arc" in data:
-        return Arc(parse_frac(data["arc"][0]), parse_frac(data["arc"][1]))
+        return Arc(Fraction(data["arc"][0]), Fraction(data["arc"][1]))
     if "box" in data:
-        x0, x1, y0, y1 = (parse_frac(v) for v in data["box"])
+        x0, x1, y0, y1 = map(Fraction, data["box"])
         return BoxRegion(x0, x1, y0, y1)
     return PointSubset(space, data["points"])

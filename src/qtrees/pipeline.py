@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 from qtrees import approx, coverings, metric
 from qtrees.approx import ApproxGraph, approx_suite, estimate_delta, \
     export_edges, graph_summary, visual_metric_constants
-from qtrees.coverings import CoveringError, CoveringKernel, \
-    CoveringSequence, build_covering, save_covering_json
+from qtrees.coverings import CoveringError, CoveringSequence, \
+    build_covering, save_covering_json
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
 from qtrees.presets import PipelineConfig
@@ -89,15 +89,6 @@ class Pipeline:
 
     @property
     def seq(self) -> CoveringSequence:
-        return self._covering[0]
-
-    @property
-    def kernel(self) -> CoveringKernel:
-        """The one kernel of the run's certificates."""
-        return self._covering[1]
-
-    @property
-    def _covering(self) -> tuple[CoveringSequence, CoveringKernel]:
         cfg = self.config
 
         def build():
@@ -105,8 +96,7 @@ class Pipeline:
             if cfg.space_file:
                 raise CoveringError(
                     "no covering generator takes a space loaded from a file")
-            return build_covering(cfg.covering_kind, self.space, self.scale,
-                                  self.scale.max_level, graph=graph,
+            return build_covering(cfg.covering_kind, graph,
                                   n_colors=cfg.n_colors)
         return self._once("covering", "covering", build)
 
@@ -118,7 +108,7 @@ class Pipeline:
     def stage1(self) -> Stage1:
         def build():
             from qtrees.stage1 import embed_stage1
-            return embed_stage1(self.graph, self.seq, self.kernel)
+            return embed_stage1(self.graph, self.seq)
         return self._once("stage1", "stage1", build)
 
     @property
@@ -165,7 +155,7 @@ class Pipeline:
                 from qtrees.stage1 import stage1_suite
                 from qtrees.trees import check_color_tree
                 emb = self.stage1
-                checks = [check_color_tree(emb.kernel, emb.trees[c],
+                checks = [check_color_tree(emb.seq, emb.trees[c],
                                            self.scale.k0)
                           for c in emb.colors]
                 pair_checks, extra = stage1_suite(emb)
@@ -193,7 +183,7 @@ class Pipeline:
                   for name in PIPELINE_SUITES}
         # reported, never asserted: how deep inside members the points sit
         suites["covering"]["lebesgue"] = {
-            str(j): coverings.lebesgue_number(seq.family(j), self.kernel)
+            str(j): coverings.lebesgue_number(seq, j)
             for j in sorted(seq.levels)
         }
         suites["stage2"]["fit"] = jsonable(self._suite("stage2")[1])

@@ -26,11 +26,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    # Fraction() parses both "p/q" and exact decimal strings.
-    return Fraction(s)
-
-
 def jsonable(obj):
     """Recursively convert Fractions/tuples/sets into JSON-friendly values."""
     if isinstance(obj, Fraction):

@@ -8,27 +8,29 @@ and every inequality in that statement is checked pair by pair.
 
 The pair loops read the graph's pair table, ``ApproxGraph.pairs``: the
 graph distance, the class and the critical level of every vertex pair,
-compared on ints.  The tree side has one owner per quantity, each built
-once: the color trees own depths, root-path levels and meets
-(``LevelledTree``), and ``Stage1`` owns the images of every vertex and its
-containing chains with their int keys.  A pair reaches the tree side only
-through its images or chains in each color, with the critical level, so
-each check computes an outcome once per distinct key (tree distances per
-image pair, the distinct-pair bound per (images, level), the segment dip
-per (color, a, b, level)) and replays it to every pair that has the key,
-in pair-table order: instance counts and the first violations are those of
-a plain pair-by-pair loop.
+compared on ints.  What the pair table alone decides, such as the graph
+distance at a critical level, is checked by the approx suite; every
+check here reads the trees.  The map and the containing chains run their
+region tests on the covering's own int kernel, ``seq.kernel``.  The tree
+side has one owner per quantity, each built once: the color trees own
+depths, root-path levels and meets (``LevelledTree``), and ``Stage1``
+owns the images of every vertex and its containing chains with their int
+keys.  A pair reaches the tree side only through its images or chains in
+each color, with the critical level, so each check computes an outcome
+once per distinct key (tree distances per image pair, the distinct-pair
+bound per (images, level), the segment dip per (color, a, b, level)) and
+replays it to every pair that has the key, in pair-table order: instance
+counts and the first violations are those of a plain pair-by-pair loop.
 """
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
-from qtrees.coverings import CoveringKernel, CoveringSequence
+from qtrees.coverings import CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import LevelledTree, build_color_tree
 
@@ -41,13 +43,11 @@ class PairClass(NamedTuple):
 class Stage1:
     def __init__(self, graph: ApproxGraph, seq: CoveringSequence,
                  trees: dict[int, LevelledTree],
-                 images: dict[Vertex, tuple[str, ...]],
-                 kernel: CoveringKernel):
+                 images: dict[Vertex, tuple[str, ...]]):
         self.graph = graph
         self.seq = seq
         self.trees = trees
         self.images = images  # element uid per color, in order
-        self.kernel = kernel  # the region tests of the map, chains, letters
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -62,7 +62,7 @@ class Stage1:
         every color, the tree vertices whose region contains the vertex's
         center point, in tree vertex order.  Equal chains of a color share
         their key; vertices with one center share one entry."""
-        coords, regions = self.kernel.coords, self.kernel.regions
+        coords, regions = self.seq.kernel.coords, self.seq.kernel.regions
         uids = [self.trees[c].vertices() for c in self.colors]
         keys: dict[tuple[int, tuple[str, ...]], int] = {}
         by_center: dict[int, tuple] = {}
@@ -81,8 +81,8 @@ class Stage1:
         return out
 
 
-def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: LevelledTree,
-           graph: ApproxGraph, color: int, v: Vertex) -> str:
+def map_fc(seq: CoveringSequence, tree: LevelledTree, graph: ApproxGraph,
+           color: int, v: Vertex) -> str:
     """Highest-level element of the color containing the vertex ball at a
     level <= level(v) - 1; the root maps to the tree root.  Vertices whose
     level-bound falls below the covering hierarchy (level 0 over a base
@@ -93,6 +93,7 @@ def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: LevelledTree,
     top = min(v.level - 1, seq.max_level)
     if top < 0:
         return tree.root
+    kernel = seq.kernel
     radius = kernel.radius(v.level)
     coord = kernel.coords[v.center]
     for j in range(top, -1, -1):
@@ -103,18 +104,14 @@ def map_fc(seq: CoveringSequence, kernel: CoveringKernel, tree: LevelledTree,
         f"no covering element of color {color} contains the ball of {v}")
 
 
-def embed_stage1(graph: ApproxGraph, seq: CoveringSequence,
-                 kernel: CoveringKernel) -> Stage1:
-    """The color trees and the stage-1 map, with their region tests on
-    ``kernel``, a kernel of the sequence reaching the graph's depth (the
-    one `coverings.build_covering` returns)."""
-    kernel.check(seq.elements, seq.space)
+def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
+    """The color trees and the stage-1 map of a sequence reaching the
+    graph's depth, with their region tests on the sequence's kernel."""
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
-    images = {v: tuple(map_fc(seq, kernel, trees[c], graph, c, v)
+    images = {v: tuple(map_fc(seq, trees[c], graph, c, v)
                        for c in seq.colors)
               for v in graph.vertices}
-    return Stage1(graph=graph, seq=seq, trees=trees, images=images,
-                  kernel=kernel)
+    return Stage1(graph=graph, seq=seq, trees=trees, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +161,10 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
     close_bound = CheckResult("stage1-close-pair-bound", PASS)
     distinct_bound = CheckResult("stage1-distinct-pair-bound", PASS)
     global_bound = CheckResult("stage1-global-lower-bound", PASS)
-    radclose = CheckResult("stage1-close-levels-differ", PASS)
-    critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows: list[PairRow] = []
 
     trees = [emb.trees[c] for c in colors]
     images = emb.images
-    dist, unit, sep = graph.space.rows, graph.space.unit, graph.scale.sep
-    levels = range(graph.scale.k0, graph.scale.max_level + 1)
-    # per (upper level, lower level): the upper ball of a center pair sits
-    # inside the lower one, d + 2 r^hi <= 2 r^lo, when the int d is at most
-    nested = {(hi, lo): math.floor(2 * (sep(lo) - sep(hi)) * unit)
-              for hi in levels for lo in levels if hi > lo}
     # per image pair: tree distances by color and the colors whose two
     # images are incomparable
     tree_side: dict[tuple, tuple] = {}
@@ -220,29 +209,11 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
                 close_bound.add_violation({"pair": (v, w), "dist": gd,
                                            "per_color": dict(zip(colors,
                                                                  dists))})
-            # distinct vertices that are close have different levels and
-            # nested certified balls
-            if v != w:
-                radclose.checked += 1
-                hi, lo = (v, w) if v.level > w.level else (w, v)
-                if v.level == w.level:
-                    radclose.add_violation({"pair": (v, w),
-                                            "reason": "equal levels"})
-                elif dist[hi.center][lo.center] > \
-                        nested[hi.level, lo.level]:
-                    radclose.add_violation({"pair": (v, w),
-                                            "reason": "upper ball not inside lower"})
-                elif gd > abs(v.level - w.level) + 1:
-                    radclose.add_violation({"pair": (v, w), "dist": gd})
 
         elif kind == DISTINCT:
-            hi, lo_v = (v, w) if v.level >= w.level else (w, v)
-            critdist.checked += 1
-            if gd > hi.level + lo_v.level - 2 * l + 3:
-                critdist.add_violation({"pair": (v, w), "dist": gd,
-                                        "bound": hi.level + lo_v.level - 2 * l + 3})
+            hi, lo = (v, w) if v.level >= w.level else (w, v)
             distinct_bound.checked += 1
-            key = (images[hi], images[lo_v], l)
+            key = (images[hi], images[lo], l)
             fits = distinct_side.get(key)
             if fits is None:
                 fits = distinct_side[key] = _distinct_fits(colors, trees,
@@ -267,7 +238,6 @@ def stage1_suite(emb: Stage1) -> tuple[list[CheckResult], list[PairRow]]:
                             best_color, bound_rhs, violation))
 
     checks = [lip, close_radial, close_bound, distinct_bound, global_bound,
-              radclose, critdist,
               check_segment_dip(emb), check_level_escape(emb)]
     return checks, rows
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from qtrees.coverings import CoveringKernel, CoveringSequence
+from qtrees.coverings import CoveringSequence
 from qtrees.reporting import CheckResult, PASS
 
 
@@ -99,49 +99,42 @@ class LevelledTree:
 
 
 def build_color_tree(seq: CoveringSequence, color: int) -> LevelledTree:
-    """Parent of U = the certificate-inclusion ancestor of maximal level;
-    the level of U is the level of its element.
+    """Parent of U = the certificate-inclusion ancestor of maximal level,
+    tested on the sequence's kernel; the level of U is the level of its
+    element.
 
     Separation makes the candidate set per level at most one element, and
     guarantees condition (+): elements sharing a descendant are nested.
     """
-    elements = {e.uid: e for e in seq.color_elements(color)}
+    level = {e.uid: e.level for e in seq.color_elements(color)}
     by_level: dict[int, list[str]] = {}
-    for e in elements.values():
-        by_level.setdefault(e.level, []).append(e.uid)
-    levels = sorted(by_level)
-    if levels[0] != 0 or len(by_level[0]) != 1:
+    for uid, j in level.items():
+        by_level.setdefault(j, []).append(uid)
+    if min(by_level) != 0 or len(by_level[0]) != 1:
         raise ValueError("color family must have a unique level-0 root")
     root = by_level[0][0]
 
+    regions = seq.kernel.regions
     parent: dict[str, Optional[str]] = {root: None}
-    level_map = {uid: elements[uid].level for uid in elements}
-    for uid, e in elements.items():
+    for uid, j in level.items():
         if uid == root:
             continue
-        found = None
-        for j in range(e.level - 1, -1, -1):
-            for cand_uid in by_level.get(j, ()):
-                cand = elements[cand_uid]
-                if cand.region.contains_region(e.region):
-                    found = cand_uid
-                    break
-            if found:
-                break
-        if found is None:
+        parent[uid] = next((cand for i in range(j - 1, -1, -1)
+                            for cand in by_level.get(i, ())
+                            if regions[cand].contains_region(regions[uid])),
+                           None)
+        if parent[uid] is None:
             raise ValueError(
                 f"covering element {uid} has no ancestor: separation violated")
-        parent[uid] = found
 
-    return LevelledTree(root=root, parent=parent, level=level_map,
-                        color=color)
+    return LevelledTree(root=root, parent=parent, level=level, color=color)
 
 
-def check_color_tree(kernel: CoveringKernel, t: LevelledTree, k0: int
+def check_color_tree(seq: CoveringSequence, t: LevelledTree, k0: int
                      ) -> CheckResult:
     """Structural invariants: strict monotonicity along root paths, depth
     bounded by level - k0, and condition (+) via nested-or-disjoint
-    regions.  The region tests run on the kernel's scaled certificates.
+    regions.  The region tests run on the sequence's kernel.
     Incomparable vertices meet strictly below both levels without a test
     of their own: the meet is a proper ancestor of both ends, and levels
     increase strictly along root paths."""
@@ -157,10 +150,11 @@ def check_color_tree(kernel: CoveringKernel, t: LevelledTree, k0: int
             res.add_violation({"vertex": u, "depth": t.depths[u],
                                "level": t.level[u],
                                "reason": "depth exceeds level - k0"})
+    regions = seq.kernel.regions
     uids = t.vertices()
     for i, u in enumerate(uids):
         for v in uids[i + 1:]:
-            ru, rv = kernel.regions[u], kernel.regions[v]
+            ru, rv = regions[u], regions[v]
             nested = ru.contains_region(rv) or rv.contains_region(ru)
             if ru.meets_region(rv) and not nested:
                 res.add_violation({"pair": (u, v),

@@ -217,10 +217,7 @@ def test_criterion_6_covering_contract(cantor_run, circle_run):
         circle_run.seq, graph=circle_run.graph).status == "pass"
     one_color_fails = False
     try:
-        build_covering(
-            "shifted_arcs", circle_run.space, circle_run.graph.scale,
-            circle_run.graph.scale.max_level, graph=circle_run.graph,
-            n_colors=1)
+        build_covering("shifted_arcs", circle_run.graph, n_colors=1)
     except CoveringError:
         one_color_fails = True
     report(6, ok_cantor and ok_circle and one_color_fails,

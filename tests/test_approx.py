@@ -12,6 +12,7 @@ from qtrees.approx import (
     central_ancestor,
     check_ball_intersection_bound,
     check_central_ancestors,
+    check_critical_level_distance,
     check_geodesic_shape,
     check_horizontal_descent,
     estimate_delta,
@@ -268,6 +269,23 @@ def test_doctored_ball_intersection_bound_fails(keep_every_violation):
     assert jsonable({"pair": (v, w), "graph_dist": g.distances_from(v)[w],
                      "bound": 1}) in res.violations
     assert g.distances_from(v)[w] > 1
+
+
+def test_doctored_critical_level_distance_fails(keep_every_violation):
+    # cut the first level-1 vertex off the root and off its level-1
+    # neighbor: it reaches the last level-1 vertex only through the level
+    # below, farther than their critical level allows
+    g = cantor_graph()
+    first, *_, last = (v for v in g.vertices if v.level == 1)
+    u = next(u for u in g.adj[first] if u.level == 1)
+    doctor(g, drop=[(g.root, first), (first, u)])
+    l = next(l for v, w, _, _, l in g.pairs if (v, w) == (first, last))
+    dist, bound = g.distances_from(first)[last], 2 * (1 - l) + 3
+    res = check_critical_level_distance(g)
+    assert res.status == "fail"
+    assert jsonable({"pair": (first, last), "dist": dist, "bound": bound}) \
+        in res.violations
+    assert dist > bound
 
 
 def test_disconnected_graph_is_an_approximation_error(monkeypatch):

@@ -241,8 +241,8 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "fbe82ab9cf3d632264ebc02f571ef5c9"
-                       "7d608a84b5bccf2fd0d849dcb8b8534c",
+        "report.json": "536ea43ae212862978601288fb93bb4a"
+                       "53b3f9af7be7208b616a4595f79e08e8",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -254,8 +254,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "db5d7ec6a665d20b6f8c72d67b119f7b"
-                       "8a6f364f8e488689242183da0850ac6a",
+        "report.json": "f302073e00e24b25e06681ae433e0a54"
+                       "cea5eb7dae2f028332b6e1cd7107075c",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -266,8 +266,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "87668a545016f6f746d63a796836dc23"
-                       "fef8b4252239a990aa200e1f607fe7f4",
+        "report.json": "52e5b2a4912814bf053469f7394633af"
+                       "03cf1711da1cf3eb40f3e7a8bc225345",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },
@@ -371,3 +371,22 @@ def test_color_count_below_one_is_rejected(argv, colors, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: --colors must be at least 1"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["run", "--space", "circle", "--colors", "3"],
+     "shifted arcs alternate one or two colors, not 3"),
+    (["export", "--space", "grid", "--colors", "4"],
+     "shifted cubes offset one to three families, not 4"),
+    (["run", "--space", "cantor", "--colors", "2"],
+     "the triadic hierarchy is a one-color family"),
+])
+def test_more_colors_than_the_generator_has_is_a_covering_error(
+        argv, reason, tmp_path, capsys):
+    # a color that no family of the generator uses would be a root-only
+    # tree whose checks pass with nothing to check
+    code = main([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [covering] {reason}"]
+    assert not (tmp_path / "report.json").exists()

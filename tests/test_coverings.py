@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +7,6 @@ from qtrees.coverings import (
     GENERATORS,
     CoveringElement,
     CoveringError,
-    CoveringKernel,
     CoveringSequence,
     build_covering,
     lebesgue_number,
@@ -40,11 +38,16 @@ def element(space, region, color=0, level=1, uid="t"):
     return CoveringElement(uid=uid, color=color, level=level, region=region)
 
 
-def family_kernel(space, family):
-    """A kernel of a hand-built one-level family."""
-    seq = CoveringSequence(space=space, r=F(1, 9), colors=(0,),
-                           levels={0: {0: tuple(family)}})
-    return CoveringKernel(seq, 0)
+def one_level(space, *family):
+    """A hand-built sequence of one level."""
+    return CoveringSequence(space=space, r=F(1, 9), colors=(0,),
+                            levels={0: {0: family}})
+
+
+def with_family(seq, j, c, members):
+    """The sequence with the level-j family of color c replaced."""
+    return CoveringSequence(seq.space, seq.r, seq.colors,
+                            {**seq.levels, j: {**seq.levels[j], c: members}})
 
 
 def test_mesh_basics():
@@ -61,7 +64,7 @@ def test_mesh_basics():
 def test_lebesgue_whole_space_clips_to_mesh():
     s = generate_space("cantor", 2)
     whole = element(s, WholeSpace(s.diam), uid="z")
-    assert lebesgue_number([whole], family_kernel(s, [whole])) == s.diam
+    assert lebesgue_number(one_level(s, whole), 0) == s.diam
 
 
 def test_lebesgue_overlapping_arcs():
@@ -71,7 +74,7 @@ def test_lebesgue_overlapping_arcs():
     t = F(1, 8)
     a = element(s, Arc(F(0) - t / 2, F(1, 2) + t), uid="a")
     b = element(s, Arc(F(1, 2) - t / 2, F(1, 2) + t), uid="b")
-    val = lebesgue_number([a, b], family_kernel(s, [a, b]))
+    val = lebesgue_number(one_level(s, a, b), 0)
     assert val >= t / 2
 
 
@@ -79,12 +82,12 @@ def test_lebesgue_missing_point_errors():
     s = generate_space("cantor", 2)
     partial = element(s, LineIntervals(((F(0), F(1, 3)),)), uid="p")
     with pytest.raises(ValueError):
-        lebesgue_number([partial], family_kernel(s, [partial]))
+        lebesgue_number(one_level(s, partial), 0)
 
 
 def test_cantor_preset_validates():
     s, sc, g = cantor_setup()
-    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
+    seq = build_covering("ultrametric", g)
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "pass"
     for j in range(1, 5):
@@ -93,18 +96,16 @@ def test_cantor_preset_validates():
 
 def test_trivial_level_zero_only():
     s, sc, g = cantor_setup(J=0)
-    seq, _ = build_covering("ultrametric", s, sc, 0, graph=g)
+    seq = build_covering("ultrametric", g)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
 
 
 def test_circle_preset_validates_and_one_color_fails():
     s, sc, g = circle_setup()
-    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                            n_colors=2)
+    seq = build_covering("shifted_arcs", g, n_colors=2)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
     with pytest.raises(CoveringError):
-        build_covering("shifted_arcs", s, sc, 2, graph=g,
-                       n_colors=1)
+        build_covering("shifted_arcs", g, n_colors=1)
 
 
 def test_identical_shift_for_both_families_fails():
@@ -112,19 +113,17 @@ def test_identical_shift_for_both_families_fails():
     # the same color to collide
     s, sc, g = circle_setup()
     with pytest.raises(CoveringError):
-        build_covering("shifted_arcs", s, sc, 2, graph=g,
-                       n_colors=2, blocks=[3] * 27)
+        build_covering("shifted_arcs", g, n_colors=2, blocks=[3] * 27)
 
 
 def test_deliberate_overlap_reported_by_validator():
     s, sc, g = circle_setup()
-    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                            n_colors=2)
+    seq = build_covering("shifted_arcs", g, n_colors=2)
     # clone one level-1 arc into its same-color neighbor's place
     fam0 = list(seq.levels[1][0])
     bad = CoveringElement(uid="dup", color=0, level=1,
                           region=fam0[0].region)
-    seq.levels[1][0] = tuple(fam0 + [bad])
+    seq = with_family(seq, 1, 0, tuple(fam0 + [bad]))
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "fail"
     assert any(v.get("property") in ("disjoint", 3) for v in report.violations)
@@ -134,70 +133,85 @@ def test_validator_sees_a_shift_below_every_natural_denominator():
     # the natural unit of circle(81) at r = 1/12, L2 is 5184: shrinking one
     # level-1 arc by 1/(5184*7) must still cost its last point's ball
     s, sc, g = circle_setup()
-    seq, _ = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                            n_colors=2)
+    seq = build_covering("shifted_arcs", g, n_colors=2)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
     first, *rest = seq.levels[1][0]
     shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
-    seq.levels[1][0] = (CoveringElement(uid=first.uid, color=0, level=1,
-                                        region=shrunk), *rest)
+    seq = with_family(seq, 1, 0, (first._replace(region=shrunk), *rest))
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "fail"
     assert any(v.get("property") == 2 and v["level"] == 1
                for v in report.violations)
 
 
-def test_a_kernel_serves_only_what_it_scaled():
-    # the run's kernel serves the certificates and the space it was built
-    # on: after an edit every stage it serves refuses it, and a kernel of
-    # the edited sequence serves it
+def test_a_sequence_and_its_kernel_cannot_be_edited():
+    # the kernel scales the sequence's own certificates, so neither changes
+    # after it is built: no field is assigned, no map is written in place
     s, sc, g = circle_setup()
-    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                                 n_colors=2)
-    images = embed_stage1(g, seq, kernel).images
+    seq = build_covering("shifted_arcs", g, n_colors=2)
+    first = seq.levels[1][0][0]
+    with pytest.raises(TypeError):
+        seq.levels[1][0] = (first,)
+    with pytest.raises(TypeError):
+        seq.levels[2] = seq.levels[1]
+    with pytest.raises(TypeError):
+        seq.kernel.regions[first.uid] = seq.kernel.regions["c0-j0-0"]
+    for name, value in (("space", generate_space("circle", 81)),
+                        ("levels", {}), ("kernel", None)):
+        with pytest.raises(AttributeError, match=name):
+            setattr(seq, name, value)
+    with pytest.raises(AttributeError, match="unit"):
+        seq.kernel.unit = 1
+
+
+def test_an_edited_sequence_carries_its_own_kernel():
+    # a sequence built from edited levels scales its own certificates: its
+    # shrunk arc fails property 2, and the sequence it came from, with its
+    # kernel and its stage-1 map, is as it was
+    s, sc, g = circle_setup()
+    seq = build_covering("shifted_arcs", g, n_colors=2)
+    images = embed_stage1(g, seq).images
     first, *rest = seq.levels[1][0]
-    shrunk = Arc(first.region.start, first.region.length - F(1, 5184 * 7))
-    seq.levels[1][0] = (first._replace(region=shrunk), *rest)
-    for use in (lambda k: validate_covering_sequence(seq, g, k),
-                lambda k: embed_stage1(g, seq, k),
-                lambda k: lebesgue_number(seq.family(1), k)):
-        with pytest.raises(ValueError, match=re.escape(repr(first.uid))):
-            use(kernel)
-    seq.levels[1][0] = (first, *rest)
-    seq.space = generate_space("circle", 81)
-    with pytest.raises(ValueError, match="another space"):
-        embed_stage1(g, seq, kernel)
-    assert embed_stage1(g, seq, CoveringKernel(seq, sc.max_level)).images \
-        == images
+    shrunk = first._replace(region=Arc(first.region.start,
+                                       first.region.length - F(1, 5184 * 7)))
+    edited = with_family(seq, 1, 0, (shrunk, *rest))
+    kernel = edited.kernel
+    assert kernel is not seq.kernel and kernel.unit % 7 == 0
+    assert kernel.regions[first.uid] == shrunk.region.scaled(kernel.unit)
+    assert seq.kernel.regions[first.uid] == \
+        first.region.scaled(seq.kernel.unit)
+    report = validate_covering_sequence(edited, graph=g)
+    assert any(v.get("property") == 2 and v["level"] == 1
+               for v in report.violations)
+    assert validate_covering_sequence(seq, graph=g).status == "pass"
+    assert embed_stage1(g, seq).images == images
 
 
 def test_kernel_refuses_what_it_cannot_scale(tmp_path):
+    # a sequence whose kernel cannot scale it is refused when it is built
     s, sc, g = cantor_setup(depth=2, J=1)
-    seq, _ = build_covering("ultrametric", s, sc, 1, graph=g)
+    seq = build_covering("ultrametric", g)
     first = seq.levels[1][0][0]
-    seq.levels[1][0] += (first,)  # one element twice: an overlap, reported
-    report = validate_covering_sequence(seq, graph=g)
+    # one element twice: an overlap, reported
+    twice = with_family(seq, 1, 0, seq.levels[1][0] + (first,))
+    report = validate_covering_sequence(twice, graph=g)
     assert report.violations[0]["property"] == "disjoint"
-    seq.levels[1][0] += (element(s, LineIntervals(((F(0), F(1, 3)),)),
-                                 uid=first.uid),)
     with pytest.raises(ValueError, match="names two certificates"):
-        validate_covering_sequence(seq, graph=g)
+        with_family(twice, 1, 0, twice.levels[1][0] + (
+            element(s, LineIntervals(((F(0), F(1, 3)),)), uid=first.uid),))
 
     space_file = tmp_path / "cantor2.csv"
     save_space_csv(s, space_file)
     loaded = load_space_csv(space_file)
-    seq.space = loaded
-    seq.levels[1][0] = seq.levels[1][0][:1]
     with pytest.raises(ValueError, match="point-subset certificates only"):
-        validate_covering_sequence(seq, graph=build_approximation(loaded, sc))
+        CoveringSequence(loaded, seq.r, seq.colors, seq.levels)
 
 
 def test_grid_preset_validates():
     s = generate_space("grid", 9)
     sc = ScaleParams.for_space(s, F(1, 64), 1)
     g = build_approximation(s, sc)
-    seq, _ = build_covering("shifted_cubes", s, sc, 1, graph=g,
-                            n_colors=3)
+    seq = build_covering("shifted_cubes", g, n_colors=3)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
 
 
@@ -206,13 +220,12 @@ def test_shifted_cubes_requires_seam_alignment():
     sc = ScaleParams.for_space(s, F(1, 32), 1)
     g = build_approximation(s, sc)
     with pytest.raises(CoveringError):
-        build_covering("shifted_cubes", s, sc, 1, graph=g,
-                       n_colors=3)
+        build_covering("shifted_cubes", g, n_colors=3)
 
 
 def test_covering_json_roundtrip(tmp_path):
     s, sc, g = cantor_setup(depth=3, J=3)
-    seq, _ = build_covering("ultrametric", s, sc, 3, graph=g)
+    seq = build_covering("ultrametric", g)
     path = tmp_path / "covering.json"
     save_covering_json(seq, path)
     loaded = load_covering_json(path, s)
@@ -226,7 +239,7 @@ def test_covering_json_roundtrip(tmp_path):
 
 def test_witness_uniqueness_per_color():
     s, sc, g = cantor_setup()
-    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
+    seq = build_covering("ultrametric", g)
     for j in range(0, 4):
         radius = 2 * sc.sep(j + 1)
         for v in g.net(j + 1):
@@ -266,11 +279,8 @@ def test_point_subset_covering_on_a_loaded_space(tmp_path):
     for j in seq.levels:
         assert [e.region for e in loaded.family(j)] == \
             [e.region for e in seq.family(j)]
-    kernel = CoveringKernel(seq, seq.max_level)
-    loaded_kernel = CoveringKernel(loaded, loaded.max_level)
-    before = [lebesgue_number(seq.family(j), kernel) for j in seq.levels]
-    after = [lebesgue_number(loaded.family(j), loaded_kernel)
-             for j in loaded.levels]
+    before = [lebesgue_number(seq, j) for j in seq.levels]
+    after = [lebesgue_number(loaded, j) for j in loaded.levels]
     assert before == after == [reference_lebesgue(seq.family(j), s)
                                for j in seq.levels]
     assert before[1] == F(2, 27)
@@ -306,18 +316,17 @@ def test_int_generation_keeps_the_fraction_candidates(kind, n, r, J,
     s = generate_space(kind, n)
     sc = ScaleParams.for_space(s, r, J)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering(generator, s, sc, J, graph=g,
-                                 n_colors=colors)
-    candidates = GENERATORS[generator](s, sc, J, n_colors=colors)
+    seq = build_covering(generator, g, n_colors=colors)
+    candidates = GENERATORS[generator](s, sc, n_colors=colors)
     for j, family in candidates.levels.items():
         for c, members in family.items():
             kept = tuple(e for e in members
                          if any(map(e.region.contains_point, s.coords)))
             assert seq.levels[j][c] == kept
-        assert lebesgue_number(seq.family(j), kernel) == \
+        assert lebesgue_number(seq, j) == \
             reference_lebesgue(seq.family(j), s)
     if generator == "shifted_cubes":  # tiles between grid points drop
-        assert len(kernel.regions) > sum(
+        assert len(seq.kernel.regions) > sum(
             len(f) for fam in seq.levels.values() for f in fam.values())
 
 
@@ -349,8 +358,7 @@ def generated(kind, n, r, J, generator, colors):
         s = generate_space(kind, n)
         sc = ScaleParams.for_space(s, r, J)
         g = build_approximation(s, sc)
-        return build_covering(generator, s, sc, J, graph=g,
-                              n_colors=colors)[0], g
+        return build_covering(generator, g, n_colors=colors), g
     return build
 
 
@@ -384,7 +392,8 @@ def test_a_shared_net_ball_fails_disjointness(form, tmp_path):
         and least(s, point(v), radius) != e.region)
     assert twin.contains_ball(point(v), radius)
     c = first.color
-    seq.levels[j][c] += (element(s, twin, color=c, level=j, uid="twin"),)
+    seq = with_family(seq, j, c, seq.levels[j][c] + (
+        element(s, twin, color=c, level=j, uid="twin"),))
     report = validate_covering_sequence(seq, graph=g)
     assert report.status == "fail"
     assert {"property": "disjoint", "level": j, "color": c,

@@ -37,8 +37,8 @@ def cantor_lab():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("ultrametric", s, sc, 4, graph=g)
-    return build_labelling(embed_stage1(g, seq, kernel))
+    seq = build_covering("ultrametric", g)
+    return build_labelling(embed_stage1(g, seq))
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +46,8 @@ def circle_lab():
     s = generate_space("circle", 81)
     sc = ScaleParams.for_space(s, F(1, 12), 2)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                                 n_colors=2)
-    return build_labelling(embed_stage1(g, seq, kernel))
+    seq = build_covering("shifted_arcs", g, n_colors=2)
+    return build_labelling(embed_stage1(g, seq))
 
 
 def test_coloring_conflict_property(cantor_lab):
@@ -199,8 +198,8 @@ def test_critical_letters_inconclusive_without_pairs():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 1)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("ultrametric", s, sc, 1, graph=g)
-    lab = build_labelling(embed_stage1(g, seq, kernel))
+    seq = build_covering("ultrametric", g)
+    lab = build_labelling(embed_stage1(g, seq))
     st2 = build_stage2(lab, kappa=16)
     res = check_critical_letters(st2)
     assert res.status in ("pass", "inconclusive")
@@ -212,8 +211,8 @@ def test_vacuous_pass_is_reported_inconclusive():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 1)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("ultrametric", s, sc, 1, graph=g)
-    st2 = build_stage2(build_labelling(embed_stage1(g, seq, kernel)), kappa=16)
+    seq = build_covering("ultrametric", g)
+    st2 = build_stage2(build_labelling(embed_stage1(g, seq)), kappa=16)
     for res in (check_critical_letters(st2), check_binary_stage(st2)):
         assert (res.status, res.checked) == ("pass", 0), res.check_id
         assert res.to_dict()["status"] == "inconclusive", res.check_id
@@ -300,7 +299,7 @@ def test_critical_letters_precondition(circle_lab):
 def ref_sentence(lab, color, uid):
     """The sentence of a tree vertex from a walk up its parents, with each
     edge word recomputed from the kernel regions and the net coloring."""
-    tree, kernel = lab.stage1.trees[color], lab.stage1.kernel
+    tree, kernel = lab.stage1.trees[color], lab.stage1.seq.kernel
     words = []
     while tree.parent[uid] is not None:
         parent = tree.parent[uid]

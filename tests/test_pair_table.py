@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, Vertex, \
     build_approximation, check_ball_intersection_bound, \
-    check_geodesic_shape, check_horizontal_descent
+    check_critical_level_distance, check_geodesic_shape, \
+    check_horizontal_descent
 from qtrees.labelling import check_critical_letters, critical_letters
 from qtrees.metric import ScaleParams, compute_k0, make_space
 from qtrees.pipeline import Pipeline
@@ -43,8 +44,6 @@ def reference_stage1_suite(emb):
     close_bound = CheckResult("stage1-close-pair-bound", PASS)
     distinct_bound = CheckResult("stage1-distinct-pair-bound", PASS)
     global_bound = CheckResult("stage1-global-lower-bound", PASS)
-    radclose = CheckResult("stage1-close-levels-differ", PASS)
-    critdist = CheckResult("stage1-critical-level-distance", PASS)
     rows = []
     for v, w in itertools.combinations(graph.vertices, 2):
         gd = graph.distances_from(v)[w]
@@ -78,27 +77,9 @@ def reference_stage1_suite(emb):
                 violation = True
                 close_bound.add_violation({"pair": (v, w), "dist": gd,
                                            "per_color": per_color})
-            if v != w:
-                radclose.checked += 1
-                hi, lo = (v, w) if v.level > w.level else (w, v)
-                if v.level == w.level:
-                    radclose.add_violation({"pair": (v, w),
-                                            "reason": "equal levels"})
-                elif graph.d(hi, lo) + 2 * graph.scale.sep(hi.level) > \
-                        2 * graph.scale.sep(lo.level):
-                    radclose.add_violation(
-                        {"pair": (v, w),
-                         "reason": "upper ball not inside lower"})
-                elif gd > abs(v.level - w.level) + 1:
-                    radclose.add_violation({"pair": (v, w), "dist": gd})
         elif pc.kind == DISTINCT:
             l = pc.critical_level
             hi, lo_v = (v, w) if v.level >= w.level else (w, v)
-            critdist.checked += 1
-            if gd > hi.level + lo_v.level - 2 * l + 3:
-                critdist.add_violation(
-                    {"pair": (v, w), "dist": gd,
-                     "bound": hi.level + lo_v.level - 2 * l + 3})
             distinct_bound.checked += 1
             ok = False
             for c in emb.colors:
@@ -124,8 +105,7 @@ def reference_stage1_suite(emb):
         rows.append(PairRow(v, w, gd, pc.kind, pc.critical_level, total,
                             best_color, bound_rhs, violation))
     checks = [lip, close_radial, close_bound, distinct_bound, global_bound,
-              radclose, critdist, reference_segment_dip(emb),
-              reference_level_escape(emb)]
+              reference_segment_dip(emb), reference_level_escape(emb)]
     return checks, rows
 
 
@@ -240,6 +220,20 @@ def reference_ball_intersection_bound(graph):
     return res
 
 
+def reference_critical_level_distance(graph):
+    res = CheckResult("approx-critical-level-distance", PASS)
+    for v, w in itertools.combinations(graph.vertices, 2):
+        pc = classify_pair(graph, v, w)
+        if pc.kind != DISTINCT:
+            continue
+        res.checked += 1
+        gd = graph.distances_from(v)[w]
+        bound = v.level + w.level - 2 * pc.critical_level + 3
+        if gd > bound:
+            res.add_violation({"pair": (v, w), "dist": gd, "bound": bound})
+    return res
+
+
 def outcome(res: CheckResult) -> tuple:
     return res.check_id, res.status, res.checked, res.violations, res.notes
 
@@ -343,6 +337,8 @@ def test_presets_match_the_per_pair_loops(preset):
     assert rows == expected_rows
     assert outcome(check_critical_letters(pipe.stage2)) == \
         outcome(reference_critical_letters(pipe.stage2))
+    assert outcome(check_critical_level_distance(pipe.graph)) == \
+        outcome(reference_critical_level_distance(pipe.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +390,8 @@ def test_pair_table_matches_distance_and_classify_pair(graph):
         assert (kind, critical) == (pc.kind, pc.critical_level)
     assert outcome(check_ball_intersection_bound(graph)) == \
         outcome(reference_ball_intersection_bound(graph))
+    assert outcome(check_critical_level_distance(graph)) == \
+        outcome(reference_critical_level_distance(graph))
     for check in (check_horizontal_descent, check_geodesic_shape):
         assert check(graph).status == PASS
 

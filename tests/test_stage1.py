@@ -29,8 +29,8 @@ def cantor_emb():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("ultrametric", s, sc, 4, graph=g)
-    return embed_stage1(g, seq, kernel)
+    seq = build_covering("ultrametric", g)
+    return embed_stage1(g, seq)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,8 @@ def circle_emb():
     s = generate_space("circle", 81)
     sc = ScaleParams.for_space(s, F(1, 12), 2)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("shifted_arcs", s, sc, 2, graph=g,
-                                 n_colors=2)
-    return embed_stage1(g, seq, kernel)
+    seq = build_covering("shifted_arcs", g, n_colors=2)
+    return embed_stage1(g, seq)
 
 
 def test_root_maps_to_root(cantor_emb):
@@ -157,8 +156,8 @@ def test_single_vertex_graph_vacuous():
     s = generate_space("cantor", 3)
     sc = ScaleParams.for_space(s, F(1, 9), 0)
     g = build_approximation(s, sc)
-    seq, kernel = build_covering("ultrametric", s, sc, 0, graph=g)
-    emb = embed_stage1(g, seq, kernel)
+    seq = build_covering("ultrametric", g)
+    emb = embed_stage1(g, seq)
     checks, rows = stage1_suite(emb)
     assert not rows
     for check in checks:
@@ -186,7 +185,7 @@ def test_one_stage1_builds_its_tree_side_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(LevelledTree, "lca", counted_lca)
-    for cls in {type(region) for region in emb.kernel.regions.values()}:
+    for cls in {type(region) for region in emb.seq.kernel.regions.values()}:
         monkeypatch.setattr(cls, "contains_point",
                             counted(cls.contains_point))
     stage1_suite(emb)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees.approx import build_approximation
-from qtrees.coverings import CoveringKernel, build_covering
+from qtrees.coverings import build_covering
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import (
@@ -25,7 +25,7 @@ def cantor_tree():
     s = generate_space("cantor", 4)
     sc = ScaleParams.for_space(s, F(1, 9), 4)
     g = build_approximation(s, sc)
-    seq, _ = build_covering("ultrametric", s, sc, 4, graph=g)
+    seq = build_covering("ultrametric", g)
     return seq, build_color_tree(seq, 0), sc
 
 
@@ -111,7 +111,7 @@ def test_color_tree_structure(cantor_tree):
         assert t.level[parent] == 1
         assert elements[parent].region.contains_region(
             elements[uid].region)
-    check = check_color_tree(CoveringKernel(seq, sc.max_level), t, sc.k0)
+    check = check_color_tree(seq, t, sc.k0)
     assert check.status == "pass", check.violations[:2]
 
 
@@ -124,12 +124,11 @@ def test_meet_below_both_ends_follows_from_monotone_levels(cantor_tree):
     bad = LevelledTree(root=t.root, parent=t.parent,
                        level={**t.level, u: 0}, color=t.color)
     assert bad.level[bad.meets[u, q]] >= min(bad.level[u], bad.level[q])
-    kernel = CoveringKernel(seq, sc.max_level)
-    check = check_color_tree(kernel, bad, sc.k0)
+    check = check_color_tree(seq, bad, sc.k0)
     assert check.status == "fail"
     assert {"vertex": u, "edge": [t.parent[u], u],
             "reason": "level not increasing"} in check.violations
-    assert check.checked == check_color_tree(kernel, t, sc.k0).checked
+    assert check.checked == check_color_tree(seq, t, sc.k0).checked
 
 
 def test_color_tree_depth_bound(cantor_tree):
@@ -142,7 +141,7 @@ def test_single_level_tree():
     s = generate_space("cantor", 3)
     sc = ScaleParams.for_space(s, F(1, 9), 0)
     g = build_approximation(s, sc)
-    seq, _ = build_covering("ultrametric", s, sc, 0, graph=g)
+    seq = build_covering("ultrametric", g)
     ct = build_color_tree(seq, 0)
     assert len(ct.level) == 1
 
