@@ -18,7 +18,9 @@ it runs:
 - ``verify stage1`` adds ``trees`` and ``stage1``, and ``run``,
   ``export`` and ``verify stage2|all`` add ``labelling`` (with ``diary``
   and ``morse_thue``) as well, each when the pipeline first builds the
-  stage that needs it.  ``run`` and ``export`` never load ``verify``.
+  stage that needs it.  ``run`` and ``export`` never load ``verify``;
+  ``verify all`` adds ``pickle`` for its diary worker, which needs no
+  process pool.
 
 Records are ``typing.NamedTuple`` classes or plain classes, and no
 module loads ``dataclasses``, which would cost every start of a command

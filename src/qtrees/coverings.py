@@ -189,6 +189,12 @@ def validate_covering_sequence(seq: CoveringSequence, graph
     levels = sorted(seq.levels)
     if levels[0] != 0 or levels != list(range(levels[-1] + 1)):
         raise ValueError(f"covering levels must be 0..J, got {levels}")
+    # the stage-1 map reads level-(J-1) elements and level-J ball radii
+    if levels[-1] + 1 < scale.max_level:
+        raise ValueError(
+            f"covering reaches level {levels[-1]}, short of level "
+            f"{scale.max_level - 1} that a graph of depth "
+            f"{scale.max_level} needs")
 
     # (1) level 0 is the whole space once per color; strict mesh above it.
     for c in seq.colors:

@@ -78,8 +78,14 @@ class Pipeline:
 
     @property
     def scale(self) -> ScaleParams:
-        return self._once("scale", "space", lambda: ScaleParams.for_space(
-            self.space, self.config.r, self.config.max_level))
+        def build():
+            scale = ScaleParams.for_space(self.space, self.config.r,
+                                          self.config.max_level)
+            if scale.max_level == scale.k0:
+                raise ValueError(f"max_level {scale.max_level} is the base "
+                                 "level: the graph would be its root alone")
+            return scale
+        return self._once("scale", "space", build)
 
     @property
     def graph(self) -> ApproxGraph:

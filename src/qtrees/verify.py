@@ -18,11 +18,13 @@ which checks the step-wise pages on every sentence.  The pipeline and the
 geometry stack are imported inside ``run_suite``, and the tree side only
 where a suite reads it, so codec users and ``verify approx|covering``
 never load what they do not run.  The CLI loads this module for
-``verify`` only.
+``verify`` only.  ``verify all`` runs the codec suite in a worker made
+with ``os.fork``, beside the suites that read the config.
 """
 from __future__ import annotations
 
 import itertools
+import os
 from typing import TYPE_CHECKING, Optional
 
 from qtrees import morse_thue as mt
@@ -48,17 +50,63 @@ if TYPE_CHECKING:
 
 
 def run_suite(config: PipelineConfig, suite: str) -> dict:
-    """One named suite, or "all" of them on one shared pipeline."""
+    """One named suite, or "all" of them on one shared pipeline.  Under
+    "all" the codec suite, which reads nothing of the config, runs in a
+    forked worker while this process runs the others."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     # the geometry stack loads here, so codec-only users never import it
     from qtrees.pipeline import Pipeline
     pipe = Pipeline(config)
-    if suite == "all":
-        out = {name: _suite(config, name, pipe) for name in SUITES[:-1]}
-        return {"suite": "all", "ok": all(s["ok"] for s in out.values()),
-                "suites": out}
-    return _suite(config, suite, pipe)
+    if suite != "all":
+        return _suite(config, suite, pipe)
+    others = [name for name in SUITES[:-1] if name != "diary"]
+    diary, out = _beside(diary_suite, lambda: {
+        name: _suite(config, name, pipe) for name in others})
+    out["diary"] = suite_dict("diary", diary)
+    out = {name: out[name] for name in SUITES[:-1]}
+    return {"suite": "all", "ok": all(s["ok"] for s in out.values()),
+            "suites": out}
+
+
+def _beside(work, meanwhile) -> tuple:
+    """(work(), meanwhile()), with work() run in a forked worker where
+    ``os.fork`` exists.  The worker sends its result back pickled over a
+    pipe and always ends with ``os._exit``, so it never returns into the
+    caller's frames.  The worker is reaped on every path; when meanwhile()
+    raises, it is killed first.  If the worker fails, work() runs here, so
+    its errors are raised as they are without a worker."""
+    if not hasattr(os, "fork"):
+        return work(), meanwhile()
+    import pickle
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return work(), meanwhile()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as sink:
+                pickle.dump(work(), sink)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as source:
+        try:
+            theirs = meanwhile()
+            data = source.read()
+        except BaseException:
+            import signal  # only here: a passing run never pays for it
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    return (pickle.loads(data) if status == 0 else work()), theirs
 
 
 def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:

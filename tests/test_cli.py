@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -321,6 +322,12 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "stage2", "--preset", "cantor", "--research-kappa",
      "--kappa", "3"):
         "cc31afacca585842be6f1a268c2479d93963f9bbd7655b1264c8c77a2c963975",
+    ("verify", "all", "--preset", "cantor"):
+        "7d69be5e863ec6de4594ed4054deca7408f06d5f4ab80935f300957d215d5974",
+    ("verify", "all", "--preset", "circle"):
+        "99d350635f3495ef64103664de24523079c7d159c30d1167acb6beba116e0b54",
+    ("verify", "all", "--preset", "grid"):
+        "b56d250e314a92ab7e675b52cc491fdd4c7641b806a3885c53851c2e8f61fc46",
 }
 
 
@@ -329,6 +336,81 @@ def test_verify_stdout_keeps_its_bytes(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    assert_no_child_left()
+
+
+# -- the diary worker of `verify all` ---------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_verify_all_reaps_its_worker(capsys):
+    # the space stage fails in this process while the worker still runs
+    code = main(["verify", "all", "--space", "cantor", "--n", "0"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [space] ")
+    assert_no_child_left()
+
+
+def test_failing_worker_raises_what_the_diary_suite_raises(monkeypatch):
+    from qtrees import diary, verify
+    from qtrees.diary import InconsistentDiary
+
+    def dropped(state, page, kappa):
+        """A decoder step that never sees a page's last token."""
+        return real(state, page[:-1], kappa)
+
+    real = diary.decode_step
+    monkeypatch.setitem(vars(verify), "decode_step", dropped)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    with pytest.raises(InconsistentDiary) as in_process:
+        verify.diary_suite()
+    with pytest.raises(InconsistentDiary) as in_all:
+        run_suite(config_for("cantor"), "all")
+    assert forks == [1]
+    assert str(in_all.value) == str(in_process.value) == \
+        "page 1: malformed page"
+    assert_no_child_left()
+
+
+def no_fork():
+    raise OSError("no more processes")
+
+
+@pytest.mark.parametrize("fork", [None, no_fork], ids=["missing", "failing"])
+def test_verify_all_without_a_worker_keeps_its_bytes(fork, monkeypatch,
+                                                      capsys):
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    argv = ("verify", "all", "--preset", "cantor")
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [["run"], ["verify", "all"]])
+def test_base_level_truncation_is_a_space_error(argv, capsys):
+    # at max level k0 the graph is its root alone, and every pair check
+    # would pass on no instance
+    code = main([*argv, "--preset", "cantor", "--max-level", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [space] max_level 0 is the base level: the graph would be "
+        "its root alone"]
+    assert_no_child_left()
 
 
 def test_one_run_builds_one_covering_kernel(tmp_path, monkeypatch):

@@ -100,6 +100,20 @@ def test_trivial_level_zero_only():
     assert validate_covering_sequence(seq, graph=g).status == "pass"
 
 
+def test_covering_two_levels_short_of_its_graph_is_refused():
+    # the stage-1 map of a depth-J graph reads level-(J-1) elements and the
+    # level-J ball radius of the covering's kernel
+    s, sc, g1 = cantor_setup(depth=3, J=1)
+    seq = build_covering("ultrametric", g1)
+    _, _, g2 = cantor_setup(depth=3, J=2)
+    assert validate_covering_sequence(seq, graph=g2).status == "pass"
+    _, _, g3 = cantor_setup(depth=3, J=3)
+    with pytest.raises(ValueError,
+                       match="covering reaches level 1, short of level 2 "
+                             "that a graph of depth 3 needs"):
+        validate_covering_sequence(seq, graph=g3)
+
+
 def test_circle_preset_validates_and_one_color_fails():
     s, sc, g = circle_setup()
     seq = build_covering("shifted_arcs", g, n_colors=2)

@@ -107,7 +107,9 @@ LOADING_GATES = {
                                          "qtrees.verify", "qtrees.diary")),
     "run-cantor": (quiet_cli("run", "--preset", "cantor", "--out"),
                    ("dataclasses", "qtrees.verify")),
-    "import-verify": ("import qtrees.verify", ("dataclasses",)),
+    "import-verify": ("import qtrees.verify",
+                      ("dataclasses", "multiprocessing",
+                       "concurrent.futures")),
 }
 
 
@@ -131,3 +133,6 @@ def test_verify_covering_leaves_the_tree_side_unloaded():
     assert "qtrees.coverings" in out
     for tree_side in ("qtrees.trees", "qtrees.stage1", "qtrees.labelling"):
         assert tree_side not in out
+    # the diary worker of `verify all` is a bare fork, not a process pool
+    for pool in ("multiprocessing", "concurrent.futures"):
+        assert pool not in out
