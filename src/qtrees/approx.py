@@ -83,8 +83,8 @@ class ApproxGraph:
         """Centers of the maximal r^level-separated net."""
         centers = self.nets.get(level)
         if centers is None:
-            centers = maximal_separated_net(
-                self.space, self.scale.sep(level), level).centers
+            centers = maximal_separated_net(self.space,
+                                            self.scale.sep(level))
             self.nets[level] = centers
         return centers
 
@@ -175,7 +175,7 @@ def build_approximation(space: FiniteMetricSpace, scale: ScaleParams
     if scale.max_level < scale.k0:
         raise ValueError("max_level below base level")
     nets = {
-        k: maximal_separated_net(space, scale.sep(k), k).centers
+        k: maximal_separated_net(space, scale.sep(k))
         for k in range(scale.k0, scale.max_level + 1)
     }
     if len(nets[scale.k0]) != 1:

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 STOP = "s"
 STAR = "*"
-SLOT = "_"
 
 Token = object
 Sentence = tuple
@@ -321,29 +320,13 @@ def member_rest(slotted: Slotted, pending: Sequence, sentence: Sequence
 
 
 # ---------------------------------------------------------------------------
-# Text syntax: tokens separated by spaces, `s` stop sign, `*` terminal
-# marker, `_` slot.
-
-
-def parse_sentence(text: str) -> Sentence:
-    return tuple(text.split())
-
-
-def format_sentence(sentence: Sequence) -> str:
-    return " ".join(_token_str(t) for t in sentence)
+# Text form of a diary: each page in parentheses, `s` stop sign, `*`
+# terminal marker, a decorated token as `token/bit`.
 
 
 def format_diary(diary: Sequence) -> str:
     return "".join("(" + "".join(_token_str(t) for t in page) + ")"
                    for page in diary)
-
-
-def format_slotted(slotted: Slotted) -> str:
-    parts = []
-    for has_slot, word in slotted:
-        toks = ([SLOT] if has_slot else []) + [_token_str(t) for t in word]
-        parts.append(" ".join(toks + [STOP]))
-    return " ".join(parts)
 
 
 def _token_str(tok) -> str:

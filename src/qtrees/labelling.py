@@ -334,26 +334,6 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     return checks, fits
 
 
-def critical_letters(lab: Labelling, color: int, ua: str, ub: str, l: int
-                     ) -> tuple:
-    """The critical-level letters of two same-color tree vertices and their
-    word positions: (a, m, a', m').
-
-    Precondition: both elements sit at level >= l+1 and l >= 1, so both
-    sentences carry a letter of level l; otherwise the hypothesis is unmet
-    and a ValueError is raised.
-    """
-    level = lab.stage1.trees[color].level
-    if l < 1:
-        raise ValueError("sentences carry no letter below level 1")
-    for uid in (ua, ub):
-        if level[uid] < l + 1:
-            raise ValueError(f"{uid} is too shallow for critical level {l}")
-    a, m = lab.letter_at_level(color, ua, l)
-    b, mp = lab.letter_at_level(color, ub, l)
-    return a, m, b, mp
-
-
 def check_critical_letters(st2: Stage2) -> CheckResult:
     """For horizontally distinct vertices sitting (as points) in same-color
     elements deep enough past their critical level, the critical-level
@@ -397,7 +377,8 @@ def _critical_letters(lab: Labelling, color: int, chain_v: tuple,
                               "reason": "shared element despite critical gap"})
                 continue
             checked += 1
-            a, m, b, mp = critical_letters(lab, color, ua, ub, l)
+            a, m = lab.letter_at_level(color, ua, l)
+            b, mp = lab.letter_at_level(color, ub, l)
             if a == b:
                 found.append({"color": color, "elements": (ua, ub),
                               "level": l, "reason": "equal letters"})

@@ -45,26 +45,24 @@ class FiniteMetricSpace(Frozen):
     unit circle, or the unit square) used by covering generators to build
     geometric certificates, or is empty for file-loaded spaces.
 
-    Equal and hashed by its five fields; ``dist`` and ``diam`` are
+    Equal and hashed by its four fields; ``dist`` and ``diam`` are
     computed on first use and kept.
     """
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], unit: int,
-                 kind: str = "custom", coords: tuple = (), label: str = ""):
+                 kind: str = "custom", coords: tuple = ()):
         put = object.__setattr__
         put(self, "rows", rows)
         put(self, "unit", unit)
         put(self, "kind", kind)
         put(self, "coords", coords)
-        put(self, "label", label)
 
     def _key(self) -> tuple:
-        return self.rows, self.unit, self.kind, self.coords, self.label
+        return self.rows, self.unit, self.kind, self.coords
 
     def __repr__(self) -> str:
         return (f"FiniteMetricSpace(rows={self.rows!r}, unit={self.unit!r}, "
-                f"kind={self.kind!r}, coords={self.coords!r}, "
-                f"label={self.label!r})")
+                f"kind={self.kind!r}, coords={self.coords!r})")
 
     @property
     def n(self) -> int:
@@ -145,8 +143,8 @@ def scale_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
                   for row in rows]
 
 
-def make_space(rows: Sequence[Sequence], kind: str = "custom",
-               label: str = "") -> FiniteMetricSpace:
+def make_space(rows: Sequence[Sequence], kind: str = "custom"
+               ) -> FiniteMetricSpace:
     """The space of a rational distance matrix, validated on its ints."""
     if len(rows) < 2:
         raise ValueError("metric space must contain at least two points")
@@ -154,8 +152,7 @@ def make_space(rows: Sequence[Sequence], kind: str = "custom",
     report = validate_metric(ints)
     if not report.ok:
         raise ValueError(f"invalid metric: {report.violation}")
-    return FiniteMetricSpace(tuple(map(tuple, ints)), unit, kind=kind,
-                             label=label)
+    return FiniteMetricSpace(tuple(map(tuple, ints)), unit, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +195,7 @@ def generate_space(kind: str, param: int) -> FiniteMetricSpace:
         coords = tuple((steps[i], steps[j]) for i, j in idx)
     else:
         raise ValueError(f"unknown space kind {kind!r}")
-    return FiniteMetricSpace(rows, unit, kind=kind, coords=coords,
-                             label=f"{kind}({param})")
+    return FiniteMetricSpace(rows, unit, kind=kind, coords=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +271,11 @@ def full_separation_level(space: FiniteMetricSpace, r: Fraction, k0: int) -> int
     return level
 
 
-class Net(NamedTuple):
-    level: int
-    separation: Fraction
-    centers: tuple[int, ...]
-
-
-def maximal_separated_net(
-    space: FiniteMetricSpace,
-    separation: Fraction,
-    level: int = 0,
-) -> Net:
+def maximal_separated_net(space: FiniteMetricSpace, separation: Fraction
+                          ) -> tuple[int, ...]:
     """Greedy maximal ``separation``-separated subset, swept in ascending
-    point id order.  Deterministic and seed-free."""
+    point id order, so the centers come out ascending.  Deterministic and
+    seed-free."""
     if separation <= 0:
         raise ValueError("separation must be positive")
     bound = math.ceil(separation * space.unit)  # d >= separation, on ints
@@ -295,7 +283,7 @@ def maximal_separated_net(
     for p, row in enumerate(space.rows):
         if all(row[c] >= bound for c in centers):
             centers.append(p)
-    return Net(level=level, separation=separation, centers=tuple(sorted(centers)))
+    return tuple(centers)
 
 
 def doubling_estimate(space: FiniteMetricSpace) -> int:
@@ -357,7 +345,7 @@ def load_space_csv(path) -> FiniteMetricSpace:
         if len(parts) != n:
             raise ValueError(f"row with {len(parts)} entries, expected {n}")
         rows.append([Fraction(p) for p in parts])
-    return make_space(rows, kind="custom", label=str(path))
+    return make_space(rows, kind="custom")
 
 
 def save_space_csv(space: FiniteMetricSpace, path) -> None:

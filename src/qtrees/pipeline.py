@@ -23,7 +23,7 @@ from qtrees.coverings import CoveringError, CoveringSequence, \
     build_covering, save_covering_json
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
-from qtrees.presets import PipelineConfig
+from qtrees.presets import PRESETS, PipelineConfig
 from qtrees.reporting import CheckResult, dump_json, jsonable, suite_dict
 
 if TYPE_CHECKING:
@@ -125,17 +125,10 @@ class Pipeline:
         return self._once("labelling", "labelling", build)
 
     @property
-    def kappa(self) -> int:
-        if self.config.kappa is not None:
-            return self.config.kappa
-        from qtrees.labelling import min_kappa
-        return min_kappa(len(self.seq.colors))
-
-    @property
     def stage2(self) -> Stage2:
         def build():
             from qtrees.labelling import build_stage2
-            return build_stage2(self.labelling, self.kappa,
+            return build_stage2(self.labelling, self.config.kappa,
                                 research_kappa=self.config.research_kappa)
         return self._once("stage2", "stage2", build)
 
@@ -168,12 +161,17 @@ class Pipeline:
                 checks += pair_checks
             elif suite == "stage2":
                 from qtrees.labelling import check_binary_stage, \
-                    check_net_coloring, check_sentences, stage2_suite
+                    check_net_coloring, check_sentences, min_kappa, \
+                    stage2_suite
                 checks, extra = stage2_suite(self.stage2)
                 checks.append(check_net_coloring(self.graph,
                                                  self.labelling.coloring))
                 checks.append(check_sentences(self.labelling))
                 checks.append(check_binary_stage(self.stage2))
+                kappa = self.stage2.kappa  # below only under research_kappa
+                if kappa < min_kappa(len(self.stage2.colors)):
+                    from qtrees.morse_thue import check_small_kappa_collision
+                    checks.append(check_small_kappa_collision(kappa))
             else:
                 raise ValueError(f"unknown pipeline suite {suite!r}")
             self._suites[suite] = checks, extra
@@ -199,7 +197,7 @@ class Pipeline:
             band = visual_metric_constants(graph)
 
         return {
-            "config": _config_dict(self.config, self.kappa),
+            "config": _config_dict(self.config, self.stage2.kappa),
             "graph": graph_summary(graph, delta=estimate_delta(graph),
                                    band=band),
             "doubling": metric.doubling_estimate(self.space),
@@ -239,9 +237,10 @@ def _config_dict(config: PipelineConfig, kappa: int) -> dict:
         "colors": config.n_colors,
         "kappa": kappa,
         "preset": config.preset,
-        # presets pin parameter tuples known to validate; anything else is
-        # exploratory and marked as such
-        "pinned": bool(config.preset),
+        # a preset pins a config known to validate; overriding anything but
+        # the seed or the output directory, which no report byte reads, unpins
+        "pinned": config._replace(seed=0, out_dir=None) ==
+                  PRESETS.get(config.preset),
     }
 
 

@@ -3,7 +3,7 @@
 Each suite is a list of CheckResults keyed by stable check ids; skipped
 hypotheses surface as "inconclusive" entries with counts, never as
 silent omissions.  The codec and sequence suites are config-independent
-apart from the seed and (for negative controls) the page capacity.
+apart from the seed.
 
 The codec checks sweep every in-bound sentence as a tuple of words, in
 ``itertools.product`` order, and get its pages and rest from its
@@ -41,8 +41,7 @@ from qtrees.diary import (
     member_rest_segments,
     reconstruct,
 )
-from qtrees.reporting import CheckResult, EXPECTED_FAIL, FAIL, PASS, \
-    SUITES, suite_dict
+from qtrees.reporting import CheckResult, FAIL, PASS, SUITES, suite_dict
 
 if TYPE_CHECKING:
     from qtrees.pipeline import Pipeline
@@ -59,12 +58,11 @@ def run_suite(config: PipelineConfig, suite: str) -> dict:
     from qtrees.pipeline import Pipeline
     pipe = Pipeline(config)
     if suite != "all":
-        return _suite(config, suite, pipe)
+        return _suite(pipe, suite)
     others = [name for name in SUITES[:-1] if name != "diary"]
     diary, out = _beside(diary_suite, lambda: {
-        name: _suite(config, name, pipe) for name in others})
+        name: _suite(pipe, name) for name in others})
     out["diary"] = suite_dict("diary", diary)
-    out = {name: out[name] for name in SUITES[:-1]}
     return {"suite": "all", "ok": all(s["ok"] for s in out.values()),
             "suites": out}
 
@@ -109,27 +107,21 @@ def _beside(work, meanwhile) -> tuple:
     return (pickle.loads(data) if status == 0 else work()), theirs
 
 
-def _suite(config: PipelineConfig, suite: str, pipe: Pipeline) -> dict:
+def _suite(pipe: Pipeline, suite: str) -> dict:
     if suite == "diary":
         return suite_dict("diary", diary_suite())
     if suite == "morse_thue":
-        return suite_dict("morse_thue", morse_thue_suite(
-            seed=config.seed, kappa=config.kappa,
-            research=config.research_kappa))
+        return suite_dict("morse_thue",
+                          morse_thue_suite(seed=pipe.config.seed))
     from qtrees.coverings import CoveringError
     from qtrees.pipeline import StageError
     try:
-        checks = list(pipe.checks(suite))
+        return suite_dict(suite, pipe.checks(suite))
     except StageError as exc:
         if not isinstance(exc.cause, CoveringError):
             raise
         return suite_dict(suite, [
             CheckResult("covering-contract", FAIL, notes=str(exc.cause))])
-    if suite == "stage2" and config.research_kappa:
-        from qtrees.labelling import min_kappa
-        if pipe.kappa < min_kappa(len(pipe.seq.colors)):
-            checks.append(check_small_kappa_collision(pipe.kappa))
-    return suite_dict(suite, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +346,8 @@ def _unslotted_run(slotted, stop_index: int) -> tuple[int, bool]:
 # Sequence suite
 
 
-def morse_thue_suite(seed: int = 0, kappa: Optional[int] = None,
-                     research: bool = False) -> list[CheckResult]:
-    checks = [
+def morse_thue_suite(seed: int = 0) -> list[CheckResult]:
+    return [
         check_prefix(),
         check_cube_free(2048),
         check_decorate_strip(),
@@ -364,9 +355,6 @@ def morse_thue_suite(seed: int = 0, kappa: Optional[int] = None,
         mt.check_equal_diaries(kappa=16, n=3, seed=seed),
         check_long_journey(),
     ]
-    if research and kappa is not None and kappa < 16:
-        checks.append(check_small_kappa_collision(kappa))
-    return checks
 
 
 def check_prefix() -> CheckResult:
@@ -424,36 +412,4 @@ def check_long_journey(kappa: int = 3, k: int = 30, n_stops: int = 2
         res.add_violation({"reason": "undecorated diaries differ"})
     if encode(mt.decorate(alpha), kappa) == encode(mt.decorate(beta), kappa):
         res.add_violation({"reason": "decorated diaries collide"})
-    return res
-
-
-def check_small_kappa_collision(kappa: int, search: int = 400) -> CheckResult:
-    """Negative control: below the safe page capacity there are valid
-    decorated single-word sentences with equal diaries whose level-1
-    letters differ.  The letter-identification property only survives
-    because its stop-density hypotheses exclude such pairs; reported as
-    expected-fail to document the boundary."""
-    res = CheckResult(f"mt-small-kappa-k{kappa}", EXPECTED_FAIL)
-    witness = None
-    for m in range(kappa + 1, search):
-        for mp in range(m + 1, search):
-            if all(mt.mt_bit(m - i) == mt.mt_bit(mp - i)
-                   for i in range(kappa)):
-                witness = (m, mp)
-                break
-        if witness:
-            break
-    if witness is None:
-        res.notes = f"no shifted bit-window of length {kappa} under {search}"
-        return res
-    m, mp = witness
-    alpha = mt.decorate(("b",) + ("a",) * (m - 1) + (STOP,))
-    beta = mt.decorate(("a",) * mp + (STOP,))
-    res.checked = 1
-    collide = encode(alpha, kappa) == encode(beta, kappa)
-    differ = alpha[0] != beta[0]
-    res.notes = (
-        f"lengths {m} vs {mp}: equal diaries with different level-1 letters"
-        if collide and differ else
-        f"witness lengths {m} vs {mp} did not collide")
     return res

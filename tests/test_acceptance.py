@@ -13,7 +13,7 @@ from qtrees.approx import approx_suite, build_approximation
 from qtrees.coverings import CoveringError, build_covering, \
     validate_covering_sequence
 from qtrees.diary import decode, encode, encode_segments, format_diary, \
-    is_honest, parse_sentence, reconstruct
+    is_honest, reconstruct
 from qtrees.labelling import check_binary_stage, stage2_suite
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import decorate, is_cube_free, long_journey_pair, \
@@ -150,7 +150,7 @@ def test_criterion_1_codec_oracle():
 
 
 def test_criterion_2_worked_example():
-    sent = parse_sentence("a a b c s a s b c b s c s b s")
+    sent = tuple("a a b c s a s b c b s c s b s".split())
     pages = encode(sent, 3)
     text = format_diary(pages)
     slotted = reconstruct(pages, 3)

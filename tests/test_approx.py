@@ -292,14 +292,16 @@ def test_disconnected_graph_is_an_approximation_error(monkeypatch):
     # keep one center of the level above the deepest: the deepest centers
     # far from it get no radial edge, and the graph is not built
     original = approx.maximal_separated_net
+    pipe = Pipeline(PRESETS["cantor"])
+    scale = pipe.scale
 
-    def thinned(space, sep, level):
-        net = original(space, sep, level)
-        if level == PRESETS["cantor"].max_level - 1:
-            return net._replace(centers=net.centers[:1])
-        return net
+    def thinned(space, sep):
+        centers = original(space, sep)
+        if sep == scale.sep(scale.max_level - 1):
+            return centers[:1]
+        return centers
 
     monkeypatch.setattr(approx, "maximal_separated_net", thinned)
     with pytest.raises(StageError,
                        match=r"^\[approximation\] .*not connected"):
-        Pipeline(PRESETS["cantor"]).graph
+        pipe.graph

@@ -90,23 +90,64 @@ def test_verify_unknown_suite_usage_error():
 
 
 def test_verify_morse_thue_research_kappa(capsys):
+    # the control below the proven page capacity is stage 2's alone:
+    # verify morse_thue reads only the seed
     code = main(["verify", "morse_thue", "--research-kappa", "--kappa", "3"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    by_id = {r["id"]: r for r in report["results"]}
-    assert "mt-small-kappa-k3" in by_id
+    assert not [r["id"] for r in report["results"]
+                if r["id"].startswith("mt-small-kappa-")]
+    code = main(["run", "--preset", "cantor", "--research-kappa",
+                 "--kappa", "3"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    by_id = {r["id"]: r for r in report["suites"]["stage2"]["results"]}
     assert by_id["mt-small-kappa-k3"]["status"] == "expected_fail"
 
 
+# the presets, and two page capacities below the proven bound 15C + 1
+SUITE_CONFIGS = {
+    **{name: config_for(name) for name in PRESETS},
+    "cantor-k5": config_for("cantor", research_kappa=True, kappa=5),
+    "circle-k20": config_for("circle", research_kappa=True, kappa=20),
+}
+
+
 def test_verify_all_maps_every_check_once():
-    report = run_suite(config_for("cantor"), "all")
-    assert report["ok"] is True
-    seen = []
-    for suite in report["suites"].values():
-        for entry in suite["results"]:
-            seen.append(entry["id"])
-            assert entry["status"] in ("pass", "inconclusive", "expected_fail")
-    assert len(seen) == len(set(seen))
+    for name in ("cantor", "cantor-k5", "circle-k20"):
+        report = run_suite(SUITE_CONFIGS[name], "all")
+        assert report["ok"] is True, name
+        seen = []
+        for suite in report["suites"].values():
+            for entry in suite["results"]:
+                seen.append(entry["id"])
+                assert entry["status"] in ("pass", "inconclusive",
+                                           "expected_fail")
+        assert len(seen) == len(set(seen)), name
+        if name != "cantor":
+            kappa = SUITE_CONFIGS[name].kappa
+            assert f"mt-small-kappa-k{kappa}" in [
+                r["id"] for r in report["suites"]["stage2"]["results"]]
+
+
+@pytest.mark.parametrize("args,out,pinned", [
+    (("--preset", "cantor"), False, True),
+    (("--preset", "cantor", "--seed", "3"), False, True),
+    (("--preset", "cantor"), True, True),
+    (("--preset", "cantor", "--max-level", "3"), False, False),
+    (("--preset", "cantor", "--kappa", "20"), False, False),
+    (("--space", "grid", "--n", "3", "--max-level", "2"), False, False),
+], ids=["preset", "seed", "out", "max-level", "kappa", "grid"])
+def test_only_an_unchanged_preset_is_pinned(args, out, pinned, tmp_path,
+                                            capsys):
+    # the seed and the output directory reach no report byte
+    argv = ["run", *args] + (["--out", str(tmp_path)] if out else [])
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["pinned"] is pinned
+    if out:
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert saved["config"]["pinned"] is pinned
 
 
 def test_export_writes_artifacts(tmp_path, capsys):
@@ -195,10 +236,12 @@ def test_bad_space_file_is_a_named_space_error(tmp_path, capsys, text,
     assert err == [f"error: [space] {reason}"]
 
 
-@pytest.mark.parametrize("preset", ["cantor", "grid"])
+@pytest.mark.parametrize("preset", list(SUITE_CONFIGS))
 def test_verify_all_matches_run_report(preset):
-    suites = run_suite(config_for(preset), "all")["suites"]
-    report = run_pipeline(config_for(preset)).report["suites"]
+    # every check entry (id, status, count, notes, violations) of run's
+    # pipeline suites is the one verify all reports, controls included
+    suites = run_suite(SUITE_CONFIGS[preset], "all")["suites"]
+    report = run_pipeline(SUITE_CONFIGS[preset]).report["suites"]
     for name in ("approx", "covering", "stage1", "stage2"):
         assert suites[name]["results"] == report[name]["results"], name
 
@@ -222,12 +265,11 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
     from qtrees import metric
 
     original = metric.maximal_separated_net
-    levels = []
+    separations = []
 
-    def counted(*args, **kwargs):
-        net = original(*args, **kwargs)
-        levels.append(net.level)
-        return net
+    def counted(space, separation):
+        separations.append(separation)
+        return original(space, separation)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("qtrees") and \
@@ -236,8 +278,10 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
     pipe = Pipeline(PRESETS["cantor"])
     export_artifacts(pipe, tmp_path)
     assert pipe.ok
-    assert sorted(levels) == list(range(pipe.scale.k0,
-                                        pipe.scale.max_level + 2))
+    # r^k falls as k grows: one separation per level, deepest last
+    scale = pipe.scale
+    assert sorted(separations, reverse=True) == [
+        scale.sep(k) for k in range(scale.k0, scale.max_level + 2)]
 
 
 GOLDEN_SHA256 = {

@@ -250,7 +250,6 @@ def test_conflict_coloring_basics():
 
 
 def test_critical_letters_op(circle_lab):
-    from qtrees.labelling import critical_letters
     from qtrees.stage1 import DISTINCT, classify_pair
     import itertools
 
@@ -274,7 +273,8 @@ def test_critical_letters_op(circle_lab):
                        elements[u].region.contains_point(
                            g.space.coords[w.center])), None)
             if ua and ub and ua != ub:
-                a, m, b, mp = critical_letters(lab, c, ua, ub, l)
+                a, m = lab.letter_at_level(c, ua, l)
+                b, mp = lab.letter_at_level(c, ub, l)
                 assert a != b and abs(m - mp) <= 2
                 found = True
         if found:
@@ -283,13 +283,12 @@ def test_critical_letters_op(circle_lab):
 
 
 def test_critical_letters_precondition(circle_lab):
-    from qtrees.labelling import critical_letters
-
+    # a critical letter needs an element past its level: the root, at
+    # level 0, has no letter of level 1
     lab = circle_lab
-    tree = lab.stage1.trees[0]
-    root = tree.root
-    with pytest.raises(ValueError):
-        critical_letters(lab, 0, root, root, 1)
+    root = lab.stage1.trees[0].root
+    with pytest.raises(ValueError, match="no letter of level 1"):
+        lab.letter_at_level(0, root, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,7 @@ def test_stage2_tables_match_from_scratch_references(name):
                 with pytest.raises(ValueError):
                     lab.letter_at_level(c, uid, outside)
     # small capacities carry a rest from page to page; the run's does not
-    for kappa in (pipe.kappa, 1, 2, 3):
+    for kappa in (pipe.stage2.kappa, 1, 2, 3):
         st2 = build_stage2(lab, kappa, research_kappa=True)
         for (c, uid), sent in sentences.items():
             assert st2.diaries[c, uid] == encode(sent, kappa)

@@ -211,8 +211,8 @@ def test_scale_powers_are_computed_once_per_instance():
 def test_greedy_net_examples():
     rows = [[F(0), F(2, 5), F(1)], [F(2, 5), F(0), F(3, 5)], [F(1), F(3, 5), F(0)]]
     s = make_space(rows)
-    assert maximal_separated_net(s, F(1, 2)).centers == (0, 2)
-    assert maximal_separated_net(s, F(3, 10)).centers == (0, 1, 2)
+    assert maximal_separated_net(s, F(1, 2)) == (0, 2)
+    assert maximal_separated_net(s, F(3, 10)) == (0, 1, 2)
 
 
 def test_full_separation_level_reaches_the_min_gap():
@@ -226,8 +226,7 @@ def test_net_separation_and_maximality():
     s = generate_space("cantor", 4)
     for k in range(0, 4):
         sep = F(1, 9) ** k
-        net = maximal_separated_net(s, sep, k)
-        centers = net.centers
+        centers = maximal_separated_net(s, sep)
         for i, a in enumerate(centers):
             for b in centers[i + 1:]:
                 assert s.d(a, b) >= sep
@@ -239,8 +238,7 @@ def test_base_level_net_is_single_point():
     for kind, param, r in [("cantor", 4, F(1, 9)), ("circle", 81, F(1, 12))]:
         s = generate_space(kind, param)
         sc = ScaleParams.for_space(s, r)
-        net = maximal_separated_net(s, sc.sep(sc.k0), sc.k0)
-        assert len(net.centers) == 1
+        assert len(maximal_separated_net(s, sc.sep(sc.k0))) == 1
 
 
 def test_doubling_estimates():

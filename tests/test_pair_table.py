@@ -17,7 +17,7 @@ from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, Vertex, \
     build_approximation, check_ball_intersection_bound, \
     check_critical_level_distance, check_geodesic_shape, \
     check_horizontal_descent
-from qtrees.labelling import check_critical_letters, critical_letters
+from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, compute_k0, make_space
 from qtrees.pipeline import Pipeline
 from qtrees.presets import config_for
@@ -194,7 +194,8 @@ def reference_critical_letters(st2):
                              "reason": "shared element despite critical gap"})
                         continue
                     res.checked += 1
-                    a, m, b, mp = critical_letters(lab, c, ua, ub, l)
+                    a, m = lab.letter_at_level(c, ua, l)
+                    b, mp = lab.letter_at_level(c, ub, l)
                     if a == b:
                         res.add_violation({"pair": (v, w), "color": c,
                                            "elements": (ua, ub), "level": l,

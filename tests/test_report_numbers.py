@@ -77,8 +77,7 @@ def samples(draw):
 
 def sample_space(kind, points):
     d = METRICS[kind]
-    return make_space([[F(d(a, b)) for b in points] for a in points],
-                      label=kind)
+    return make_space([[F(d(a, b)) for b in points] for a in points])
 
 
 def sample_graph(kind, points, r, depth):
