@@ -10,17 +10,20 @@ inequalities the construction promises.
 The package imports no module eagerly, and each command loads only what
 it runs:
 
-- codec users load ``diary``, ``morse_thue`` and ``verify``;
-- every ``embed`` command loads the pipeline and the geometry stack
-  (``metric``, ``geometry``, ``approx``, ``coverings``); ``verify``
-  commands add ``verify`` with ``diary`` and ``morse_thue``, which is
-  all that ``verify approx|covering|diary|morse_thue`` run;
+- ``import qtrees.cli`` loads ``presets`` and ``reporting`` alone, which
+  define the configs, the suite names and ``StageError``;
+- codec users, and ``embed verify diary|morse_thue``, load ``verify``
+  with ``diary`` and ``morse_thue``, and no geometry module;
+- ``embed verify approx|covering`` load the pipeline and the geometry
+  stack (``metric``, ``geometry``, ``approx``, ``coverings``) and run the
+  suite on the pipeline, without ``verify`` or the codec;
 - ``verify stage1`` adds ``trees`` and ``stage1``, and ``run``,
-  ``export`` and ``verify stage2|all`` add ``labelling`` (with ``diary``
-  and ``morse_thue``) as well, each when the pipeline first builds the
-  stage that needs it.  ``run`` and ``export`` never load ``verify``;
-  ``verify all`` adds ``pickle`` for its diary worker, which needs no
-  process pool.
+  ``export`` and ``verify stage2`` add ``labelling`` (with ``diary`` and
+  ``morse_thue``) as well, each when the pipeline first builds the stage
+  that needs it.  ``run`` and ``export`` never load ``verify``;
+- ``embed verify all`` loads ``verify``, forks its diary worker (with
+  ``pickle``, and no process pool), and only then loads the pipeline and
+  runs the other suites beside the worker.
 
 Records are ``typing.NamedTuple`` classes or plain classes, and no
 module loads ``dataclasses``, which would cost every start of a command

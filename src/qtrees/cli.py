@@ -5,6 +5,10 @@
     embed export --space cantor --depth 3 --r 1/9 --out dump/
 
 Exit status is nonzero whenever a validator or invariant check fails.
+
+Each command loads what it runs: `run`, `export` and the pipeline suites
+of `verify` load the pipeline, and `verify diary|morse_thue|all` load
+`verify`, which loads the pipeline for `all` alone.
 """
 from __future__ import annotations
 
@@ -12,9 +16,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from qtrees.pipeline import StageError, run_pipeline
 from qtrees.presets import PRESETS, SPACES, config_for
-from qtrees.reporting import SUITES, json_text
+from qtrees.reporting import PIPELINE_SUITES, SUITES, StageError, json_text
 
 
 def fraction(text: str) -> Fraction:
@@ -89,11 +92,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            # loaded only here: run and export never call it
-            from qtrees.verify import run_suite
-            report = run_suite(config, args.suite)
+            if args.suite in PIPELINE_SUITES:
+                from qtrees.pipeline import Pipeline
+                report = Pipeline(config).suite_report(args.suite)
+            else:
+                from qtrees.verify import run_suite
+                report = run_suite(config, args.suite)
             print(json_text(report), end="")
             return 0 if report["ok"] else 1
+        from qtrees.pipeline import run_pipeline
         result = run_pipeline(config)
         if args.command == "run":
             print(json_text(result.report), end="")

@@ -25,11 +25,34 @@ sequence it returns keeps that kernel: a run builds one, and every later
 stage reads it from the sequence.  What is reported stays as it was: the
 mesh, its bound and the Lebesgue numbers are Fractions, and violations
 name elements and points by id.
+
+The validator's pair loops skip the pairs that cannot fail.  Each region
+has an extent (`Region.extent`): one half-open int range per axis that
+holds the region, or None for the whole space, a point subset and an arc
+that wraps.  A net ball lies in its hull, the center plus or minus the
+radius on each axis.  Two sets whose hulls are apart on some axis do not
+meet, so the skips are exact:
+
+- disjointness tests no same-color pair whose extents are apart;
+- property (3) gathers U's balls among those whose hull is not apart
+  from U's extent, and tests no U' whose extent is apart from the hull of
+  those balls: every ball is then outside U', so the pair cannot break
+  separation.  It still counts in ``checked``.
+
+On the circle a ball reaching past 0 or the circumference wraps, and its
+hull is none, as is a wrapping arc's extent; a hull that lies in [0,
+circ] is the same set on the line as on the circle.  `_Near` sorts the
+extents by their start on the first axis, so the pairs left are found by
+bisection without a visit to the others, and are tested in the order of
+the plain loops: the checked counts and the violations, in order, are
+those of testing every pair.
 """
 from __future__ import annotations
 
+import collections
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
@@ -213,9 +236,11 @@ def validate_covering_sequence(seq: CoveringSequence, graph
                                   "bound": scale.sep(j)})
         result.checked += 1
 
-    # coverage and same-color disjointness per level
+    # coverage and same-color disjointness per level; two regions whose
+    # extents are apart on some axis do not meet, and are not tested
     kernel = seq.kernel
     coords, regions = kernel.coords, kernel.regions
+    extents = {uid: region.extent() for uid, region in regions.items()}
     for j in levels:
         fam = [regions[e.uid] for e in seq.family(j)]
         for z in space.points:
@@ -224,13 +249,14 @@ def validate_covering_sequence(seq: CoveringSequence, graph
                 result.add_violation({"property": "cover", "level": j, "point": z})
         for c in seq.colors:
             colored = seq.levels[j].get(c, ())
+            index = _Near([extents[e.uid] for e in colored])
             for i, e in enumerate(colored):
                 region = regions[e.uid]
-                for e2 in colored[i + 1:]:
-                    if region.meets_region(regions[e2.uid]):
+                for k in index.near(extents[e.uid]):
+                    if k > i and region.meets_region(regions[colored[k].uid]):
                         result.add_violation({
                             "property": "disjoint", "level": j, "color": c,
-                            "pair": (e.uid, e2.uid)})
+                            "pair": (e.uid, colored[k].uid)})
         result.checked += 1
 
     # (2) every level-(j+1) net ball fits in some level-j element; two
@@ -245,19 +271,39 @@ def validate_covering_sequence(seq: CoveringSequence, graph
                 result.add_violation({"property": 2, "level": j, "net_point": v})
             result.checked += 1
 
-    # (3) separation on same-color cross-level pairs
-    ball_cache = {j: [(v, coords[v]) for v in graph.net(j + 1)]
-                  for j in levels}
+    # (3) separation on same-color cross-level pairs (U, U').  A ball
+    # whose hull is apart from U's extent does not meet U, and every ball
+    # meeting U is outside a U' whose extent is apart from their hull: such
+    # a pair cannot break separation, and is counted without a test
+    circ = next((region.circ for region in regions.values()
+                 if isinstance(region, Arc)), None)
+    nets = {}
+    for j in levels:
+        radius = kernel.radius(j + 1)
+        net = [(v, coords[v]) for v in graph.net(j + 1)]
+        nets[j] = net, _Near([_hull([coord], radius, circ)
+                              for _, coord in net])
     for c in seq.colors:
         elements = seq.color_elements(c)
+        index = _Near([extents[e.uid] for e in elements])
+        # U pairs with the elements before upto[U.level] (elements run by
+        # level) but those of its own level and id, itself among them
+        upto = {e.level: k + 1 for k, e in enumerate(elements)}
+        own = collections.Counter((e.level, e.uid) for e in elements)
         for U in elements:
             radius = kernel.radius(U.level + 1)
             region = regions[U.uid]
-            balls = [(v, coord) for v, coord in ball_cache[U.level]
-                     if region.meets_ball(coord, radius)]
-            for Up in elements:
-                if Up is U or Up.level > U.level:
-                    continue
+            net, net_index = nets[U.level]
+            balls = [net[k] for k in net_index.near(extents[U.uid])
+                     if region.meets_ball(net[k][1], radius)]
+            result.checked += upto[U.level] - own[U.level, U.uid]
+            if not balls:
+                continue
+            for k in index.near(_hull([coord for _, coord in balls], radius,
+                                      circ)):
+                if k >= upto[U.level]:
+                    break
+                Up = elements[k]
                 if Up.level == U.level and Up.uid == U.uid:
                     continue
                 region_p = regions[Up.uid]
@@ -275,8 +321,60 @@ def validate_covering_sequence(seq: CoveringSequence, graph
                     result.add_violation({
                         "property": 3, "color": c, "pair": (U.uid, Up.uid),
                         "ball": witness})
-                result.checked += 1
     return result
+
+
+def _apart(a: tuple, b: tuple) -> bool:
+    """Are two hulls, each one half-open ``(lo, hi)`` per axis, apart on
+    some axis?"""
+    for (lo, hi), (lo2, hi2) in zip(a, b):
+        if hi <= lo2 or hi2 <= lo:
+            return True
+    return False
+
+
+def _hull(centers: list, radius: int, circ: Optional[int]
+          ) -> Optional[tuple]:
+    """The hull of the open balls of ``radius`` around ``centers`` (ints
+    on the line, or int pairs in the plane), one ``(min - radius, max +
+    radius)`` per axis.  On a circle of circumference ``circ`` a ball
+    reaching past 0 or circ wraps, and there is no hull: None."""
+    axes = zip(*centers) if isinstance(centers[0], tuple) else (centers,)
+    hull = tuple((min(axis) - radius, max(axis) + radius) for axis in axes)
+    if circ is not None and not (0 <= hull[0][0] and hull[0][1] <= circ):
+        return None
+    return hull
+
+
+class _Near:
+    """Hulls sorted by where they start on the first axis, so that the
+    hulls not apart from a query are found by bisection, without a visit
+    to the others.  A hull that is None is near every query."""
+
+    def __init__(self, hulls: list[Optional[tuple]]):
+        self.hulls = hulls
+        self.unbounded = [k for k, h in enumerate(hulls) if h is None]
+        keyed = sorted((h[0][0], k) for k, h in enumerate(hulls)
+                       if h is not None)
+        self.starts = [lo for lo, _ in keyed]
+        self.order = [k for _, k in keyed]
+        self.width = max((h[0][1] - h[0][0] for h in hulls if h is not None),
+                         default=0)
+
+    def near(self, hull: Optional[tuple]) -> Sequence[int]:
+        """The indices, ascending, of the hulls not apart from ``hull``;
+        every index when ``hull`` is None."""
+        if hull is None:
+            return range(len(self.hulls))
+        lo, hi = hull[0]
+        # a hull meeting [lo, hi) on the first axis starts before hi, and
+        # no earlier than its width before lo
+        first = bisect_right(self.starts, lo - self.width)
+        last = bisect_left(self.starts, hi)
+        hulls = self.hulls
+        return sorted([*self.unbounded,
+                       *(k for k in self.order[first:last]
+                         if not _apart(hulls[k], hull))])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +517,9 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
     offset by (c/3, c/3) * S, then shrunk by g = 2 r^(j+1) on every
     side.  A point near one family's gridline is deep inside another's tile,
     which is why three colors suffice in the plane.  Alignment of seams
-    across levels requires 1/r = 1 (mod 3).
+    across levels requires 1/r = 1 (mod 3).  The tiles are found on the
+    int lattice of a unit that clears S/3 and g, and each distinct bound
+    becomes a Fraction once.
     """
     if space.kind != "grid":
         raise CoveringError("shifted cubes expect a grid space")
@@ -436,23 +536,28 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
         g = 2 * scale.sep(j + 1)
         if 2 * g >= side:
             raise CoveringError(f"tiles at level {j} vanish after shrinking")
+        unit = math.lcm(space.unit, (side / 3).denominator, g.denominator)
+        third, g = scale_number(side / 3, unit), scale_number(g, unit)
+        side = 3 * third
+        bounds: dict[int, Fraction] = {}
         fam: dict[int, list[CoveringElement]] = {c: [] for c in colors}
         seen: set[tuple] = set()
-        for p in space.points:
-            x, y = space.coords[p]
+        for x, y in space.lattice(unit):
             for c in colors:
-                off = Fraction(c, 3) * side
+                off = c * third
                 mx = (x - off) // side
                 my = (y - off) // side
                 key = (c, mx, my)
                 if key in seen:
                     continue
-                x0 = off + mx * side + g
-                x1 = off + (mx + 1) * side - g
-                y0 = off + my * side + g
-                y1 = off + (my + 1) * side - g
-                fam[c].append(_candidate(c, j, BoxRegion(x0, x1, y0, y1),
-                                         len(seen)))
+                box = (off + mx * side + g, off + (mx + 1) * side - g,
+                       off + my * side + g, off + (my + 1) * side - g)
+                for b in box:
+                    if b not in bounds:
+                        bounds[b] = Fraction(b, unit)
+                fam[c].append(_candidate(
+                    c, j, BoxRegion(*map(bounds.__getitem__, box)),
+                    len(seen)))
                 seen.add(key)
         levels[j] = {c: tuple(v) for c, v in fam.items()}
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)

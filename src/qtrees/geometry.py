@@ -23,7 +23,9 @@ compare with radii in that unit.  A covering sequence holds its own
 unit, a multiple of the space's.  Covering generation, the covering
 validator, the color trees and their checks, the stage-1 map, the
 containing chains and the edge letters run their region tests on it.
-Reported diameters come from the Fraction certificates.
+Reported diameters come from the Fraction certificates.  `Region.extent`
+is a range per axis holding the region, by which the covering validator
+skips the pairs that lie apart.
 """
 from __future__ import annotations
 
@@ -107,6 +109,14 @@ class Region(Frozen):
         the region; None when the point is outside, ``cap`` when there is
         no complement."""
         raise NotImplementedError
+
+    def extent(self) -> Optional[tuple]:
+        """A hull of the region on the coordinate line or plane: one
+        half-open ``(lo, hi)`` per axis, holding every point of the region.
+        None where the region has no such hull: the whole space, a point
+        subset, and an arc that wraps past the end of the circle or is the
+        whole circle."""
+        return None
 
     def denominator(self) -> int:
         """The least unit that `scaled` accepts."""
@@ -231,6 +241,9 @@ class LineIntervals(Region):
                   for lo, hi in self.intervals if lo <= x < hi]
         return max(inside) if inside else None
 
+    def extent(self):
+        return ((self.intervals[0][0], self.intervals[-1][1]),)
+
     def denominator(self) -> int:
         return _lcm_of_denominators(x for iv in self.intervals for x in iv)
 
@@ -323,6 +336,11 @@ class Arc(Region):
         off = (x - self.start) % self.circ
         return min(off, self.length - off) if off < self.length else None
 
+    def extent(self):
+        end = self.start + self.length
+        return ((self.start, end),) if end <= self.circ and \
+            self.length < self.circ else None
+
     def denominator(self) -> int:
         return _lcm_of_denominators((self.start, self.length, self.circ))
 
@@ -407,6 +425,9 @@ class BoxRegion(Region):
             return None
         x, y = p
         return min(x - self.x0, self.x1 - x, y - self.y0, self.y1 - y)
+
+    def extent(self):
+        return (self.x0, self.x1), (self.y0, self.y1)
 
     def denominator(self) -> int:
         return _lcm_of_denominators((self.x0, self.x1, self.y0, self.y1))

@@ -24,20 +24,14 @@ from qtrees.coverings import CoveringError, CoveringSequence, \
 from qtrees.metric import FiniteMetricSpace, ScaleParams, generate_space, \
     load_space_csv
 from qtrees.presets import PRESETS, PipelineConfig
-from qtrees.reporting import CheckResult, dump_json, jsonable, suite_dict
+# StageError is defined with the reports, so that the CLI catches it
+# without loading this module; importers read it from here as well
+from qtrees.reporting import FAIL, PIPELINE_SUITES, CheckResult, \
+    StageError, dump_json, jsonable, suite_dict
 
 if TYPE_CHECKING:
     from qtrees.labelling import Labelling, Stage2
     from qtrees.stage1 import PairRow, Stage1
-
-PIPELINE_SUITES = ("approx", "covering", "stage1", "stage2")
-
-
-class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 def build_space(config: PipelineConfig) -> FiniteMetricSpace:
@@ -84,6 +78,10 @@ class Pipeline:
             if scale.max_level == scale.k0:
                 raise ValueError(f"max_level {scale.max_level} is the base "
                                  "level: the graph would be its root alone")
+            if scale.max_level < 1:
+                raise ValueError(f"max_level {scale.max_level} is below 1: "
+                                 "the covering would be level 0 alone, and "
+                                 "every vertex would map to its tree root")
             return scale
         return self._once("scale", "space", build)
 
@@ -137,6 +135,19 @@ class Pipeline:
     def checks(self, suite: str) -> list[CheckResult]:
         """The checks of one of PIPELINE_SUITES."""
         return self._suite(suite)[0]
+
+    def suite_report(self, suite: str) -> dict:
+        """One of PIPELINE_SUITES as `embed verify` prints it.  A covering
+        that fails its contract is reported as a failed
+        ``covering-contract`` check with the reason as its note; every
+        other stage failure is raised."""
+        try:
+            return suite_dict(suite, self.checks(suite))
+        except StageError as exc:
+            if not isinstance(exc.cause, CoveringError):
+                raise
+            return suite_dict(suite, [
+                CheckResult("covering-contract", FAIL, notes=str(exc.cause))])
 
     @property
     def pair_rows(self) -> list[PairRow]:

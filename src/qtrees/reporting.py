@@ -1,8 +1,9 @@
-"""Check results and deterministic JSON serialization.
+"""Check results, stage errors and deterministic JSON serialization.
 
 Reports must be byte-identical for identical configs, so everything here
 is sorted, fractions are rendered as "p/q" strings, and nothing records
-wall-clock time.
+wall-clock time.  Every command loads this module, so the CLI names the
+suites and catches a `StageError` without loading the pipeline.
 """
 from __future__ import annotations
 
@@ -20,6 +21,19 @@ MAX_VIOLATIONS_KEPT = 20
 # pipeline
 SUITES = ("approx", "covering", "stage1", "diary", "morse_thue", "stage2",
           "all")
+# the suites that read a config's pipeline; the codec and sequence suites
+# read nothing of the config but the seed
+PIPELINE_SUITES = ("approx", "covering", "stage1", "stage2")
+
+
+class StageError(RuntimeError):
+    """A failure while building one stage of a pipeline, named by the
+    stage: the CLI reports it as one line and exit status 2."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"[{stage}] {cause}")
+        self.stage = stage
+        self.cause = cause
 
 
 def frac_str(x: Fraction) -> str:

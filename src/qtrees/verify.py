@@ -15,11 +15,13 @@ costs one decoder step (``diary.decode_step``) from its prefix class's
 state, and star-honesty reads the honesty verdicts of the prefix classes'
 states.  The converse pass still encodes every fill with the whole fold,
 which checks the step-wise pages on every sentence.  The pipeline and the
-geometry stack are imported inside ``run_suite``, and the tree side only
-where a suite reads it, so codec users and ``verify approx|covering``
+geometry stack are imported only when ``run_suite`` runs a pipeline
+suite, and the tree side only where a suite reads it, so codec users
 never load what they do not run.  The CLI loads this module for
-``verify`` only.  ``verify all`` runs the codec suite in a worker made
-with ``os.fork``, beside the suites that read the config.
+``verify diary|morse_thue|all`` only: it runs the pipeline suites on the
+pipeline itself.  ``verify all`` runs the codec suite in a worker made
+with ``os.fork`` before the pipeline loads, so the geometry stack loads
+and the suites that read the config run beside the worker.
 """
 from __future__ import annotations
 
@@ -41,27 +43,39 @@ from qtrees.diary import (
     member_rest_segments,
     reconstruct,
 )
-from qtrees.reporting import CheckResult, FAIL, PASS, SUITES, suite_dict
+from qtrees.reporting import PASS, PIPELINE_SUITES, SUITES, CheckResult, \
+    suite_dict
 
 if TYPE_CHECKING:
-    from qtrees.pipeline import Pipeline
     from qtrees.presets import PipelineConfig
 
 
 def run_suite(config: PipelineConfig, suite: str) -> dict:
-    """One named suite, or "all" of them on one shared pipeline.  Under
-    "all" the codec suite, which reads nothing of the config, runs in a
-    forked worker while this process runs the others."""
+    """One named suite, or "all" of them, the pipeline suites on one
+    shared pipeline.  Under "all" the codec suite, which reads nothing of
+    the config, runs in a worker forked before this process loads the
+    pipeline, so the geometry stack loads beside the worker."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    # the geometry stack loads here, so codec-only users never import it
-    from qtrees.pipeline import Pipeline
-    pipe = Pipeline(config)
+    if suite == "diary":
+        return suite_dict("diary", diary_suite())
+    if suite == "morse_thue":
+        return suite_dict("morse_thue", morse_thue_suite(seed=config.seed))
+    # the geometry stack loads only past this point, so the codec and
+    # sequence suites never import it
     if suite != "all":
-        return _suite(pipe, suite)
-    others = [name for name in SUITES[:-1] if name != "diary"]
-    diary, out = _beside(diary_suite, lambda: {
-        name: _suite(pipe, name) for name in others})
+        from qtrees.pipeline import Pipeline
+        return Pipeline(config).suite_report(suite)
+
+    def others() -> dict:
+        from qtrees.pipeline import Pipeline
+        pipe = Pipeline(config)
+        out = {name: pipe.suite_report(name) for name in PIPELINE_SUITES}
+        out["morse_thue"] = suite_dict("morse_thue",
+                                       morse_thue_suite(seed=config.seed))
+        return out
+
+    diary, out = _beside(diary_suite, others)
     out["diary"] = suite_dict("diary", diary)
     return {"suite": "all", "ok": all(s["ok"] for s in out.values()),
             "suites": out}
@@ -105,23 +119,6 @@ def _beside(work, meanwhile) -> tuple:
         finally:
             status = os.waitpid(pid, 0)[1]
     return (pickle.loads(data) if status == 0 else work()), theirs
-
-
-def _suite(pipe: Pipeline, suite: str) -> dict:
-    if suite == "diary":
-        return suite_dict("diary", diary_suite())
-    if suite == "morse_thue":
-        return suite_dict("morse_thue",
-                          morse_thue_suite(seed=pipe.config.seed))
-    from qtrees.coverings import CoveringError
-    from qtrees.pipeline import StageError
-    try:
-        return suite_dict(suite, pipe.checks(suite))
-    except StageError as exc:
-        if not isinstance(exc.cause, CoveringError):
-            raise
-        return suite_dict(suite, [
-            CheckResult("covering-contract", FAIL, notes=str(exc.cause))])
 
 
 # ---------------------------------------------------------------------------

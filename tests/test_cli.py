@@ -457,6 +457,23 @@ def test_base_level_truncation_is_a_space_error(argv, capsys):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["verify", "all"]])
+@pytest.mark.parametrize("level, reason", [
+    ("0", "max_level 0 is below 1: the covering would be level 0 alone, and "
+          "every vertex would map to its tree root"),
+    ("-1", "max_level -1 is the base level: the graph would be its root "
+           "alone"),
+], ids=["level0", "base"])
+def test_grid_truncation_below_level_one_is_a_space_error(argv, level, reason,
+                                                         capsys):
+    # grid's base level is -1; at max level 0 every color tree would be its
+    # root and every check inconclusive
+    code = main([*argv, "--preset", "grid", "--max-level", level])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: [space] {reason}"]
+    assert_no_child_left()
+
+
 def test_one_run_builds_one_covering_kernel(tmp_path, monkeypatch):
     # generation, the validator, the stage-1 map, the color-tree checks and
     # the edge letters share the kernel generation built

@@ -78,6 +78,35 @@ def test_scaled_region_tests_match_fractions(case):
     assert sa.depth(sc, 7 * unit) == (None if depth is None else depth * unit)
 
 
+def apart(a, b) -> bool:
+    return any(hi <= lo2 or hi2 <= lo for (lo, hi), (lo2, hi2) in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_cases())
+def test_what_lies_apart_from_an_extent_misses_the_region(case):
+    # the covering validator skips the pairs this makes safe: a region
+    # lies in its extent, so a ball or a region apart from it misses it
+    a, b, center, radius, _ = case
+    extent = a.extent()
+    if extent is None:
+        assert isinstance(a, Arc) and (a.start + a.length > 1 or
+                                       a.length == 1)
+        return
+    if b.extent() is not None and apart(extent, b.extent()):
+        assert not a.meets_region(b) and not b.meets_region(a)
+    coords = center if isinstance(center, tuple) else (center,)
+    hull = tuple((x - radius, x + radius) for x in coords)
+    if isinstance(a, Arc) and not (0 <= hull[0][0] and hull[0][1] <= 1):
+        return  # the ball wraps past 0 or 1, or the center is off the circle
+    if radius > 0 and apart(extent, hull):  # every ball radius is > 0
+        assert not a.meets_ball(center, radius)
+        assert not a.contains_ball(center, radius)
+    if a.contains_point(center) and (not isinstance(a, Arc) or
+                                     0 <= center < 1):
+        assert all(lo <= x < hi for (lo, hi), x in zip(extent, coords))
+
+
 def prime_divisors(d: int) -> list[int]:
     """The primes dividing d, by trial division up to the square root of
     what is left of d."""

@@ -78,6 +78,23 @@ def test_every_traced_size_reads_its_artifact():
             assert type(n) is int and n > 0, (name, key, n)
 
 
+CODEC_JOB = TRACED.parent / "codec_job.py"
+
+
+def test_every_codec_job_name_resolves():
+    # the codec jobs call the program by module attribute, outside the
+    # tracer's lists
+    tree = ast.parse(CODEC_JOB.read_text(), filename=str(CODEC_JOB))
+    names = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("diary", "morse_thue", "verify")}
+    assert {name.split(".")[0] for name in names} == {
+        "diary", "morse_thue", "verify"}
+    for name in sorted(names):
+        resolve(name)
+
+
 def test_resolve_fails_on_a_missing_name():
     with pytest.raises(AttributeError):
         resolve("stage1.no_such_check")
@@ -85,12 +102,14 @@ def test_resolve_fails_on_a_missing_name():
 
 def loaded_modules(code: str, *argv: str) -> list[str]:
     """The modules loaded after ``code`` ran in a fresh process, without
-    cached bytecode, as ``python -c code argv...``."""
+    cached bytecode, as ``python -S -c code argv...``.  ``-S`` leaves out
+    the site hooks, which on some hosts load modules (``random`` among
+    them) that nothing of the program asked for."""
     code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          check=True, capture_output=True,
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          env=env, check=True, capture_output=True,
                           text=True).stdout.split()
 
 
@@ -103,16 +122,25 @@ def quiet_cli(*args: str) -> str:
             f"    assert cli.main({list(args)!r} + sys.argv[1:]) == 0")
 
 
+# the codec suites' modules, and the geometry stack with the pipeline
+CODEC = ("qtrees.verify", "qtrees.diary", "qtrees.morse_thue", "random")
+GEOMETRY = ("qtrees.pipeline", "qtrees.approx", "qtrees.coverings",
+            "qtrees.metric", "qtrees.geometry")
 # (code, modules it must leave unloaded): a command pays at every start
 # for each module it loads
 LOADING_GATES = {
     "import-cli": ("import qtrees.cli", ("dataclasses", "inspect",
-                                         "qtrees.verify", "qtrees.diary")),
+                                         *CODEC, *GEOMETRY)),
     "run-cantor": (quiet_cli("run", "--preset", "cantor", "--out"),
                    ("dataclasses", "qtrees.verify")),
     "import-verify": ("import qtrees.verify",
                       ("dataclasses", "multiprocessing",
                        "concurrent.futures")),
+    "verify-approx": (quiet_cli("verify", "approx", "--preset", "cantor",
+                                "--out"), CODEC),
+    "verify-diary": (quiet_cli("verify", "diary", "--out"), GEOMETRY),
+    "verify-morse_thue": (quiet_cli("verify", "morse_thue", "--out"),
+                          GEOMETRY),
 }
 
 
@@ -132,13 +160,28 @@ def test_codec_modules_import_without_the_geometry_stack():
 
 
 def test_verify_covering_leaves_the_tree_side_unloaded():
+    # the pipeline runs the suite itself: nor does it load the codec
     out = loaded_modules(quiet_cli("verify", "covering", "--preset", "grid"))
     assert "qtrees.coverings" in out
-    for tree_side in ("qtrees.trees", "qtrees.stage1", "qtrees.labelling"):
+    for tree_side in ("qtrees.trees", "qtrees.stage1", "qtrees.labelling",
+                      *CODEC):
         assert tree_side not in out
     # the diary worker of `verify all` is a bare fork, not a process pool
     for pool in ("multiprocessing", "concurrent.futures"):
         assert pool not in out
+
+
+def test_verify_all_forks_its_worker_before_loading_the_pipeline(tmp_path):
+    # the geometry stack then loads beside the diary worker
+    code = ("import os, sys\n"
+            "fork, at_fork = os.fork, []\n"
+            "def recorded():\n"
+            "    at_fork.append('qtrees.pipeline' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recorded\n"
+            + quiet_cli("verify", "all", "--preset", "cantor", "--out")
+            + "\nassert at_fork == [False], at_fork")
+    assert "qtrees.pipeline" in loaded_modules(code, str(tmp_path))
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qtrees"
