@@ -40,11 +40,13 @@ ONE = Fraction(1)
 
 def scale_number(x, unit: int) -> int:
     """``x * unit`` as an int; ValueError when ``unit`` does not clear the
-    denominator of ``x``."""
-    y = x * unit
-    if y.denominator != 1:
+    denominator of ``x``.  A Fraction is in lowest terms, so ``x * unit``
+    is an int exactly when its denominator divides ``unit``: the product
+    is taken on ints."""
+    steps, rest = divmod(unit, x.denominator)
+    if rest:
         raise ValueError(f"unit {unit} does not clear {x}")
-    return y.numerator
+    return x.numerator * steps
 
 
 def _lcm_of_denominators(numbers) -> int:
