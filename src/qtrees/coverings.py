@@ -39,8 +39,8 @@ meet, so the skips are exact:
   those balls: every ball is then outside U', so the pair cannot break
   separation.  It still counts in ``checked``.
 
-On the circle a ball reaching past 0 or the circumference wraps, and its
-hull is none, as is a wrapping arc's extent; a hull that lies in [0,
+On the circle a ball reaching past 0 or the circumference wraps and has
+no hull (None), as a wrapping arc has no extent; a hull that lies in [0,
 circ] is the same set on the line as on the circle.  `_Near` sorts the
 extents by their start on the first axis, so the pairs left are found by
 bisection without a visit to the others, and are tested in the order of
@@ -537,6 +537,7 @@ def generate_shifted_cubes(space: FiniteMetricSpace, scale: ScaleParams,
         if 2 * g >= side:
             raise CoveringError(f"tiles at level {j} vanish after shrinking")
         unit = math.lcm(space.unit, (side / 3).denominator, g.denominator)
+        # S/3, g and S as ints in that unit
         third, g = scale_number(side / 3, unit), scale_number(g, unit)
         side = 3 * third
         bounds: dict[int, Fraction] = {}
