@@ -57,7 +57,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
-from qtrees.geometry import Arc, BoxRegion, Frozen, LineIntervals, \
+from qtrees.geometry import Arc, BoxRegion, Frozen, LineInterval, \
     PointSubset, Region, WholeSpace, region_from_json, scale_number
 from qtrees.metric import FiniteMetricSpace, ScaleParams
 from qtrees.reporting import CheckResult, FAIL, PASS, frac_str
@@ -399,10 +399,12 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
                          n_colors: int = 1) -> CoveringSequence:
     """Single-color hierarchy for triadic line samples.
 
-    Level j >= 1 uses the triadic blocks of depth 2j+1 (length L), each
-    widened to [a - 2L/3, a + 4L/3): wide enough for the net balls of the
-    next level, and adjacent sibling blocks meet exactly at the open-ball
-    boundary, so separation holds with nothing to spare.
+    Level j >= 1 uses the triadic blocks of the least depth d whose
+    widened length 2 * 3^-d is below the mesh bound r^j (d = 2j+1 at
+    r = 1/9).  Each block [a, a + L) is widened to [a - 2L/3, a + 4L/3):
+    wide enough for the net balls of the next level, and at r = 1/9
+    adjacent sibling blocks meet exactly at the open-ball boundary, so
+    separation holds with nothing to spare.
     """
     if space.kind != "cantor":
         raise CoveringError("ultrametric generator expects a cantor space")
@@ -411,7 +413,9 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
     colors = (0,)
     levels = {0: _whole_level(space, colors)}
     for j in range(1, scale.max_level + 1):
-        depth = 2 * j + 1
+        depth = 0
+        while 2 * Fraction(1, 3**depth) >= scale.sep(j):
+            depth += 1
         length = Fraction(1, 3**depth)
         blocks: dict[int, list[int]] = {}
         for p in space.points:
@@ -420,9 +424,7 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
         fam = []
         for i, idx in enumerate(sorted(blocks)):
             a = idx * length
-            region = LineIntervals((
-                (a - 2 * length / 3, a + 4 * length / 3),
-            ))
+            region = LineInterval(a - 2 * length / 3, a + 4 * length / 3)
             fam.append(_candidate(0, j, region, i))
         levels[j] = {0: tuple(fam)}
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)

@@ -246,8 +246,7 @@ def slot_count(slotted: Slotted) -> int:
     return sum(1 for has_slot, _ in slotted if has_slot)
 
 
-def fill_slots(slotted: Slotted, fillers: Sequence[Sequence],
-               stop_token=STOP) -> Sentence:
+def fill_slots(slotted: Slotted, fillers: Sequence[Sequence]) -> Sentence:
     """Concrete sentence obtained by writing the given words into the slots
     in order."""
     fillers = list(fillers)
@@ -261,7 +260,7 @@ def fill_slots(slotted: Slotted, fillers: Sequence[Sequence],
             out.extend(fillers[fi])
             fi += 1
         out.extend(word)
-        out.append(stop_token)
+        out.append(STOP)
     return tuple(out)
 
 

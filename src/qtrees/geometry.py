@@ -8,8 +8,9 @@ boundary point without intersecting.
 
 Certificates are stored as JSON objects tagged by their form, with
 rationals as "p/q" strings: {"whole_space": true, "diam"},
-{"intervals": [[lo, hi], ...]}, {"arc": [start, length]},
-{"box": [x0, x1, y0, y1]} or {"points": [id, ...]}.
+{"intervals": [[lo, hi]]} (one interval), {"arc": [start, length]} (an
+arc shorter than the circle), {"box": [x0, x1, y0, y1]} or {"points": [id,
+...]}.
 
 The region methods use only + - * % and comparisons, so each is written
 once and is exact over Fractions and over ints alike.  `Region.scaled`
@@ -116,8 +117,7 @@ class Region(Frozen):
         """A hull of the region on the coordinate line or plane: one
         half-open ``(lo, hi)`` per axis, holding every point of the region.
         None where the region has no such hull: the whole space, a point
-        subset, and an arc that wraps past the end of the circle or is the
-        whole circle."""
+        subset, and an arc that wraps past the end of the circle."""
         return None
 
     def denominator(self) -> int:
@@ -179,91 +179,72 @@ class WholeSpace(Region):
         return {"whole_space": True, "diam": frac_str(self.diam)}
 
 
-class LineIntervals(Region):
-    """Disjoint union of half-open intervals [lo, hi) on the line."""
+class LineInterval(Region):
+    """Half-open interval [lo, hi) on the line."""
 
-    __slots__ = ("intervals",)
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
-        ivs = tuple(sorted(intervals))
-        for lo, hi in ivs:
-            if lo >= hi:
-                raise ValueError(f"empty interval [{lo}, {hi})")
-        for (_, b), (c, _) in zip(ivs, ivs[1:]):
-            if b > c:
-                raise ValueError("overlapping intervals in one certificate")
-        object.__setattr__(self, "intervals", ivs)
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo >= hi:
+            raise ValueError(f"empty interval [{lo}, {hi})")
+        put = object.__setattr__
+        put(self, "lo", lo)
+        put(self, "hi", hi)
 
     def _key(self) -> tuple:
-        return (self.intervals,)
+        return self.lo, self.hi
 
     def __repr__(self) -> str:
-        return f"LineIntervals(intervals={self.intervals!r})"
+        return f"LineInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     def diameter(self) -> Fraction:
-        return self.intervals[-1][1] - self.intervals[0][0]
+        return self.hi - self.lo
 
     def contains_point(self, x) -> bool:
-        return any(lo <= x < hi for lo, hi in self.intervals)
+        return self.lo <= x < self.hi
 
     def contains_ball(self, center, radius) -> bool:
         # open (c-h, c+h) inside [lo, hi) iff lo <= c-h and c+h <= hi
-        return any(
-            lo <= center - radius and center + radius <= hi
-            for lo, hi in self.intervals
-        )
+        return self.lo <= center - radius and center + radius <= self.hi
 
     def meets_ball(self, center, radius) -> bool:
-        return any(
-            lo < center + radius and center - radius < hi
-            for lo, hi in self.intervals
-        )
+        return self.lo < center + radius and center - radius < self.hi
 
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return False
-        if not isinstance(other, LineIntervals):
+        if not isinstance(other, LineInterval):
             raise TypeError("mixed certificate geometries")
-        return all(
-            any(lo <= olo and ohi <= hi for lo, hi in self.intervals)
-            for olo, ohi in other.intervals
-        )
+        return self.lo <= other.lo and other.hi <= self.hi
 
     def meets_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return True
-        return any(
-            max(lo, olo) < min(hi, ohi)
-            for lo, hi in self.intervals
-            for olo, ohi in other.intervals
-        )
+        return max(self.lo, other.lo) < min(self.hi, other.hi)
 
     def depth(self, x, cap):
-        inside = [min(x - lo, hi - x)
-                  for lo, hi in self.intervals if lo <= x < hi]
-        return max(inside) if inside else None
+        return min(x - self.lo, self.hi - x) if self.lo <= x < self.hi \
+            else None
 
     def extent(self):
-        return ((self.intervals[0][0], self.intervals[-1][1]),)
+        return ((self.lo, self.hi),)
 
     def denominator(self) -> int:
-        return _lcm_of_denominators(x for iv in self.intervals for x in iv)
+        return _lcm_of_denominators((self.lo, self.hi))
 
     def scaled(self, unit):
-        return LineIntervals(tuple(
-            (scale_number(lo, unit), scale_number(hi, unit))
-            for lo, hi in self.intervals))
+        return LineInterval(scale_number(self.lo, unit),
+                            scale_number(self.hi, unit))
 
     def to_json(self):
-        return {"intervals": [[frac_str(lo), frac_str(hi)]
-                              for lo, hi in self.intervals]}
+        return {"intervals": [[frac_str(self.lo), frac_str(self.hi)]]}
 
 
 class Arc(Region):
     """Half-open arc [start, start+length) on a circle of circumference
     ``circ``: the unit circle, or a scaled copy of it.
 
-    ``length`` <= circ; the full circle is length circ.  Arc-metric
+    ``0 < length < circ``: the whole circle is `WholeSpace`.  Arc-metric
     diameters are only meaningful for length <= circ/2, which covers every
     certificate the generators produce above level 0.  ``circ`` is left
     out of equality, hashing and ``repr``.
@@ -277,8 +258,8 @@ class Arc(Region):
         put(self, "start", start % circ)
         put(self, "length", length)
         put(self, "circ", circ)
-        if not (0 < length <= circ):
-            raise ValueError(f"arc length {length} outside (0, {circ}]")
+        if not (0 < length < circ):
+            raise ValueError(f"arc length {length} outside (0, {circ})")
 
     def _key(self) -> tuple:
         return self.start, self.length
@@ -290,22 +271,16 @@ class Arc(Region):
         return min(self.length, Fraction(self.circ, 2))
 
     def contains_point(self, x) -> bool:
-        if self.length == self.circ:
-            return True
         return (x - self.start) % self.circ < self.length
 
     def contains_ball(self, center, radius) -> bool:
         # lift the open ball (center-radius, center+radius) relative to start
-        if self.length == self.circ:
-            return True
         if 2 * radius > self.length:
             return False
         offset = (center - radius - self.start) % self.circ
         return offset + 2 * radius <= self.length
 
     def meets_ball(self, center, radius) -> bool:
-        if self.length == self.circ:
-            return True
         offset = (center - radius - self.start) % self.circ
         if offset < self.length:
             return True
@@ -317,8 +292,6 @@ class Arc(Region):
             return False
         if not isinstance(other, Arc):
             raise TypeError("mixed certificate geometries")
-        if self.length == self.circ:
-            return True
         if other.length > self.length:
             return False
         offset = (other.start - self.start) % self.circ
@@ -327,21 +300,16 @@ class Arc(Region):
     def meets_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return True
-        if self.length == self.circ or other.length == other.circ:
-            return True
         offset = (other.start - self.start) % self.circ
         return offset < self.length or offset + other.length > self.circ
 
     def depth(self, x, cap):
-        if self.length == self.circ:
-            return cap
         off = (x - self.start) % self.circ
         return min(off, self.length - off) if off < self.length else None
 
     def extent(self):
         end = self.start + self.length
-        return ((self.start, end),) if end <= self.circ and \
-            self.length < self.circ else None
+        return ((self.start, end),) if end <= self.circ else None
 
     def denominator(self) -> int:
         return _lcm_of_denominators((self.start, self.length, self.circ))
@@ -530,8 +498,11 @@ def region_from_json(data: dict, space) -> Region:
     if data.get("whole_space"):
         return WholeSpace(Fraction(data["diam"]))
     if "intervals" in data:
-        return LineIntervals(tuple(
-            (Fraction(lo), Fraction(hi)) for lo, hi in data["intervals"]))
+        if len(data["intervals"]) != 1:
+            raise ValueError("an interval certificate holds one interval, "
+                             f"not {len(data['intervals'])}")
+        (lo, hi), = data["intervals"]
+        return LineInterval(Fraction(lo), Fraction(hi))
     if "arc" in data:
         return Arc(Fraction(data["arc"][0]), Fraction(data["arc"][1]))
     if "box" in data:

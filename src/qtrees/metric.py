@@ -32,11 +32,6 @@ class MetricViolation(NamedTuple):
         return f"{self.kind} violation at ({pts})"
 
 
-class MetricReport(NamedTuple):
-    ok: bool
-    violation: Optional[MetricViolation] = None
-
-
 class FiniteMetricSpace(Frozen):
     """Point set with an exact pairwise distance matrix: ``rows`` holds the
     distances times ``unit``, as ints.
@@ -99,9 +94,9 @@ class FiniteMetricSpace(Frozen):
                      for c in self.coords)
 
 
-def validate_metric(rows: Sequence[Sequence]) -> MetricReport:
+def validate_metric(rows: Sequence[Sequence]) -> Optional[MetricViolation]:
     """Check symmetry, zero diagonal, nonnegativity and the triangle
-    inequality; report the first violating triple if any.  The entries may
+    inequality; return the first violating triple, or None.  The entries may
     be Fractions or, as `make_space` passes them, ints in one unit.
 
     Once the matrix is symmetric, (i, j, k) and (k, j, i) test the same
@@ -111,15 +106,15 @@ def validate_metric(rows: Sequence[Sequence]) -> MetricReport:
     n = len(rows)
     for i in range(n):
         if len(rows[i]) != n:
-            return MetricReport(False, MetricViolation("shape", (i,)))
+            return MetricViolation("shape", (i,))
         if rows[i][i] != 0:
-            return MetricReport(False, MetricViolation("diagonal", (i,)))
+            return MetricViolation("diagonal", (i,))
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                return MetricReport(False, MetricViolation("symmetry", (i, j)))
+                return MetricViolation("symmetry", (i, j))
             if rows[i][j] < 0:
-                return MetricReport(False, MetricViolation("negative", (i, j)))
+                return MetricViolation("negative", (i, j))
     for i in range(n):
         row_i = rows[i]
         for j in range(n):
@@ -128,9 +123,8 @@ def validate_metric(rows: Sequence[Sequence]) -> MetricReport:
             row_j, d_ij = rows[j], row_i[j]
             for k in range(i + 1, n):
                 if k != j and row_i[k] > d_ij + row_j[k]:
-                    return MetricReport(
-                        False, MetricViolation("triangle", (i, j, k)))
-    return MetricReport(True)
+                    return MetricViolation("triangle", (i, j, k))
+    return None
 
 
 def scale_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -149,14 +143,27 @@ def make_space(rows: Sequence[Sequence], kind: str = "custom"
     if len(rows) < 2:
         raise ValueError("metric space must contain at least two points")
     unit, ints = scale_rows(rows)
-    report = validate_metric(ints)
-    if not report.ok:
-        raise ValueError(f"invalid metric: {report.violation}")
+    violation = validate_metric(ints)
+    if violation is not None:
+        raise ValueError(f"invalid metric: {violation}")
     return FiniteMetricSpace(tuple(map(tuple, ints)), unit, kind=kind)
 
 
 # ---------------------------------------------------------------------------
 # Generators
+
+
+# the most points a space may have; a larger one is refused before any row
+# is built, where it would otherwise exhaust memory
+MAX_POINTS = 512
+
+
+def _refuse_above_max(name: str, n: int, count: str) -> None:
+    """ValueError when ``name`` has ``n`` points (written ``count``) and
+    that is more than ``MAX_POINTS``."""
+    if n > MAX_POINTS:
+        raise ValueError(
+            f"{name} has {count} points, above the limit of {MAX_POINTS}")
 
 
 def generate_space(kind: str, param: int) -> FiniteMetricSpace:
@@ -167,9 +174,17 @@ def generate_space(kind: str, param: int) -> FiniteMetricSpace:
                    line metric, unit 3^depth;
     circle(N):     N equispaced points, arc metric on circumference 1, unit N;
     grid(n):       n x n points spanning the unit square, sup metric, unit n-1.
+
+    A space of more than ``MAX_POINTS`` points is refused first.
     """
     if param < 1:
         raise ValueError(f"{kind} parameter must be >= 1, got {param}")
+    # 2^10 is already above the limit, so a deep cantor is not raised to
+    _refuse_above_max(f"{kind}({param})", *{
+        "cantor": (2 ** min(param, 10), f"2^{param}"),
+        "circle": (param, f"{param}"),
+        "grid": (param * param, f"{param}^2 = {param * param}"),
+    }.get(kind, (0, "")))
     if kind == "cantor":
         unit, pos = 3**param, [0]
         for k in reversed(range(param)):  # level l steps by 2 * 3^(depth - l)
@@ -337,6 +352,7 @@ def load_space_csv(path) -> FiniteMetricSpace:
         n = int(lines[0])
     except ValueError:
         raise ValueError("line 1 must be the point count") from None
+    _refuse_above_max("the space file", n, str(n))
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

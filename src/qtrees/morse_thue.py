@@ -125,7 +125,7 @@ def check_synchronization(trials: int = 4000, seed: int = 0,
 
 
 def check_equal_diaries(kappa: int, n: int, trials: int = 300,
-                        seed: int = 0, alphabet=("a", "b")) -> CheckResult:
+                        seed: int = 0) -> CheckResult:
     """Randomized instances of the letter-identification property.
 
     Generate decorated sentences without empty words, encode, and compare
@@ -146,7 +146,7 @@ def check_equal_diaries(kappa: int, n: int, trials: int = 300,
         words = []
         for _ in range(rng.randint(3, 8)):
             wl = rng.randint(1, 4)
-            words.append(tuple(rng.choice(alphabet) for _ in range(wl)))
+            words.append(tuple(rng.choice(("a", "b")) for _ in range(wl)))
         plain = tuple(t for w in words for t in (*w, STOP))
         deco = decorate(plain)
         # each sentence's letter table, built once for all of its pairs
@@ -216,14 +216,15 @@ def _compare_equal_level_letters(alpha: tuple, beta: tuple, n: int,
 # forgets how many periods there were, while decorated diaries differ.
 
 
-def long_journey_pair(word: Sequence = ("b", "a", "a", "a", "a", "a", "a"),
-                      k: int = 30, n_stops: int = 2
-                      ) -> tuple[tuple, tuple]:
-    """Sentences word^k s^n and word^(k+1) s^n (the extra stop signs
-    terminate empty words)."""
+JOURNEY_WORD = ("b", "a", "a", "a", "a", "a", "a")
+
+
+def long_journey_pair(k: int = 30, n_stops: int = 2) -> tuple[tuple, tuple]:
+    """Sentences w^k s^n and w^(k+1) s^n for the word w = ``JOURNEY_WORD``
+    (the extra stop signs terminate empty words)."""
 
     def build(reps: int) -> tuple:
-        toks = list(word) * reps
+        toks = list(JOURNEY_WORD) * reps
         toks.append(STOP)
         toks.extend([STOP] * (n_stops - 1))
         return tuple(toks)
@@ -231,7 +232,11 @@ def long_journey_pair(word: Sequence = ("b", "a", "a", "a", "a", "a", "a"),
     return build(k), build(k + 1)
 
 
-def check_small_kappa_collision(kappa: int, search: int = 400) -> CheckResult:
+# the lengths below which the small-capacity control looks for a witness
+COLLISION_SEARCH = 400
+
+
+def check_small_kappa_collision(kappa: int) -> CheckResult:
     """Negative control: below the safe page capacity there are valid
     decorated single-word sentences with equal diaries whose level-1
     letters differ.  The letter-identification property only survives
@@ -239,15 +244,16 @@ def check_small_kappa_collision(kappa: int, search: int = 400) -> CheckResult:
     expected-fail to document the boundary."""
     res = CheckResult(f"mt-small-kappa-k{kappa}", EXPECTED_FAIL)
     witness = None
-    for m in range(kappa + 1, search):
-        for mp in range(m + 1, search):
+    for m in range(kappa + 1, COLLISION_SEARCH):
+        for mp in range(m + 1, COLLISION_SEARCH):
             if all(mt_bit(m - i) == mt_bit(mp - i) for i in range(kappa)):
                 witness = (m, mp)
                 break
         if witness:
             break
     if witness is None:
-        res.notes = f"no shifted bit-window of length {kappa} under {search}"
+        res.notes = (f"no shifted bit-window of length {kappa} under "
+                     f"{COLLISION_SEARCH}")
         return res
     m, mp = witness
     alpha = decorate(("b",) + ("a",) * (m - 1) + (STOP,))

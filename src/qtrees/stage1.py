@@ -10,8 +10,10 @@ The pair loops read the graph's pair table, ``ApproxGraph.pairs``: the
 graph distance, the class and the critical level of every vertex pair,
 compared on ints.  What the pair table alone decides, such as the graph
 distance at a critical level, is checked by the approx suite; every
-check here reads the trees.  The map and the containing chains run their
-region tests on the covering's own int kernel, ``seq.kernel``.  The tree
+check here reads the trees.  The map is read off the containing chains:
+an element holding a vertex's ball holds its center.  Both are built
+together, with one region scan per center and tree vertex on the
+covering's own int kernel, ``seq.kernel``.  The tree
 side has one owner per quantity, each built once: the color trees own
 depths, root-path levels and meets (``LevelledTree``), and ``Stage1``
 owns the images of every vertex and its containing chains with their int
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, ApproxGraph, Vertex
@@ -43,11 +44,15 @@ class PairClass(NamedTuple):
 class Stage1:
     def __init__(self, graph: ApproxGraph, seq: CoveringSequence,
                  trees: dict[int, LevelledTree],
-                 images: dict[Vertex, tuple[str, ...]]):
+                 images: dict[Vertex, tuple[str, ...]],
+                 chains: dict[Vertex, tuple[tuple[int, ...], tuple]]):
         self.graph = graph
         self.seq = seq
         self.trees = trees
         self.images = images  # element uid per color, in order
+        # per vertex: one int key per color and the containing chain of
+        # every color, in tree vertex order
+        self.chains = chains
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -56,62 +61,54 @@ class Stage1:
     def image(self, color: int, v: Vertex) -> str:
         return self.images[v][self.colors.index(color)]
 
-    @cached_property
-    def chains(self) -> dict[Vertex, tuple[tuple[int, ...], tuple]]:
-        """Per vertex: one int key per color and the containing chain of
-        every color, the tree vertices whose region contains the vertex's
-        center point, in tree vertex order.  Equal chains of a color share
-        their key; vertices with one center share one entry."""
-        coords, regions = self.seq.kernel.coords, self.seq.kernel.regions
-        uids = [self.trees[c].vertices() for c in self.colors]
-        keys: dict[tuple[int, tuple[str, ...]], int] = {}
-        by_center: dict[int, tuple] = {}
-        out = {}
-        for v in self.graph.vertices:
-            entry = by_center.get(v.center)
-            if entry is None:
-                coord = coords[v.center]
-                chains = tuple(tuple(u for u in color_uids
-                                     if regions[u].contains_point(coord))
-                               for color_uids in uids)
-                entry = by_center[v.center] = tuple(
-                    keys.setdefault((c, chain), len(keys))
-                    for c, chain in zip(self.colors, chains)), chains
-            out[v] = entry
-        return out
-
-
-def map_fc(seq: CoveringSequence, tree: LevelledTree, graph: ApproxGraph,
-           color: int, v: Vertex) -> str:
-    """Highest-level element of the color containing the vertex ball at a
-    level <= level(v) - 1; the root maps to the tree root.  Vertices whose
-    level-bound falls below the covering hierarchy (level 0 over a base
-    level of -1) also land on the root, the one element that contains
-    every ball."""
-    if v == graph.root:
-        return tree.root
-    top = min(v.level - 1, seq.max_level)
-    if top < 0:
-        return tree.root
-    kernel = seq.kernel
-    radius = kernel.radius(v.level)
-    coord = kernel.coords[v.center]
-    for j in range(top, -1, -1):
-        for uid in tree.level_vertices(j):
-            if kernel.regions[uid].contains_ball(coord, radius):
-                return uid
-    raise ValueError(
-        f"no covering element of color {color} contains the ball of {v}")
-
 
 def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
-    """The color trees and the stage-1 map of a sequence reaching the
-    graph's depth, with their region tests on the sequence's kernel."""
+    """The color trees, the containing chains and the stage-1 map of a
+    sequence reaching the graph's depth, with their region tests on the
+    sequence's kernel.
+
+    The containing chain of a vertex in a color is the tree vertices whose
+    region contains the vertex's center point, in tree vertex order; equal
+    chains of a color share an int key, and vertices with one center share
+    one entry.  The image of a vertex is the highest-level element of its
+    chain at a level <= min(level(v) - 1, J) that contains the vertex's
+    ball, or the tree root when no element does.  An element holding the
+    ball holds its center, so it lies on the chain, and a validated
+    covering has at most one same-color element per level there.  The
+    root, at level 0 and the whole space, is on every chain and holds
+    every ball; the graph root, at level k0 <= 0, maps to it."""
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
-    images = {v: tuple(map_fc(seq, trees[c], graph, c, v)
-                       for c in seq.colors)
-              for v in graph.vertices}
-    return Stage1(graph=graph, seq=seq, trees=trees, images=images)
+    kernel = seq.kernel
+    coords, regions = kernel.coords, kernel.regions
+    uids = [trees[c].vertices() for c in seq.colors]
+    levels = [trees[c].level for c in seq.colors]
+    roots = [trees[c].root for c in seq.colors]
+    keys: dict[tuple[int, tuple[str, ...]], int] = {}
+    # per center: its chains entry, and each chain from its highest level
+    # down (a stable sort, so one level keeps tree vertex order)
+    by_center: dict[int, tuple] = {}
+    images, chains = {}, {}
+    for v in graph.vertices:
+        coord = coords[v.center]
+        entry = by_center.get(v.center)
+        if entry is None:
+            chain = tuple(tuple(u for u in color_uids
+                                if regions[u].contains_point(coord))
+                          for color_uids in uids)
+            key = tuple(keys.setdefault((c, ch), len(keys))
+                        for c, ch in zip(seq.colors, chain))
+            down = tuple(sorted(ch, key=level.__getitem__, reverse=True)
+                         for ch, level in zip(chain, levels))
+            entry = by_center[v.center] = (key, chain), down
+        chains[v], down = entry
+        top = min(v.level - 1, seq.max_level)
+        images[v] = tuple(
+            next((u for u in ch if level[u] <= top and
+                  regions[u].contains_ball(coord, kernel.radius(v.level))),
+                 root)
+            for ch, level, root in zip(down, levels, roots))
+    return Stage1(graph=graph, seq=seq, trees=trees, images=images,
+                  chains=chains)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_wrong_rest_step_is_a_named_violation(monkeypatch):
             ref_check_codec_roundtrip(kappa, 3, 3)
     star = CheckResult("diary-star-honest", PASS)
     for kappa in (1, 2, 3):
-        res = verify._codec_sweep(kappa, 3, 3, ("a", "b"), star)
+        res = verify._codec_sweep(kappa, 3, 3, star)
         assert res.checked > 0 and res.status == "fail"
         assert {v["reason"] for v in res.violations} == {"rest mismatch"}
     assert star.to_dict() == expected_star

@@ -15,8 +15,8 @@ from qtrees.coverings import (
     save_covering_json,
     validate_covering_sequence,
 )
-from qtrees.geometry import Arc, BoxRegion, LineIntervals, PointSubset, \
-    WholeSpace
+from qtrees.geometry import Arc, BoxRegion, LineInterval, PointSubset, \
+    WholeSpace, region_from_json
 from qtrees.metric import ScaleParams, generate_space, load_space_csv, \
     save_space_csv
 from qtrees.stage1 import embed_stage1
@@ -54,8 +54,8 @@ def test_mesh_basics():
     s = generate_space("cantor", 2)
     whole = element(s, WholeSpace(s.diam), uid="z")
     assert mesh([whole]) == s.diam
-    a = element(s, LineIntervals(((F(0), F(1, 9)),)), uid="a")
-    b = element(s, LineIntervals(((F(2, 3), F(2, 3) + F(1, 10)),)), uid="b")
+    a = element(s, LineInterval(F(0), F(1, 9)), uid="a")
+    b = element(s, LineInterval(F(2, 3), F(2, 3) + F(1, 10)), uid="b")
     assert mesh([a, b]) == F(1, 9)
     with pytest.raises(ValueError):
         mesh([])
@@ -80,7 +80,7 @@ def test_lebesgue_overlapping_arcs():
 
 def test_lebesgue_missing_point_errors():
     s = generate_space("cantor", 2)
-    partial = element(s, LineIntervals(((F(0), F(1, 3)),)), uid="p")
+    partial = element(s, LineInterval(F(0), F(1, 3)), uid="p")
     with pytest.raises(ValueError):
         lebesgue_number(one_level(s, partial), 0)
 
@@ -212,7 +212,7 @@ def test_kernel_refuses_what_it_cannot_scale(tmp_path):
     assert report.violations[0]["property"] == "disjoint"
     with pytest.raises(ValueError, match="names two certificates"):
         with_family(twice, 1, 0, twice.levels[1][0] + (
-            element(s, LineIntervals(((F(0), F(1, 3)),)), uid=first.uid),))
+            element(s, LineInterval(F(0), F(1, 3)), uid=first.uid),))
 
     space_file = tmp_path / "cantor2.csv"
     save_space_csv(s, space_file)
@@ -249,6 +249,22 @@ def test_covering_json_roundtrip(tmp_path):
     for j in seq.levels:
         assert sorted(e.uid for e in loaded.family(j)) == \
             sorted(e.uid for e in seq.family(j))
+
+
+def test_a_certificate_form_no_generator_emits_is_refused():
+    # an interval certificate is one interval, and an arc is shorter than
+    # the circle: a whole circle is written as the whole space
+    s = generate_space("cantor", 2)
+    assert region_from_json({"intervals": [["0/1", "1/3"]]}, s) == \
+        LineInterval(F(0), F(1, 3))
+    with pytest.raises(ValueError, match="one interval, not 2"):
+        region_from_json({"intervals": [["0/1", "1/9"], ["2/9", "1/3"]]}, s)
+    with pytest.raises(ValueError, match="one interval, not 0"):
+        region_from_json({"intervals": []}, s)
+    assert region_from_json({"arc": ["1/3", "1/2"]}, s) == \
+        Arc(F(1, 3), F(1, 2))
+    with pytest.raises(ValueError, match=r"arc length 1 outside \(0, 1\)"):
+        region_from_json({"arc": ["1/3", "1/1"]}, s)
 
 
 def test_witness_uniqueness_per_color():
@@ -378,7 +394,7 @@ def generated(kind, n, r, J, generator, colors):
 
 BALL_TWINS = {
     "intervals": (generated("cantor", 4, F(1, 9), 4, "ultrametric", 1),
-                  lambda s, x, h: LineIntervals(((x - h, x + h),))),
+                  lambda s, x, h: LineInterval(x - h, x + h)),
     "arc": (generated("circle", 81, F(1, 12), 2, "shifted_arcs", 2),
             lambda s, x, h: Arc(x - h, 2 * h)),
     "box": (generated("grid", 9, F(1, 64), 1, "shifted_cubes", 3),

@@ -7,27 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrees.geometry import Arc, BoxRegion, LineIntervals
+from qtrees.geometry import Arc, BoxRegion, LineInterval
 
 rationals = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=60)
 positive = st.fractions(min_value=F(1, 60), max_value=F(1), max_denominator=60)
 radii = st.fractions(min_value=F(0), max_value=F(1), max_denominator=60)
+# an arc is shorter than the unit circle
+arc_lengths = st.fractions(min_value=F(1, 60), max_value=F(59, 60),
+                           max_denominator=60)
 
 
 @st.composite
 def intervals(draw):
-    """Disjoint half-open intervals; a zero gap makes two of them touch."""
-    x = draw(rationals)
-    ivs = []
-    for gap, length in draw(st.lists(st.tuples(radii, positive),
-                                     min_size=1, max_size=4)):
-        lo = x + (gap if ivs else 0)
-        ivs.append((lo, lo + length))
-        x = lo + length
-    return LineIntervals(tuple(ivs))
+    """A half-open interval."""
+    lo = draw(rationals)
+    return LineInterval(lo, lo + draw(positive))
 
 
-arcs = st.builds(Arc, rationals, st.one_of(st.just(F(1)), positive))
+arcs = st.builds(Arc, rationals, arc_lengths)
 
 
 @st.composite
@@ -36,7 +33,7 @@ def boxes(draw):
     return BoxRegion(x0, x0 + draw(positive), y0, y0 + draw(positive))
 
 
-points = {LineIntervals: rationals, Arc: rationals,
+points = {LineInterval: rationals, Arc: rationals,
           BoxRegion: st.tuples(rationals, rationals)}
 
 
@@ -90,8 +87,7 @@ def test_what_lies_apart_from_an_extent_misses_the_region(case):
     a, b, center, radius, _ = case
     extent = a.extent()
     if extent is None:
-        assert isinstance(a, Arc) and (a.start + a.length > 1 or
-                                       a.length == 1)
+        assert isinstance(a, Arc) and a.start + a.length > 1
         return
     if b.extent() is not None and apart(extent, b.extent()):
         assert not a.meets_region(b) and not b.meets_region(a)
@@ -136,13 +132,18 @@ def test_scaled_needs_a_clearing_unit(region):
             region.scaled(d // p)
 
 
-def test_scaled_arc_keeps_wrap_and_full_circle():
+def test_scaled_arc_keeps_its_wrap_and_no_arc_is_the_whole_circle():
     wrap = Arc(F(5, 6), F(1, 3))  # [5/6, 7/6): crosses 0
     s = wrap.scaled(6)
     assert (s.start, s.length, s.circ) == (5, 2, 6)
     assert s.contains_point(0) and wrap.contains_point(F(0))
     assert not s.contains_point(1) and not wrap.contains_point(F(1, 6))
-    full = Arc(F(1, 3), F(1)).scaled(3)
-    assert full.contains_ball(1, 2) and full.meets_region(s)
+    # the whole circle is the whole space, at every scale
+    for args in ((F(1, 3), F(1)), (1, 3, 3), (F(0), F(2))):
+        with pytest.raises(ValueError, match="outside"):
+            Arc(*args)
+    longest = Arc(F(1, 3), F(5, 6)).scaled(6)
+    assert longest.contains_ball(5, 2) and not longest.contains_ball(1, 1)
+    assert longest.meets_region(s) and longest.extent() is None
     assert Arc(F(1, 3), F(1, 2)) == Arc(F(1, 3), F(1, 2), F(1))
     assert "circ" not in repr(wrap) and "circ" not in str(wrap.to_json())

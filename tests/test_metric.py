@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qtrees.metric import (
     FiniteMetricSpace,
-    MetricReport,
     MetricViolation,
     ScaleParams,
     compute_k0,
@@ -43,16 +42,16 @@ def test_grid_one_rejected():
 def test_generators_are_metric_spaces():
     for kind, param in [("cantor", 3), ("circle", 12), ("grid", 3)]:
         s = generate_space(kind, param)
-        assert validate_metric(s.dist).ok, (kind, param)
+        assert validate_metric(s.dist) is None, (kind, param)
 
 
 def test_validate_metric_violations():
     tri = [[F(0), F(1), F(5)], [F(1), F(0), F(1)], [F(5), F(1), F(0)]]
     rep = validate_metric(tri)
-    assert not rep.ok and rep.violation.kind == "triangle"
+    assert rep is not None and rep.kind == "triangle"
     asym = [[F(0), F(1)], [F(2), F(0)]]
     rep = validate_metric(asym)
-    assert not rep.ok and rep.violation.kind == "symmetry"
+    assert rep is not None and rep.kind == "symmetry"
 
 
 def reference_validate_metric(rows):
@@ -61,19 +60,19 @@ def reference_validate_metric(rows):
     n = len(rows)
     for i in range(n):
         if len(rows[i]) != n:
-            return MetricReport(False, MetricViolation("shape", (i,)))
+            return MetricViolation("shape", (i,))
         if rows[i][i] != 0:
-            return MetricReport(False, MetricViolation("diagonal", (i,)))
+            return MetricViolation("diagonal", (i,))
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                return MetricReport(False, MetricViolation("symmetry", (i, j)))
+                return MetricViolation("symmetry", (i, j))
             if rows[i][j] < 0:
-                return MetricReport(False, MetricViolation("negative", (i, j)))
+                return MetricViolation("negative", (i, j))
     for i, j, k in itertools.permutations(range(n), 3):
         if rows[i][k] > rows[i][j] + rows[j][k]:
-            return MetricReport(False, MetricViolation("triangle", (i, j, k)))
-    return MetricReport(True)
+            return MetricViolation("triangle", (i, j, k))
+    return None
 
 
 @st.composite
@@ -118,13 +117,13 @@ def test_int_rows_validate_like_the_fractions(rows):
     assert report == reference_validate_metric(rows)
     if len(rows) < 2:
         return
-    if report.ok:
+    if report is None:
         space = make_space(rows)
         assert space.unit == unit and space.rows == tuple(map(tuple, ints))
         assert space.dist == tuple(map(tuple, rows))
         assert space.diam == max(map(max, rows))
     else:
-        message = re.escape(str(report.violation))
+        message = re.escape(str(report))
         with pytest.raises(ValueError, match=message):
             make_space(rows)
 
@@ -180,7 +179,7 @@ def test_validate_metric_reports_the_first_permutation():
             [F(5), F(3), F(1), F(0)]]
     rep = validate_metric(rows)
     assert rep == reference_validate_metric(rows)
-    assert rep.violation == MetricViolation("triangle", (0, 1, 3))
+    assert rep == MetricViolation("triangle", (0, 1, 3))
 
 
 def test_compute_k0_reference_values():

@@ -1,13 +1,13 @@
 """The records of the pipeline are plain classes and NamedTuples.  The hashed
 ones keep value equality, hashing, ``repr`` and immutability, fields left
 out of equality stay out, and the constructors still reject empty
-certificates."""
+certificates and an arc that is the whole circle."""
 from fractions import Fraction as F
 
 import pytest
 
 from qtrees.coverings import CoveringElement
-from qtrees.geometry import Arc, BoxRegion, LineIntervals, WholeSpace
+from qtrees.geometry import Arc, BoxRegion, LineInterval, WholeSpace
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.presets import PRESETS, PipelineConfig, config_for
 
@@ -60,10 +60,9 @@ def config_overrides():
 CASES = {
     "whole-space": lambda: value_record(
         WholeSpace(F(1)), WholeSpace(F(1)), WholeSpace(F(2)), "diam"),
-    "line-intervals": lambda: value_record(
-        LineIntervals(((F(1, 2), F(1)), (F(0), F(1, 4)))),
-        LineIntervals(((F(0), F(1, 4)), (F(1, 2), F(1)))),
-        LineIntervals(((F(0), F(1, 2)),)), "intervals"),
+    "line-interval": lambda: value_record(
+        LineInterval(F(0), F(1, 4)), LineInterval(F(0), F(1, 4)),
+        LineInterval(F(0), F(1, 2)), "hi"),
     "arc": lambda: value_record(
         Arc(F(4, 3), F(1, 2)), Arc(F(1, 3), F(1, 2)), Arc(F(0), F(1, 2)),
         "start"),
@@ -80,10 +79,9 @@ CASES = {
     "pipeline-config": config_overrides,
     "metric-space": cached_space,
     "empty-interval": lambda: pytest.raises(
-        ValueError, LineIntervals, ((F(1), F(1)),)),
-    "overlapping-intervals": lambda: pytest.raises(
-        ValueError, LineIntervals, ((F(0), F(1, 2)), (F(1, 4), F(1)))),
+        ValueError, LineInterval, F(1), F(1)),
     "empty-arc": lambda: pytest.raises(ValueError, Arc, F(0), F(0)),
+    "whole-circle-arc": lambda: pytest.raises(ValueError, Arc, F(0), F(1)),
     "empty-box": lambda: pytest.raises(
         ValueError, BoxRegion, F(0), F(1), F(1, 2), F(1, 2)),
 }

@@ -1,0 +1,129 @@
+"""The size-sweep gate: generated spaces across the sizes and scales the
+generators take, each run in-process as ``embed run`` runs it.  A run
+either exits 0 with no failing check, or exits 2 with one ``error: [stage]``
+line: a covering that validates is never followed by a failing check.
+A space above ``MAX_POINTS`` points is refused where it is built."""
+import hashlib
+import json
+import re
+
+import pytest
+
+from qtrees.cli import main
+from qtrees.metric import MAX_POINTS
+from qtrees.pipeline import Pipeline, StageError
+from qtrees.presets import config_for
+
+SWEEP = [
+    *(["--space", "cantor", "--depth", str(d)] for d in range(3, 7)),
+    *(["--space", "cantor", "--depth", str(d), "--r", r]
+      for r in ("1/27", "1/81") for d in (4, 6)),
+    *(["--space", "grid", "--n", str(n), "--max-level", "2"]
+      for n in (3, 5, 7, 9)),
+    *(["--space", "circle", "--n", str(n)] for n in (41, 81, 121, 161, 243)),
+]
+
+
+def run(argv, capsys):
+    """(exit code, report or None, stderr lines) of ``embed run``."""
+    code = main(["run", *argv])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out) if captured.out else None
+    return code, report, captured.err.splitlines()
+
+
+def failing_checks(report) -> set:
+    return {check["id"] for suite in report["suites"].values()
+            for check in suite["results"] if check["status"] == "fail"}
+
+
+def assert_passes_or_stops_at_a_named_stage(code, report, err):
+    if code == 0:
+        assert report["ok"] and not failing_checks(report) and not err
+    else:
+        assert code == 2 and report is None, (code, err)
+        assert len(err) == 1 and re.match(r"error: \[\w+\] \S", err[0]), err
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_a_generated_space_passes_or_stops_at_a_named_stage(argv, capsys):
+    assert_passes_or_stops_at_a_named_stage(*run(argv, capsys))
+
+
+def test_the_sweep_pins_its_new_passes_and_its_covering_failures(capsys):
+    # the triadic blocks fit r = 1/27 and 1/81, and the circle generator
+    # still fails past its own sizes, at the covering stage
+    outcomes = {" ".join(argv): run(argv, capsys)[::2] for argv in
+                (SWEEP[4], SWEEP[7], SWEEP[-2], SWEEP[-1])}
+    assert outcomes == {
+        "--space cantor --depth 4 --r 1/27": (0, []),
+        "--space cantor --depth 6 --r 1/81": (0, []),
+        "--space circle --n 161": (2, [
+            "error: [covering] generated sequence fails validation: "
+            "{'property': 3, 'color': 0, 'pair': ['c0-j1-0', 'c0-j1-2'], "
+            "'ball': 6}"]),
+        "--space circle --n 243": (2, [
+            "error: [covering] generated sequence fails validation: "
+            "{'property': 'disjoint', 'level': 1, 'color': 0, "
+            "'pair': ['c0-j1-0', 'c0-j1-2']}"]),
+    }
+
+
+CANTOR7_REPORT_SHA256 = ("8e8427edf905c955d9cd3624152fa63c"
+                         "8d270adc1b3d943d5a01afed0ff14479")
+
+
+@pytest.fixture(scope="module")
+def cantor7(tmp_path_factory):
+    """``embed run --space cantor --depth 7``, once: its exit code, report
+    and report.json bytes."""
+    out = tmp_path_factory.mktemp("cantor7")
+    code = main(["run", "--space", "cantor", "--depth", "7",
+                 "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    return code, report, (out / "report.json").read_bytes()
+
+
+def test_cantor7_fails_the_segment_shape_alone(cantor7):
+    # pinned, so that a change to which violations are kept, or in what
+    # order, shows
+    code, report, data = cantor7
+    assert code == 1
+    assert failing_checks(report) == {"stage1-critical-segment-shape"}
+    assert hashlib.sha256(data).hexdigest() == CANTOR7_REPORT_SHA256
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the segment-shape "
+                   "check fails wherever a critical level reaches 4")
+def test_cantor7_passes_or_stops_at_a_named_stage(cantor7):
+    code, report, _ = cantor7
+    assert_passes_or_stops_at_a_named_stage(code, report, [])
+
+
+@pytest.mark.parametrize("kind, n, count", [
+    ("cantor", 10, "2^10"), ("grid", 23, "23^2 = 529"),
+    ("circle", 513, "513")])
+def test_a_space_above_the_point_limit_is_refused_where_it_is_built(
+        kind, n, count):
+    assert MAX_POINTS == 512
+    pipe = Pipeline(config_for(None, space_kind=kind, space_param=n))
+    with pytest.raises(StageError) as caught:
+        pipe.space
+    assert str(caught.value) == (f"[space] {kind}({n}) has {count} points, "
+                                 "above the limit of 512")
+
+
+@pytest.mark.parametrize("kind, n", [("cantor", 9), ("grid", 22),
+                                     ("circle", 512)])
+def test_a_space_at_the_point_limit_is_built(kind, n):
+    space = Pipeline(config_for(None, space_kind=kind, space_param=n)).space
+    assert space.n <= MAX_POINTS
+
+
+def test_a_space_file_above_the_point_limit_is_refused(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("513\n0\n")
+    assert main(["run", "--space-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [space] the space file has 513 points, above the limit of "
+        "512"]

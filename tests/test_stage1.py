@@ -42,6 +42,48 @@ def circle_emb():
     return embed_stage1(g, seq)
 
 
+def reference_image(seq, tree, graph, v):
+    """The stage-1 map by a scan of the tree's levels: the first element,
+    from level min(level(v) - 1, J) down to 0, that contains the vertex
+    ball; the root maps to the tree root."""
+    if v == graph.root:
+        return tree.root
+    top = min(v.level - 1, seq.max_level)
+    if top < 0:
+        return tree.root
+    kernel = seq.kernel
+    radius = kernel.radius(v.level)
+    coord = kernel.coords[v.center]
+    for j in range(top, -1, -1):
+        for uid in tree.level_vertices(j):
+            if kernel.regions[uid].contains_ball(coord, radius):
+                return uid
+    raise ValueError(f"no element contains the ball of {v}")
+
+
+MAP_CONFIGS = {
+    **{name: config_for(name) for name in ("cantor", "circle", "grid")},
+    **{f"grid{n}-L2": config_for(None, space_kind="grid", space_param=n,
+                                 max_level=2) for n in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(MAP_CONFIGS))
+def test_the_map_read_off_the_chains_is_the_level_scan(name):
+    emb = Pipeline(MAP_CONFIGS[name]).stage1
+    graph, seq = emb.graph, emb.seq
+    deep = 0
+    for v in graph.vertices:
+        expected = tuple(reference_image(seq, emb.trees[c], graph, v)
+                         for c in emb.colors)
+        assert emb.images[v] == expected, v
+        deep += any(u != emb.trees[c].root
+                    for c, u in zip(emb.colors, expected))
+    # below depth 2 every image is at level <= 0, a tree root (the grid
+    # preset); deeper, some vertex maps below the roots
+    assert (deep > 0) == (seq.max_level > 1), deep
+
+
 def test_root_maps_to_root(cantor_emb):
     emb = cantor_emb
     for c in emb.colors:
@@ -165,12 +207,13 @@ def test_single_vertex_graph_vacuous():
 
 
 def test_one_stage1_builds_its_tree_side_once(monkeypatch):
-    """The stage-1 suite (with its segment-dip and level-escape checks),
-    those two checks again and the critical-letter check read one set of
-    tables: no meet of a color tree is computed twice, and the containing
-    chains are built once, one region test per center and tree vertex."""
-    st2 = Pipeline(config_for("circle")).stage2
-    emb = st2.stage1
+    """Stage 1 with the stage-1 map, the stage-1 suite (with its
+    segment-dip and level-escape checks), those two checks again and the
+    critical-letter check read one set of tables: no meet of a color tree
+    is computed twice, and the containing chains, which the map is read
+    off, are built once, one region test per center and tree vertex."""
+    pipe = Pipeline(config_for("circle"))
+    regions = pipe.seq.kernel.regions
     meets, tests = Counter(), Counter()
     lca = LevelledTree.lca
 
@@ -185,9 +228,11 @@ def test_one_stage1_builds_its_tree_side_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(LevelledTree, "lca", counted_lca)
-    for cls in {type(region) for region in emb.seq.kernel.regions.values()}:
+    for cls in {type(region) for region in regions.values()}:
         monkeypatch.setattr(cls, "contains_point",
                             counted(cls.contains_point))
+    st2 = pipe.stage2
+    emb = st2.stage1
     stage1_suite(emb)
     check_segment_dip(emb)
     check_level_escape(emb)
