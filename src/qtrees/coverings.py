@@ -444,14 +444,14 @@ def _circle_blocks(n_points: int, sizes: Sequence[int]) -> list[tuple[int, int]]
 
 def default_circle_blocks(n_points: int) -> list[int]:
     """Block pattern: alternating colors need an even count; sizes 4 and 5
-    keep arcs under the mesh and same-color gaps past the ball window."""
-    if n_points % 4 == 1:
-        return [5] + [4] * ((n_points - 5) // 4)
-    if n_points % 4 == 0:
-        return [4] * (n_points // 4)
-    if n_points % 4 == 2:
-        return [5, 5] + [4] * ((n_points - 10) // 4)
-    return [5, 5, 5] + [4] * ((n_points - 15) // 4)
+    keep arcs under the mesh and same-color gaps past the ball window.
+    The fewest blocks of 5 are n mod 4; 2, 3, 6, 7 and 11 points cannot
+    be cut so."""
+    fives = n_points % 4
+    if 5 * fives > n_points:
+        raise CoveringError(f"{n_points} points cannot be cut into blocks "
+                            "of 4 and 5 points")
+    return [5] * fives + [4] * ((n_points - 5 * fives) // 4)
 
 
 def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,

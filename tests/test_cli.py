@@ -286,8 +286,8 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "536ea43ae212862978601288fb93bb4a"
-                       "53b3f9af7be7208b616a4595f79e08e8",
+        "report.json": "dcbc2d153df6df86fa89f3e45668043f"
+                       "e6cf66e70cac140738aaf72877b2db15",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -299,8 +299,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "f302073e00e24b25e06681ae433e0a54"
-                       "cea5eb7dae2f028332b6e1cd7107075c",
+        "report.json": "74c00ef144f89f17e97d1d10947a2ef2"
+                       "c8db36eb1e99a2060e243d4d0e3787bc",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -311,8 +311,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "52e5b2a4912814bf053469f7394633af"
-                       "03cf1711da1cf3eb40f3e7a8bc225345",
+        "report.json": "3a8088476c4cf41875883254797e815c"
+                       "c41eb17dbcc583e3b59567d7c4326d0e",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },
@@ -362,16 +362,16 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "covering", "--preset", "grid"):
         "78a4ba920f2724a989fbf221f609b38fb41af5f637b6759e0837511addb8e3ba",
     ("verify", "stage2", "--preset", "circle"):
-        "a09947414e6d91ebd06fd3f5a5b13a7529f1cd9def8048fa3ff2b420582d50b7",
+        "da57c418b7efb9ebec50945541d589fb423a8a3199a57e922485a88d71351100",
     ("verify", "stage2", "--preset", "cantor", "--research-kappa",
      "--kappa", "3"):
-        "cc31afacca585842be6f1a268c2479d93963f9bbd7655b1264c8c77a2c963975",
+        "913237ac6d485c82ecc28c453a02ab2feda9b10ae04192742c8cb695e4b5acbd",
     ("verify", "all", "--preset", "cantor"):
-        "7d69be5e863ec6de4594ed4054deca7408f06d5f4ab80935f300957d215d5974",
+        "9c97c0826e9529e005a81195033edc4d6d582245cd2576473adb75f2ef410b3c",
     ("verify", "all", "--preset", "circle"):
-        "99d350635f3495ef64103664de24523079c7d159c30d1167acb6beba116e0b54",
+        "d04793859d1f85dbd2a0f9065a0bb6b685e4b26f544712dd737ac2870df8a3be",
     ("verify", "all", "--preset", "grid"):
-        "b56d250e314a92ab7e675b52cc491fdd4c7641b806a3885c53851c2e8f61fc46",
+        "2223fdfffb667513192b87edb9b028261c253f3b5a9a5dbfd6474c483a848cd1",
 }
 
 

@@ -9,6 +9,7 @@ from qtrees.coverings import (
     CoveringError,
     CoveringSequence,
     build_covering,
+    default_circle_blocks,
     lebesgue_number,
     load_covering_json,
     mesh,
@@ -120,6 +121,22 @@ def test_circle_preset_validates_and_one_color_fails():
     assert validate_covering_sequence(seq, graph=g).status == "pass"
     with pytest.raises(CoveringError):
         build_covering("shifted_arcs", g, n_colors=1)
+
+
+def test_default_circle_blocks_add_up_to_the_circle_or_are_refused():
+    # blocks of 4 and 5 points make every size from 12 on, and 4, 5, 8, 9
+    # and 10 below it
+    refused = []
+    for n in range(2, 200):
+        try:
+            sizes = default_circle_blocks(n)
+        except CoveringError as exc:
+            assert str(exc) == \
+                f"{n} points cannot be cut into blocks of 4 and 5 points"
+            refused.append(n)
+        else:
+            assert sum(sizes) == n and set(sizes) <= {4, 5}
+    assert refused == [2, 3, 6, 7, 11]
 
 
 def test_identical_shift_for_both_families_fails():

@@ -4,23 +4,35 @@ either exits 0 with no failing check, or exits 2 with one ``error: [stage]``
 line: a covering that validates is never followed by a failing check.
 A space above ``MAX_POINTS`` points is refused where it is built."""
 import hashlib
+import itertools
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from qtrees.cli import main
 from qtrees.metric import MAX_POINTS
 from qtrees.pipeline import Pipeline, StageError
-from qtrees.presets import config_for
+from qtrees.presets import PRESETS, PipelineConfig, config_for
+from qtrees.trees import word_distance
 
-SWEEP = [
+# the configs that run through every stage, and those that stop at the
+# covering
+PASSING = [
     *(["--space", "cantor", "--depth", str(d)] for d in range(3, 7)),
     *(["--space", "cantor", "--depth", str(d), "--r", r]
       for r in ("1/27", "1/81") for d in (4, 6)),
     *(["--space", "grid", "--n", str(n), "--max-level", "2"]
       for n in (3, 5, 7, 9)),
-    *(["--space", "circle", "--n", str(n)] for n in (41, 81, 121, 161, 243)),
+    ["--space", "circle", "--n", "81"],
+]
+# the circle sizes that no run of blocks of 4 and 5 points adds up to
+UNCUT = (2, 3, 6, 7, 11)
+SWEEP = [
+    *PASSING,
+    *(["--space", "circle", "--n", str(n)]
+      for n in (41, 121, 161, 243, *UNCUT)),
 ]
 
 
@@ -53,8 +65,9 @@ def test_a_generated_space_passes_or_stops_at_a_named_stage(argv, capsys):
 def test_the_sweep_pins_its_new_passes_and_its_covering_failures(capsys):
     # the triadic blocks fit r = 1/27 and 1/81, and the circle generator
     # still fails past its own sizes, at the covering stage
-    outcomes = {" ".join(argv): run(argv, capsys)[::2] for argv in
-                (SWEEP[4], SWEEP[7], SWEEP[-2], SWEEP[-1])}
+    outcomes = {" ".join(argv): run(argv, capsys)[::2] for argv in (
+        PASSING[4], PASSING[7], ["--space", "circle", "--n", "161"],
+        ["--space", "circle", "--n", "243"])}
     assert outcomes == {
         "--space cantor --depth 4 --r 1/27": (0, []),
         "--space cantor --depth 6 --r 1/81": (0, []),
@@ -69,8 +82,68 @@ def test_the_sweep_pins_its_new_passes_and_its_covering_failures(capsys):
     }
 
 
-CANTOR7_REPORT_SHA256 = ("8e8427edf905c955d9cd3624152fa63c"
-                         "8d270adc1b3d943d5a01afed0ff14479")
+@pytest.mark.parametrize("n", UNCUT)
+def test_a_circle_that_blocks_of_4_and_5_cannot_cut_is_refused(n, capsys):
+    assert run(["--space", "circle", "--n", str(n)], capsys)[::2] == (2, [
+        f"error: [covering] {n} points cannot be cut into blocks of 4 and "
+        "5 points"])
+
+
+def config_of(argv) -> PipelineConfig:
+    """The config ``embed run`` takes from a sweep entry's flags."""
+    flags = dict(zip(argv[::2], argv[1::2]))
+    return config_for(
+        None, space_kind=flags["--space"],
+        space_param=int(flags.get("--depth") or flags["--n"]),
+        r=Fraction(flags["--r"]) if "--r" in flags else None,
+        max_level=int(flags["--max-level"]) if "--max-level" in flags
+        else None)
+
+
+def pages_past_tree_distance(st2) -> list:
+    """(color, a, b) of every pair of image tree vertices whose diaries lie
+    further apart than the two vertices in their color tree."""
+    emb = st2.stage1
+    past = []
+    for c in st2.colors:
+        tree = emb.trees[c]
+        images = sorted({emb.image(c, v) for v in emb.graph.vertices})
+        for a, b in itertools.combinations(images, 2):
+            if word_distance(st2.diaries[c, a], st2.diaries[c, b]) > \
+                    tree.generation_distance(a, b):
+                past.append((c, a, b))
+    return past
+
+
+@pytest.mark.parametrize("config", [
+    *PRESETS.values(), *map(config_of, PASSING)],
+    ids=[*PRESETS, *map(" ".join, PASSING)])
+def test_page_distance_is_at_most_tree_distance(config):
+    # why no stage-2 check bounds page distance from above: with
+    # stage1-tree-lipschitz it gives page distance <= 2 gd in each color
+    assert pages_past_tree_distance(Pipeline(config).stage2) == []
+
+
+@pytest.mark.parametrize("preset", ["cantor", "circle"])
+def test_a_lengthened_diary_lies_past_its_tree_distance(preset):
+    # more pages than any tree distance, on the deepest color-0 image: every
+    # pair with that image breaks the bound, and no other pair does
+    st2 = Pipeline(PRESETS[preset]).stage2
+    emb = st2.stage1
+    tree = emb.trees[0]
+    images = sorted({emb.image(0, v) for v in emb.graph.vertices})
+    image = max(images, key=lambda u: (tree.depths[u], u))
+    extra = 1 + max(tree.generation_distance(a, b)
+                    for a, b in itertools.combinations(images, 2))
+    page = (st2.labelling.words[0, image][0],) * st2.kappa
+    st2.diaries[0, image] += (page,) * extra
+    assert pages_past_tree_distance(st2) == [
+        (0, a, b) for a, b in itertools.combinations(images, 2)
+        if image in (a, b)]
+
+
+CANTOR7_REPORT_SHA256 = ("7609a354500993917ca3f18a210435ba"
+                         "402024b878834151c7f732ddbc964524")
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qtrees.approx import build_approximation
 from qtrees.coverings import build_covering
 from qtrees.metric import ScaleParams, generate_space
+from qtrees.pipeline import Pipeline
+from qtrees.presets import PRESETS
 from qtrees.reporting import CheckResult, PASS
 from qtrees.trees import (
     LevelledTree,
@@ -115,20 +117,37 @@ def test_color_tree_structure(cantor_tree):
     assert check.status == "pass", check.violations[:2]
 
 
+def edges_not_rising(tree: LevelledTree) -> list:
+    """(parent, child) of every edge whose level does not rise."""
+    return sorted((p, u) for u, p in tree.parent.items()
+                  if p is not None and tree.level[p] >= tree.level[u])
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_every_color_tree_edge_rises_in_level(preset):
+    # build_color_tree takes each parent from a lower level, so the meet of
+    # two incomparable vertices sits strictly below both
+    trees = Pipeline(PRESETS[preset]).stage1.trees
+    for tree in trees.values():
+        assert edges_not_rising(tree) == []
+    # and some tree has an edge to test
+    assert sum(len(t.parent) for t in trees.values()) > len(trees)
+
+
 def test_meet_below_both_ends_follows_from_monotone_levels(cantor_tree):
-    # a tree whose incomparable pair meets at the level of one end has a
-    # non-monotone edge, and the check reports that edge
+    # a tree whose incomparable pair meets at the level of one end has an
+    # edge whose level does not rise, which build_color_tree never makes;
+    # the structure check counts its vertices as before
     seq, t, sc = cantor_tree
     u = t.level_vertices(2)[0]
     q = next(x for x in t.level_vertices(1) if x != t.parent[u])
     bad = LevelledTree(root=t.root, parent=t.parent,
                        level={**t.level, u: 0}, color=t.color)
     assert bad.level[bad.meets[u, q]] >= min(bad.level[u], bad.level[q])
-    check = check_color_tree(seq, bad, sc.k0)
-    assert check.status == "fail"
-    assert {"vertex": u, "edge": [t.parent[u], u],
-            "reason": "level not increasing"} in check.violations
-    assert check.checked == check_color_tree(seq, t, sc.k0).checked
+    assert edges_not_rising(t) == []
+    assert edges_not_rising(bad) == [(t.parent[u], u)]
+    assert check_color_tree(seq, bad, sc.k0).checked == \
+        check_color_tree(seq, t, sc.k0).checked
 
 
 def test_color_tree_depth_bound(cantor_tree):
