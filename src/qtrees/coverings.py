@@ -430,10 +430,8 @@ def generate_ultrametric(space: FiniteMetricSpace, scale: ScaleParams,
     return CoveringSequence(space=space, r=scale.r, colors=colors, levels=levels)
 
 
-def _circle_blocks(n_points: int, sizes: Sequence[int]) -> list[tuple[int, int]]:
+def _circle_blocks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Consecutive point blocks [first, last] around the circle."""
-    if sum(sizes) != n_points:
-        raise CoveringError(f"block sizes sum to {sum(sizes)}, expected {n_points}")
     blocks = []
     start = 0
     for s in sizes:
@@ -445,19 +443,21 @@ def _circle_blocks(n_points: int, sizes: Sequence[int]) -> list[tuple[int, int]]
 def default_circle_blocks(n_points: int) -> list[int]:
     """Block pattern: alternating colors need an even count; sizes 4 and 5
     keep arcs under the mesh and same-color gaps past the ball window.
-    The fewest blocks of 5 are n mod 4; 2, 3, 6, 7 and 11 points cannot
-    be cut so."""
+    The number of blocks of 5 is n mod 4, or four more where that makes
+    the block count even and still fits: each four 5s in place of five 4s
+    take one block away.  2, 3, 6, 7 and 11 points cannot be cut so, and
+    4, 5, 12-15, 21-23 and 31 points only into an odd count."""
     fives = n_points % 4
     if 5 * fives > n_points:
         raise CoveringError(f"{n_points} points cannot be cut into blocks "
                             "of 4 and 5 points")
+    if (n_points - fives) // 4 % 2 and 5 * (fives + 4) <= n_points:
+        fives += 4
     return [5] * fives + [4] * ((n_points - 5 * fives) // 4)
 
 
 def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
-                          n_colors: int = 2,
-                          blocks: Optional[Sequence[int]] = None
-                          ) -> CoveringSequence:
+                          n_colors: int = 2) -> CoveringSequence:
     """Two alternating families of arcs over consecutive point blocks.
 
     Level 1 arcs reach exactly one open-ball radius past their end points;
@@ -475,10 +475,10 @@ def generate_shifted_arcs(space: FiniteMetricSpace, scale: ScaleParams,
                             f"not {n_colors}")
     n = space.n
     unit = Fraction(1, n)
-    sizes = list(blocks) if blocks is not None else default_circle_blocks(n)
+    sizes = default_circle_blocks(n)
     if len(sizes) % n_colors:
         raise CoveringError("alternating colors need an even number of blocks")
-    pt_blocks = _circle_blocks(n, sizes)
+    pt_blocks = _circle_blocks(sizes)
     color_of_point = {p: i % n_colors
                       for i, (first, last) in enumerate(pt_blocks)
                       for p in range(first, last + 1)}

@@ -9,11 +9,11 @@ and every inequality in that statement is checked pair by pair.
 The pair loops read the graph's pair table, ``ApproxGraph.pairs``: the
 graph distance, the class and the critical level of every vertex pair,
 compared on ints.  What the pair table alone decides, such as the graph
-distance at a critical level, is checked by the approx suite; every
-check here reads the trees.  The map is read off the containing chains:
-an element holding a vertex's ball holds its center.  Both are built
-together, with one region scan per center and tree vertex on the
-covering's own int kernel, ``seq.kernel``.  The tree
+distance at a critical level, follows from the graph's edge rule (see the
+``approx`` module); every check here reads the trees.  The map is read
+off the containing chains: an element holding a vertex's ball holds its
+center.  Both are built together, with one region scan per center and
+tree vertex on the covering's own int kernel, ``seq.kernel``.  The tree
 side has one owner per quantity, each built once: the color trees own
 depths, root-path levels and meets (``LevelledTree``), and ``Stage1``
 owns the images of every vertex and its containing chains with their int

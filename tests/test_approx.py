@@ -9,12 +9,7 @@ from qtrees.approx import (
     Vertex,
     approx_suite,
     build_approximation,
-    central_ancestor,
-    check_ball_intersection_bound,
-    check_central_ancestors,
-    check_critical_level_distance,
     check_geodesic_shape,
-    check_horizontal_descent,
     estimate_delta,
     graph_summary,
     visual_metric_constants,
@@ -23,6 +18,8 @@ from qtrees.metric import ScaleParams, generate_space, make_space
 from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PRESETS
 from qtrees.reporting import jsonable
+from test_pair_table import descents_apart, distinct_pairs_too_far, \
+    touching_balls_too_far, vertices_without_central_ancestor
 
 
 def two_point_graph():
@@ -62,31 +59,6 @@ def test_graph_distance_basics():
     for v in g.vertices:
         assert g.distances_from(v)[v] == 0
         assert g.distances_from(g.root)[v] <= v.level - sc.k0
-
-
-def test_central_ancestor_contract():
-    s = generate_space("cantor", 3)
-    sc = ScaleParams.for_space(s, F(1, 9), 3)
-    g = build_approximation(s, sc)
-    for v in g.vertices:
-        if v == g.root:
-            with pytest.raises(ValueError):
-                central_ancestor(g, v)
-            continue
-        w = central_ancestor(g, v)
-        assert w.level == v.level - 1
-        assert g.space.d(v.center, w.center) <= sc.sep(w.level)
-        assert g.has_edge(v, w)
-        for u in g.adj[v]:
-            if u.level == v.level:
-                assert g.has_edge(u, w)
-
-
-def test_two_point_central_ancestor_is_root():
-    _, g = two_point_graph()
-    for v in g.vertices:
-        if v != g.root:
-            assert central_ancestor(g, v) == g.root
 
 
 def test_gromov_product_identities():
@@ -208,23 +180,18 @@ def keep_every_violation(monkeypatch):
 
 @pytest.mark.parametrize("reason", ["no radial edge to vertex",
                                     "neighbor not joined to ancestor"])
-def test_doctored_central_ancestor_fails(reason, keep_every_violation):
-    # a vertex v with a same-level neighbor u, and v's central ancestor w:
-    # drop the edge from w to v, or to u
+def test_doctored_central_ancestor_fails(reason):
+    # a vertex v with a same-level neighbor u: drop the edges from every
+    # vertex one level down and closer than r^(level - 1) to v, or to u
     g = cantor_graph()
     v, u = next((v, u) for v in g.vertices for u in g.adj[v]
                 if u.level == v.level)
-    w = central_ancestor(g, v)
-    if reason == "no radial edge to vertex":
-        doctor(g, drop=[(v, w)])
-        expected = {"vertex": v, "ancestor": w, "reason": reason}
-    else:
-        doctor(g, drop=[(u, w)])
-        expected = {"vertex": v, "ancestor": w, "neighbor": u,
-                    "reason": reason}
-    res = check_central_ancestors(g)
-    assert res.status == "fail"
-    assert jsonable(expected) in res.violations
+    near = [w for w in g.adj[v] if w.level == v.level - 1 and
+            g.d(v, w) < g.scale.sep(w.level)]
+    assert vertices_without_central_ancestor(g) == [] and near
+    end = v if reason == "no radial edge to vertex" else u
+    doctor(g, drop=[(end, w) for w in near if g.has_edge(end, w)])
+    assert v in vertices_without_central_ancestor(g)
 
 
 def test_doctored_geodesic_shape_fails(keep_every_violation):
@@ -242,50 +209,45 @@ def test_doctored_geodesic_shape_fails(keep_every_violation):
         in res.violations
 
 
-def test_doctored_horizontal_descent_fails(keep_every_violation):
+def test_doctored_horizontal_descent_fails():
     # join the two farthest deepest vertices: the vertices radially below
     # them stay far apart
     g = cantor_graph()
     deep = [v for v in g.vertices if v.level == g.scale.max_level]
     v, w = max(((v, w) for v in deep for w in deep if v != w),
                key=lambda p: (g.d(*p), p))
+    assert descents_apart(g) == []
     doctor(g, add=[(v, w, HORIZONTAL)])
-    res = check_horizontal_descent(g)
-    assert res.status == "fail"
-    pair = jsonable(in_pair_order(g, v, w))
-    hits = [viol for viol in res.violations if viol["pair"] == pair]
-    assert hits and all(viol["dist"] > 1 for viol in hits)
+    pair = in_pair_order(g, v, w)
+    hits = [(a, b) for *edge, a, b in descents_apart(g)
+            if tuple(edge) == pair]
+    assert hits and all(g.distances_from(a)[b] > 1 for a, b in hits)
 
 
-def test_doctored_ball_intersection_bound_fails(keep_every_violation):
+def test_doctored_ball_intersection_bound_fails():
     # drop a horizontal edge: its ends' balls still touch, so the bound
     # stays one step, but the ends are now farther apart
     g = cantor_graph()
     v, w = next(in_pair_order(g, v, w) for v, w, kind in g.edges()
                 if kind == HORIZONTAL)
+    assert touching_balls_too_far(g) == []
     doctor(g, drop=[(v, w)])
-    res = check_ball_intersection_bound(g)
-    assert res.status == "fail"
-    assert jsonable({"pair": (v, w), "graph_dist": g.distances_from(v)[w],
-                     "bound": 1}) in res.violations
+    assert (v, w) in touching_balls_too_far(g)
     assert g.distances_from(v)[w] > 1
 
 
-def test_doctored_critical_level_distance_fails(keep_every_violation):
+def test_doctored_critical_level_distance_fails():
     # cut the first level-1 vertex off the root and off its level-1
     # neighbor: it reaches the last level-1 vertex only through the level
     # below, farther than their critical level allows
     g = cantor_graph()
     first, *_, last = (v for v in g.vertices if v.level == 1)
     u = next(u for u in g.adj[first] if u.level == 1)
+    assert distinct_pairs_too_far(g) == []
     doctor(g, drop=[(g.root, first), (first, u)])
     l = next(l for v, w, _, _, l in g.pairs if (v, w) == (first, last))
-    dist, bound = g.distances_from(first)[last], 2 * (1 - l) + 3
-    res = check_critical_level_distance(g)
-    assert res.status == "fail"
-    assert jsonable({"pair": (first, last), "dist": dist, "bound": bound}) \
-        in res.violations
-    assert dist > bound
+    assert (first, last) in distinct_pairs_too_far(g)
+    assert g.distances_from(first)[last] > 2 * (1 - l) + 3
 
 
 def test_disconnected_graph_is_an_approximation_error(monkeypatch):

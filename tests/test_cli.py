@@ -284,10 +284,53 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
         scale.sep(k) for k in range(scale.k0, scale.max_level + 2)]
 
 
+# the sorted check ids of each pipeline suite of the presets, one a line,
+# so that a check deleted or added shows as a readable diff beside the
+# digests below; stage 1 adds one tree-structure id per color
+CHECK_IDS = {
+    "approx": [
+        "approx-geodesic-shape",
+    ],
+    "covering": [
+        "covering-contract",
+    ],
+    "stage1": [
+        "stage1-close-pair-bound",
+        "stage1-close-radial-segment",
+        "stage1-critical-segment-shape",
+        "stage1-distinct-pair-bound",
+        "stage1-global-lower-bound",
+        "stage1-level-escape",
+        "stage1-tree-lipschitz",
+    ],
+    "stage2": [
+        "labelling-net-coloring",
+        "labelling-sentences",
+        "stage2-binary-sandwich",
+        "stage2-critical-letters",
+        "stage2-lower-bound",
+        "stage2-reconstruction-membership",
+    ],
+}
+TREE_CHECK_IDS = {
+    "cantor": ["tree-structure-c0"],
+    "circle": ["tree-structure-c0", "tree-structure-c1"],
+    "grid": ["tree-structure-c0", "tree-structure-c1", "tree-structure-c2"],
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TREE_CHECK_IDS))
+def test_each_pipeline_suite_keeps_its_check_ids(preset):
+    suites = run_pipeline(config_for(preset)).report["suites"]
+    assert {name: sorted(entry["id"] for entry in suite["results"])
+            for name, suite in suites.items()} == \
+        {**CHECK_IDS, "stage1": CHECK_IDS["stage1"] + TREE_CHECK_IDS[preset]}
+
+
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "dcbc2d153df6df86fa89f3e45668043f"
-                       "e6cf66e70cac140738aaf72877b2db15",
+        "report.json": "ef2e33696e083b408d29a4ce712081a1"
+                       "ff30377eb93ac88fb686c42e91384cf1",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -299,8 +342,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "74c00ef144f89f17e97d1d10947a2ef2"
-                       "c8db36eb1e99a2060e243d4d0e3787bc",
+        "report.json": "7b76c0313ec81d8ea724c540c559d103"
+                       "1bbbe6a0e37c30115680409a4683ec47",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -311,8 +354,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "3a8088476c4cf41875883254797e815c"
-                       "c41eb17dbcc583e3b59567d7c4326d0e",
+        "report.json": "5ec5ac3fadc8bee9296d3a88d2038171"
+                       "b1e817835869f93e91c3ca4d8a5867a6",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },
@@ -367,11 +410,11 @@ GOLDEN_STDOUT_SHA256 = {
      "--kappa", "3"):
         "913237ac6d485c82ecc28c453a02ab2feda9b10ae04192742c8cb695e4b5acbd",
     ("verify", "all", "--preset", "cantor"):
-        "9c97c0826e9529e005a81195033edc4d6d582245cd2576473adb75f2ef410b3c",
+        "3868076b4e5a3db985a8342fb618b915924b39de914a74f93e4ec2243d416464",
     ("verify", "all", "--preset", "circle"):
-        "d04793859d1f85dbd2a0f9065a0bb6b685e4b26f544712dd737ac2870df8a3be",
+        "6ab39ccd0f6689bde3299c8cef460b11f6693c1fc8c8b3a71544d5cdc826f794",
     ("verify", "all", "--preset", "grid"):
-        "2223fdfffb667513192b87edb9b028261c253f3b5a9a5dbfd6474c483a848cd1",
+        "79aa4cfee5c0e51628bab4dc79b65057403bd92a623c1cedaf7ed27ca8715d4f",
 }
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtrees import coverings
 from qtrees.approx import build_approximation
 from qtrees.coverings import (
     GENERATORS,
@@ -139,12 +140,37 @@ def test_default_circle_blocks_add_up_to_the_circle_or_are_refused():
     assert refused == [2, 3, 6, 7, 11]
 
 
-def test_identical_shift_for_both_families_fails():
-    # same-color overlap: blocks of one point each force adjacent arcs of
-    # the same color to collide
+def test_default_circle_blocks_take_the_fewest_5s_of_an_even_cut():
+    # every cut of n into a blocks of 5 and b blocks of 4: the blocks take
+    # the fewest 5s among the cuts of even count, or among all cuts where
+    # none is even
+    odd = []
+    for n in range(4, 513):
+        cuts = [(a, (n - 5 * a) // 4) for a in range(n // 5 + 1)
+                if (n - 5 * a) % 4 == 0]
+        if not cuts:
+            continue
+        even = [(a, b) for a, b in cuts if (a + b) % 2 == 0]
+        a, b = min(even or cuts)
+        sizes = default_circle_blocks(n)
+        assert sizes == [5] * a + [4] * b, n
+        if not even:
+            odd.append(n)
+        if sum(cuts[0]) % 2 == 0:
+            # the fewest 5s already made an even count: nothing moved
+            assert sizes == [5] * cuts[0][0] + [4] * cuts[0][1], n
+    assert odd == [4, 5, 12, 13, 14, 15, 21, 22, 23, 31]
+    assert default_circle_blocks(45) == [5] * 5 + [4] * 5
+
+
+def test_identical_shift_for_both_families_fails(monkeypatch):
+    # same-color overlap: an even count of blocks of mostly three points
+    # puts arcs of the same color closer than one ball
     s, sc, g = circle_setup()
-    with pytest.raises(CoveringError):
-        build_covering("shifted_arcs", g, n_colors=2, blocks=[3] * 27)
+    monkeypatch.setattr(coverings, "default_circle_blocks",
+                        lambda n: [3] * 24 + [4, 5])
+    with pytest.raises(CoveringError, match="'property': 3, 'color': 0"):
+        build_covering("shifted_arcs", g, n_colors=2)
 
 
 def test_deliberate_overlap_reported_by_validator():

@@ -1,5 +1,6 @@
 """The pair table and the checks that replay per-key outcomes to vertex
-pairs, against the per-pair loops they replaced.
+pairs, against the per-pair loops they replaced, and the ball graph's
+lemmas that its edge rule guarantees, by brute force.
 
 The reference functions below are the earlier per-pair code: every pair is
 classified with Fraction comparisons, and every tree-side quantity is
@@ -13,10 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtrees.approx import CLOSE, DISTINCT, UNCLASSIFIED, Vertex, \
-    build_approximation, check_ball_intersection_bound, \
-    check_critical_level_distance, check_geodesic_shape, \
-    check_horizontal_descent
+from qtrees.approx import CLOSE, DISTINCT, RADIAL, UNCLASSIFIED, Vertex, \
+    build_approximation, check_geodesic_shape
 from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, compute_k0, make_space
 from qtrees.pipeline import Pipeline
@@ -208,31 +207,68 @@ def reference_critical_letters(st2):
     return res
 
 
-def reference_ball_intersection_bound(graph):
-    res = CheckResult("approx-ball-intersect-bound", PASS)
+# ---------------------------------------------------------------------------
+# The lemmas of the ball graph that its edge rule guarantees, by brute force
+# on Fractions (the proofs are in the ``approx`` module docstring).  Each
+# predicate lists what breaks its lemma; an empty list means it holds.
+
+
+def vertices_without_central_ancestor(graph):
+    """Non-root vertices v with no vertex one level down, closer than
+    r^(level - 1), that is radially joined to v and to every same-level
+    neighbour of v."""
+    sep = graph.scale.sep
+    missing = []
+    for v in graph.vertices:
+        if v == graph.root:
+            continue
+        peers = [u for u in graph.adj[v] if u.level == v.level]
+        if not any(graph.edge_kind.get(frozenset((v, w))) == RADIAL and
+                   all(graph.has_edge(u, w) for u in peers)
+                   for w in graph.vertices if w.level == v.level - 1 and
+                   graph.d(v, w) < sep(w.level)):
+            missing.append(v)
+    return missing
+
+
+def descents_apart(graph):
+    """(v, w, a, b) for every horizontal edge vw and vertices a and b
+    radially below v and w that are neither equal nor joined."""
+    apart = []
     for v, w in itertools.combinations(graph.vertices, 2):
-        sep = graph.scale.sep
-        if graph.d(v, w) <= 2 * sep(v.level) + 2 * sep(w.level):
-            res.checked += 1
-            if graph.distances_from(v)[w] > abs(v.level - w.level) + 1:
-                res.add_violation({"pair": (v, w),
-                                   "graph_dist": graph.distances_from(v)[w],
-                                   "bound": abs(v.level - w.level) + 1})
-    return res
+        if v.level != w.level or not graph.has_edge(v, w):
+            continue
+        for a in graph.adj[v]:
+            for b in graph.adj[w]:
+                if a.level == b.level == v.level - 1 and a != b and \
+                        not graph.has_edge(a, b):
+                    apart.append((v, w, a, b))
+    return apart
 
 
-def reference_critical_level_distance(graph):
-    res = CheckResult("approx-critical-level-distance", PASS)
+def touching_balls_too_far(graph):
+    """Pairs whose closed balls of radius 2 r^level touch, more than
+    |level difference| + 1 apart in the graph."""
+    sep = graph.scale.sep
+    return [(v, w) for v, w in itertools.combinations(graph.vertices, 2)
+            if graph.d(v, w) <= 2 * sep(v.level) + 2 * sep(w.level) and
+            graph.distances_from(v)[w] > abs(v.level - w.level) + 1]
+
+
+def distinct_pairs_too_far(graph):
+    """Distinct pairs at critical level l more than
+    level v + level w - 2l + 3 apart in the graph."""
+    far = []
     for v, w in itertools.combinations(graph.vertices, 2):
         pc = classify_pair(graph, v, w)
-        if pc.kind != DISTINCT:
-            continue
-        res.checked += 1
-        gd = graph.distances_from(v)[w]
-        bound = v.level + w.level - 2 * pc.critical_level + 3
-        if gd > bound:
-            res.add_violation({"pair": (v, w), "dist": gd, "bound": bound})
-    return res
+        if pc.kind == DISTINCT and graph.distances_from(v)[w] > \
+                v.level + w.level - 2 * pc.critical_level + 3:
+            far.append((v, w))
+    return far
+
+
+GRAPH_LEMMAS = (vertices_without_central_ancestor, descents_apart,
+                touching_balls_too_far, distinct_pairs_too_far)
 
 
 def outcome(res: CheckResult) -> tuple:
@@ -338,8 +374,6 @@ def test_presets_match_the_per_pair_loops(preset):
     assert rows == expected_rows
     assert outcome(check_critical_letters(pipe.stage2)) == \
         outcome(reference_critical_letters(pipe.stage2))
-    assert outcome(check_critical_level_distance(pipe.graph)) == \
-        outcome(reference_critical_level_distance(pipe.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +414,7 @@ def line_graph(points, r, max_level):
 
 @example(line_graph([0, 20, 40], F(1, 6), 0))
 @example(line_graph([0, F(1, 36)], F(1, 6), 2))  # d = r^2 exactly
+@example(line_graph([0, 1], F(1, 6), 0))  # the root is the only ancestor
 @settings(max_examples=150, deadline=None)
 @given(sample_graphs())
 def test_pair_table_matches_distance_and_classify_pair(graph):
@@ -389,12 +424,9 @@ def test_pair_table_matches_distance_and_classify_pair(graph):
         assert dist == graph.distances_from(v)[w]
         pc = classify_pair(graph, v, w)
         assert (kind, critical) == (pc.kind, pc.critical_level)
-    assert outcome(check_ball_intersection_bound(graph)) == \
-        outcome(reference_ball_intersection_bound(graph))
-    assert outcome(check_critical_level_distance(graph)) == \
-        outcome(reference_critical_level_distance(graph))
-    for check in (check_horizontal_descent, check_geodesic_shape):
-        assert check(graph).status == PASS
+    for lemma in GRAPH_LEMMAS:
+        assert lemma(graph) == [], lemma.__name__
+    assert check_geodesic_shape(graph).status == PASS
 
 
 def test_pair_table_kinds():

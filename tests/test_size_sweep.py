@@ -16,6 +16,7 @@ from qtrees.metric import MAX_POINTS
 from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PRESETS, PipelineConfig, config_for
 from qtrees.trees import word_distance
+from test_pair_table import GRAPH_LEMMAS
 
 # the configs that run through every stage, and those that stop at the
 # covering
@@ -25,14 +26,17 @@ PASSING = [
       for r in ("1/27", "1/81") for d in (4, 6)),
     *(["--space", "grid", "--n", str(n), "--max-level", "2"]
       for n in (3, 5, 7, 9)),
-    ["--space", "circle", "--n", "81"],
+    # 76 points take an even cut, four blocks of 5 and fourteen of 4
+    *(["--space", "circle", "--n", str(n)] for n in (76, 81)),
 ]
-# the circle sizes that no run of blocks of 4 and 5 points adds up to
+# the circle sizes that no run of blocks of 4 and 5 points adds up to, and
+# those that such blocks cut only into an odd count
 UNCUT = (2, 3, 6, 7, 11)
+ODD_CUT = (4, 5, 12, 13, 14, 15, 21, 22, 23, 31)
 SWEEP = [
     *PASSING,
     *(["--space", "circle", "--n", str(n)]
-      for n in (41, 121, 161, 243, *UNCUT)),
+      for n in (41, 45, 121, 161, 243, *UNCUT)),
 ]
 
 
@@ -66,11 +70,15 @@ def test_the_sweep_pins_its_new_passes_and_its_covering_failures(capsys):
     # the triadic blocks fit r = 1/27 and 1/81, and the circle generator
     # still fails past its own sizes, at the covering stage
     outcomes = {" ".join(argv): run(argv, capsys)[::2] for argv in (
-        PASSING[4], PASSING[7], ["--space", "circle", "--n", "161"],
+        PASSING[4], PASSING[7], ["--space", "circle", "--n", "45"],
+        ["--space", "circle", "--n", "161"],
         ["--space", "circle", "--n", "243"])}
     assert outcomes == {
         "--space cantor --depth 4 --r 1/27": (0, []),
         "--space cantor --depth 6 --r 1/81": (0, []),
+        "--space circle --n 45": (2, [
+            "error: [covering] generated sequence fails validation: "
+            "{'property': 1, 'level': 1, 'mesh': '7/60', 'bound': '1/12'}"]),
         "--space circle --n 161": (2, [
             "error: [covering] generated sequence fails validation: "
             "{'property': 3, 'color': 0, 'pair': ['c0-j1-0', 'c0-j1-2'], "
@@ -87,6 +95,14 @@ def test_a_circle_that_blocks_of_4_and_5_cannot_cut_is_refused(n, capsys):
     assert run(["--space", "circle", "--n", str(n)], capsys)[::2] == (2, [
         f"error: [covering] {n} points cannot be cut into blocks of 4 and "
         "5 points"])
+
+
+@pytest.mark.parametrize("n", ODD_CUT)
+def test_a_circle_that_blocks_of_4_and_5_cut_only_oddly_is_refused(n,
+                                                                   capsys):
+    assert run(["--space", "circle", "--n", str(n)], capsys)[::2] == (2, [
+        "error: [covering] alternating colors need an even number of "
+        "blocks"])
 
 
 def config_of(argv) -> PipelineConfig:
@@ -115,13 +131,45 @@ def pages_past_tree_distance(st2) -> list:
     return past
 
 
-@pytest.mark.parametrize("config", [
-    *PRESETS.values(), *map(config_of, PASSING)],
-    ids=[*PRESETS, *map(" ".join, PASSING)])
-def test_page_distance_is_at_most_tree_distance(config):
+# the presets and every passing sweep config, by name
+CONFIGS = {**PRESETS, **{" ".join(argv): config_of(argv) for argv in PASSING}}
+# the configs that run at max level 1: every vertex lies at level 1 or
+# below, so it maps to the tree root in every color
+AT_THE_ROOT = ("grid", "--space cantor --depth 4 --r 1/81")
+
+
+def images_off_the_root(emb) -> int:
+    """How many (vertex, color) images are not the color tree's root."""
+    return sum(emb.image(c, v) != emb.trees[c].root
+               for v in emb.graph.vertices for c in emb.colors)
+
+
+@pytest.mark.parametrize("name", [n for n in CONFIGS if n not in AT_THE_ROOT])
+def test_page_distance_is_at_most_tree_distance(name):
     # why no stage-2 check bounds page distance from above: with
     # stage1-tree-lipschitz it gives page distance <= 2 gd in each color
-    assert pages_past_tree_distance(Pipeline(config).stage2) == []
+    st2 = Pipeline(CONFIGS[name]).stage2
+    assert images_off_the_root(st2.stage1) > 0
+    assert pages_past_tree_distance(st2) == []
+
+
+@pytest.mark.parametrize("name", AT_THE_ROOT)
+def test_a_max_level_1_run_maps_every_vertex_to_the_root(name):
+    # every tree and page distance is 0, so a pass there says nothing;
+    # ROADMAP item 2 moves the grid preset to level 2 and makes such a run
+    # fail by name, and then this test fails
+    emb = Pipeline(CONFIGS[name]).stage1
+    assert emb.graph.scale.max_level == 1
+    assert images_off_the_root(emb) == 0
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_the_ball_graph_keeps_the_lemmas_its_edge_rule_gives(name):
+    # why the approx suite checks no central ancestor, horizontal descent,
+    # ball-intersection bound or critical-level distance
+    graph = Pipeline(CONFIGS[name]).graph
+    for lemma in GRAPH_LEMMAS:
+        assert lemma(graph) == [], lemma.__name__
 
 
 @pytest.mark.parametrize("preset", ["cantor", "circle"])
@@ -142,8 +190,8 @@ def test_a_lengthened_diary_lies_past_its_tree_distance(preset):
         if image in (a, b)]
 
 
-CANTOR7_REPORT_SHA256 = ("7609a354500993917ca3f18a210435ba"
-                         "402024b878834151c7f732ddbc964524")
+CANTOR7_REPORT_SHA256 = ("ec75672884690cd1e28fea3106ac115e"
+                         "f7006eac5dd20e8a0b6040b042c28800")
 
 
 @pytest.fixture(scope="module")
