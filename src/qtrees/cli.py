@@ -41,15 +41,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-level", dest="max_level", type=int,
                    help="truncation level (default: full separation)")
     p.add_argument("--kappa", type=int,
-                   help="page capacity (default 15*colors+1)")
+                   help="page capacity, at least 15*colors+1 (the default)")
     p.add_argument("--colors", dest="n_colors", type=int,
                    help="covering colors")
     p.add_argument("--seed", type=int,
                    help="seed of the randomized morse_thue checks; only "
                         "verify morse_thue and verify all read it")
     p.add_argument("--out", dest="out_dir", help="artifact directory")
-    p.add_argument("--research-kappa", action="store_true",
-                   help="allow page capacities below the proven bound")
 
 
 def _config_from_args(args) -> "PipelineConfig":
@@ -59,8 +57,6 @@ def _config_from_args(args) -> "PipelineConfig":
                   "kappa", "n_colors", "seed", "out_dir")
         if getattr(args, k, None) is not None
     }
-    if args.research_kappa:
-        overrides["research_kappa"] = True
     return config_for(args.preset, **overrides)
 
 

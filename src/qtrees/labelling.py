@@ -13,6 +13,9 @@ Stage 2 is built once from the color trees, as two tables:
 ``Stage2.diaries`` one diary per (color, tree vertex), its parent's pages
 plus one encoder step.  Sentences and the letter of a level are read off
 the root paths; the images' binary words are built with the diaries.
+``build_stage2`` pages at any capacity of at least 1, so that the tests
+can carry rests from page to page; the pipeline pages at ``min_kappa``,
+the 15C + 1 that the proof bounds, or above, and refuses less.
 
 The stage-2 checks test what these tables do not give by construction.
 A diary is one page per tree edge, and page distance is at most tree
@@ -24,7 +27,6 @@ import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Optional
 
 from qtrees.approx import ApproxGraph, Vertex
 from qtrees.diary import (
@@ -221,21 +223,15 @@ class Stage2:
 
 
 def min_kappa(n_colors: int) -> int:
+    """The page capacity the embedding's proof bounds: 15C + 1."""
     return 15 * n_colors + 1
 
 
-def build_stage2(lab: Labelling, kappa: Optional[int] = None,
-                 research_kappa: bool = False) -> Stage2:
+def build_stage2(lab: Labelling, kappa: int) -> Stage2:
     """Page every tree vertex's sentence: its parent's pages and rest, then
-    one encoder step on the rest and the vertex's edge word."""
+    one encoder step on the rest and the vertex's edge word, at any page
+    capacity of at least 1."""
     stage1 = lab.stage1
-    C = len(stage1.colors)
-    if kappa is None:
-        kappa = min_kappa(C)
-    if kappa < min_kappa(C) and not research_kappa:
-        raise ValueError(
-            f"page capacity {kappa} below the safe bound {min_kappa(C)}; "
-            "pass research_kappa to experiment below it")
     if kappa < 1:
         raise ValueError("page capacity must be at least 1")
     diaries = {}

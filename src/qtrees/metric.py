@@ -156,6 +156,10 @@ def make_space(rows: Sequence[Sequence], kind: str = "custom"
 # the most points a space may have; a larger one is refused before any row
 # is built, where it would otherwise exhaust memory
 MAX_POINTS = 512
+# the most levels a pipeline takes below its base level; more are refused
+# before any net is built.  Each level past full separation adds a vertex
+# per point, so the pairs grow with the square of the level count
+MAX_LEVELS = 16
 
 
 def _refuse_above_max(name: str, n: int, count: str) -> None:

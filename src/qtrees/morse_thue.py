@@ -5,8 +5,12 @@ codes position-aware: two decorated sentences sharing a long identical
 tail must have equal lengths, because a shifted match inside the
 sequence would exhibit a cube www, which the sequence never contains.
 
-Below the proven page capacity 15C + 1, ``check_small_kappa_collision`` is
-the expected-fail control that the stage-2 suite of a run reports.
+Decoration alone does not make diaries tell letters apart.  At every
+page capacity kappa, 15C + 1 included, two single-word sentences longer
+than kappa whose last kappa levels carry the same bits share a diary,
+while their level-1 letters may differ: every window of the sequence
+recurs.  ``check_equal_diaries`` holds only because its stop-density
+hypotheses exclude such pairs; the tests pin both facts.
 """
 from __future__ import annotations
 
@@ -14,8 +18,7 @@ import random
 from typing import Sequence
 
 from qtrees.diary import STOP, encode, segments_and_stops
-from qtrees.reporting import CheckResult, EXPECTED_FAIL, INCONCLUSIVE, \
-    PASS
+from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
 
 
 def mt_prefix(n: int) -> tuple[int, ...]:
@@ -231,38 +234,3 @@ def long_journey_pair(k: int = 30, n_stops: int = 2) -> tuple[tuple, tuple]:
 
     return build(k), build(k + 1)
 
-
-# the lengths below which the small-capacity control looks for a witness
-COLLISION_SEARCH = 400
-
-
-def check_small_kappa_collision(kappa: int) -> CheckResult:
-    """Negative control: below the safe page capacity there are valid
-    decorated single-word sentences with equal diaries whose level-1
-    letters differ.  The letter-identification property only survives
-    because its stop-density hypotheses exclude such pairs; reported as
-    expected-fail to document the boundary."""
-    res = CheckResult(f"mt-small-kappa-k{kappa}", EXPECTED_FAIL)
-    witness = None
-    for m in range(kappa + 1, COLLISION_SEARCH):
-        for mp in range(m + 1, COLLISION_SEARCH):
-            if all(mt_bit(m - i) == mt_bit(mp - i) for i in range(kappa)):
-                witness = (m, mp)
-                break
-        if witness:
-            break
-    if witness is None:
-        res.notes = (f"no shifted bit-window of length {kappa} under "
-                     f"{COLLISION_SEARCH}")
-        return res
-    m, mp = witness
-    alpha = decorate(("b",) + ("a",) * (m - 1) + (STOP,))
-    beta = decorate(("a",) * mp + (STOP,))
-    res.checked = 1
-    collide = encode(alpha, kappa) == encode(beta, kappa)
-    differ = alpha[0] != beta[0]
-    res.notes = (
-        f"lengths {m} vs {mp}: equal diaries with different level-1 letters"
-        if collide and differ else
-        f"witness lengths {m} vs {mp} did not collide")
-    return res

@@ -75,6 +75,11 @@ class Pipeline:
         def build():
             scale = ScaleParams.for_space(self.space, self.config.r,
                                           self.config.max_level)
+            levels = scale.max_level - scale.k0
+            if levels > metric.MAX_LEVELS:
+                raise ValueError(f"max_level {scale.max_level} is {levels} "
+                                 f"levels below the base level {scale.k0}, "
+                                 f"above the limit of {metric.MAX_LEVELS}")
             if scale.max_level == scale.k0:
                 raise ValueError(f"max_level {scale.max_level} is the base "
                                  "level: the graph would be its root alone")
@@ -125,9 +130,14 @@ class Pipeline:
     @property
     def stage2(self) -> Stage2:
         def build():
-            from qtrees.labelling import build_stage2
-            return build_stage2(self.labelling, self.config.kappa,
-                                research_kappa=self.config.research_kappa)
+            from qtrees.labelling import build_stage2, min_kappa
+            lab = self.labelling  # a failed earlier stage is reported first
+            floor = min_kappa(len(lab.stage1.colors))
+            kappa = floor if self.config.kappa is None else self.config.kappa
+            if kappa < floor:
+                raise ValueError(f"page capacity {kappa} below the proven "
+                                 f"bound 15*colors+1 = {floor}")
+            return build_stage2(lab, kappa)
         return self._once("stage2", "stage2", build)
 
     # -- checks -------------------------------------------------------------
@@ -172,17 +182,12 @@ class Pipeline:
                 checks += pair_checks
             elif suite == "stage2":
                 from qtrees.labelling import check_binary_stage, \
-                    check_net_coloring, check_sentences, min_kappa, \
-                    stage2_suite
+                    check_net_coloring, check_sentences, stage2_suite
                 checks, extra = stage2_suite(self.stage2)
                 checks.append(check_net_coloring(self.graph,
                                                  self.labelling.coloring))
                 checks.append(check_sentences(self.labelling))
                 checks.append(check_binary_stage(self.stage2))
-                kappa = self.stage2.kappa  # below only under research_kappa
-                if kappa < min_kappa(len(self.stage2.colors)):
-                    from qtrees.morse_thue import check_small_kappa_collision
-                    checks.append(check_small_kappa_collision(kappa))
             else:
                 raise ValueError(f"unknown pipeline suite {suite!r}")
             self._suites[suite] = checks, extra

@@ -24,8 +24,7 @@ class PipelineConfig(NamedTuple):
     r: Fraction = Fraction(1, 9)
     max_level: Optional[int] = 4
     n_colors: int = 1
-    kappa: Optional[int] = None  # default: 15 * n_colors + 1
-    research_kappa: bool = False
+    kappa: Optional[int] = None  # default and least: 15 * n_colors + 1
     seed: int = 0
     out_dir: Optional[str] = None
     preset: str = ""

@@ -13,7 +13,6 @@ from fractions import Fraction
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-EXPECTED_FAIL = "expected_fail"
 
 MAX_VIOLATIONS_KEPT = 20
 
@@ -74,7 +73,7 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in (PASS, INCONCLUSIVE, EXPECTED_FAIL)
+        return self.status != FAIL
 
     def to_dict(self) -> dict:
         return {

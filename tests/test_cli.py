@@ -8,6 +8,7 @@ import pytest
 from qtrees.cli import main
 from qtrees.pipeline import Pipeline, export_artifacts, run_pipeline
 from qtrees.presets import PRESETS, config_for
+from qtrees.reporting import json_text, suite_dict
 from qtrees.verify import run_suite
 
 
@@ -54,17 +55,20 @@ def test_run_reads_no_seed(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--preset", "cantor"],
-    ["export", "--preset", "cantor"],
-    ["verify", "morse_thue"],
-])
-def test_page_capacity_below_one_is_rejected(argv, tmp_path, capsys):
-    code = main([*argv, "--kappa", "0", "--research-kappa",
-                 "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv, kappa, err", [
+    (["run", "--preset", "cantor"], "0", "error: --kappa must be at least 1"),
+    (["export", "--preset", "cantor"], "0",
+     "error: --kappa must be at least 1"),
+    (["verify", "morse_thue"], "0", "error: --kappa must be at least 1"),
+    (["run", "--preset", "cantor"], "15",
+     "error: [stage2] page capacity 15 below the proven bound "
+     "15*colors+1 = 16"),
+], ids=["run", "export", "verify-morse_thue", "run-k15"])
+def test_page_capacity_below_one_is_rejected(argv, kappa, err, tmp_path,
+                                             capsys):
+    code = main([*argv, "--kappa", kappa, "--out", str(tmp_path)])
     assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: --kappa must be at least 1"]
+    assert capsys.readouterr().err.splitlines() == [err]
     assert not any(tmp_path.iterdir())
 
 
@@ -89,45 +93,16 @@ def test_verify_unknown_suite_usage_error():
         main(["verify", "bogus"])
 
 
-def test_verify_morse_thue_research_kappa(capsys):
-    # the control below the proven page capacity is stage 2's alone:
-    # verify morse_thue reads only the seed
-    code = main(["verify", "morse_thue", "--research-kappa", "--kappa", "3"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert not [r["id"] for r in report["results"]
-                if r["id"].startswith("mt-small-kappa-")]
-    code = main(["run", "--preset", "cantor", "--research-kappa",
-                 "--kappa", "3"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    by_id = {r["id"]: r for r in report["suites"]["stage2"]["results"]}
-    assert by_id["mt-small-kappa-k3"]["status"] == "expected_fail"
-
-
-# the presets, and two page capacities below the proven bound 15C + 1
-SUITE_CONFIGS = {
-    **{name: config_for(name) for name in PRESETS},
-    "cantor-k5": config_for("cantor", research_kappa=True, kappa=5),
-    "circle-k20": config_for("circle", research_kappa=True, kappa=20),
-}
-
-
 def test_verify_all_maps_every_check_once():
-    for name in ("cantor", "cantor-k5", "circle-k20"):
-        report = run_suite(SUITE_CONFIGS[name], "all")
+    for name in PRESETS:
+        report = run_suite(config_for(name), "all")
         assert report["ok"] is True, name
         seen = []
         for suite in report["suites"].values():
             for entry in suite["results"]:
                 seen.append(entry["id"])
-                assert entry["status"] in ("pass", "inconclusive",
-                                           "expected_fail")
+                assert entry["status"] in ("pass", "inconclusive")
         assert len(seen) == len(set(seen)), name
-        if name != "cantor":
-            kappa = SUITE_CONFIGS[name].kappa
-            assert f"mt-small-kappa-k{kappa}" in [
-                r["id"] for r in report["suites"]["stage2"]["results"]]
 
 
 @pytest.mark.parametrize("args,out,pinned", [
@@ -236,12 +211,12 @@ def test_bad_space_file_is_a_named_space_error(tmp_path, capsys, text,
     assert err == [f"error: [space] {reason}"]
 
 
-@pytest.mark.parametrize("preset", list(SUITE_CONFIGS))
+@pytest.mark.parametrize("preset", list(PRESETS))
 def test_verify_all_matches_run_report(preset):
     # every check entry (id, status, count, notes, violations) of run's
-    # pipeline suites is the one verify all reports, controls included
-    suites = run_suite(SUITE_CONFIGS[preset], "all")["suites"]
-    report = run_pipeline(SUITE_CONFIGS[preset]).report["suites"]
+    # pipeline suites is the one verify all reports
+    suites = run_suite(config_for(preset), "all")["suites"]
+    report = run_pipeline(config_for(preset)).report["suites"]
     for name in ("approx", "covering", "stage1", "stage2"):
         assert suites[name]["results"] == report[name]["results"], name
 
@@ -406,9 +381,6 @@ GOLDEN_STDOUT_SHA256 = {
         "78a4ba920f2724a989fbf221f609b38fb41af5f637b6759e0837511addb8e3ba",
     ("verify", "stage2", "--preset", "circle"):
         "da57c418b7efb9ebec50945541d589fb423a8a3199a57e922485a88d71351100",
-    ("verify", "stage2", "--preset", "cantor", "--research-kappa",
-     "--kappa", "3"):
-        "913237ac6d485c82ecc28c453a02ab2feda9b10ae04192742c8cb695e4b5acbd",
     ("verify", "all", "--preset", "cantor"):
         "3868076b4e5a3db985a8342fb618b915924b39de914a74f93e4ec2243d416464",
     ("verify", "all", "--preset", "circle"):
@@ -424,6 +396,38 @@ def test_verify_stdout_keeps_its_bytes(argv, capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
     assert_no_child_left()
+
+
+def stage2_checks(preset: str, kappa: int) -> list:
+    """The checks of the stage-2 suite of a preset paged at ``kappa``, run
+    through the library: the pipeline refuses a capacity below 15C + 1."""
+    from qtrees.labelling import build_stage2, check_binary_stage, \
+        check_net_coloring, check_sentences, stage2_suite
+    pipe = Pipeline(config_for(preset))
+    lab = pipe.labelling
+    st2 = build_stage2(lab, kappa)
+    checks, _ = stage2_suite(st2)
+    return checks + [check_net_coloring(pipe.graph, lab.coloring),
+                     check_sentences(lab), check_binary_stage(st2)]
+
+
+# the stage-2 suite of the cantor preset paged at capacity 3, as `verify
+# stage2` would print it
+CANTOR_K3_STAGE2_SHA256 = \
+    "aeb517d2b0b1d7d6e04222f51ad00225879bd1ceff5bccbbda2834c37bdd696e"
+
+
+def test_stage2_below_the_proven_capacity_keeps_its_bytes():
+    out = json_text(suite_dict("stage2", stage2_checks("cantor", 3)))
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CANTOR_K3_STAGE2_SHA256
+
+
+@pytest.mark.parametrize("preset, kappa", [("cantor", 5), ("circle", 20)])
+def test_stage2_passes_below_the_proven_capacity(preset, kappa):
+    checks = stage2_checks(preset, kappa)
+    assert [c.status for c in checks] == ["pass"] * len(checks)
+    assert all(c.checked for c in checks)
 
 
 # -- the diary worker of `verify all` ---------------------------------------

@@ -23,7 +23,7 @@ from qtrees.labelling import (
 )
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import mt_bit
-from qtrees.pipeline import Pipeline
+from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PRESETS, config_for
 from qtrees import reporting
 from qtrees.reporting import PASS, CheckResult, jsonable
@@ -156,10 +156,15 @@ def test_sentences_structure(cantor_lab, circle_lab):
 
 
 def test_kappa_guard(cantor_lab):
-    with pytest.raises(ValueError):
-        build_stage2(cantor_lab, kappa=3)
-    st2 = build_stage2(cantor_lab, kappa=3, research_kappa=True)
-    assert st2.kappa == 3
+    # the pipeline refuses a capacity below 15C + 1; the library pages it
+    pipe = Pipeline(config_for("cantor", kappa=15))
+    with pytest.raises(StageError) as caught:
+        pipe.stage2
+    assert str(caught.value) == ("[stage2] page capacity 15 below the "
+                                 "proven bound 15*colors+1 = 16")
+    assert build_stage2(cantor_lab, kappa=3).kappa == 3
+    unset = PRESETS["cantor"]._replace(kappa=None)
+    assert Pipeline(unset).stage2.kappa == 16
     assert min_kappa(1) == 16 and min_kappa(2) == 31
 
 
@@ -354,7 +359,7 @@ def test_stage2_tables_match_from_scratch_references(name):
                     lab.letter_at_level(c, uid, outside)
     # small capacities carry a rest from page to page; the run's does not
     for kappa in (pipe.stage2.kappa, 1, 2, 3):
-        st2 = build_stage2(lab, kappa, research_kappa=True)
+        st2 = build_stage2(lab, kappa)
         for (c, uid), sent in sentences.items():
             assert st2.diaries[c, uid] == encode(sent, kappa)
         images = {st2.diary_of(c, v) for c in emb.colors

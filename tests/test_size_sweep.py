@@ -2,7 +2,9 @@
 generators take, each run in-process as ``embed run`` runs it.  A run
 either exits 0 with no failing check, or exits 2 with one ``error: [stage]``
 line: a covering that validates is never followed by a failing check.
-A space above ``MAX_POINTS`` points is refused where it is built."""
+A space above ``MAX_POINTS`` points is refused where it is built, and a
+config of more than ``MAX_LEVELS`` levels below its base level where its
+scale is set."""
 import hashlib
 import itertools
 import json
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qtrees.cli import main
-from qtrees.metric import MAX_POINTS
+from qtrees.metric import MAX_LEVELS, MAX_POINTS
 from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PRESETS, PipelineConfig, config_for
 from qtrees.trees import word_distance
@@ -239,6 +241,24 @@ def test_a_space_above_the_point_limit_is_refused_where_it_is_built(
 def test_a_space_at_the_point_limit_is_built(kind, n):
     space = Pipeline(config_for(None, space_kind=kind, space_param=n)).space
     assert space.n <= MAX_POINTS
+
+
+@pytest.mark.parametrize("preset, k0", [("cantor", 0), ("grid", -1)])
+def test_a_level_count_at_the_limit_is_taken(preset, k0):
+    assert MAX_LEVELS == 16
+    scale = Pipeline(config_for(preset, max_level=k0 + 16)).scale
+    assert (scale.k0, scale.max_level) == (k0, k0 + 16)
+
+
+@pytest.mark.parametrize("preset, level, levels", [
+    ("cantor", 17, 17), ("cantor", 99999, 99999), ("grid", 16, 17)])
+def test_a_level_count_above_the_limit_is_refused(preset, level, levels,
+                                                  capsys):
+    assert main(["run", "--preset", preset, "--max-level", str(level)]) == 2
+    k0 = level - levels
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [space] max_level {level} is {levels} levels below the "
+        f"base level {k0}, above the limit of 16"]
 
 
 def test_a_space_file_above_the_point_limit_is_refused(tmp_path, capsys):

@@ -130,6 +130,41 @@ def test_equal_diaries_requires_capacity():
     assert res.status == "inconclusive"
 
 
+# per page capacity, lengths m < m' of two single-word sentences past the
+# capacity whose last kappa levels carry the same Thue-Morse bits
+COLLISIONS = {1: (2, 4), 3: (4, 13), 16: (17, 65), 31: (32, 128),
+              46: (47, 143)}
+
+
+def collision_pair(kappa):
+    """b a^(m-1) and a^m', decorated: different level-1 letters."""
+    m, mp = COLLISIONS[kappa]
+    assert kappa < m < mp
+    return (decorate(("b",) + ("a",) * (m - 1) + (STOP,)),
+            decorate(("a",) * mp + (STOP,)))
+
+
+@pytest.mark.parametrize("kappa", sorted(COLLISIONS))
+def test_equal_diaries_with_different_level_1_letters_exist(kappa):
+    # below the proven capacity 15C + 1 and at it for C = 1, 2, 3: a word's
+    # page holds its last kappa letters alone
+    alpha, beta = collision_pair(kappa)
+    assert encode(alpha, kappa) == encode(beta, kappa)
+    assert alpha[0] == ("b", 1) and beta[0] == ("a", 1)
+
+
+def test_equal_diaries_hypotheses_exclude_the_collisions():
+    # one word has one stop sign, short of the three the hypotheses ask for
+    assert check_equal_diaries(16, 3).status == "pass"
+    res = CheckResult("collisions", PASS)
+    for kappa in COLLISIONS:
+        alpha, beta = collision_pair(kappa)
+        assert morse_thue._compare_equal_level_letters(
+            (alpha, morse_thue._letter_table(alpha)),
+            (beta, morse_thue._letter_table(beta)), 3, res) == 0
+    assert not res.violations
+
+
 def test_long_journey_controls():
     alpha, beta = long_journey_pair(k=30, n_stops=2)
     assert encode(alpha, 3) == encode(beta, 3)

@@ -3,8 +3,9 @@ name and sizes what some of them return.  Every name it lists must resolve,
 and every size must read the artifact it is given, so that a rename in
 ``src/`` fails here before it breaks a traced benchmark run.  Each command,
 started in a fresh process as the benchmark starts it, loads only the
-modules it runs.  And every definition in ``src/qtrees`` has a reader:
-something in the program or the benchmark names it."""
+modules it runs.  Every definition in ``src/qtrees`` has a reader:
+something in the program or the benchmark names it.  And the README's CLI
+section names the flags of ``run``, no more and no fewer."""
 import ast
 import collections
 import importlib
@@ -224,3 +225,26 @@ def test_every_definition_is_named_outside_itself():
               if words[name] == sum(re.findall(r"\w+", line).count(name)
                                     for line in own)]
     assert sorted(unread) == sorted(UNREAD_ALLOWED)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def test_readme_names_the_flags_of_run(monkeypatch, capsys):
+    # the CLI section of the README runs from its heading to the next
+    # second-level one; the parser's flags are read off the invocations
+    # that `run --help` lists, one per line on a wide terminal
+    from qtrees.cli import main
+
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n") + 1:]
+    section = section[:section.index("\n## ")]
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    invocations = [line.strip().split("  ")[0]
+                   for line in options.splitlines() if line.startswith("  -")]
+    assert set(FLAG.findall(section)) == \
+        set(FLAG.findall(" ".join(invocations))) - {"--help"}
