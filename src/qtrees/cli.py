@@ -45,9 +45,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--colors", dest="n_colors", type=int,
                    help="covering colors")
     p.add_argument("--seed", type=int,
-                   help="seed of the randomized morse_thue checks; only "
+                   help="seed of the randomized morse_thue check; only "
                         "verify morse_thue and verify all read it")
-    p.add_argument("--out", dest="out_dir", help="artifact directory")
 
 
 def _config_from_args(args) -> "PipelineConfig":
@@ -78,6 +77,9 @@ def main(argv=None) -> int:
                        "(default --out .)")
     _add_config_flags(p_export)
     p_export.set_defaults(out_dir=".")
+    # verify writes no artifact, so it takes no --out
+    for p in (p_run, p_export):
+        p.add_argument("--out", dest="out_dir", help="artifact directory")
 
     args = parser.parse_args(argv)
     for flag, value in (("--kappa", args.kappa), ("--colors", args.n_colors)):

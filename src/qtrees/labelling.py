@@ -289,10 +289,10 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
             if (c, uid) in seen:
                 continue
             seen.add((c, uid))
-            recon.checked += 1
             sent = st2.labelling.sentence_of(c, uid)
-            if not sent:
+            if not sent:  # the tree root: nothing to reconstruct
                 continue
+            recon.checked += 1
             slotted = reconstruct(st2.diary_of(c, v), st2.kappa)
             if not membership(slotted, sent):
                 recon.add_violation({"uid": uid, "color": c})

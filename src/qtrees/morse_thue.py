@@ -9,16 +9,20 @@ Decoration alone does not make diaries tell letters apart.  At every
 page capacity kappa, 15C + 1 included, two single-word sentences longer
 than kappa whose last kappa levels carry the same bits share a diary,
 while their level-1 letters may differ: every window of the sequence
-recurs.  ``check_equal_diaries`` holds only because its stop-density
-hypotheses exclude such pairs; the tests pin both facts.
+recurs.  The letter-identification lemma excludes such pairs by its
+hypotheses: at least p >= 3 stop signs behind the letters, tails of at
+most n(p - 2) letters, word offsets within 2.  No suite samples it.
+Sentences of words shorter than kappa - 1 page every word on a terminal
+page, so their diaries spell them out whole, and equal diaries there
+mean equal sentences; the tests pin this and the collisions.
 """
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
-from qtrees.diary import STOP, encode, segments_and_stops
-from qtrees.reporting import CheckResult, INCONCLUSIVE, PASS
+from qtrees.diary import STOP, segments_and_stops
+from qtrees.reporting import CheckResult, PASS
 
 
 def mt_prefix(n: int) -> tuple[int, ...]:
@@ -91,12 +95,6 @@ def strip(decorated: Sequence) -> tuple:
     return tuple(out)
 
 
-def decoration_is_valid(decorated: Sequence) -> bool:
-    """Do the bits match the Thue-Morse bit of every token's level?"""
-    plain = strip(decorated)
-    return decorate(plain) == tuple(decorated)
-
-
 # ---------------------------------------------------------------------------
 # Synchronization checks
 
@@ -125,93 +123,6 @@ def check_synchronization(trials: int = 4000, seed: int = 0,
         if shift != 0 and bits[L - l + 1:L + 1] == bits[Lp - l + 1:Lp + 1]:
             res.add_violation({"L": L, "L'": Lp, "tail": l})
     return res
-
-
-def check_equal_diaries(kappa: int, n: int, trials: int = 300,
-                        seed: int = 0) -> CheckResult:
-    """Randomized instances of the letter-identification property.
-
-    Generate decorated sentences without empty words, encode, and compare
-    letters of equal level across sentence pairs with equal diaries; under
-    the hypotheses (at least p >= 3 stop signs behind the letters, tails at
-    most n*(p-2), page capacity kappa >= 5n+1, word offsets within 2) the
-    letters must coincide.  Pairs are drawn from diary-collision buckets of
-    the random corpus; the verdict is inconclusive if none qualify.
-    """
-    res = CheckResult(f"mt-equal-diaries-k{kappa}", PASS)
-    if kappa < 5 * n + 1:
-        res.status = INCONCLUSIVE
-        res.notes = f"page capacity {kappa} below 5n+1 = {5 * n + 1}"
-        return res
-    rng = random.Random(seed)
-    buckets: dict = {}
-    for _ in range(trials):
-        words = []
-        for _ in range(rng.randint(3, 8)):
-            wl = rng.randint(1, 4)
-            words.append(tuple(rng.choice(("a", "b")) for _ in range(wl)))
-        plain = tuple(t for w in words for t in (*w, STOP))
-        deco = decorate(plain)
-        # each sentence's letter table, built once for all of its pairs
-        buckets.setdefault(encode(deco, kappa), []).append(
-            (deco, _letter_table(deco)))
-    qualifying = 0
-    for group in buckets.values():
-        for i, alpha in enumerate(group):
-            for beta in group[i + 1:]:
-                qualifying += _compare_equal_level_letters(
-                    alpha, beta, n, res)
-    # every sentence trivially pairs with itself
-    for group in buckets.values():
-        for alpha in group:
-            qualifying += _compare_equal_level_letters(alpha, alpha, n, res)
-    res.checked = qualifying
-    if qualifying == 0:
-        res.status = INCONCLUSIVE
-    return res
-
-
-def _letter_table(sentence: Sequence) -> list[tuple[int, int, int, int]]:
-    """Per letter, in level order: its position, the 1-based index of its
-    word, the stop signs behind it and the letters from it to the end."""
-    segments, stops = segments_and_stops(sentence)
-    letters = len(sentence) - len(stops)
-    table = []
-    pos = 0
-    for word, seg in enumerate(segments, 1):
-        for _ in seg:
-            table.append((pos, word, len(stops) - word + 1,
-                          letters - len(table)))
-            pos += 1
-        pos += 1  # the stop sign
-    return table
-
-
-def _compare_equal_level_letters(alpha: tuple, beta: tuple, n: int,
-                                 res: CheckResult) -> int:
-    """Check hypothesis-satisfying letter pairs of equal level of two
-    (sentence, letter table) pairs; returns how many qualified."""
-    (sent_a, table_a), (sent_b, table_b) = alpha, beta
-    count = 0
-    for lv, (a, b) in enumerate(zip(table_a, table_b), 1):
-        ia, m_a, stops_a, tail_a = a
-        ib, m_b, stops_b, tail_b = b
-        if abs(m_a - m_b) > 2:
-            continue
-        p = min(stops_a, stops_b)
-        if p < 3:
-            continue
-        if max(tail_a, tail_b) > n * (p - 2):
-            continue
-        count += 1
-        if sent_a[ia] != sent_b[ib]:
-            res.add_violation({
-                "level": lv,
-                "a": sent_a[ia],
-                "a'": sent_b[ib],
-                "words": (m_a, m_b),
-            })
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 from qtrees.cli import main
 from qtrees.pipeline import Pipeline, export_artifacts, run_pipeline
 from qtrees.presets import PRESETS, config_for
-from qtrees.reporting import json_text, suite_dict
+from qtrees.reporting import PIPELINE_SUITES, json_text, suite_dict
 from qtrees.verify import run_suite
 
 
@@ -66,9 +67,25 @@ def test_run_reads_no_seed(tmp_path):
 ], ids=["run", "export", "verify-morse_thue", "run-k15"])
 def test_page_capacity_below_one_is_rejected(argv, kappa, err, tmp_path,
                                              capsys):
-    code = main([*argv, "--kappa", kappa, "--out", str(tmp_path)])
+    code = main([*argv, "--kappa", kappa, *out_flag(argv, tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [err]
+    assert not any(tmp_path.iterdir())
+
+
+def out_flag(argv, out) -> list:
+    """``--out out`` for run and export; verify writes nothing and takes
+    no --out."""
+    return [] if argv[0] == "verify" else ["--out", str(out)]
+
+
+@pytest.mark.parametrize("suite", ["diary", "approx", "all"])
+def test_verify_takes_no_out(suite, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"embed: error: unrecognized arguments: --out {tmp_path}"
     assert not any(tmp_path.iterdir())
 
 
@@ -94,6 +111,8 @@ def test_verify_unknown_suite_usage_error():
 
 
 def test_verify_all_maps_every_check_once():
+    # the ids are every suite's (CHECK_IDS below), each once, so a check
+    # deleted or added shows as a one-line diff
     for name in PRESETS:
         report = run_suite(config_for(name), "all")
         assert report["ok"] is True, name
@@ -102,7 +121,8 @@ def test_verify_all_maps_every_check_once():
             for entry in suite["results"]:
                 seen.append(entry["id"])
                 assert entry["status"] in ("pass", "inconclusive")
-        assert len(seen) == len(set(seen)), name
+        assert sorted(seen) == sorted(
+            [*itertools.chain(*CHECK_IDS.values()), *TREE_CHECK_IDS[name]])
 
 
 @pytest.mark.parametrize("args,out,pinned", [
@@ -156,7 +176,7 @@ def test_verify_bad_scale_is_a_stage_error(capsys):
 @pytest.mark.parametrize("r", ["1/0", "3/0"])
 def test_zero_denominator_scale_is_a_usage_error(argv, r, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--r", r, "--out", str(tmp_path)])
+        main([*argv, "--r", r, *out_flag(argv, tmp_path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error" in line] == [
@@ -259,9 +279,9 @@ def test_pipeline_builds_each_net_once(tmp_path, monkeypatch):
         scale.sep(k) for k in range(scale.k0, scale.max_level + 2)]
 
 
-# the sorted check ids of each pipeline suite of the presets, one a line,
-# so that a check deleted or added shows as a readable diff beside the
-# digests below; stage 1 adds one tree-structure id per color
+# the sorted check ids of each suite of the presets, one a line, so that
+# a check deleted or added shows as a readable diff beside the digests
+# below; stage 1 adds one tree-structure id per color
 CHECK_IDS = {
     "approx": [
         "approx-geodesic-shape",
@@ -286,6 +306,21 @@ CHECK_IDS = {
         "stage2-lower-bound",
         "stage2-reconstruction-membership",
     ],
+    "diary": [
+        "diary-roundtrip-k1",
+        "diary-roundtrip-k2",
+        "diary-roundtrip-k3",
+        "diary-star-honest",
+        "diary-string-recovery",
+        "diary-worked-example",
+    ],
+    "morse_thue": [
+        "mt-cube-free",
+        "mt-decorate-strip",
+        "mt-long-journey",
+        "mt-prefix",
+        "mt-synchronization",
+    ],
 }
 TREE_CHECK_IDS = {
     "cantor": ["tree-structure-c0"],
@@ -299,13 +334,14 @@ def test_each_pipeline_suite_keeps_its_check_ids(preset):
     suites = run_pipeline(config_for(preset)).report["suites"]
     assert {name: sorted(entry["id"] for entry in suite["results"])
             for name, suite in suites.items()} == \
-        {**CHECK_IDS, "stage1": CHECK_IDS["stage1"] + TREE_CHECK_IDS[preset]}
+        {**{name: CHECK_IDS[name] for name in PIPELINE_SUITES},
+         "stage1": CHECK_IDS["stage1"] + TREE_CHECK_IDS[preset]}
 
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "ef2e33696e083b408d29a4ce712081a1"
-                       "ff30377eb93ac88fb686c42e91384cf1",
+        "report.json": "72f6a65eaa7405e825d5352f33b01e90"
+                       "8649a8de8dfe4dd1f65b353e1e7e5537",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -317,8 +353,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "7b76c0313ec81d8ea724c540c559d103"
-                       "1bbbe6a0e37c30115680409a4683ec47",
+        "report.json": "25b47bfbb26062e3c483d85669499d36"
+                       "6a095c4e13ca8d3e22a6879ae771501c",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -329,8 +365,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "5ec5ac3fadc8bee9296d3a88d2038171"
-                       "b1e817835869f93e91c3ca4d8a5867a6",
+        "report.json": "9d6b1547125500b632a7579660019b2d"
+                       "cdeaa9dae540c086f87f5cb60a8fd089",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },
@@ -380,13 +416,13 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "covering", "--preset", "grid"):
         "78a4ba920f2724a989fbf221f609b38fb41af5f637b6759e0837511addb8e3ba",
     ("verify", "stage2", "--preset", "circle"):
-        "da57c418b7efb9ebec50945541d589fb423a8a3199a57e922485a88d71351100",
+        "124feef915db04a412f970d7ee60e73e309bfd9c4706845134649b2ca775ee6d",
     ("verify", "all", "--preset", "cantor"):
-        "3868076b4e5a3db985a8342fb618b915924b39de914a74f93e4ec2243d416464",
+        "4b691d05dc2cb202f3601578bb1ceaeed1518e5a0ffb4deef6b82d7eabcbf619",
     ("verify", "all", "--preset", "circle"):
-        "6ab39ccd0f6689bde3299c8cef460b11f6693c1fc8c8b3a71544d5cdc826f794",
+        "0e09c5c134a5bfe920b42b68d0a257fb78230291dbb5d6becf2f7277f8ec7be9",
     ("verify", "all", "--preset", "grid"):
-        "79aa4cfee5c0e51628bab4dc79b65057403bd92a623c1cedaf7ed27ca8715d4f",
+        "e5c79bb5db467171e62b481de82c018b73b6929cf83f92d7f62a17c679913f80",
 }
 
 
@@ -414,7 +450,7 @@ def stage2_checks(preset: str, kappa: int) -> list:
 # the stage-2 suite of the cantor preset paged at capacity 3, as `verify
 # stage2` would print it
 CANTOR_K3_STAGE2_SHA256 = \
-    "aeb517d2b0b1d7d6e04222f51ad00225879bd1ceff5bccbbda2834c37bdd696e"
+    "eb04d5be317ad93b47cbc5580460016193fed614136e4bcce57fe11749ea37f9"
 
 
 def test_stage2_below_the_proven_capacity_keeps_its_bytes():
@@ -556,7 +592,7 @@ def test_unwritable_out_is_an_export_error(command, tmp_path, capsys):
 ])
 @pytest.mark.parametrize("colors", ["0", "-1"])
 def test_color_count_below_one_is_rejected(argv, colors, tmp_path, capsys):
-    code = main([*argv, "--colors", colors, "--out", str(tmp_path)])
+    code = main([*argv, "--colors", colors, *out_flag(argv, tmp_path)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: --colors must be at least 1"]

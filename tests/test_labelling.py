@@ -557,6 +557,22 @@ def test_swapped_diary_fails_the_reconstruction(preset):
     assert len(st2.diaries[0, image]) == tree.depths[image]
 
 
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_reconstruction_counts_only_images_with_a_sentence(preset):
+    # the root's sentence is empty, and the graph root maps to the tree
+    # root in every color, so C of the images have nothing to reconstruct;
+    # on the grid preset (max level 1) every image is a root
+    st2 = Pipeline(PRESETS[preset]).stage2
+    emb, lab = st2.stage1, st2.labelling
+    images = {(c, emb.image(c, v)) for c in st2.colors
+              for v in emb.graph.vertices}
+    spoken = {(c, uid) for c, uid in images if lab.sentence_of(c, uid)}
+    assert len(images) - len(spoken) == len(st2.colors)
+    recon = stage2_check(st2, "stage2-reconstruction-membership")
+    assert recon.checked == len(spoken) == {"cantor": 40, "circle": 20,
+                                            "grid": 0}[preset]
+
+
 @pytest.mark.parametrize("preset", ["cantor", "circle"])
 def test_shared_binary_word_fails_the_sandwich(preset, monkeypatch):
     # two color-0 image diaries two pages apart or more share one binary

@@ -192,8 +192,8 @@ def test_a_lengthened_diary_lies_past_its_tree_distance(preset):
         if image in (a, b)]
 
 
-CANTOR7_REPORT_SHA256 = ("ec75672884690cd1e28fea3106ac115e"
-                         "f7006eac5dd20e8a0b6040b042c28800")
+CANTOR7_REPORT_SHA256 = ("f8148a7035395ab992f173658fb4db3f"
+                         "a44a005032ccde23c7a7737a291baffc")
 
 
 @pytest.fixture(scope="module")

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees import morse_thue
-from qtrees.diary import STOP, encode
+from qtrees.diary import STAR, STOP, encode, reconstruct, words_and_stops
 from qtrees.morse_thue import (
-    check_equal_diaries,
     check_synchronization,
     decorate,
-    decoration_is_valid,
     is_cube_free,
     long_journey_pair,
     mt_bit,
@@ -111,7 +109,6 @@ def test_strip_inverts_decorate():
     for sent in [("a", STOP), (STOP,), ("a", "b", STOP, "c", STOP)]:
         deco = decorate(sent)
         assert strip(deco) == sent
-        assert decoration_is_valid(deco)
 
 
 def test_synchronization_search_finds_nothing():
@@ -119,15 +116,29 @@ def test_synchronization_search_finds_nothing():
     assert res.status == "pass" and res.checked > 1000
 
 
-def test_equal_diaries_randomized():
-    res = check_equal_diaries(kappa=16, n=3, trials=300, seed=1)
-    assert res.status == "pass"
-    assert res.checked > 0
+@pytest.mark.parametrize("kappa", [16, 31, 46])
+def test_short_words_page_terminally_so_equal_diaries_mean_equal_sentences(
+        kappa):
+    # a page is terminal when rest + word is shorter than kappa: a first
+    # word of at most kappa - 1 letters, or a later word of at most
+    # kappa - 2 behind the stop sign its predecessor left in the rest
+    rng = random.Random(kappa)
+    for _ in range(300):
+        words = [tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(3, 8))]
+        deco = decorate(tuple(t for w in words for t in (*w, STOP)))
+        pages = encode(deco, kappa)
+        assert all(page[-1] == STAR for page in pages), words
+        assert reconstruct(pages, kappa) == tuple(
+            (False, w) for w in words_and_stops(deco)[0]), words
 
+    def pages(first, later):
+        return encode(decorate(("a",) * first + (STOP,)
+                               + ("b",) * later + (STOP,)), kappa)
 
-def test_equal_diaries_requires_capacity():
-    res = check_equal_diaries(kappa=5, n=3)
-    assert res.status == "inconclusive"
+    assert [page[-1] for page in pages(kappa - 1, kappa - 2)] == [STAR] * 2
+    assert pages(kappa, 1)[0][-1] != STAR
+    assert pages(1, kappa - 1)[1][-1] != STAR
 
 
 # per page capacity, lengths m < m' of two single-word sentences past the
@@ -153,16 +164,40 @@ def test_equal_diaries_with_different_level_1_letters_exist(kappa):
     assert alpha[0] == ("b", 1) and beta[0] == ("a", 1)
 
 
+def letter_table(sentence):
+    """Per letter, in level order: the 1-based index of its word, the stop
+    signs behind it and the letters from it to the end."""
+    words, stops = words_and_stops(sentence)
+    letters = sum(map(len, words))
+    table = []
+    for m, word in enumerate(words, 1):
+        for _ in word:
+            table.append((m, len(stops) - m + 1, letters - len(table)))
+    return table
+
+
+def levels_meeting_the_hypotheses(alpha, beta, n=3):
+    """The levels at which the letters of two sentences meet the
+    hypotheses of letter identification: at least p >= 3 stop signs behind
+    both, tails of at most n(p - 2) letters, word indices within 2."""
+    levels = []
+    for lv, ((m_a, stops_a, tail_a), (m_b, stops_b, tail_b)) in enumerate(
+            zip(letter_table(alpha), letter_table(beta)), 1):
+        p = min(stops_a, stops_b)
+        if abs(m_a - m_b) <= 2 and p >= 3 and \
+                max(tail_a, tail_b) <= n * (p - 2):
+            levels.append(lv)
+    return levels
+
+
 def test_equal_diaries_hypotheses_exclude_the_collisions():
     # one word has one stop sign, short of the three the hypotheses ask for
-    assert check_equal_diaries(16, 3).status == "pass"
-    res = CheckResult("collisions", PASS)
     for kappa in COLLISIONS:
-        alpha, beta = collision_pair(kappa)
-        assert morse_thue._compare_equal_level_letters(
-            (alpha, morse_thue._letter_table(alpha)),
-            (beta, morse_thue._letter_table(beta)), 3, res) == 0
-    assert not res.violations
+        assert levels_meeting_the_hypotheses(*collision_pair(kappa)) == []
+    # six words of two letters: word 1 has 6 stop signs behind it and
+    # tails of 12 and 11 letters, word 2 has 5 and a tail of 9 at level 4
+    six = decorate(("a", "b", STOP) * 6)
+    assert levels_meeting_the_hypotheses(six, six) == [1, 2, 4]
 
 
 def test_long_journey_controls():
@@ -196,13 +231,18 @@ def reference_synchronization(seq, trials, seed, max_len):
     return res
 
 
+def sparse_bits(seed):
+    """300 random bits, 3% of them ones: equal windows are common."""
+    rng = random.Random(seed)
+    return tuple(int(rng.random() < 0.03) for _ in range(300))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_synchronization_slices_the_windows_it_means(seed, monkeypatch):
     # on sparse random bits in place of the Thue-Morse prefix equal windows
     # are common, and the sliced search must report exactly the pairs the
     # bitwise one does
-    rng = random.Random(seed)
-    seq = tuple(int(rng.random() < 0.03) for _ in range(300))
+    seq = sparse_bits(seed)
     monkeypatch.setattr(morse_thue, "mt_prefix", lambda n: seq[:n])
     got = morse_thue.check_synchronization(trials=30, seed=seed, max_len=60)
     want = reference_synchronization(seq, 30, seed, 60)
@@ -210,58 +250,19 @@ def test_synchronization_slices_the_windows_it_means(seed, monkeypatch):
     assert got.violations
 
 
-def reference_equal_diaries(kappa, n, trials, seed, alphabet=("a", "b")):
-    """The letter-identification search that rebuilds both letter tables
-    for every pair, self-pairs included."""
-    res = CheckResult(f"mt-equal-diaries-k{kappa}", PASS)
-    rng = random.Random(seed)
-    buckets = {}
-    for _ in range(trials):
-        words = []
-        for _ in range(rng.randint(3, 8)):
-            wl = rng.randint(1, 4)
-            words.append(tuple(rng.choice(alphabet) for _ in range(wl)))
-        deco = decorate(tuple(t for w in words for t in (*w, STOP)))
-        buckets.setdefault(morse_thue.encode(deco, kappa), []).append(deco)
-
-    def compare(alpha, beta):
-        count = 0
-        for lv, (a, b) in enumerate(zip(morse_thue._letter_table(alpha),
-                                        morse_thue._letter_table(beta)), 1):
-            ia, m_a, stops_a, tail_a = a
-            ib, m_b, stops_b, tail_b = b
-            p = min(stops_a, stops_b)
-            if abs(m_a - m_b) > 2 or p < 3 or \
-                    max(tail_a, tail_b) > n * (p - 2):
-                continue
-            count += 1
-            if alpha[ia] != beta[ib]:
-                res.add_violation({"level": lv, "a": alpha[ia],
-                                   "a'": beta[ib], "words": (m_a, m_b)})
-        return count
-
-    qualifying = sum(compare(alpha, beta) for group in buckets.values()
-                     for i, alpha in enumerate(group)
-                     for beta in group[i + 1:])
-    qualifying += sum(compare(alpha, alpha) for group in buckets.values()
-                      for alpha in group)
-    res.checked = qualifying
-    if qualifying == 0:
-        res.status = "inconclusive"
-    return res
-
-
-@pytest.mark.parametrize("coarse", [False, True])
-@pytest.mark.parametrize("seed", range(3))
-def test_equal_diaries_match_the_per_pair_reference(seed, coarse,
-                                                    monkeypatch):
-    # a coarse stand-in for the encoder buckets different sentences
-    # together, so that letters of equal level differ and are reported
-    if coarse:
-        monkeypatch.setattr(morse_thue, "encode",
-                            lambda deco, kappa: len(deco) // 4)
-    got = check_equal_diaries(kappa=16, n=3, trials=120, seed=seed)
-    want = reference_equal_diaries(16, 3, 120, seed)
-    assert got.to_dict() == want.to_dict()
-    assert got.checked > 0
-    assert bool(got.violations) == coarse
+@pytest.mark.parametrize("seed", range(6))
+def test_a_synchronization_violation_exhibits_a_cube(seed, monkeypatch):
+    # equal windows of l bits ending at L and L + s, with 2s <= l, make
+    # bits[L - l + 1 .. L + s] s-periodic over at least 3s bits: a cube.
+    # So the search cannot fail on bits that mt-cube-free passes, and it
+    # reads 215 bits where mt-cube-free scans 2048
+    seq = sparse_bits(seed)
+    read = []
+    monkeypatch.setattr(morse_thue, "mt_prefix",
+                        lambda n: read.append(n) or seq[:n])
+    res = morse_thue.check_synchronization(seed=seed)
+    assert read == [215]
+    assert res.violations
+    assert not is_cube_free(seq[:215])
+    for v in res.violations:
+        assert not is_cube_free(seq[v["L"] - v["tail"] + 1:v["L'"] + 1]), v
