@@ -131,13 +131,15 @@ class Pipeline:
     def stage2(self) -> Stage2:
         def build():
             from qtrees.labelling import build_stage2, min_kappa
-            lab = self.labelling  # a failed earlier stage is reported first
-            floor = min_kappa(len(lab.stage1.colors))
+            # the covering gives C, so a capacity below the floor is
+            # refused before stage 1 and the labelling are built; a failed
+            # space, graph or covering is still reported first
+            floor = min_kappa(len(self.seq.colors))
             kappa = floor if self.config.kappa is None else self.config.kappa
             if kappa < floor:
                 raise ValueError(f"page capacity {kappa} below the proven "
                                  f"bound 15*colors+1 = {floor}")
-            return build_stage2(lab, kappa)
+            return build_stage2(self.labelling, kappa)
         return self._once("stage2", "stage2", build)
 
     # -- checks -------------------------------------------------------------
@@ -197,8 +199,11 @@ class Pipeline:
 
     @cached_property
     def report(self) -> dict:
-        """Every suite, plus the numbers only the report carries."""
+        """Every suite, plus the numbers only the report carries.  Stage 2
+        is built before any suite runs, so a refused page capacity costs
+        no check."""
         graph, seq, scale = self.graph, self.seq, self.scale
+        stage2 = self.stage2
         suites = {name: suite_dict(name, self.checks(name))
                   for name in PIPELINE_SUITES}
         # reported, never asserted: how deep inside members the points sit
@@ -213,7 +218,7 @@ class Pipeline:
             band = visual_metric_constants(graph)
 
         return {
-            "config": _config_dict(self.config, self.stage2.kappa),
+            "config": _config_dict(self.config, stage2.kappa),
             "graph": graph_summary(graph, delta=estimate_delta(graph),
                                    band=band),
             "doubling": metric.doubling_estimate(self.space),

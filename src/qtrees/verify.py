@@ -127,8 +127,9 @@ ALPHABET = ("a", "b")
 
 def diary_suite(max_words: int = 3, max_len: int = 3,
                 kappas=(1, 2, 3)) -> list[CheckResult]:
-    """Exhaustive small-instance oracle for the page codec; the acceptance
-    test runs the same checks at the full advertised bounds.
+    """Exhaustive small-instance oracle for the page codec; acceptance
+    criterion 1 runs this suite at the full advertised bounds, 4 words of
+    at most 4 letters.
 
     One incremental sweep per page capacity serves both the round-trip
     check and the star-honesty check: each sentence is encoded once, as

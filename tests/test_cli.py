@@ -64,12 +64,30 @@ def test_run_reads_no_seed(tmp_path):
     (["run", "--preset", "cantor"], "15",
      "error: [stage2] page capacity 15 below the proven bound "
      "15*colors+1 = 16"),
-], ids=["run", "export", "verify-morse_thue", "run-k15"])
+    (["run", "--preset", "circle"], "30",
+     "error: [stage2] page capacity 30 below the proven bound "
+     "15*colors+1 = 31"),
+    (["export", "--preset", "grid"], "45",
+     "error: [stage2] page capacity 45 below the proven bound "
+     "15*colors+1 = 46"),
+    (["verify", "stage2", "--preset", "cantor"], "15",
+     "error: [stage2] page capacity 15 below the proven bound "
+     "15*colors+1 = 16"),
+], ids=["run", "export", "verify-morse_thue", "run-k15", "run-circle-k30",
+        "export-grid-k45", "verify-stage2-k15"])
 def test_page_capacity_below_one_is_rejected(argv, kappa, err, tmp_path,
-                                             capsys):
+                                             capsys, monkeypatch):
+    # the covering's colors give the floor 15C + 1, so a capacity below it
+    # is refused before stage 1 builds a tree
+    from qtrees import stage1
+
+    built = []
+    monkeypatch.setattr(stage1, "embed_stage1",
+                        lambda *args: built.append(args))
     code = main([*argv, "--kappa", kappa, *out_flag(argv, tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [err]
+    assert built == []
     assert not any(tmp_path.iterdir())
 
 
@@ -418,11 +436,11 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "stage2", "--preset", "circle"):
         "124feef915db04a412f970d7ee60e73e309bfd9c4706845134649b2ca775ee6d",
     ("verify", "all", "--preset", "cantor"):
-        "4b691d05dc2cb202f3601578bb1ceaeed1518e5a0ffb4deef6b82d7eabcbf619",
+        "8f6d0f430250afd918efb4c991ecb4f9e26156c7b6b1dcb24ed9f4276c8b7576",
     ("verify", "all", "--preset", "circle"):
-        "0e09c5c134a5bfe920b42b68d0a257fb78230291dbb5d6becf2f7277f8ec7be9",
+        "013d81820ef158fe255656c6b3b3a7ddf6fc96d8b49f676dc20819df56c36707",
     ("verify", "all", "--preset", "grid"):
-        "e5c79bb5db467171e62b481de82c018b73b6929cf83f92d7f62a17c679913f80",
+        "d7d75da0de3b50d1c2d9079fd11e644aa4048b0f1a08ce867e3dd796bd02d7db",
 }
 
 

@@ -221,12 +221,12 @@ def reference_synchronization(seq, trials, seed, max_len):
         shift = rng.randint(0, max(1, L // 3))
         Lp = L + shift
         l = rng.randint(max(1, 2 * shift), min(L, max_len))
-        if 2 * shift > l:
+        if shift == 0:
             continue
         res.checked += 1
         window = [seq[L - i] for i in range(l)]
         window_p = [seq[Lp - i] for i in range(l)]
-        if shift != 0 and window == window_p:
+        if window == window_p:
             res.add_violation({"L": L, "L'": Lp, "tail": l})
     return res
 

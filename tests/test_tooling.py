@@ -4,8 +4,10 @@ and every size must read the artifact it is given, so that a rename in
 ``src/`` fails here before it breaks a traced benchmark run.  Each command,
 started in a fresh process as the benchmark starts it, loads only the
 modules it runs.  Every definition in ``src/qtrees`` has a reader:
-something in the program or the benchmark names it.  And the README's CLI
-section names the flags of ``run``, no more and no fewer."""
+something in the program or the benchmark names it.  Every name that a
+module's top-level imports bind, in ``src/qtrees`` and in ``tests/``, is
+named again in that module.  And the README's CLI section names the flags
+of ``run``, no more and no fewer."""
 import ast
 import collections
 import importlib
@@ -250,3 +252,54 @@ def test_readme_names_the_flags_of_run(monkeypatch, capsys):
                    for line in options.splitlines() if line.startswith("  -")]
     assert set(FLAG.findall(section)) == \
         set(FLAG.findall(" ".join(invocations))) - {"--help"}
+
+
+def module_level(node):
+    """The nodes below ``node`` that lie outside every function and class,
+    in source order."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+            yield child
+            yield from module_level(child)
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """The names that the module's imports outside functions and classes
+    bind, the ``__future__`` import excepted, and that the module names
+    nowhere else."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in module_level(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in named]
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def test_every_top_level_import_is_named():
+    unused = {path.relative_to(SRC.parents[1]).as_posix(): names
+              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+              if (names := unused_imports(path))}
+    assert unused == {}
+
+
+def test_the_import_gate_catches_an_unnamed_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import itertools\nimport os.path\n"
+                      "from qtrees.diary import decode, encode as enc\n"
+                      "if True:\n    import random\n"
+                      "try:\n    import json\nexcept ImportError:\n"
+                      "    import pickle\n"
+                      "def f():\n    import shutil\n"
+                      "    return os.path.sep, decode\n"
+                      "# itertools and enc, named only in a comment\n")
+    assert unused_imports(module) == ["itertools", "enc", "random", "json",
+                                      "pickle"]
