@@ -179,7 +179,9 @@ class ApproxGraph:
 
     def radial_descendants(self, v: Vertex) -> dict[int, set]:
         """Vertices reachable from v by strictly descending radial edges,
-        grouped by level (v itself included)."""
+        grouped by level (v itself included).  ``build_approximation``
+        joins adjacent levels by radial edges only, so every neighbour one
+        level down is radial."""
         cached = self._raddesc_cache.get(v)
         if cached is not None:
             return cached
@@ -187,10 +189,7 @@ class ApproxGraph:
         for level in range(v.level, self.scale.k0, -1):
             nxt = set()
             for u in by_level.get(level, ()):
-                for w in self.adj[u]:
-                    if w.level == level - 1 and \
-                            self.edge_kind[frozenset((u, w))] == RADIAL:
-                        nxt.add(w)
+                nxt.update(w for w in self.adj[u] if w.level == level - 1)
             if nxt:
                 by_level[level - 1] = nxt
         self._raddesc_cache[v] = by_level

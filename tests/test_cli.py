@@ -73,8 +73,11 @@ def test_run_reads_no_seed(tmp_path):
     (["verify", "stage2", "--preset", "cantor"], "15",
      "error: [stage2] page capacity 15 below the proven bound "
      "15*colors+1 = 16"),
+    (["verify", "all", "--preset", "circle"], "30",
+     "error: [stage2] page capacity 30 below the proven bound "
+     "15*colors+1 = 31"),
 ], ids=["run", "export", "verify-morse_thue", "run-k15", "run-circle-k30",
-        "export-grid-k45", "verify-stage2-k15"])
+        "export-grid-k45", "verify-stage2-k15", "verify-all-circle-k30"])
 def test_page_capacity_below_one_is_rejected(argv, kappa, err, tmp_path,
                                              capsys, monkeypatch):
     # the covering's colors give the floor 15C + 1, so a capacity below it
@@ -89,6 +92,7 @@ def test_page_capacity_below_one_is_rejected(argv, kappa, err, tmp_path,
     assert capsys.readouterr().err.splitlines() == [err]
     assert built == []
     assert not any(tmp_path.iterdir())
+    assert_no_child_left()
 
 
 def out_flag(argv, out) -> list:
@@ -449,6 +453,24 @@ def test_verify_stdout_keeps_its_bytes(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    assert_no_child_left()
+
+
+# `verify all` on a one-color circle, whose generated covering fails
+ONE_COLOR_CIRCLE_ALL_SHA256 = \
+    "f413cd837ae27246113a481eff92685a152e51cebabbddf650834ab3e93f01a4"
+
+
+def test_failing_covering_is_reported_by_every_suite_that_reads_it(capsys):
+    code = main(["verify", "all", "--space", "circle", "--colors", "1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    suites = json.loads(out)["suites"]
+    for name in ("covering", "stage1", "stage2"):
+        assert [(r["id"], r["status"]) for r in suites[name]["results"]] == \
+            [("covering-contract", "fail")]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ONE_COLOR_CIRCLE_ALL_SHA256
     assert_no_child_left()
 
 

@@ -3,9 +3,12 @@ replaced.
 
 ``ref_check_codec_roundtrip`` and ``ref_check_star_honest`` are the earlier
 checks, verbatim: every sentence is built flat, split and encoded on its
-own, and the converse pass fills slots into flat sentences.  The sweep
-must give the same ``checked``, status and violation list, on the codec
-and under mutants of the codec."""
+own, and the converse pass fills slots into flat sentences and encodes
+each fill.  The sweep must give the same ``checked``, status and violation
+list, on the codec and under mutants of the codec.  The sweep itself
+encodes no fill: it counts each class's in-bound fills against the
+sentences enumerated with its pages, so a class that the decoder widens
+is reported by its size alone."""
 import itertools
 
 import pytest
@@ -235,18 +238,23 @@ def test_extra_unit_decoder_matches_reference(monkeypatch, max_words,
         ref_check_star_honest(max_words, max_len, KAPPAS).to_dict()
 
 
+REAL_DECODE_STEP = diary.decode_step
+
+
+def open_slot(state, page, kappa):
+    """A decoder step that leaves the last word of a starred page slotted:
+    the class it decodes is wider than the sentences that page to it."""
+    slotted, pending = REAL_DECODE_STEP(state, page, kappa)
+    if page[-1] == STAR:
+        slotted = slotted[:-1] + ((True, slotted[-1][1]),)
+    return slotted, pending
+
+
 @pytest.mark.parametrize("max_words,max_len", [(3, 3), (4, 2)])
 def test_dishonest_decoder_matches_star_reference(monkeypatch, max_words,
                                                   max_len):
     # every starred page leaves its last word slotted, so each starred
     # prefix is dishonest; at kappa 3 sentences carry several starred pages
-    def open_slot(state, page, kappa):
-        slotted, pending = real(state, page, kappa)
-        if page[-1] == STAR:
-            slotted = slotted[:-1] + ((True, slotted[-1][1]),)
-        return slotted, pending
-
-    real = diary.decode_step
     _patch_everywhere(monkeypatch, "decode_step", open_slot)
     for kappas in (KAPPAS, (3,)):
         new = star_honest(max_words, max_len, kappas).to_dict()
@@ -256,6 +264,20 @@ def test_dishonest_decoder_matches_star_reference(monkeypatch, max_words,
     # some kept sentence is reported at two starred pages
     sentences = [tuple(v["sentence"]) for v in new["violations"]]
     assert len(set(sentences)) < len(sentences)
+
+
+def test_widened_class_is_caught_by_its_size_alone(monkeypatch):
+    # every enumerated sentence is still a member of its widened class with
+    # the right rest, so only the count of the class's fills shows it; the
+    # flat reference re-encodes the extra fills and fails as well
+    _patch_everywhere(monkeypatch, "decode_step", open_slot)
+    for kappa in (1, 2, 3):
+        res = verify.check_codec_roundtrip(kappa, 2, 2)
+        assert res.checked > 0 and res.status == "fail"
+        assert res.violations
+        assert all(v["reason"] == "class size mismatch" and
+                   v["fills"] > v["enumerated"] for v in res.violations)
+        assert ref_check_codec_roundtrip(kappa, 2, 2).status == "fail"
 
 
 def test_markerless_encoder_fails_like_reference(monkeypatch):
