@@ -23,7 +23,10 @@ it runs:
   that needs it.  ``run`` and ``export`` never load ``verify``;
 - ``embed verify all`` loads ``verify``, forks its diary worker (with
   ``pickle``, and no process pool), and only then loads the pipeline and
-  runs the other suites beside the worker.
+  runs the other suites beside the worker;
+- ``embed`` and ``python -m qtrees.cli`` run the command through
+  ``cli.launch``, which freezes the heap once the command returns, so
+  the interpreter's shutdown collections do not walk what it built.
 
 Records are ``typing.NamedTuple`` classes or plain classes, and no
 module loads ``dataclasses``, which would cost every start of a command

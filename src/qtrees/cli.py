@@ -9,10 +9,19 @@ Exit status is nonzero whenever a validator or invariant check fails.
 Each command loads what it runs: `run`, `export` and the pipeline suites
 of `verify` load the pipeline, and `verify diary|morse_thue|all` load
 `verify`, which loads the pipeline for `all` alone.
+
+`embed` and `python -m qtrees.cli` both start at `launch`, which freezes
+the heap (`gc.freeze`) once `main` has returned and then exits through
+`sys.exit`.  The interpreter's shutdown collections then skip every
+object that was alive at that point, none of which is read again, while
+stdio flushes, atexit handlers and the stats that
+`python -m cProfile -m qtrees.cli` writes still run.  `main(argv)` never
+freezes, so in-process callers keep a heap that collects as before.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
@@ -110,5 +119,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def launch() -> None:
+    """Run ``main`` on the process's arguments and exit with its status,
+    with the heap frozen so that shutdown does not walk it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

@@ -1,8 +1,13 @@
+import gc
 import hashlib
 import itertools
 import json
 import os
+import pathlib
+import pstats
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -656,3 +661,92 @@ def test_more_colors_than_the_generator_has_is_a_covering_error(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: [covering] {reason}"]
     assert not (tmp_path / "report.json").exists()
+
+
+# -- the module as a process, as `embed` and the benchmark start it ---------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """``python args...`` in a fresh process that imports qtrees from this
+    checkout, with stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_module_run_prints_the_report_it_writes(tmp_path):
+    out = tmp_path / "D"
+    proc = python("-m", "qtrees.cli", "run", "--preset", "cantor",
+                  "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (out / "report.json").read_bytes()
+    for name in ("graph.edges", "pairs.csv", "embedding.json",
+                 "covering.json", "trees/color0.txt"):
+        assert (out / name).exists(), name
+
+
+@pytest.mark.parametrize("argv", [("verify", "stage2", "--preset", "circle"),
+                                  ("verify", "all", "--preset", "cantor")])
+def test_module_verify_keeps_its_bytes(argv):
+    proc = python("-m", "qtrees.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_module_refuses_a_low_page_capacity(tmp_path):
+    proc = python("-m", "qtrees.cli", "run", "--preset", "circle",
+                  "--kappa", "30", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.splitlines() == [
+        b"error: [stage2] page capacity 30 below the proven bound "
+        b"15*colors+1 = 31"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_module_unknown_flag_is_a_usage_error():
+    proc = python("-m", "qtrees.cli", "run", "--no-such-flag")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.splitlines() == [
+        b"usage: embed [-h] {run,verify,export} ...",
+        b"embed: error: unrecognized arguments: --no-such-flag"]
+
+
+def test_profiled_module_writes_its_stats(tmp_path):
+    # cProfile writes the stats after the module's SystemExit, which an
+    # os._exit at the end of the command would never reach
+    stats = tmp_path / "F"
+    proc = python("-m", "cProfile", "-o", str(stats), "-m", "qtrees.cli",
+                  "verify", "morse_thue")
+    assert proc.returncode == 0, proc.stderr
+    functions = {(pathlib.Path(file).name, name)
+                 for file, _, name in pstats.Stats(str(stats)).stats}
+    assert ("cli.py", "main") in functions
+
+
+def test_module_end_runs_atexit_handlers_on_a_frozen_heap():
+    # the handler is registered before the module runs as __main__, so it
+    # runs after the process entry has frozen the heap
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() "
+            "> 0))\n"
+            "sys.argv = ['embed', 'verify', 'morse_thue']\n"
+            "runpy.run_module('qtrees.cli', run_name='__main__', "
+            "alter_sys=True)\n")
+    proc = python("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report, end = proc.stdout.rsplit(b"}\n", 1)
+    assert json.loads(report + b"}")["ok"] is True
+    assert end == b"atexit True\n"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # in-process callers, pytest and the benchmark's tracer among them,
+    # keep a heap that the collector still walks
+    before = gc.get_freeze_count()
+    assert main(["verify", "morse_thue"]) == 0
+    assert main(["run", "--preset", "cantor"]) == 0
+    assert gc.get_freeze_count() == before

@@ -7,7 +7,10 @@ modules it runs.  Every definition in ``src/qtrees`` has a reader:
 something in the program or the benchmark names it.  Every name that a
 module's top-level imports bind, in ``src/qtrees`` and in ``tests/``, is
 named again in that module.  And the README's CLI section names the flags
-of ``run``, no more and no fewer."""
+of ``run``, no more and no fewer.  The ``embed`` script starts where
+``python -m qtrees.cli`` starts, and only that process entry freezes the
+heap, while only the forked worker of ``verify all`` ends its process
+with ``os._exit``."""
 import ast
 import collections
 import importlib
@@ -303,3 +306,105 @@ def test_the_import_gate_catches_an_unnamed_import(tmp_path):
                       "# itertools and enc, named only in a comment\n")
     assert unused_imports(module) == ["itertools", "enc", "random", "json",
                                       "pickle"]
+
+
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+CLI = SRC / "cli.py"
+
+
+def main_block_calls(path: pathlib.Path) -> list[str]:
+    """The names of the functions that the ``if __name__ == "__main__":``
+    block of a module calls, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = []
+    for node in tree.body:
+        if isinstance(node, ast.If) and \
+                ast.unparse(node.test) == "__name__ == '__main__'":
+            calls += [call.func.id for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Name)]
+    return calls
+
+
+def test_embed_script_is_the_process_entry_of_the_module():
+    # read with a regex: tomllib exists only from Python 3.11, and the
+    # project supports 3.10
+    text = PYPROJECT.read_text()
+    scripts = text[text.index("\n[project.scripts]\n"):]
+    target = re.search(r'^embed\s*=\s*"qtrees\.cli:(\w+)"$', scripts,
+                       re.MULTILINE)
+    assert target, scripts
+    assert main_block_calls(CLI) == [target.group(1)]
+
+
+# calls that change how a process ends: what its shutdown collects, or
+# whether its stdio flushes and atexit handlers run at all
+PROCESS_ENDS = {"gc.freeze", "gc.disable", "atexit.register", "os._exit"}
+
+
+def process_end_calls(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(scope, callee) of each call in a module of a name in
+    ``PROCESS_ENDS``.  The scope is the module's stem with the names of
+    the functions and classes around the call; the callee is the dotted
+    name that the module's imports, aliases included, make of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and \
+                    (callee := dotted(child.func)) in PROCESS_ENDS:
+                found.append((scope, callee))
+            visit(child, scope)
+
+    visit(tree, path.stem)
+    return found
+
+
+def test_only_the_process_entry_and_the_worker_end_a_process():
+    # the entry freezes the heap after main returns, so that in-process
+    # callers of main keep a collectable heap; the worker of `verify all`
+    # must never return into its parent's frames
+    calls = [call for path in sorted(SRC.glob("*.py"))
+             for call in process_end_calls(path)]
+    assert sorted(calls) == [("cli.launch", "gc.freeze"),
+                             ("verify._beside", "os._exit")]
+
+
+def test_the_process_end_gate_sees_through_aliases(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import atexit\nimport gc as g\n"
+                      "from os import _exit as leave\n"
+                      "g.disable()\n"
+                      "class Runner:\n"
+                      "    def stop(self):\n"
+                      "        def now():\n            leave(0)\n"
+                      "        atexit.register(now)\n"
+                      "def freeze():\n    g.freeze()\n")
+    assert process_end_calls(module) == [
+        ("module", "gc.disable"), ("module.Runner.stop.now", "os._exit"),
+        ("module.Runner.stop", "atexit.register"),
+        ("module.freeze", "gc.freeze")]
