@@ -51,8 +51,9 @@ def segments_and_stops(tokens: Sequence) -> tuple[list[tuple], list]:
     tokens = tuple(tokens)
     segments: list[tuple] = []
     stops: list = []
-    start = 0
-    for i, tok in enumerate(tokens):
+    start = end = 0  # tok is tokens[end - 1]
+    for tok in tokens:
+        end += 1
         # the type first, so that no decorated token is compared with STOP
         cls = tok.__class__
         if cls is str:
@@ -63,9 +64,9 @@ def segments_and_stops(tokens: Sequence) -> tuple[list[tuple], list]:
                 continue
         elif not tok == STOP:
             continue
-        segments.append(tokens[start:i])
+        segments.append(tokens[start:end - 1])
         stops.append(tok)
-        start = i + 1
+        start = end
     segments.append(tokens[start:])
     return segments, stops
 
@@ -178,11 +179,13 @@ def decode_step(state: tuple[Slotted, tuple], page: Sequence, kappa: int
     # pending holds (word index, owner): the index of the slotted unit
     # whose unrecorded prefix precedes the stop sign, or None
     idx = len(units)
-    has_star = len(page) > 0 and page[-1] == STAR
-    body = page[:-1] if has_star else page
-    if STAR in body or (len(body) >= kappa if has_star
-                        else len(body) != kappa):
+    size = len(page)
+    has_star = size > 0 and page[-1] == STAR
+    # kappa tokens, or fewer and the marker; no marker elsewhere
+    if size > kappa or (size < kappa and not has_star) \
+            or page.count(STAR) > has_star:
         raise InconsistentDiary(idx, "malformed page")
+    body = page[:-1] if has_star else page
     # segments before each visible pending stop, then the new word, in
     # natural reading order
     shown, _ = segments_and_stops(body[::-1])
@@ -205,10 +208,12 @@ def decode_step(state: tuple[Slotted, tuple], page: Sequence, kappa: int
             idx, "terminal page must show every pending stop sign")
 
     kept = len(pending) - p
-    visible = pending[kept:]
     units = list(units)
-    # complete segments (all but the oldest) close their owners
-    for seg, (_, owner) in zip(shown[1:], visible[1:]):
+    # complete segments (all but the oldest) close their owners; segment j
+    # ends at the visible pending stop pending[kept + j]
+    for j in range(1, p):
+        seg = shown[j]
+        owner = pending[kept + j][1]
         if owner is None:
             if seg:
                 raise InconsistentDiary(
@@ -217,7 +222,7 @@ def decode_step(state: tuple[Slotted, tuple], page: Sequence, kappa: int
             units[owner] = (False, seg + units[owner][1])
     # the oldest visible segment is cut by the window: it extends its
     # owner, whose slot stays open unless the page was terminal
-    first_owner = visible[0][1]
+    first_owner = pending[kept][1]
     if first_owner is None:
         if shown[0]:
             raise InconsistentDiary(
@@ -276,15 +281,18 @@ def member_rest_segments(slotted: Slotted, pending: Sequence,
     member is empty, which makes this the membership test as well."""
     if len(words) != len(slotted):
         return None
-    fillers: dict[int, tuple] = {}
-    for i, (word, (has_slot, shown)) in enumerate(zip(words, slotted)):
+    # the member's filler of each unit, empty where the unit has no slot
+    fillers: list = []
+    for word, (has_slot, shown) in zip(words, slotted):
         if has_slot:
             cut = len(word) - len(shown)
             if cut < 0 or word[cut:] != shown:
                 return None
-            fillers[i] = word[:cut]
+            fillers.append(word[:cut])
         elif word != shown:
             return None
+        else:
+            fillers.append(())
     out: list = []
     for word_idx, owner in pending:
         if owner is not None:

@@ -26,7 +26,6 @@ counts and the first violations are those of a plain pair-by-pair loop.
 """
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from typing import NamedTuple, Optional
 
@@ -351,6 +350,7 @@ def check_level_escape(emb: Stage1) -> CheckResult:
 
 
 def write_pairs_csv(rows: list[PairRow], path) -> None:
+    import csv  # only here: the commands that write no CSV never load it
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["v", "v'", "graph_dist", "class", "critical_level",

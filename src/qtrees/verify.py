@@ -10,11 +10,14 @@ The codec checks sweep every in-bound sentence as a tuple of words, in
 one-word-shorter prefix's by one encoder step (``diary.encode_step``);
 membership and the rest are matched on the same words
 (``diary.member_rest_segments``), so no sentence is built flat or split
-unless a violation records it.  Each new class costs one decoder step
-(``diary.decode_step``) from its prefix class's state, and star-honesty
-reads the honesty verdicts of the prefix classes' states.  The converse
-is a count: each class must hold as many in-bound fills as sentences
-were enumerated with its pages, and no fill is built or encoded.  The
+unless a violation records it.  The page classes form a prefix tree: a
+class is found from its prefix class by its last page alone, so no
+sentence hashes its whole pages.  Each class holds its pages, its decoded
+state, its star-honesty verdicts and how many sentences were enumerated
+with it; a new class costs one decoder step (``diary.decode_step``) from
+its prefix class's state.  The converse is a count: each class must hold
+as many in-bound fills as sentences were enumerated with its pages, and
+no fill is built or encoded.  The
 pipeline and the geometry stack are imported only when ``run_suite``
 runs "all", and the tree side only where a suite reads it, so codec
 users never load what they do not run.  The CLI loads this module for
@@ -171,11 +174,21 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int,
     word.  The prefix continues from its member rest, which equals the
     encoder's rest whenever the prefix passed; so a faulty rest is
     reported on the sentence that shows it and does not also corrupt the
-    pages of its extensions.  A new class is decoded by one decoder step
-    from its prefix class's state, which is kept beside the prefix's
-    pages; a starred page's honesty verdict is taken once per class, and
-    a sentence inherits those of its prefix's pages.  Only the levels below
+    pages of its extensions.  Where the two rests differ and the member's
+    does not hold one stop sign per pending stop of the class, as every
+    rest does, the prefix continues from the encoder's rest instead, so a
+    faulty member rest is named in the same way.  Only the levels below
     ``max_words`` are kept.
+
+    Each page class is a ``_PageClass``, found from its prefix class by
+    its last page, so a sentence looks up one page, not its whole pages.
+    A new class is decoded by one decoder step from its prefix class's
+    state; a starred page's honesty verdict is taken once per class and
+    the class inherits those of its prefix class.  The class counts the
+    sentences enumerated with its pages; the round trip checks their
+    sum, the star-honesty check the sum of each count times the class's
+    starred pages, and the converse pass runs over the classes in the
+    order they were made.
 
     The converse needs no fill to be built.  Let E(P) be the enumerated
     sentences whose step-wise pages are P, and F(P) the in-bound fills of
@@ -200,69 +213,99 @@ def _codec_sweep(kappa: int, max_words: int, max_len: int,
     # within[b] words have at most b letters
     within = list(itertools.accumulate(
         len(ALPHABET) ** ln for ln in range(max_len + 1)))
-    n = len(words)
-    # pages -> (decoded state, honesty verdict of a starred last page or
-    # None); and how many enumerated sentences have those pages
-    classes: dict = {}
-    counts: dict = {}
-    # per prefix sentence: pages, rest, decoded state, starred pages and
-    # the indices of the dishonest ones
-    prefixes = [((), (), ((), ()), 0, ())]
+    root = _PageClass((), (), (), 0, ())
+    classes = []  # in creation order
+    # per prefix sentence of the level before: its rest and page class
+    prefixes = [((), root)]
     for k in range(1, max_words + 1):
         stops = (STOP,) * k
+        sentences = itertools.product(words, repeat=k)
+        keep = k < max_words  # only the levels below max_words are kept
         level = []
-        for i, sent_words in enumerate(itertools.product(words, repeat=k)):
-            prefix_pages, prefix_rest, prefix_state, starred, dishonest = \
-                prefixes[i // n]
-            page, rest = encode_step(prefix_rest, sent_words[-1], tail,
-                                     kappa)
-            pages = prefix_pages + (page,)
-            known = classes.get(pages)
-            if known is None:
-                state = decode_step(prefix_state, page, kappa)
-                known = classes[pages] = (
-                    state, is_honest(state[0]) if page[-1] == STAR else None)
-                counts[pages] = 1
-            else:
-                counts[pages] += 1
-            state, honest = known
-            if honest is not None:
-                starred += 1
-                if not honest:
-                    dishonest += (k - 1,)
-            res.checked += 1
-            member = member_rest_segments(*state, sent_words, stops)
-            if member is None:
-                res.add_violation({"sentence": _flat(sent_words),
-                                   "reason": "not a member"})
-            elif member != rest:
-                res.add_violation({"sentence": _flat(sent_words),
-                                   "reason": "rest mismatch",
-                                   "codec_rest": rest})
-            if k < max_words:
-                level.append((pages, rest if member is None else member,
-                              state, starred, dishonest))
-            if star is not None:
-                star.checked += starred
-                for p in dishonest:
-                    star.add_violation({"sentence": _flat(sent_words),
-                                        "page": p, "kappa": kappa})
+        for prefix_rest, prefix_class in prefixes:
+            children = prefix_class.children
+            # the next len(words) sentences extend this prefix by each word
+            for word, sent_words in zip(words, sentences):
+                page, rest = encode_step(prefix_rest, word, tail, kappa)
+                cls = children.get(page)
+                if cls is None:
+                    cls = children[page] = prefix_class.extend(page, kappa)
+                    classes.append(cls)
+                cls.count += 1
+                member = member_rest_segments(cls.slotted, cls.pending,
+                                              sent_words, stops)
+                if member is None:
+                    res.add_violation({"sentence": _flat(sent_words),
+                                       "reason": "not a member"})
+                elif member != rest:
+                    res.add_violation({"sentence": _flat(sent_words),
+                                       "reason": "rest mismatch",
+                                       "codec_rest": rest})
+                if keep:
+                    # a rest holds one stop sign per pending stop
+                    if member is None or (member != rest and member.count(
+                            STOP) != len(cls.pending)):
+                        member = rest
+                    level.append((member, cls))
+                if cls.dishonest and star is not None:
+                    for p in cls.dishonest:
+                        star.add_violation({"sentence": _flat(sent_words),
+                                            "page": p, "kappa": kappa})
         prefixes = level
+    res.checked += sum(cls.count for cls in classes)
+    if star is not None:
+        star.checked += sum(cls.count * cls.starred for cls in classes)
     # converse: each class holds as many in-bound fills as sentences were
     # enumerated with its pages, so every fill pages to the class
-    for pages, ((slotted, _), _) in classes.items():
+    for cls in classes:
         fills = 1
-        for has_slot, shown in slotted:
+        for has_slot, shown in cls.slotted:
             budget = max_len - len(shown)
             if budget < 0:
                 fills = 0
                 break
             if has_slot:
                 fills *= within[budget]
-        if fills != counts[pages]:
-            res.add_violation({"pages": pages, "reason": "class size mismatch",
-                               "fills": fills, "enumerated": counts[pages]})
+        if fills != cls.count:
+            res.add_violation({"pages": cls.pages,
+                               "reason": "class size mismatch",
+                               "fills": fills, "enumerated": cls.count})
     return res
+
+
+class _PageClass:
+    """The sentences of a codec sweep that page to ``pages``: their decoded
+    state, how many of the pages are starred and the indices of the starred
+    pages whose prefix reconstructs dishonestly, how many sentences were
+    enumerated with these pages, and the classes one page longer, keyed by
+    that page."""
+
+    __slots__ = ("pages", "slotted", "pending", "starred", "dishonest",
+                 "count", "children")
+
+    def __init__(self, pages: tuple, slotted: tuple, pending: tuple,
+                 starred: int, dishonest: tuple):
+        self.pages = pages
+        self.slotted = slotted
+        self.pending = pending
+        self.starred = starred
+        self.dishonest = dishonest
+        self.count = 0
+        self.children: dict = {}
+
+    def extend(self, page, kappa: int) -> _PageClass:
+        """The class of these pages followed by ``page``: one decoder step
+        from this class's state, and the honesty verdict of a starred
+        ``page``."""
+        slotted, pending = decode_step((self.slotted, self.pending), page,
+                                       kappa)
+        starred, dishonest = self.starred, self.dishonest
+        if page[-1] == STAR:
+            starred += 1
+            if not is_honest(slotted):
+                dishonest += (len(self.pages),)
+        return _PageClass(self.pages + (page,), slotted, pending, starred,
+                          dishonest)
 
 
 def _flat(sent_words) -> tuple:

@@ -18,6 +18,7 @@ from qtrees.diary import (
     is_honest,
     is_stop,
     member_rest,
+    member_rest_segments,
     membership,
     reconstruct,
     segments_and_stops,
@@ -200,6 +201,24 @@ def test_codec_oracle_catches_non_members(monkeypatch):
     res = verify.check_codec_roundtrip(2, 2, 2)
     assert res.checked > 0 and res.status == "fail"
     assert any(v["reason"] == "not a member" for v in res.violations)
+
+
+def test_codec_oracle_catches_a_short_member_rest(monkeypatch):
+    # a membership core whose rest lacks its last stop sign: each sentence
+    # names the mismatch, and its extensions continue from the codec's
+    # rest, so their pages and the codec rests they report stay right
+    def drop_last(slotted, pending, words, stops):
+        out = member_rest_segments(slotted, pending, words, stops)
+        return None if out is None else out[:-1]
+
+    monkeypatch.setattr(verify, "member_rest_segments", drop_last)
+    for kappa in (1, 2, 3):
+        res = verify.check_codec_roundtrip(kappa, 3, 3)
+        assert res.checked == 3615 and res.status == "fail"
+        assert {v["reason"] for v in res.violations} == {"rest mismatch"}
+        for v in res.violations:
+            sent = tuple(v["sentence"])
+            assert v["codec_rest"] == list(encode_with_rest(sent, kappa)[1])
 
 
 @settings(max_examples=300, deadline=None)

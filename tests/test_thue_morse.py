@@ -6,7 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrees import morse_thue
-from qtrees.diary import STAR, STOP, encode, reconstruct, words_and_stops
+from qtrees.diary import (
+    STAR,
+    STOP,
+    decode,
+    encode,
+    encode_with_rest,
+    is_stop,
+    member_rest,
+    membership,
+    reconstruct,
+    words_and_stops,
+)
 from qtrees.morse_thue import (
     check_synchronization,
     decorate,
@@ -109,6 +120,27 @@ def test_strip_inverts_decorate():
     for sent in [("a", STOP), (STOP,), ("a", "b", STOP, "c", STOP)]:
         deco = decorate(sent)
         assert strip(deco) == sent
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 16, 31, 46])
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.text(alphabet="abc", max_size=60), min_size=1,
+                      max_size=8))
+def test_decorated_sentences_round_trip(kappa, words):
+    # the path stage 2 takes, at small capacities and at the presets'
+    sent = tuple(t for w in words for t in (*w, STOP))
+    deco = decorate(sent)
+    assert strip(deco) == sent
+    pages, rest = encode_with_rest(deco, kappa)
+    slotted, pending = decode(pages, kappa)
+    assert membership(slotted, deco)
+    assert member_rest(slotted, pending, deco) == rest
+    # the rest carries the sentence's own decorated stop sign of each
+    # pending stop, the last word's last
+    stops = [tok for tok in deco if is_stop(tok)]
+    assert [tok for tok in rest if is_stop(tok)] == \
+        [stops[word_idx] for word_idx, _ in pending]
+    assert rest[-1] == stops[-1]
 
 
 def test_synchronization_search_finds_nothing():

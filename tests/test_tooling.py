@@ -144,6 +144,9 @@ LOADING_GATES = {
                        "concurrent.futures")),
     "verify-approx": (quiet_cli("verify", "approx", "--preset", "cantor"),
                       CODEC),
+    # only `run` writes the pair table as CSV
+    "verify-stage1": (quiet_cli("verify", "stage1", "--preset", "cantor"),
+                      ("csv", "_csv", *CODEC)),
     "verify-diary": (quiet_cli("verify", "diary"), GEOMETRY),
     "verify-morse_thue": (quiet_cli("verify", "morse_thue"), GEOMETRY),
 }
