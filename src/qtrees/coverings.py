@@ -17,35 +17,37 @@ pairwise disjoint.
 
 The validator runs the region tests of every property but the mesh on the
 sequence's own `CoveringKernel`, ``seq.kernel``: its certificates, its
-points and its ball radii as ints in one unit, a multiple of the space's.
-A sequence builds its kernel when it is built and cannot change after, so
-the kernel always scales the certificates it serves.  Generation drops on
-the candidates' kernel every candidate that holds no sample point, and the
-sequence it returns keeps that kernel: a run builds one, and every later
-stage reads it from the sequence.  What is reported stays as it was: the
-mesh, its bound and the Lebesgue numbers are Fractions, and violations
-name elements and points by id.
+points and its net balls as ints in one unit, a multiple of the space's.
+A net ball is a certificate of the kernel (`CoveringKernel.ball`): the
+interval, arc or box around the point, or on a space without coordinates
+the set of sample points inside it, so each ball test of properties (2)
+and (3) is a region test.  A sequence builds its kernel when it is built
+and cannot change after, so the kernel always scales the certificates it
+serves.  Generation drops on the candidates' kernel every candidate that
+holds no sample point, and the sequence it returns keeps that kernel: a
+run builds one, and every later stage reads it from the sequence.  What
+is reported stays as it was: the mesh, its bound and the Lebesgue numbers
+are Fractions, and violations name elements and points by id.
 
-The validator's pair loops skip the pairs that cannot fail.  Each region
-has an extent (`Region.extent`): one half-open int range per axis that
-holds the region, or None for the whole space, a point subset and an arc
-that wraps.  A net ball lies in its hull, the center plus or minus the
-radius on each axis.  Two sets whose hulls are apart on some axis do not
-meet, so the skips are exact:
+The validator's pair loops skip the pairs that cannot fail.  Each region,
+and so each ball, has an extent (`Region.extent`): one half-open int
+range per axis that holds it, or None for the whole space, a point subset
+and an arc that wraps, as a ball reaching past 0 or the circumference
+does.  Two sets whose extents are apart on some axis do not meet, so the
+skips are exact:
 
 - disjointness tests no same-color pair whose extents are apart;
-- property (3) gathers U's balls among those whose hull is not apart
-  from U's extent, and tests no U' whose extent is apart from the hull of
-  those balls: every ball is then outside U', so the pair cannot break
-  separation.  It still counts in ``checked``.
+- property (3) gathers U's balls among those whose extent is not apart
+  from U's, and tests no U' whose extent is apart from the union of
+  those balls' extents (None when one is None): every ball is then
+  outside U', so the pair cannot break separation.  It still counts in
+  ``checked``.
 
-On the circle a ball reaching past 0 or the circumference wraps and has
-no hull (None), as a wrapping arc has no extent; a hull that lies in [0,
-circ] is the same set on the line as on the circle.  `_Near` sorts the
-extents by their start on the first axis, so the pairs left are found by
-bisection without a visit to the others, and are tested in the order of
-the plain loops: the checked counts and the violations, in order, are
-those of testing every pair.
+An extent that lies in [0, circ] is the same set on the line as on the
+circle.  `_Near` sorts the extents by their start on the first axis, so
+the pairs left are found by bisection without a visit to the others, and
+are tested in the order of the plain loops: the checked counts and the
+violations, in order, are those of testing every pair.
 """
 from __future__ import annotations
 
@@ -58,7 +60,8 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from qtrees.geometry import Arc, BoxRegion, Frozen, LineInterval, \
-    PointSubset, Region, WholeSpace, region_from_json, scale_number
+    PointSubset, Region, WholeSpace, open_ball, region_from_json, \
+    scale_number
 from qtrees.metric import FiniteMetricSpace, ScaleParams
 from qtrees.reporting import CheckResult, FAIL, PASS, frac_str
 
@@ -118,9 +121,8 @@ class CoveringError(ValueError):
 
 
 class CoveringKernel(Frozen):
-    """A covering sequence's certificates, its space's points and the ball
-    radii 2 r^k for 0 <= k <= max_level + 1, as ints in one unit; built by
-    the sequence alone.
+    """A covering sequence's certificates, its space's points and its net
+    balls, as ints in one unit; built by the sequence alone.
 
     The unit is the lcm of the space's unit, of the denominator of
     r^(max_level + 1) and of every certificate number, so each scaled
@@ -128,10 +130,14 @@ class CoveringKernel(Frozen):
     the space's lattice in that unit: point ids for a space without
     coordinates, which takes point-subset certificates (and the whole
     space) only.  ``regions`` maps each element uid to its scaled
-    certificate.
+    certificate.  `ball` gives the open ball B(p, 2 r^k) as a certificate
+    of the same unit, for the region tests of the validator, the stage-1
+    map and the edge letters; a circle's circumference is read off the
+    sequence's arcs.
     """
 
-    __slots__ = ("unit", "coords", "regions", "_radii")
+    __slots__ = ("unit", "coords", "regions", "_space", "_circ", "_radii",
+                 "_balls")
 
     def __init__(self, seq: CoveringSequence):
         space, top = seq.space, seq.max_level + 1
@@ -154,12 +160,32 @@ class CoveringKernel(Frozen):
         put(self, "regions", MappingProxyType(
             {uid: region.scaled(unit)
              for uid, region in certificates.items()}))
+        put(self, "_space", space)
+        put(self, "_circ", next((region.circ
+                                 for region in self.regions.values()
+                                 if isinstance(region, Arc)), None))
         put(self, "_radii", {k: scale_number(2 * seq.r**k, unit)
-                             for k in range(top + 1)})
+                             for k in range(1, top + 1)})
+        put(self, "_balls", {k: {} for k in self._radii})
 
-    def radius(self, k: int) -> int:
-        """2 r^k in the unit, for 0 <= k <= max_level + 1."""
-        return self._radii[k]
+    def ball(self, k: int, p: int) -> Region:
+        """The open ball B(p, 2 r^k) in the unit, for 1 <= k <= max_level +
+        1, built once: the interval, arc or box around the point's
+        coordinate (`geometry.open_ball`), or on a space without
+        coordinates the point set {q : d(p, q) < 2 r^k}."""
+        try:
+            return self._balls[k][p]
+        except KeyError:
+            pass
+        space, radius = self._space, self._radii[k]
+        if space.coords:
+            ball = open_ball(self.coords[p], radius, self._circ)
+        else:
+            factor = self.unit // space.unit
+            ball = PointSubset(space, [q for q, d in enumerate(space.rows[p])
+                                       if d * factor < radius], factor)
+        self._balls[k][p] = ball
+        return ball
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +289,21 @@ def validate_covering_sequence(seq: CoveringSequence, graph
     # same-color elements holding one ball both hold its center, so they
     # meet and disjointness has reported them
     for j in levels:
-        radius = kernel.radius(j + 1)
         fam = [regions[e.uid] for e in seq.family(j)]
         for v in graph.net(j + 1):
-            coord = coords[v]
-            if not any(region.contains_ball(coord, radius) for region in fam):
+            ball = kernel.ball(j + 1, v)
+            if not any(region.contains_region(ball) for region in fam):
                 result.add_violation({"property": 2, "level": j, "net_point": v})
             result.checked += 1
 
     # (3) separation on same-color cross-level pairs (U, U').  A ball
-    # whose hull is apart from U's extent does not meet U, and every ball
-    # meeting U is outside a U' whose extent is apart from their hull: such
-    # a pair cannot break separation, and is counted without a test
-    circ = next((region.circ for region in regions.values()
-                 if isinstance(region, Arc)), None)
+    # whose extent is apart from U's does not meet U, and every ball
+    # meeting U is outside a U' whose extent is apart from their union:
+    # such a pair cannot break separation, and is counted without a test
     nets = {}
     for j in levels:
-        radius = kernel.radius(j + 1)
-        net = [(v, coords[v]) for v in graph.net(j + 1)]
-        nets[j] = net, _Near([_hull([coord], radius, circ)
-                              for _, coord in net])
+        net = [(v, kernel.ball(j + 1, v)) for v in graph.net(j + 1)]
+        nets[j] = net, _Near([ball.extent() for _, ball in net])
     for c in seq.colors:
         elements = seq.color_elements(c)
         index = _Near([extents[e.uid] for e in elements])
@@ -291,16 +312,14 @@ def validate_covering_sequence(seq: CoveringSequence, graph
         upto = {e.level: k + 1 for k, e in enumerate(elements)}
         own = collections.Counter((e.level, e.uid) for e in elements)
         for U in elements:
-            radius = kernel.radius(U.level + 1)
             region = regions[U.uid]
             net, net_index = nets[U.level]
             balls = [net[k] for k in net_index.near(extents[U.uid])
-                     if region.meets_ball(net[k][1], radius)]
+                     if region.meets_region(net[k][1])]
             result.checked += upto[U.level] - own[U.level, U.uid]
             if not balls:
                 continue
-            for k in index.near(_hull([coord for _, coord in balls], radius,
-                                      circ)):
+            for k in index.near(_union([ball.extent() for _, ball in balls])):
                 if k >= upto[U.level]:
                     break
                 Up = elements[k]
@@ -309,10 +328,10 @@ def validate_covering_sequence(seq: CoveringSequence, graph
                 region_p = regions[Up.uid]
                 inside = outside = 0
                 witness = None
-                for v, coord in balls:
-                    if region_p.contains_ball(coord, radius):
+                for v, ball in balls:
+                    if region_p.contains_region(ball):
                         inside += 1
-                    elif not region_p.meets_ball(coord, radius):
+                    elif not region_p.meets_region(ball):
                         outside += 1
                     else:
                         witness = v
@@ -333,17 +352,13 @@ def _apart(a: tuple, b: tuple) -> bool:
     return False
 
 
-def _hull(centers: list, radius: int, circ: Optional[int]
-          ) -> Optional[tuple]:
-    """The hull of the open balls of ``radius`` around ``centers`` (ints
-    on the line, or int pairs in the plane), one ``(min - radius, max +
-    radius)`` per axis.  On a circle of circumference ``circ`` a ball
-    reaching past 0 or circ wraps, and there is no hull: None."""
-    axes = zip(*centers) if isinstance(centers[0], tuple) else (centers,)
-    hull = tuple((min(axis) - radius, max(axis) + radius) for axis in axes)
-    if circ is not None and not (0 <= hull[0][0] and hull[0][1] <= circ):
+def _union(hulls: list[Optional[tuple]]) -> Optional[tuple]:
+    """The least hull holding every one of ``hulls``; None when one of
+    them is None."""
+    if any(hull is None for hull in hulls):
         return None
-    return hull
+    return tuple((min(lo for lo, _ in axis), max(hi for _, hi in axis))
+                 for axis in zip(*hulls))
 
 
 class _Near:

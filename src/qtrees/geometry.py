@@ -2,9 +2,19 @@
 
 Certificates make containment and disjointness checks exact and
 independent of how densely the space was sampled: every test reduces to
-rational comparisons between interval endpoints.  Balls are always open;
-covering certificates are half-open, so two certificates may share a
-boundary point without intersecting.
+rational comparisons between interval endpoints.  Covering certificates
+are half-open, so two certificates may share a boundary point without
+intersecting.
+
+A net ball is a certificate as well, so every ball test of the
+construction is a region test between two certificates.  `open_ball`
+gives the open ball of the line, of a circle or of the sup-metric plane as
+the interval, arc or box from its center minus its radius to its center
+plus it; on a space without coordinates a ball is the `PointSubset` of
+the sample points inside it.  The interval, arc or box is half-open where
+the ball is open, which no region test tells apart: the tests compare
+endpoints, and a certificate holds, or meets, an open ball exactly when
+it holds, or meets, the half-open one with the same ends.
 
 Certificates are stored as JSON objects tagged by their form, with
 rationals as "p/q" strings: {"whole_space": true, "diam"},
@@ -18,15 +28,14 @@ multiplies every number of a certificate by an int unit and returns the
 same class over ints; it raises ValueError when the unit leaves a
 denominator, and `Region.denominator` is the least unit that does not.  An
 `Arc` reads its circumference from `circ` (1 unless scaled), and a scaled
-`PointSubset` reads the space's int distances in the same unit, so both
-compare with radii in that unit.  A covering sequence holds its own
-`coverings.CoveringKernel`: its certificates, points and ball radii in one
-unit, a multiple of the space's.  Covering generation, the covering
-validator, the color trees and their checks, the stage-1 map, the
-containing chains and the edge letters run their region tests on it.
-Reported diameters come from the Fraction certificates.  `Region.extent`
-is a range per axis holding the region, by which the covering validator
-skips the pairs that lie apart.
+`PointSubset` reads the space's int distances in the same unit.  A
+covering sequence holds its own `coverings.CoveringKernel`: its
+certificates, points and net balls in one unit, a multiple of the
+space's.  Covering generation, the covering validator, the color trees
+and their checks, the stage-1 map, the containing chains and the edge
+letters run their region tests on it.  Reported diameters come from the
+Fraction certificates.  `Region.extent` is a range per axis holding the
+region, by which the covering validator skips the pairs that lie apart.
 """
 from __future__ import annotations
 
@@ -93,14 +102,6 @@ class Region(Frozen):
     def contains_point(self, coord) -> bool:
         raise NotImplementedError
 
-    def contains_ball(self, center, radius: Fraction) -> bool:
-        """Does the open ball B(center, radius) lie inside the region?"""
-        raise NotImplementedError
-
-    def meets_ball(self, center, radius: Fraction) -> bool:
-        """Does the open ball B(center, radius) intersect the region?"""
-        raise NotImplementedError
-
     def contains_region(self, other: "Region") -> bool:
         raise NotImplementedError
 
@@ -154,12 +155,6 @@ class WholeSpace(Region):
     def contains_point(self, coord) -> bool:
         return True
 
-    def contains_ball(self, center, radius) -> bool:
-        return True
-
-    def meets_ball(self, center, radius) -> bool:
-        return True
-
     def contains_region(self, other) -> bool:
         return True
 
@@ -203,13 +198,6 @@ class LineInterval(Region):
     def contains_point(self, x) -> bool:
         return self.lo <= x < self.hi
 
-    def contains_ball(self, center, radius) -> bool:
-        # open (c-h, c+h) inside [lo, hi) iff lo <= c-h and c+h <= hi
-        return self.lo <= center - radius and center + radius <= self.hi
-
-    def meets_ball(self, center, radius) -> bool:
-        return self.lo < center + radius and center - radius < self.hi
-
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return False
@@ -220,7 +208,7 @@ class LineInterval(Region):
     def meets_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return True
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
+        return self.lo < other.hi and other.lo < self.hi
 
     def depth(self, x, cap):
         return min(x - self.lo, self.hi - x) if self.lo <= x < self.hi \
@@ -272,20 +260,6 @@ class Arc(Region):
 
     def contains_point(self, x) -> bool:
         return (x - self.start) % self.circ < self.length
-
-    def contains_ball(self, center, radius) -> bool:
-        # lift the open ball (center-radius, center+radius) relative to start
-        if 2 * radius > self.length:
-            return False
-        offset = (center - radius - self.start) % self.circ
-        return offset + 2 * radius <= self.length
-
-    def meets_ball(self, center, radius) -> bool:
-        offset = (center - radius - self.start) % self.circ
-        if offset < self.length:
-            return True
-        # ball may wrap past the circumference back into the arc
-        return offset + 2 * radius > self.circ
 
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
@@ -352,24 +326,6 @@ class BoxRegion(Region):
         x, y = p
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
-    def contains_ball(self, center, radius) -> bool:
-        x, y = center
-        return (
-            self.x0 <= x - radius
-            and x + radius <= self.x1
-            and self.y0 <= y - radius
-            and y + radius <= self.y1
-        )
-
-    def meets_ball(self, center, radius) -> bool:
-        x, y = center
-        return (
-            self.x0 < x + radius
-            and x - radius < self.x1
-            and self.y0 < y + radius
-            and y - radius < self.y1
-        )
-
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return False
@@ -386,8 +342,10 @@ class BoxRegion(Region):
         if isinstance(other, WholeSpace):
             return True
         return (
-            max(self.x0, other.x0) < min(self.x1, other.x1)
-            and max(self.y0, other.y0) < min(self.y1, other.y1)
+            self.x0 < other.x1
+            and other.x0 < self.x1
+            and self.y0 < other.y1
+            and other.y0 < self.y1
         )
 
     def depth(self, p, cap):
@@ -443,16 +401,6 @@ class PointSubset(Region):
     def contains_point(self, p) -> bool:
         return p in self.members
 
-    def contains_ball(self, center, radius) -> bool:
-        return all(
-            q in self.members
-            for q in self.space.points
-            if self._d(center, q) < radius
-        )
-
-    def meets_ball(self, center, radius) -> bool:
-        return any(self._d(center, q) < radius for q in self.members)
-
     def contains_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return False
@@ -463,7 +411,7 @@ class PointSubset(Region):
     def meets_region(self, other) -> bool:
         if isinstance(other, WholeSpace):
             return True
-        return bool(self.members & other.members)
+        return not self.members.isdisjoint(other.members)
 
     def depth(self, p, cap):
         """Distance to the nearest sample point outside the member set."""
@@ -490,6 +438,20 @@ class PointSubset(Region):
 
     def __hash__(self):
         return hash(("points", self.members))
+
+
+def open_ball(center, radius, circ=None) -> Region:
+    """The open ball B(center, radius) as a certificate, for radius > 0:
+    the interval, or on a circle of circumference ``circ`` the arc, from
+    center - radius to center + radius, or for an (x, y) center the box of
+    half-side ``radius``.  On a circle the ball is shorter than the circle,
+    2 radius < circ."""
+    if isinstance(center, tuple):
+        x, y = center
+        return BoxRegion(x - radius, x + radius, y - radius, y + radius)
+    if circ is None:
+        return LineInterval(center - radius, center + radius)
+    return Arc(center - radius, 2 * radius, circ)
 
 
 def region_from_json(data: dict, space) -> Region:

@@ -141,10 +141,9 @@ def _letter(stage1: Stage1, coloring: NetColoring, uid: str, k: int):
     """Palette colors of level-(k+1) net points whose balls touch the
     element, decorated with the level bit."""
     kernel = stage1.seq.kernel
-    radius = kernel.radius(k + 1)
-    region = kernel.regions[uid]
+    meets, ball = kernel.regions[uid].meets_region, kernel.ball
     hit = frozenset(coloring.mu[k + 1][p] for p in stage1.graph.net(k + 1)
-                    if region.meets_ball(kernel.coords[p], radius))
+                    if meets(ball(k + 1, p)))
     if not hit:
         raise AssertionError(f"empty letter at level {k} for {uid}")
     return (hit, mt_bit(k))
@@ -319,11 +318,9 @@ def stage2_suite(st2: Stage2) -> tuple[list[CheckResult], dict]:
     crit = check_critical_letters(st2)
     checks = [lower, recon, crit]
     fits = {
-        "pairs": lower.checked,
         "upperWorst": Fraction(*worst_upper),
         "lowerWorst": worst_lower,
         "sigmaBound": sig,
-        "violations": list(lower.violations),
     }
     return checks, fits
 

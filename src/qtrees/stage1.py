@@ -78,7 +78,7 @@ def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
     every ball; the graph root, at level k0 <= 0, maps to it."""
     trees = {c: build_color_tree(seq, c) for c in seq.colors}
     kernel = seq.kernel
-    coords, regions = kernel.coords, kernel.regions
+    coords, regions, ball = kernel.coords, kernel.regions, kernel.ball
     uids = [trees[c].vertices() for c in seq.colors]
     levels = [trees[c].level for c in seq.colors]
     roots = [trees[c].root for c in seq.colors]
@@ -103,8 +103,7 @@ def embed_stage1(graph: ApproxGraph, seq: CoveringSequence) -> Stage1:
         top = min(v.level - 1, seq.max_level)
         images[v] = tuple(
             next((u for u in ch if level[u] <= top and
-                  regions[u].contains_ball(coord, kernel.radius(v.level))),
-                 root)
+                  regions[u].contains_region(ball(v.level, v.center))), root)
             for ch, level, root in zip(down, levels, roots))
     return Stage1(graph=graph, seq=seq, trees=trees, images=images,
                   chains=chains)

@@ -367,8 +367,8 @@ def test_each_pipeline_suite_keeps_its_check_ids(preset):
 
 GOLDEN_SHA256 = {
     ("--preset", "cantor"): {
-        "report.json": "72f6a65eaa7405e825d5352f33b01e90"
-                       "8649a8de8dfe4dd1f65b353e1e7e5537",
+        "report.json": "8c816077a3dab0469f79526c7d4d90fb"
+                       "00bde669e653d0ec0b8a368dd8f0aa2b",
         "pairs.csv": "98a79ebe4a31542e80e94e1879ffc1a3"
                      "2337b32cca8f81b94510a0eb249d77f0",
         "embedding.json": "b7fcab9cdbcdafaee0ae96bfea9d5615"
@@ -380,8 +380,8 @@ GOLDEN_SHA256 = {
     },
     ("--space", "grid", "--n", "3", "--r", "1/64", "--max-level", "2",
      "--colors", "3", "--kappa", "46"): {
-        "report.json": "25b47bfbb26062e3c483d85669499d36"
-                       "6a095c4e13ca8d3e22a6879ae771501c",
+        "report.json": "5088e4d39feaeb30dc71c75543387c5a"
+                       "5f9b4a1ca5897323ec3618f398726968",
         "pairs.csv": "efc8f016b3009d44572cb604dd261223"
                      "3c18b80c1a063988d9d00a2819f44635",
         "embedding.json": "480b0ea8f010a5c4b0ea4c534017b77c"
@@ -392,8 +392,8 @@ GOLDEN_SHA256 = {
                        "5bc025f5b9f53c2bf13125f8bbc39f94",
     },
     ("--preset", "circle"): {
-        "report.json": "9d6b1547125500b632a7579660019b2d"
-                       "cdeaa9dae540c086f87f5cb60a8fd089",
+        "report.json": "ddfc10c33a5a0bb13e64215c1efdb962"
+                       "2c4f2e82aaae323ed6ca81f0f808db57",
         "embedding.json": "d0eb0bd90495350937467f86ab842eb9"
                           "996b1225b5ad6da6758b000fd4a95584",
     },

@@ -70,23 +70,21 @@ def reference_validate(seq, graph) -> CheckResult:
                             "pair": (e.uid, e2.uid)})
         result.checked += 1
     for j in levels:
-        radius = kernel.radius(j + 1)
         fam = [regions[e.uid] for e in seq.family(j)]
         for v in graph.net(j + 1):
-            coord = coords[v]
-            if not any(region.contains_ball(coord, radius) for region in fam):
+            ball = kernel.ball(j + 1, v)
+            if not any(region.contains_region(ball) for region in fam):
                 result.add_violation({"property": 2, "level": j,
                                       "net_point": v})
             result.checked += 1
-    ball_cache = {j: [(v, coords[v]) for v in graph.net(j + 1)]
+    ball_cache = {j: [(v, kernel.ball(j + 1, v)) for v in graph.net(j + 1)]
                   for j in levels}
     for c in seq.colors:
         elements = seq.color_elements(c)
         for U in elements:
-            radius = kernel.radius(U.level + 1)
             region = regions[U.uid]
-            balls = [(v, coord) for v, coord in ball_cache[U.level]
-                     if region.meets_ball(coord, radius)]
+            balls = [(v, ball) for v, ball in ball_cache[U.level]
+                     if region.meets_region(ball)]
             for Up in elements:
                 if Up is U or Up.level > U.level:
                     continue
@@ -95,10 +93,10 @@ def reference_validate(seq, graph) -> CheckResult:
                 region_p = regions[Up.uid]
                 inside = outside = 0
                 witness = None
-                for v, coord in balls:
-                    if region_p.contains_ball(coord, radius):
+                for v, ball in balls:
+                    if region_p.contains_region(ball):
                         inside += 1
-                    elif not region_p.meets_ball(coord, radius):
+                    elif not region_p.meets_region(ball):
                         outside += 1
                     else:
                         witness = v

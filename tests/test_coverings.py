@@ -11,6 +11,7 @@ from qtrees.coverings import (
     CoveringSequence,
     build_covering,
     default_circle_blocks,
+    generate_covering_sequence,
     lebesgue_number,
     load_covering_json,
     mesh,
@@ -18,10 +19,15 @@ from qtrees.coverings import (
     validate_covering_sequence,
 )
 from qtrees.geometry import Arc, BoxRegion, LineInterval, PointSubset, \
-    WholeSpace, region_from_json
+    WholeSpace, open_ball, region_from_json
 from qtrees.metric import ScaleParams, generate_space, load_space_csv, \
     save_space_csv
-from qtrees.stage1 import embed_stage1
+from qtrees.labelling import build_labelling, build_stage2, \
+    check_binary_stage, check_net_coloring, check_sentences, stage2_suite
+from qtrees.pipeline import Pipeline
+from qtrees.presets import PRESETS
+from qtrees.stage1 import embed_stage1, stage1_suite
+from qtrees.trees import check_color_tree
 
 
 def cantor_setup(depth=4, J=4):
@@ -316,8 +322,9 @@ def test_witness_uniqueness_per_color():
     for j in range(0, 4):
         radius = 2 * sc.sep(j + 1)
         for v in g.net(j + 1):
+            ball = open_ball(s.coords[v], radius)
             hits = [e for e in seq.family(j)
-                    if e.region.contains_ball(s.coords[v], radius)]
+                    if e.region.contains_region(ball)]
             assert len(hits) >= 1
             for c in seq.colors:
                 assert sum(1 for e in hits if e.color == c) <= 1
@@ -357,6 +364,53 @@ def test_point_subset_covering_on_a_loaded_space(tmp_path):
     assert before == after == [reference_lebesgue(seq.family(j), s)
                                for j in seq.levels]
     assert before[1] == F(2, 27)
+
+
+def as_point_sets(seq, space):
+    """``seq`` on ``space``, a coordinate-free copy of its space: each
+    element becomes the `PointSubset` of the sample points its certificate
+    holds, and level 0 stays the whole space."""
+    coords = seq.space.coords
+    return CoveringSequence(space=space, r=seq.r, colors=seq.colors, levels={
+        j: {c: tuple(e._replace(region=WholeSpace(space.diam)) if j == 0
+                     else e._replace(region=PointSubset(space, [
+                         p for p in space.points
+                         if e.region.contains_point(coords[p])]))
+                     for e in members)
+            for c, members in family.items()}
+        for j, family in seq.levels.items()})
+
+
+def outcomes(checks):
+    return sorted((c.check_id, c.status, c.checked) for c in checks)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_preset_on_point_sets_checks_as_the_preset(preset, tmp_path):
+    # the preset's space saved and loaded back without coordinates, its
+    # covering as point sets: every ball test of the covering, stage-1 and
+    # stage-2 checks then runs on point-set balls, with the preset's outcomes
+    pipe = Pipeline(PRESETS[preset])
+    path = tmp_path / "space.csv"
+    save_space_csv(pipe.space, path)
+    space = load_space_csv(path)
+    assert not space.coords
+    scale = ScaleParams.for_space(space, pipe.scale.r, pipe.scale.max_level)
+    assert scale == pipe.scale
+    graph = build_approximation(space, scale)
+    seq = generate_covering_sequence(as_point_sets(pipe.seq, space), graph)
+    emb = embed_stage1(graph, seq)
+    pair_checks, _ = stage1_suite(emb)
+    stage1 = [check_color_tree(seq, emb.trees[c], scale.k0)
+              for c in seq.colors] + pair_checks
+    lab = build_labelling(emb)
+    st2 = build_stage2(lab, pipe.stage2.kappa)
+    stage2 = stage2_suite(st2)[0] + [
+        check_net_coloring(graph, lab.coloring), check_sentences(lab),
+        check_binary_stage(st2)]
+    for name, checks in (("covering", [seq.contract]), ("stage1", stage1),
+                         ("stage2", stage2)):
+        assert outcomes(checks) == outcomes(pipe.checks(name)), name
 
 
 def reference_lebesgue(family, space):
@@ -449,21 +503,36 @@ BALL_TWINS = {
 
 
 @pytest.mark.parametrize("form", list(BALL_TWINS))
+def test_a_kernel_ball_is_the_least_certificate_of_the_ball(form, tmp_path):
+    # B(p, 2 r^k) on the kernel is the interval, arc, box or point set of
+    # the Fraction ball, scaled to the kernel's unit, at every level
+    build, least = BALL_TWINS[form]
+    seq, g = build(tmp_path)
+    s, kernel = seq.space, seq.kernel
+    point = (lambda v: s.coords[v]) if s.coords else (lambda v: v)
+    for k in range(1, seq.max_level + 2):
+        radius = 2 * g.scale.sep(k)
+        for v in g.net(k):
+            assert kernel.ball(k, v) == \
+                least(s, point(v), radius).scaled(kernel.unit)
+
+
+@pytest.mark.parametrize("form", list(BALL_TWINS))
 def test_a_shared_net_ball_fails_disjointness(form, tmp_path):
     # beside a level-1 element, a same-color element that is the least
     # certificate holding one of its net balls: not a copy, yet the two meet
     build, least = BALL_TWINS[form]
     seq, g = build(tmp_path)
     assert validate_covering_sequence(seq, graph=g).status == "pass"
-    s, j = seq.space, 1
+    s, j, kernel = seq.space, 1, seq.kernel
     radius = 2 * g.scale.sep(j + 1)
     point = (lambda v: s.coords[v]) if s.coords else (lambda v: v)
     first, v, twin = next(
         (e, v, least(s, point(v), radius))
         for e in seq.family(j) for v in g.net(j + 1)
-        if e.region.contains_ball(point(v), radius)
+        if kernel.regions[e.uid].contains_region(kernel.ball(j + 1, v))
         and least(s, point(v), radius) != e.region)
-    assert twin.contains_ball(point(v), radius)
+    assert twin.scaled(kernel.unit).contains_region(kernel.ball(j + 1, v))
     c = first.color
     seq = with_family(seq, j, c, seq.levels[j][c] + (
         element(s, twin, color=c, level=j, uid="twin"),))

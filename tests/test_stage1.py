@@ -5,6 +5,7 @@ import pytest
 
 from qtrees.approx import Vertex, build_approximation
 from qtrees.coverings import build_covering
+from qtrees.geometry import open_ball
 from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, generate_space, make_space
 from qtrees.pipeline import Pipeline
@@ -52,11 +53,10 @@ def reference_image(seq, tree, graph, v):
     if top < 0:
         return tree.root
     kernel = seq.kernel
-    radius = kernel.radius(v.level)
-    coord = kernel.coords[v.center]
+    ball = kernel.ball(v.level, v.center)
     for j in range(top, -1, -1):
         for uid in tree.level_vertices(j):
-            if kernel.regions[uid].contains_ball(coord, radius):
+            if kernel.regions[uid].contains_region(ball):
                 return uid
     raise ValueError(f"no element contains the ball of {v}")
 
@@ -102,14 +102,13 @@ def test_images_contain_balls_below_own_level(cantor_emb):
             if v == g.root:
                 continue
             assert elem.level <= v.level - 1
-            coord = g.space.coords[v.center]
-            radius = 2 * g.scale.sep(v.level)
-            assert elem.region.contains_ball(coord, radius)
+            ball = open_ball(g.space.coords[v.center],
+                             2 * g.scale.sep(v.level))
+            assert elem.region.contains_region(ball)
             # maximality of the image level
             for j in range(elem.level + 1, v.level):
                 for other in tree.level_vertices(j):
-                    assert not elements[other].region.contains_ball(
-                        coord, radius)
+                    assert not elements[other].region.contains_region(ball)
 
 
 def test_cantor_level2_maps_into_level1_block(cantor_emb):
