@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         from qtrees.pipeline import run_pipeline
         result = run_pipeline(config)
         if args.command == "run":
-            print(json_text(result.report), end="")
+            print(result.report_text, end="")
         else:
             print(f"artifacts written to {config.out_dir}")
         return 0 if result.ok else 1

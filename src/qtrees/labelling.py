@@ -29,6 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from qtrees.approx import ApproxGraph, Vertex
+from qtrees.coverings import _Near
 from qtrees.diary import (
     STOP,
     Diary,
@@ -137,28 +138,51 @@ class Labelling:
         return word[level - levels[depth - 1] - 1], depth
 
 
-def _letter(stage1: Stage1, coloring: NetColoring, uid: str, k: int):
+class _NetBalls(dict):
+    """level j -> (the level-j net points, their balls B(p, 2 r^j) on the
+    covering's kernel, a `_Near` index of the balls' extents), built on
+    the first lookup of the level."""
+
+    def __init__(self, stage1: Stage1):
+        super().__init__()
+        self.stage1 = stage1
+
+    def __missing__(self, j: int) -> tuple:
+        kernel = self.stage1.seq.kernel
+        points = self.stage1.graph.net(j)
+        balls = [kernel.ball(j, p) for p in points]
+        out = self[j] = points, balls, _Near([b.extent() for b in balls])
+        return out
+
+
+def _letter(stage1: Stage1, coloring: NetColoring, uid: str, k: int,
+            nets: _NetBalls):
     """Palette colors of level-(k+1) net points whose balls touch the
-    element, decorated with the level bit."""
-    kernel = stage1.seq.kernel
-    meets, ball = kernel.regions[uid].meets_region, kernel.ball
-    hit = frozenset(coloring.mu[k + 1][p] for p in stage1.graph.net(k + 1)
-                    if meets(ball(k + 1, p)))
+    element, decorated with the level bit.  A ball whose extent is apart
+    from the element's does not touch it and is not tested; a point-set
+    ball, or an element, without an extent is near every ball."""
+    points, balls, index = nets[k + 1]
+    region = stage1.seq.kernel.regions[uid]
+    mu = coloring.mu[k + 1]
+    hit = frozenset(mu[points[i]] for i in index.near(region.extent())
+                    if region.meets_region(balls[i]))
     if not hit:
         raise AssertionError(f"empty letter at level {k} for {uid}")
     return (hit, mt_bit(k))
 
 
 def build_labelling(stage1: Stage1) -> Labelling:
-    """Color the nets and spell every tree edge's word, each letter once."""
+    """Color the nets and spell every tree edge's word, each letter once,
+    with one index of net ball extents per level."""
     coloring = color_nets(stage1.graph)
+    nets = _NetBalls(stage1)
     words = {}
     for c in stage1.colors:
         tree = stage1.trees[c]
         for uid, parent in tree.parent.items():
             if parent is not None:
                 words[c, uid] = tuple(
-                    _letter(stage1, coloring, uid, k)
+                    _letter(stage1, coloring, uid, k, nets)
                     for k in range(tree.level[parent] + 1, tree.level[uid] + 1))
     return Labelling(stage1=stage1, coloring=coloring, words=words)
 

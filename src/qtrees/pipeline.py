@@ -27,7 +27,7 @@ from qtrees.presets import PRESETS, PipelineConfig
 # StageError is defined with the reports, so that the CLI catches it
 # without loading this module; importers read it from here as well
 from qtrees.reporting import FAIL, PIPELINE_SUITES, CheckResult, \
-    StageError, dump_json, jsonable, suite_dict
+    StageError, dump_json, json_text, jsonable, suite_dict
 
 if TYPE_CHECKING:
     from qtrees.labelling import Labelling, Stage2
@@ -229,6 +229,13 @@ class Pipeline:
             "ok": all(s["ok"] for s in suites.values()),
         }
 
+    @cached_property
+    def report_text(self) -> str:
+        """The report's JSON text, as `run` prints it.  `export_artifacts`
+        sets it to the text it wrote to report.json, so the report is
+        serialized once."""
+        return json_text(self.report)
+
     @property
     def ok(self) -> bool:
         return self.report["ok"]
@@ -270,7 +277,8 @@ def export_artifacts(pipe: Pipeline, out_dir) -> None:
     from qtrees.stage1 import write_pairs_csv
     from qtrees.trees import export_tree
     os.makedirs(out_dir, exist_ok=True)
-    dump_json(pipe.report, os.path.join(out_dir, "report.json"))
+    pipe.report_text = dump_json(pipe.report,
+                                 os.path.join(out_dir, "report.json"))
     export_edges(pipe.graph, os.path.join(out_dir, "graph.edges"))
     save_covering_json(pipe.seq, os.path.join(out_dir, "covering.json"))
     tree_dir = os.path.join(out_dir, "trees")

@@ -98,6 +98,9 @@ def json_text(data) -> str:
     return json.dumps(jsonable(data), sort_keys=True, indent=2) + "\n"
 
 
-def dump_json(data, path) -> None:
+def dump_json(data, path) -> str:
+    """Write ``json_text(data)`` to ``path`` and return the text."""
+    text = json_text(data)
     with open(path, "w") as fh:
-        fh.write(json_text(data))
+        fh.write(text)
+    return text

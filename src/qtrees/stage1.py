@@ -23,9 +23,23 @@ once per distinct key (tree distances per image pair, the distinct-pair
 bound per (images, level), the segment dip per (color, a, b, level)) and
 replays it to every pair that has the key, in pair-table order: instance
 counts and the first violations are those of a plain pair-by-pair loop.
+
+The segment dip quantifies over every element pair of two containing
+chains, but it decides most chain pairs from their two tips alone.  An
+element holding a point has its parent holding it, so a chain is the root
+path of its deepest element, its tip.  Every element pair of the chains
+of tips x and y then meets on the root path of meet(x, y), whose level
+bounds theirs, and an end's count of sub-critical vertices is at most its
+tip's count from the root: levels rise along root paths, so the
+sub-critical vertices come first.  Both bounds are attained, so the chain
+pair fails exactly when one of them does (`check_segment_dip` gives the
+proof).  The element-pair loop stays for the chain pairs that this tip
+test cannot clear, and for any chain that is not its tip's root path with
+levels rising from k0, so violations and their order come from it alone.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import NamedTuple, Optional
 
@@ -257,36 +271,127 @@ def check_segment_dip(emb: Stage1) -> CheckResult:
     containing the two centers meets strictly below the critical level, with
     at most three sub-critical vertices on each side of the meet.
 
-    The violations of an element pair are found once per (color, a, b,
-    critical level), and the outcome of two vertices' chains once per
-    (chain keys of v, chain keys of w, critical level); each is replayed to
-    every pair in pair order."""
+    The tip test clears two vertices' chains in a color without a visit to
+    their element pairs.  A chain passes it when it is the root path of
+    its deepest element, its tip, with levels rising from k0 at the root;
+    an element holding a point has its parent holding the point, so every
+    chain of a color tree does.  Let x and y be the tips of the two
+    chains, m = meet(x, y), and F(z) the index of the first vertex below
+    the root on z's root path at level >= l (the path's length when there
+    is none).  Then
+
+    - every element pair (a, b) meets on m's root path: a lies on x's root
+      path and b on y's, so the common ancestors of a and b are common
+      ancestors of x and y.  Levels rise along that path, so the meet's
+      effective level (k0 at the root) is at most m's;
+    - from a meet at depth i, end a has at most F(x) - i <= F(x)
+      sub-critical vertices: a's root path is a prefix of x's, and the
+      sub-critical vertices of a rising path come first.
+
+    So the two chains have no violation in the color when m's effective
+    level is below l and F(x), F(y) <= 3; they count |chain_v| |chain_w|
+    instances.  Both bounds are attained, by (m, m) and by (a, root) with
+    a at depth F(x) - 1, so the test clears exactly the chains that have
+    no violation.  The test runs once per pair of chain keys, in either
+    order, for every color at once: it yields the critical levels (lo, hi]
+    that it clears in each color and in all of them.
+
+    Wherever it does not clear a color, or a chain fails it, the
+    element-pair loop runs: the violations of an element pair are found
+    once per (color, a, b, critical level), those of two vertices' chains
+    once per (chain keys of v, chain keys of w, critical level), and each
+    is replayed to every pair in pair order.  Instance counts and
+    violations, in order, are those of visiting every element pair."""
     res = CheckResult("stage1-critical-segment-shape", PASS)
     chains = emb.chains
     k0 = emb.graph.scale.k0
+    colors = emb.colors
+    trees = [emb.trees[c] for c in colors]
+    # per chain keys of a vertex: the (tip, cap) of each color's chain,
+    # None where the chain fails the tip test
+    tips: dict[tuple[int, ...], tuple] = {}
+    # per (chain keys of v, chain keys of w), in either order: see _spans
+    spans: dict[tuple, tuple] = {}
     dips: dict[tuple[int, str, str, int], tuple[dict, ...]] = {}
-    outcomes: dict[tuple, tuple[int, list[dict]]] = {}
+    outcomes: dict[tuple, list[dict]] = {}
     for v, w, _, kind, l in emb.graph.pairs:
         if kind != DISTINCT:
             continue
         (kv, cv), (kw, cw) = chains[v], chains[w]
-        out = outcomes.get((kv, kw, l))
-        if out is None:
-            instances, found = 0, []
-            for c, chain_v, chain_w in zip(emb.colors, cv, cw):
-                instances += len(chain_v) * len(chain_w)
+        span = spans.get((kv, kw))
+        if span is None:
+            for key, ch in ((kv, cv), (kw, cw)):
+                if key not in tips:
+                    tips[key] = tuple(_tip(t, k0, chain)
+                                      for t, chain in zip(trees, ch))
+            span = spans[kv, kw] = spans[kw, kv] = _spans(
+                trees, k0, tips[kv], tips[kw], cv, cw)
+        instances, lo, hi, by_color = span
+        res.checked += instances
+        if lo < l <= hi:
+            continue
+        found = outcomes.get((kv, kw, l))
+        if found is None:
+            found = outcomes[(kv, kw, l)] = []
+            for c, t, clear, chain_v, chain_w in zip(colors, trees, by_color,
+                                                     cv, cw):
+                if clear is not None and clear[0] < l <= clear[1]:
+                    continue
                 for a in chain_v:
                     for b in chain_w:
                         dip = dips.get((c, a, b, l))
                         if dip is None:
-                            dip = dips[(c, a, b, l)] = _dip(
-                                emb.trees[c], k0, c, a, b, l)
+                            dip = dips[(c, a, b, l)] = _dip(t, k0, c, a, b,
+                                                            l)
                         found += dip
-            out = outcomes[(kv, kw, l)] = instances, found
-        res.checked += out[0]
-        for info in out[1]:
+        for info in found:
             res.add_violation({"pair": (v, w), **info})
     return res
+
+
+def _tip(t: LevelledTree, k0: int, chain: tuple[str, ...]
+         ) -> Optional[tuple[str, float]]:
+    """(tip, cap) when the chain is the root path of its deepest element,
+    the tip, with levels strictly rising from k0 at the root; None
+    otherwise.  The cap is the level of the tip's depth-3 ancestor, or
+    infinity when the tip is shallower: F(tip) <= 3 exactly when l <= cap."""
+    if not chain:
+        return None
+    tip = max(chain, key=t.depths.__getitem__)
+    path = t.paths[tip]
+    if len(path) != len(chain) or not set(path).issuperset(chain):
+        return None
+    levels = (k0, *t.path_levels[tip][1:])
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        return None
+    return tip, (levels[3] if len(levels) > 3 else math.inf)
+
+
+def _spans(trees: list[LevelledTree], k0: int, tips_v: tuple, tips_w: tuple,
+           cv: tuple, cw: tuple) -> tuple:
+    """(instances, lo, hi, by color) for two vertices' chains of every
+    color: the tip test clears a color at critical level l when
+    lo_c < l <= hi_c, with lo_c the effective level of the two tips' meet
+    and hi_c the lesser cap, and every color when lo < l <= hi.  A color
+    whose chain fails the tip test has (lo_c, hi_c) None and makes lo
+    infinite."""
+    instances, lo, hi = 0, -math.inf, math.inf
+    by_color = []
+    for t, x, y, chain_v, chain_w in zip(trees, tips_v, tips_w, cv, cw):
+        instances += len(chain_v) * len(chain_w)
+        if x is None or y is None:
+            by_color.append(None)
+            lo = math.inf
+            continue
+        meet = t.meets[x[0], y[0]]
+        low = k0 if meet == t.root else t.level[meet]
+        high = x[1] if x[1] < y[1] else y[1]
+        by_color.append((low, high))
+        if low > lo:
+            lo = low
+        if high < hi:
+            hi = high
+    return instances, lo, hi, tuple(by_color)
 
 
 def _dip(t: LevelledTree, k0: int, color: int, a: str, b: str, l: int
@@ -349,21 +454,19 @@ def check_level_escape(emb: Stage1) -> CheckResult:
 
 
 def write_pairs_csv(rows: list[PairRow], path) -> None:
-    import csv  # only here: the commands that write no CSV never load it
+    """One comma-separated line per pair row after a header, with CRLF
+    line ends and empty fields for None, as the ``csv`` module's default
+    dialect writes them: no field holds a comma, quote or line break."""
+    vertices = {row.v for row in rows}
+    vertices.update(row.w for row in rows)
+    labels = {v: f"{v.level}:{v.center}" for v in vertices}
+    lines = ["v,v',graph_dist,class,critical_level,sum_tree_dist,best_color,"
+             "bound_rhs,violation\r\n"]
+    for v, w, gd, kind, crit, total, best, rhs, violation in rows:
+        lines.append(
+            f"{labels[v]},{labels[w]},{gd},{kind},"
+            f"{'' if crit is None else crit},{total},"
+            f"{'' if best is None else best},{'' if rhs is None else rhs},"
+            f"{int(violation)}\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v", "v'", "graph_dist", "class", "critical_level",
-                         "sum_tree_dist", "best_color", "bound_rhs",
-                         "violation"])
-        for row in rows:
-            writer.writerow([
-                f"{row.v.level}:{row.v.center}",
-                f"{row.w.level}:{row.w.center}",
-                row.graph_dist,
-                row.kind,
-                "" if row.critical is None else row.critical,
-                row.sum_tree_dist,
-                "" if row.best_color is None else row.best_color,
-                "" if row.bound_rhs is None else row.bound_rhs,
-                int(row.violation),
-            ])
+        fh.write("".join(lines))

@@ -381,9 +381,9 @@ def test_stage2_spells_each_letter_and_pages_each_vertex_once(monkeypatch):
     letters, steps = Counter(), []
     letter, step = labelling._letter, labelling.encode_step
 
-    def counted_letter(stage1, coloring, uid, k):
+    def counted_letter(stage1, coloring, uid, k, nets):
         letters[uid, k] += 1
-        return letter(stage1, coloring, uid, k)
+        return letter(stage1, coloring, uid, k, nets)
 
     def counted_step(rest, word, tail, kappa):
         steps.append(tail)

@@ -20,7 +20,7 @@ from qtrees.labelling import check_critical_letters
 from qtrees.metric import ScaleParams, compute_k0, make_space
 from qtrees.pipeline import Pipeline
 from qtrees.presets import config_for
-from qtrees import reporting
+from qtrees import reporting, stage1
 from qtrees.reporting import PASS, CheckResult
 from qtrees.stage1 import PairRow, check_segment_dip, classify_pair, \
     stage1_suite
@@ -108,6 +108,26 @@ def reference_stage1_suite(emb):
     return checks, rows
 
 
+def element_pair_dip(t, k0, c, a, b, l):
+    """The violations of one element pair, by walking the paths from the
+    meet to both ends: the root counts as level k0."""
+
+    def eff(uid):
+        return k0 if uid == t.root else t.level[uid]
+
+    meet = t.lca(a, b)
+    if eff(meet) >= l:
+        return [{"color": c, "meet": meet, "critical": l}]
+    found = []
+    for end in (a, b):
+        path = t.paths[end]
+        seg = path[path.index(meet):]
+        below = sum(1 for u in seg if eff(u) < l)
+        if below > 3:
+            found.append({"color": c, "end": end, "below": below})
+    return found
+
+
 def reference_segment_dip(emb):
     res = CheckResult("stage1-critical-segment-shape", PASS)
     graph = emb.graph
@@ -119,25 +139,34 @@ def reference_segment_dip(emb):
         l = pc.critical_level
         for c in emb.colors:
             t = emb.trees[c]
-
-            def eff(uid):
-                return k0 if uid == t.root else t.level[uid]
-
             for a in chain(emb, c, v):
                 for b in chain(emb, c, w):
                     res.checked += 1
-                    meet = t.lca(a, b)
-                    if eff(meet) >= l:
-                        res.add_violation({"pair": (v, w), "color": c,
-                                           "meet": meet, "critical": l})
-                        continue
-                    for end in (a, b):
-                        path = t.paths[end]
-                        seg = path[path.index(meet):]
-                        below = sum(1 for u in seg if eff(u) < l)
-                        if below > 3:
-                            res.add_violation({"pair": (v, w), "color": c,
-                                               "end": end, "below": below})
+                    for info in element_pair_dip(t, k0, c, a, b, l):
+                        res.add_violation({"pair": (v, w), **info})
+    return res
+
+
+def every_element_pair_dip(emb):
+    """``reference_segment_dip`` on the pair table: every element pair of
+    every distinct pair is visited, and its violations are walked once
+    per (color, a, b, critical level), so that the large configs fit."""
+    res = CheckResult("stage1-critical-segment-shape", PASS)
+    k0 = emb.graph.scale.k0
+    walked = {}
+    for v, w, _, kind, l in emb.graph.pairs:
+        if kind != DISTINCT:
+            continue
+        for c in emb.colors:
+            for a in chain(emb, c, v):
+                for b in chain(emb, c, w):
+                    res.checked += 1
+                    found = walked.get((c, a, b, l))
+                    if found is None:
+                        found = walked[c, a, b, l] = element_pair_dip(
+                            emb.trees[c], k0, c, a, b, l)
+                    for info in found:
+                        res.add_violation({"pair": (v, w), **info})
     return res
 
 
@@ -362,6 +391,77 @@ def test_segment_dip_replays_long_segments(monkeypatch):
     kinds = {"meet" if "meet" in info else "below" for info in res.violations}
     assert kinds == {"meet", "below"}
     assert res.checked > len(res.violations) > 20
+
+
+def test_a_root_path_whose_levels_fall_takes_the_element_pair_loop(
+        monkeypatch):
+    """A color tree whose root path falls from level 9 to level 1 below
+    the root, then forks at level 5: the tips of two chains meet at level
+    1, below every critical level, but their ancestor at level 9 is an
+    element pair meeting above it.  The tip test does not clear chains
+    whose levels fall, so that violation is found at every critical
+    level."""
+    monkeypatch.setattr(reporting, "MAX_VIOLATIONS_KEPT", 10**6)
+    emb = Pipeline(config_for("cantor")).stage1
+    graph = emb.graph
+    parent = {"root": None, "u": "root", "m": "u", "p": "m", "q": "m"}
+    level = {"root": 0, "u": 9, "m": 1, "p": 5, "q": 5}
+    emb.trees = {0: LevelledTree(root="root", parent=parent, level=level)}
+    chains = {tip: ("root", "u", "m", tip) for tip in "pq"}
+    emb.chains = {v: ((ord(tip),), (chains[tip],)) for v in graph.vertices
+                  for tip in "pq"[v.center % 2]}
+    res = check_segment_dip(emb)
+    assert outcome(res) == outcome(reference_segment_dip(emb))
+    assert {info["critical"] for info in res.violations
+            if info.get("meet") == "u"} == {1, 2}
+
+
+@pytest.mark.parametrize("how", ["fork", "gap"])
+def test_a_chain_off_its_tips_root_path_takes_the_element_pair_loop(
+        how, monkeypatch):
+    """The cantor preset with one deep vertex's chain doctored: "fork"
+    adds a level-1 element off its root path, "gap" drops its level-2
+    element.  Either fails the tip test, so the pairs of that vertex take
+    the element-pair loop, and every violation is that of the reference."""
+    monkeypatch.setattr(reporting, "MAX_VIOLATIONS_KEPT", 10**6)
+    emb = Pipeline(config_for("cantor")).stage1
+    graph, tree = emb.graph, emb.trees[0]
+    deep = [v for v in graph.vertices if v.level == graph.scale.max_level]
+    x = deep[len(deep) // 3]
+    path = chain(emb, 0, x)
+    assert path == tree.paths[path[-1]] and len(path) == 5
+    if how == "fork":
+        off = next(u for u in tree.level_vertices(1) if u not in path)
+        doctored_chain = tuple(sorted((*path, off)))
+    else:
+        doctored_chain = path[:2] + path[3:]
+    emb.chains[x] = (1 + max(k for (k,), _ in emb.chains.values()),), \
+        (doctored_chain,)
+    dip, walked = stage1._dip, []
+
+    def walked_dip(t, k0, c, a, b, l):
+        walked.append((a, b))
+        return dip(t, k0, c, a, b, l)
+
+    monkeypatch.setattr(stage1, "_dip", walked_dip)
+    res = check_segment_dip(emb)
+    assert outcome(res) == outcome(reference_segment_dip(emb))
+    assert set(itertools.chain(*walked)) >= set(doctored_chain)
+    assert (res.status == PASS) == (how == "gap"), res.violations[:3]
+
+
+def test_the_tip_test_clears_every_key_of_the_cantor_preset(monkeypatch):
+    # every chain of a color tree is its tip's root path, and the preset
+    # has no violation, so no element pair is visited
+    emb = Pipeline(config_for("cantor")).stage1
+
+    def no_dip(*args):
+        raise AssertionError(f"element pair visited: {args[2:]}")
+
+    monkeypatch.setattr(stage1, "_dip", no_dip)
+    res = check_segment_dip(emb)
+    assert outcome(res) == outcome(reference_segment_dip(emb))
+    assert res.status == PASS and res.checked > 0
 
 
 @pytest.mark.parametrize("preset", ["cantor", "circle", "grid"])

@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+from qtrees import reporting
 from qtrees.cli import main
 from qtrees.metric import MAX_LEVELS, MAX_POINTS
 from qtrees.pipeline import Pipeline, StageError
 from qtrees.presets import PRESETS, PipelineConfig, config_for
+from qtrees.stage1 import check_segment_dip
 from qtrees.trees import word_distance
-from test_pair_table import GRAPH_LEMMAS
+from test_pair_table import GRAPH_LEMMAS, every_element_pair_dip
 
 # the configs that run through every stage, and those that stop at the
 # covering
@@ -204,6 +206,24 @@ def test_the_ball_graph_keeps_the_lemmas_its_edge_rule_gives(name):
         assert lemma(graph) == [], lemma.__name__
 
 
+CANTOR7 = ["--space", "cantor", "--depth", "7"]
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, " ".join(CANTOR7)])
+def test_the_segment_shape_is_that_of_every_element_pair(name, monkeypatch):
+    # the tip test clears two chains without a visit to their element
+    # pairs; every instance and every violation, in order, is still that
+    # of the visit, on the configs that pass and on cantor(7), which fails
+    monkeypatch.setattr(reporting, "MAX_VIOLATIONS_KEPT", 10**6)
+    config = CONFIGS[name] if name in CONFIGS else config_of(name.split())
+    emb = Pipeline(config).stage1
+    res, expected = check_segment_dip(emb), every_element_pair_dip(emb)
+    assert (res.status, res.checked, res.violations) == \
+        (expected.status, expected.checked, expected.violations)
+    assert res.checked > 0
+    assert len(res.violations) == (256 if name == " ".join(CANTOR7) else 0)
+
+
 @pytest.mark.parametrize("preset", ["cantor", "circle"])
 def test_a_lengthened_diary_lies_past_its_tree_distance(preset):
     # more pages than any tree distance, on the deepest color-0 image: every
@@ -224,17 +244,23 @@ def test_a_lengthened_diary_lies_past_its_tree_distance(preset):
 
 CANTOR7_REPORT_SHA256 = ("6715023da597f04bd5a8fb770e3324bb"
                          "b174a3e45d94a2c695cfb909d889d4c1")
+CANTOR8_REPORT_SHA256 = ("e4c6b185c7c4ea951fe04225a491a04b"
+                         "4ddf65732093b763c34a7ef927a3b0ce")
+
+
+def cantor_run(depth: int, tmp_path_factory):
+    """``embed run --space cantor --depth DEPTH``: its exit code, report
+    and report.json bytes."""
+    out = tmp_path_factory.mktemp(f"cantor{depth}")
+    code = main(["run", "--space", "cantor", "--depth", str(depth),
+                 "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    return code, report, (out / "report.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def cantor7(tmp_path_factory):
-    """``embed run --space cantor --depth 7``, once: its exit code, report
-    and report.json bytes."""
-    out = tmp_path_factory.mktemp("cantor7")
-    code = main(["run", "--space", "cantor", "--depth", "7",
-                 "--out", str(out)])
-    report = json.loads((out / "report.json").read_text())
-    return code, report, (out / "report.json").read_bytes()
+    return cantor_run(7, tmp_path_factory)
 
 
 def test_cantor7_fails_the_segment_shape_alone(cantor7):
@@ -244,6 +270,16 @@ def test_cantor7_fails_the_segment_shape_alone(cantor7):
     assert code == 1
     assert failing_checks(report) == {"stage1-critical-segment-shape"}
     assert hashlib.sha256(data).hexdigest() == CANTOR7_REPORT_SHA256
+
+
+def test_cantor8_fails_the_segment_shape_alone(tmp_path_factory):
+    # a second pin of the element-pair loop's violations and their order
+    code, report, data = cantor_run(8, tmp_path_factory)
+    assert code == 1
+    assert failing_checks(report) == {"stage1-critical-segment-shape"}
+    assert [check["checked"] for check in report["suites"]["stage1"]["results"]
+            if check["id"] == "stage1-critical-segment-shape"] == [1417950]
+    assert hashlib.sha256(data).hexdigest() == CANTOR8_REPORT_SHA256
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the segment-shape "
